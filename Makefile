@@ -2,11 +2,12 @@ GO ?= go
 FUZZTIME ?= 10s
 
 # Perf-trajectory suite: core save/detect, downstream clustering, and the
-# three neighbor indexes. `make bench` snapshots it into $(BENCHOUT) under
-# $(BENCHKEY) (conventionally "before" at the start of a perf change and
-# "after" at the end) via cmd/benchjson, which merges rather than
-# overwrites so both snapshots survive in the committed file.
-BENCHOUT ?= BENCH_10.json
+# three neighbor indexes. `make bench BENCHOUT=BENCH_<pr>.json` snapshots it
+# into $(BENCHOUT) under $(BENCHKEY) (conventionally "before" at the start
+# of a perf change and "after" at the end) via cmd/benchjson, which merges
+# rather than overwrites so both snapshots survive in the committed file.
+# BENCHOUT has no default: a bare `make bench` would otherwise overwrite an
+# earlier change's committed snapshot.
 BENCHKEY ?= after
 BENCHPAT = BenchmarkSaveSingle$$|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkShardDetect|BenchmarkShardSave|BenchmarkDetectApprox|BenchmarkDetectExactLattice
 
@@ -27,6 +28,7 @@ race:
 	$(GO) test -race ./...
 
 bench:
+	@test -n "$(BENCHOUT)" || { echo "usage: make bench BENCHOUT=BENCH_<pr>.json [BENCHKEY=before|after]" >&2; exit 2; }
 	$(GO) test -run '^$$' -bench '$(BENCHPAT)' -benchmem . ./internal/neighbors ./internal/serve > .bench.out.tmp
 	$(GO) run ./cmd/benchjson -out $(BENCHOUT) -key $(BENCHKEY) < .bench.out.tmp
 	rm -f .bench.out.tmp

@@ -186,7 +186,9 @@ func DetectApproxWithIndex(ctx context.Context, rel *Relation, cons Constraints,
 // counts and the resolved η, re-deriving the inlier/outlier split without
 // re-running the counting pass. It exists for durable session stores that
 // checkpoint Detection.Counts: on restart they restore the split from the
-// snapshot instead of paying detection again.
+// snapshot instead of paying detection again. Counts above η are clamped
+// to η in place, so snapshots written before detection capped its counts
+// restore into the same state as a fresh build.
 func RehydrateDetection(counts []int, eta int) *Detection {
 	return core.RehydrateDetection(counts, eta)
 }

@@ -24,10 +24,16 @@
 //     capped at η (detection only needs the side of η, so the refinement
 //     rides the CountWithin early exit).
 //
+// Stored counts follow the Detection.Counts invariant, min(|r_ε(t)|, η):
+// a certified inlier stores η, and every outlier, certified or refined,
+// stores its exact η-capped count. Outliers are rare and their balls are
+// small, so the exact count costs little, and the mutation path can keep
+// maintaining counts by ±1 without misreading an estimate.
+//
 // At η well below xClear — every realistic configuration, since xClear ≈
 // z² + η·s/n — the inlier certificate cannot misfire even in the worst
-// case, so with refinement enabled the detection split is bit-identical to
-// DetectContext's for any seed.
+// case, so with refinement enabled the detection (split and Counts) is
+// identical to DetectContext's for any seed.
 package core
 
 import (
@@ -74,8 +80,10 @@ type ApproxOptions struct {
 	// Seed drives the sample draw (0 means 1); fixed seed, fixed split.
 	Seed int64
 	// NoRefine accepts the point estimate for borderline tuples instead
-	// of refining them exactly — detection becomes fully sublinear but
-	// only statistically correct (the accuracy tests use this).
+	// of refining them exactly: an estimate at or above η stores η, and a
+	// tuple estimated below η still stores its exact count (every outlier
+	// does). The inlier side becomes only statistically correct (the
+	// accuracy tests use this).
 	NoRefine bool
 	// Off disables approximation even when Confidence is set; it exists
 	// so a zero-value-is-off toggle can be threaded through config
@@ -124,10 +132,11 @@ func DetectApprox(rel *data.Relation, cons Constraints, idx neighbors.Index, ap 
 
 // DetectApproxContext splits rel under the constraints using sampled
 // neighbor-count estimates, refining only the borderline band exactly. The
-// result is a drop-in *Detection: the split obeys Counts[i] ≥ η ⇔ inlier
-// (so RehydrateDetection round-trips it), but Counts of sampled-certified
-// tuples are estimates, not exact counts. Relations smaller than MinN (or
-// smaller than the sample would be) fall back to the exact pass.
+// result is a drop-in *Detection with the same Counts invariant as the
+// exact pass: η for certified inliers, the exact η-capped count for every
+// outlier (NoRefine alone may store η for a tuple whose estimate crossed η
+// wrongly). Relations smaller than MinN (or smaller than the sample would
+// be) fall back to the exact pass.
 func DetectApproxContext(ctx context.Context, rel *data.Relation, cons Constraints, idx neighbors.Index, ap ApproxOptions) (*Detection, error) {
 	if err := cons.Validate(); err != nil {
 		return nil, err
@@ -176,11 +185,11 @@ func DetectApproxContext(ctx context.Context, rel *data.Relation, cons Constrain
 }
 
 // ApproxNeighborCounts classifies only the given tuple positions,
-// returning one η-side-consistent count per position plus the merged
-// index-traffic stats. It is the sharded engine's entry point: a shard owns
-// a subset of positions but probes its whole owned+halo index, so the
-// counts equal what a global approximate pass would produce for those
-// tuples. workers ≤ 1 runs inline.
+// returning one count per position under the Counts invariant plus the
+// merged index-traffic stats. It is the sharded engine's entry point: a
+// shard owns a subset of positions but probes its whole owned+halo index,
+// so the counts equal what a global approximate pass would produce for
+// those tuples. workers ≤ 1 runs inline.
 func ApproxNeighborCounts(ctx context.Context, rel *data.Relation, cons Constraints, idx neighbors.Index, ap ApproxOptions, positions []int, workers int) ([]int, obs.SearchStats, error) {
 	var st obs.SearchStats
 	if err := cons.Validate(); err != nil {
@@ -197,7 +206,7 @@ func ApproxNeighborCounts(ctx context.Context, rel *data.Relation, cons Constrai
 		var c neighbors.Counters
 		view := neighbors.WithContext(ctx, neighbors.Counting(idx, &c))
 		for k, i := range positions {
-			counts[k] = view.CountWithin(rel.Tuples[i], cons.Eps, i, 0)
+			counts[k] = view.CountWithin(rel.Tuples[i], cons.Eps, i, cons.Eta)
 		}
 		addCounters(&st, c)
 		if err := ctx.Err(); err != nil {
@@ -313,9 +322,9 @@ func (w *approxWorker) bind(ctx context.Context, p *approxPlan) {
 	w.samp = neighbors.WithContext(ctx, neighbors.Counting(p.samp, &w.sc))
 }
 
-// classify returns an η-side-consistent neighbor count for tuple i: the
-// certificate cascade described in the file comment, falling through to
-// the exact (η-capped) count for the borderline band.
+// classify returns tuple i's count under the Counts invariant: the
+// certificate cascade described in the file comment, with the exact
+// η-capped count for every tuple not certified an inlier.
 func (p *approxPlan) classify(w *approxWorker, i int) int {
 	t := p.rel.Tuples[i]
 	eps, eta := p.cons.Eps, p.cons.Eta
@@ -325,45 +334,42 @@ func (p *approxPlan) classify(w *approxWorker, i int) int {
 		sEff, xClear = sEff-1, p.xClear[1]
 	}
 	if sEff > 0 {
-		probeCap := xClear
-		if probeCap > sEff {
-			probeCap = sEff // inlier cert unreachable; keep the outlier certs
-		}
-		x := w.samp.CountWithin(t, eps, skipPos, probeCap)
-		if x >= xClear {
+		// The probe stops once the inlier certificate fires; when xClear
+		// exceeds the sample, only the outlier certificates remain.
+		x := w.samp.CountWithin(t, eps, skipPos, min(xClear, sEff))
+		switch {
+		case x >= xClear:
 			// Clear inlier: even the capped (under-)count certifies.
 			w.sampled++
-			est := p.estimate(x, sEff)
-			if est < eta {
-				est = eta
-			}
-			return est
-		}
-		if _, hi := stats.WilsonInterval(x, sEff, p.z); hi*float64(p.n-1) < float64(eta) {
-			// Clear outlier, statistically.
+			return eta
+		case p.noRef && p.estimate(x, sEff) >= eta:
+			// NoRefine takes the estimate's side of η for the band.
 			w.sampled++
-			est := p.estimate(x, sEff)
-			if est >= eta {
-				est = eta - 1
-			}
-			return est
-		}
-		if ub, ok := neighbors.CubeBound(p.full, t, eps, i); ok && ub < eta {
-			// Clear outlier, deterministically: the grid cube population
-			// bounds the true count from above at zero distance cost.
+			return eta
+		case p.noRef || p.certifiesOutlier(x, sEff, t, i):
+			// Outlier: classified without refinement, but it stores its
+			// exact count, which the certificate's small ball makes cheap.
 			w.sampled++
-			return ub
-		}
-		if p.noRef {
-			w.sampled++
-			return p.estimate(x, sEff)
+			return w.full.CountWithin(t, eps, i, eta)
 		}
 	}
 	// Borderline band: exact machinery, needing only the side of η — the
-	// CountWithinAtLeast early exit (cap = η) stops the scan at the η-th
-	// hit, so even refinement is cheaper than the full exact pass.
+	// cap stops the scan at the η-th hit, so even refinement is cheaper
+	// than counting the whole ball.
 	w.refined++
 	return w.full.CountWithin(t, eps, i, eta)
+}
+
+// certifiesOutlier reports whether a certificate proves tuple i (= t), with
+// x sampled hits out of sEff, an outlier: the Wilson upper bound scaled to
+// the n−1 candidates below η, or, deterministically and at zero distance
+// cost, a grid cube population below η.
+func (p *approxPlan) certifiesOutlier(x, sEff int, t data.Tuple, i int) bool {
+	if _, hi := stats.WilsonInterval(x, sEff, p.z); hi*float64(p.n-1) < float64(p.cons.Eta) {
+		return true
+	}
+	ub, ok := neighbors.CubeBound(p.full, t, p.cons.Eps, i)
+	return ok && ub < p.cons.Eta
 }
 
 // merge folds the per-worker tallies and counter shards into st. The

@@ -38,8 +38,9 @@ func approxTestIndexes(rel *data.Relation) map[string]neighbors.Index {
 var approxTestCons = Constraints{Eps: 1, Eta: 8}
 
 // TestDetectApproxDifferential pins the headline guarantee: with
-// refinement on, the approximate split is bit-identical to the exact pass
-// for every index kind, norm and sample seed. This is not a statistical
+// refinement on, the approximate split — and, by the Counts invariant,
+// every stored count — is identical to the exact pass for every index
+// kind, norm and sample seed. This is not a statistical
 // test — at η below xClear the inlier certificate is deterministically
 // sound (a without-replacement sample only undercounts), the cube bound is
 // deterministic, and the Wilson outlier certificate cannot fire at this
@@ -64,6 +65,9 @@ func TestDetectApproxDifferential(t *testing.T) {
 					t.Fatalf("norm %v %s seed %d: approximate split diverges from exact (%d/%d vs %d/%d in/out)",
 						norm, name, seed, len(approx.Inliers), len(approx.Outliers),
 						len(exact.Inliers), len(exact.Outliers))
+				}
+				if !reflect.DeepEqual(exact.Counts, approx.Counts) {
+					t.Fatalf("norm %v %s seed %d: approximate counts break min(count, η)", norm, name, seed)
 				}
 				st := approx.Stats
 				if st.ApproxSampled == 0 {

@@ -44,11 +44,15 @@ func (c Constraints) Validate() error {
 }
 
 // Detection is the split of a dataset into non-outlying tuples r and
-// outliers s (§2.2), with the ε-neighbor count of every tuple.
+// outliers s (§2.2), with the η-capped ε-neighbor count of every tuple.
 type Detection struct {
 	// Inliers and Outliers are tuple indexes into the detected relation.
 	Inliers, Outliers []int
-	// Counts[i] is |D_ε(t_i)| excluding t_i itself.
+	// Counts[i] is min(|r_ε(t_i)|, η), t_i itself excluded: an outlier's
+	// exact count, η for every inlier. The split only asks which side of η
+	// a count falls on, so counting stops at η. Every producer (exact,
+	// approximate, sharded, rehydrated, mutated) keeps this invariant;
+	// NeighborCounts gives the uncapped counts.
 	Counts []int
 	// Stats holds the index traffic of the counting pass (range queries,
 	// distance evaluations, grid fallbacks); the search counters stay
@@ -73,13 +77,16 @@ func (d *Detection) IsOutlier(i int) bool {
 // counts and the resolved η, re-deriving the inlier/outlier split without
 // touching the data. It is the restart path of a durable serving layer:
 // counts are the expensive part of DetectContext, so a snapshot that kept
-// them skips the counting pass entirely. Stats, Elapsed and IndexBuild stay
-// zero — no index traffic happened — which is exactly how callers tell a
-// rehydrated detection from a computed one.
+// them skips the counting pass entirely. Counts above η (snapshots written
+// before counting was capped) are clamped to η in place, so the result
+// keeps the Counts invariant and behaves like a fresh detection. Stats,
+// Elapsed and IndexBuild stay zero — no index traffic happened — which is
+// exactly how callers tell a rehydrated detection from a computed one.
 func RehydrateDetection(counts []int, eta int) *Detection {
 	det := &Detection{Counts: counts, eta: eta}
 	for i, c := range counts {
 		if c >= eta {
+			counts[i] = eta
 			det.Inliers = append(det.Inliers, i)
 		} else {
 			det.Outliers = append(det.Outliers, i)
@@ -111,10 +118,10 @@ func DetectContext(ctx context.Context, rel *data.Relation, cons Constraints, id
 	}
 	n := rel.N()
 	det := &Detection{Counts: make([]int, n), eta: cons.Eta, IndexBuild: indexBuild}
-	// No early exit on the counts: the exact values feed parameter
-	// determination and the Figure 5 histograms. Counting is read-only
-	// per tuple, so it fans out across cores — each worker counts index
-	// traffic in its own shard, merged once the pool joins.
+	// Counting stops at η (the Counts invariant): the split needs only
+	// the side of η. Counting is read-only per tuple, so it fans out
+	// across cores — each worker counts index traffic in its own shard,
+	// merged once the pool joins.
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
@@ -125,7 +132,7 @@ func DetectContext(ctx context.Context, rel *data.Relation, cons Constraints, id
 		views[w] = neighbors.WithContext(ctx, neighbors.Counting(idx, &shards[w]))
 	}
 	errs := par.ForEachWorker(ctx, n, workers, func(w, i int) error {
-		det.Counts[i] = views[w].CountWithin(rel.Tuples[i], cons.Eps, i, 0)
+		det.Counts[i] = views[w].CountWithin(rel.Tuples[i], cons.Eps, i, cons.Eta)
 		return nil
 	})
 	var merged neighbors.Counters

@@ -15,15 +15,17 @@ func CountWithinAtLeast(idx Index, q data.Tuple, eps float64, skip, k int) bool 
 
 // CubeBound returns an upper bound on q's ε-neighbor count obtained purely
 // from grid-cell populations — zero distance evaluations. Every ε-neighbor
-// of q lies inside the reach cube of q's cell, so the cube's total
-// population bounds the count from above (tombstoned rows stay in their
-// cells until a merge, which only loosens the bound). skip ≥ 0 asserts that
-// physical row skip itself lies inside the cube — callers probe q =
-// rel.Tuples[skip] — and subtracts it; pass -1 otherwise.
+// of q lies in a cell whose box is within ε of q (the cells the grid walk
+// covers), so their total population bounds the count from above
+// (tombstoned rows stay in their cells until a merge, which only loosens
+// the bound). skip ≥ 0 asserts that physical row skip itself lies in q's
+// own cell — callers probe q = rel.Tuples[skip] — and subtracts it; pass
+// -1 otherwise.
 //
 // ok is false when the bound is unavailable: the index is not grid-backed
-// (after unwrapping counting/context/mutable views), the radius is tooWide
-// for a cube walk, or a Mutable holds delta rows outside the cells.
+// (after unwrapping counting/context/mutable views), the radius spans more
+// cells than the relation has tuples, or a Mutable holds delta rows outside
+// the cells.
 func CubeBound(idx Index, q data.Tuple, eps float64, skip int) (int, bool) {
 	for {
 		switch t := idx.(type) {
@@ -48,17 +50,16 @@ func CubeBound(idx Index, q data.Tuple, eps float64, skip int) (int, bool) {
 	}
 }
 
-// cubeBound sums the populations of the reach cube around q's cell.
+// cubeBound sums the populations of the cells the grid walk covers for
+// radius eps: every ε-neighbor of q lies in one of them.
 func (g *Grid) cubeBound(q data.Tuple, eps float64, skip int) (int, bool) {
-	reach := g.reach(eps)
-	if g.tooWide(reach) {
-		return 0, false
-	}
 	total := 0
-	g.visit(q, reach, func(idx []int) bool {
+	if !g.walk(q, eps, false, func(idx []int, _ float64) bool {
 		total += len(idx)
 		return true
-	})
+	}) {
+		return 0, false
+	}
 	if skip >= 0 && total > 0 {
 		total--
 	}

@@ -41,8 +41,8 @@ func TestCountWithinAtLeast(t *testing.T) {
 // grid view, and refuses (rather than misanswers) everywhere it cannot
 // promise one: non-grid indexes, pending deltas, too-wide radii.
 func TestCubeBound(t *testing.T) {
-	// eps ≤ cell keeps the odometer reach at 2 (5³ = 125 cells ≤ n+1), so
-	// the cube bound is available; wider radii exercise the refusal below.
+	// eps ≤ cell keeps the walk within 3³ cells (≤ n+1), so the cube bound
+	// is available; wider radii exercise the refusal below.
 	r := diffRelation(150, 3, metric.L2, 13, false)
 	g := NewGrid(r, 1.5)
 	brute := NewBrute(r)

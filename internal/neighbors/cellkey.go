@@ -105,11 +105,18 @@ func (k *CellKeyer) Packed() bool { return k.packed }
 // Coord returns the scaled grid coordinate of attribute a of tuple t; cells
 // must bucket by the same scaled units the distance kernel uses.
 func (k *CellKeyer) Coord(t data.Tuple, a int) int {
+	return int(math.Floor(k.pos(t, a)))
+}
+
+// pos returns attribute a of t in cell units: the scaled value divided by
+// the cell size, whose floor is the cell coordinate. The grid walk reads
+// the query's position inside its cell from the same arithmetic.
+func (k *CellKeyer) pos(t data.Tuple, a int) float64 {
 	v := t[a].Num
 	if s := k.rel.Schema.Attrs[a].Scale; s > 0 {
 		v /= s
 	}
-	return int(math.Floor(v / k.cell))
+	return v / k.cell
 }
 
 // Coords fills dst (grown as needed) with every coordinate of t and returns

@@ -8,7 +8,7 @@ package neighbors
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/data"
 )
@@ -94,9 +94,8 @@ func KernelOf(idx Index) *data.Kernel {
 // numeric with at most six attributes (range queries touch 3^m cells), a
 // VP-tree otherwise. eps hints the grid cell size; it must be > 0 for the
 // grid path. The grid serves every supported norm, not only the L2
-// default: each per-attribute (scaled) distance is bounded by the L1, L2
-// and L∞ aggregates alike, so the grid's cell-cube reach bound stays valid
-// for any of them.
+// default: its walk aggregates per-axis cell gaps under the schema's own
+// norm, so the cell bound stays valid for any of them.
 func Build(r *data.Relation, eps float64) Index {
 	numeric := true
 	for _, a := range r.Schema.Attrs {
@@ -305,13 +304,18 @@ func (h *maxHeap) down(i int) {
 	}
 }
 
+// sorted returns the held neighbors in ascending (distance, index) order,
+// sorting the heap's own storage in place: the heap is spent afterwards,
+// and a k-NN query allocates nothing but this one result slice.
 func (h *maxHeap) sorted() []Neighbor {
-	out := append([]Neighbor(nil), h.ns...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
+	slices.SortFunc(h.ns, func(a, b Neighbor) int {
+		switch {
+		case worse(b, a):
+			return -1
+		case worse(a, b):
+			return 1
 		}
-		return out[i].Idx < out[j].Idx
+		return 0
 	})
-	return out
+	return h.ns
 }

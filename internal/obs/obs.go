@@ -83,8 +83,9 @@ type SearchStats struct {
 	TextCacheHits   int64 `json:"text_cache_hits"`
 	TextCacheMisses int64 `json:"text_cache_misses"`
 	// ApproxSampled and ApproxRefined split the approximate detection
-	// pass's tuples: classified from the sampled estimate (or the grid cube
-	// bound) alone vs sent to the exact borderline refinement.
+	// pass's tuples: classified by a certificate (the sampled estimate or
+	// the grid cube bound; certified outliers still store an exact
+	// η-capped count) vs sent to the exact borderline refinement.
 	// ApproxSampleEvals is the slice of DistEvals spent on sampled-index
 	// probes — the estimator's own cost, already included in DistEvals.
 	ApproxSampled     int64 `json:"approx_sampled"`

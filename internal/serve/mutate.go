@@ -184,16 +184,22 @@ func (s *Session) resolveRowLocked(li int) (int, error) {
 // and syncs inlier membership (the new row's own and any flips).
 // Returns the new physical row, its neighbor count, and the flipped
 // physical rows.
+//
+// Counts keep the Detection.Counts invariant, min(|r_ε(t)|, η): the new
+// row stores its capped ball size, and a member already at η stays there.
 func (s *Session) insertRowLocked(t disc.Tuple) (phys, nbr int, flips []int) {
 	eta := s.Cons.Eta
 	// The ball is queried before the insert, so the new row's count
 	// excludes itself — exactly the |r_ε(t)| detection uses.
 	ball := s.relMut.Within(t, s.Cons.Eps, -1)
 	phys = s.relMut.Insert(t)
-	s.Det.Counts = append(s.Det.Counts, len(ball))
+	s.Det.Counts = append(s.Det.Counts, min(len(ball), eta))
 	s.fullToSaver = append(s.fullToSaver, -1)
 	for _, nb := range ball {
 		j := nb.Idx
+		if s.Det.Counts[j] == eta {
+			continue // saturated
+		}
 		s.Det.Counts[j]++
 		if s.Det.Counts[j] == eta { // crossed up
 			flips = append(flips, j)
@@ -212,6 +218,10 @@ func (s *Session) insertRowLocked(t disc.Tuple) (phys, nbr int, flips []int) {
 // deleteRowLocked tombstones physical row phys, decrements its ball's
 // neighbor counts, and syncs inlier membership. Returns the removed
 // tuple, its ball size, and the flipped physical rows.
+//
+// A count below η is exact, so it simply decrements. A count at η only
+// says "at least η": the member is recounted, capped at η, after the
+// tombstone, and flips when the recount falls below η.
 func (s *Session) deleteRowLocked(phys int) (old disc.Tuple, ball int, flips []int) {
 	eta := s.Cons.Eta
 	old = s.Rel.Tuples[phys]
@@ -219,8 +229,12 @@ func (s *Session) deleteRowLocked(phys int) (old disc.Tuple, ball int, flips []i
 	s.relMut.Delete(phys)
 	for _, nb := range nbs {
 		j := nb.Idx
-		s.Det.Counts[j]--
-		if s.Det.Counts[j] == eta-1 { // crossed down
+		if s.Det.Counts[j] < eta {
+			s.Det.Counts[j]--
+			continue
+		}
+		s.Det.Counts[j] = s.relMut.CountWithin(s.Rel.Tuples[j], s.Cons.Eps, j, eta)
+		if s.Det.Counts[j] < eta { // crossed down
 			flips = append(flips, j)
 		}
 	}

@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	disc "repro"
+	"repro/internal/snapshot"
 )
 
 func randTuple2D(rng *rand.Rand, scale float64) disc.Tuple {
@@ -36,163 +39,265 @@ func randLiveHandle(rng *rand.Rand, mirror []disc.Tuple) int {
 	}
 }
 
-// TestMutateDifferential is the acceptance property of the mutation path:
-// after a random interleaving of inserts, updates and deletes, the mutated
+// TestMutateDifferential is the acceptance property of the mutation path.
+// After every random insert, update and delete, each stored count equals
+// min(|r_ε|, η) from a from-scratch DetectContext over the live rows and
+// the Saver holds exactly that rebuild's inliers; at the end the mutated
 // session answers /detect and /save exactly like a session built from
-// scratch over the same live rows — across all four index kinds. Run under
-// -race this also exercises the mutation/query locking.
+// scratch. It runs across all four index kinds, for exact sessions,
+// approximate (approx=1) sessions on the sampled path, and approximate
+// sessions restarted from their snapshot before the first mutation. Run
+// under -race this also exercises the mutation/query locking.
 func TestMutateDifferential(t *testing.T) {
+	defer func(n int, rate float64) { approxMinN, approxSampleRate = n, rate }(approxMinN, approxSampleRate)
+	approxMinN, approxSampleRate = 32, 0.5 // sample 45 of 90 rows
 	for _, kind := range []string{"brute", "grid", "kd", "vp"} {
 		t.Run(kind, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(42))
-			s := newTestServer(t, Config{BatchWindow: -1, Workers: 2})
-
-			rel := disc.NewRelation(disc.NewNumericSchema("x", "y"))
-			for i := 0; i < 60; i++ {
-				rel.Append(randTuple2D(rng, 1))
-			}
-			var buf bytes.Buffer
-			if err := disc.WriteCSV(&buf, rel); err != nil {
-				t.Fatal(err)
-			}
-			w := do(t, s, "POST", "/v1/datasets", createRequest{
-				Name: "mut", CSV: buf.String(), Eps: 0.25, Eta: 3, Kappa: 2, Index: kind,
-			})
-			if w.Code != http.StatusCreated {
-				t.Fatalf("upload: status %d, body %s", w.Code, w.Body.String())
-			}
-			info := decode[SessionInfo](t, w)
-			if info.Index != kind {
-				t.Fatalf("session index = %q, want %q", info.Index, kind)
-			}
-
-			// mirror tracks the logical row handles client-side: nil = hole.
-			mirror := make([]disc.Tuple, rel.N())
-			copy(mirror, rel.Tuples)
-			live := rel.N()
-
-			for op := 0; op < 45; op++ {
-				switch {
-				case live < 30 || rng.Intn(3) == 0: // insert
-					scale := 1.0
-					if rng.Intn(4) == 0 {
-						// Far outside the initial bounding box: on grid this
-						// refuses the native cell insert and lands in the
-						// delta buffer.
-						scale = 50
-					}
-					tp := randTuple2D(rng, scale)
-					w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/tuples",
-						mutateRequest{Tuple: tupleAny(tp)})
-					if w.Code != http.StatusCreated {
-						t.Fatalf("insert: status %d, body %s", w.Code, w.Body.String())
-					}
-					mres := decode[mutationResponse](t, w)
-					if mres.Index != len(mirror) {
-						t.Fatalf("insert handle = %d, want %d", mres.Index, len(mirror))
-					}
-					mirror = append(mirror, tp)
-					live++
-					if mres.Tuples != live {
-						t.Fatalf("insert reported %d live tuples, want %d", mres.Tuples, live)
-					}
-				case rng.Intn(2) == 0: // update
-					h := randLiveHandle(rng, mirror)
-					tp := randTuple2D(rng, 1)
-					w := do(t, s, "PUT", fmt.Sprintf("/v1/datasets/%s/tuples/%d", info.ID, h),
-						mutateRequest{Tuple: tupleAny(tp)})
-					if w.Code != http.StatusOK {
-						t.Fatalf("update %d: status %d, body %s", h, w.Code, w.Body.String())
-					}
-					mirror[h] = tp
-				default: // delete
-					h := randLiveHandle(rng, mirror)
-					w := do(t, s, "DELETE", fmt.Sprintf("/v1/datasets/%s/tuples/%d", info.ID, h), nil)
-					if w.Code != http.StatusOK {
-						t.Fatalf("delete %d: status %d, body %s", h, w.Code, w.Body.String())
-					}
-					mirror[h] = nil
-					live--
-					// A deleted handle is a hole: every op on it answers 404.
-					if w := do(t, s, "DELETE", fmt.Sprintf("/v1/datasets/%s/tuples/%d", info.ID, h), nil); w.Code != http.StatusNotFound {
-						t.Fatalf("double delete %d: status %d, want 404", h, w.Code)
-					}
-				}
-			}
-
-			// From-scratch rebuild over the surviving rows in logical order.
-			fresh := disc.NewRelation(rel.Schema)
-			for _, tp := range mirror {
-				if tp != nil {
-					fresh.Append(tp)
-				}
-			}
-			fs, err := s.Registry().Upload(context.Background(), "fresh", fresh,
-				BuildParams{Eps: 0.25, Eta: 3, Kappa: 2, Index: kind})
-			if err != nil {
-				t.Fatalf("fresh rebuild: %v", err)
-			}
-
-			mutInfo := decode[SessionInfo](t, do(t, s, "GET", "/v1/datasets/"+info.ID, nil))
-			freshInfo := fs.Info()
-			if mutInfo.Tuples != freshInfo.Tuples || mutInfo.Inliers != freshInfo.Inliers || mutInfo.Outliers != freshInfo.Outliers {
-				t.Fatalf("mutated split (n=%d in=%d out=%d) != rebuild (n=%d in=%d out=%d)",
-					mutInfo.Tuples, mutInfo.Inliers, mutInfo.Outliers,
-					freshInfo.Tuples, freshInfo.Inliers, freshInfo.Outliers)
-			}
-			if mutInfo.Inserted+mutInfo.Updated+mutInfo.Deleted != 45 {
-				t.Fatalf("mutation counters %d+%d+%d, want 45 total",
-					mutInfo.Inserted, mutInfo.Updated, mutInfo.Deleted)
-			}
-			if mutInfo.Redetect == 0 {
-				t.Fatal("redetect_touched stayed zero across 45 mutations")
-			}
-
-			// Detect parity: every live row (member mode) plus fresh probes.
-			var probes [][]any
-			for _, tp := range mirror {
-				if tp != nil {
-					probes = append(probes, tupleAny(tp))
-				}
-			}
-			dm := decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect",
-				detectRequest{Tuples: probes, Member: true}))
-			df := decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+fs.ID+"/detect",
-				detectRequest{Tuples: probes, Member: true}))
-			if !reflect.DeepEqual(dm.Results, df.Results) {
-				t.Fatalf("member detect diverged from rebuild:\nmutated: %+v\nrebuild: %+v", dm.Results, df.Results)
-			}
-			probes = probes[:0]
-			for i := 0; i < 8; i++ {
-				probes = append(probes, tupleAny(randTuple2D(rng, 1.4)))
-			}
-			dm = decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect",
-				detectRequest{Tuples: probes}))
-			df = decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+fs.ID+"/detect",
-				detectRequest{Tuples: probes}))
-			if !reflect.DeepEqual(dm.Results, df.Results) {
-				t.Fatalf("probe detect diverged from rebuild:\nmutated: %+v\nrebuild: %+v", dm.Results, df.Results)
-			}
-
-			// Save parity: repair the same outlier-ish probes on both
-			// sessions and require identical adjustments (random float data
-			// makes the min-cost adjustment unique, so iteration order — the
-			// only thing the mutated and rebuilt sessions differ in — must
-			// not show through).
-			for i := 0; i < 3; i++ {
-				probe := tupleAny(disc.Tuple{disc.Num(1.2 + 0.3*float64(i) + rng.Float64()/8), disc.Num(1.3 + rng.Float64()/8)})
-				am := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: probe})
-				af := do(t, s, "POST", "/v1/datasets/"+fs.ID+"/save", saveRequest{Tuple: probe})
-				if am.Code != http.StatusOK || af.Code != http.StatusOK {
-					t.Fatalf("save probe %d: mutated %d, rebuild %d", i, am.Code, af.Code)
-				}
-				jm := decode[adjustmentJSON](t, am)
-				jf := decode[adjustmentJSON](t, af)
-				if !reflect.DeepEqual(jm, jf) {
-					t.Fatalf("save probe %d diverged from rebuild:\nmutated: %+v\nrebuild: %+v", i, jm, jf)
-				}
+			for _, mode := range []string{"exact", "approx", "approx-restart"} {
+				t.Run(mode, func(t *testing.T) { mutateDifferential(t, kind, mode) })
 			}
 		})
+	}
+}
+
+func mutateDifferential(t *testing.T, kind, mode string) {
+	rng := rand.New(rand.NewSource(42))
+	cfg := Config{BatchWindow: -1, Workers: 2}
+	if mode == "approx-restart" {
+		cfg.DataDir = t.TempDir()
+	}
+
+	// 60 rows spread over the unit square, with counts on both sides of
+	// η, plus a dense core whose rows the sampled detector certifies as
+	// inliers from the sample alone.
+	rel := disc.NewRelation(disc.NewNumericSchema("x", "y"))
+	for i := 0; i < 60; i++ {
+		rel.Append(randTuple2D(rng, 1))
+	}
+	for i := 0; i < 30; i++ {
+		rel.Append(disc.Tuple{disc.Num(0.4 + rng.Float64()*0.15), disc.Num(0.4 + rng.Float64()*0.15)})
+	}
+	var buf bytes.Buffer
+	if err := disc.WriteCSV(&buf, rel); err != nil {
+		t.Fatal(err)
+	}
+	create := createRequest{Name: "mut", CSV: buf.String(), Eps: 0.25, Eta: 3, Kappa: 2, Index: kind,
+		Approx: mode != "exact"}
+
+	var s *Server
+	if mode == "approx-restart" {
+		s = New(cfg)
+		if err := s.Recover(context.Background()); err != nil {
+			t.Fatalf("first Recover: %v", err)
+		}
+	} else {
+		s = newTestServer(t, cfg)
+	}
+	w := do(t, s, "POST", "/v1/datasets", create)
+	if w.Code != http.StatusCreated {
+		t.Fatalf("upload: status %d, body %s", w.Code, w.Body.String())
+	}
+	info := decode[SessionInfo](t, w)
+	if info.Index != kind {
+		t.Fatalf("session index = %q, want %q", info.Index, kind)
+	}
+	sess, _ := s.Registry().Get(info.ID)
+	if mode != "exact" {
+		sess.mu.Lock()
+		sampled := sess.stats.ApproxSampled
+		sess.mu.Unlock()
+		if sampled == 0 {
+			t.Fatal("approx session never took the sampled path")
+		}
+	}
+	checkCountInvariant(t, sess, "after build")
+	if mode == "approx-restart" {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+		s = recoverServer(t, cfg)
+		var ok bool
+		if sess, ok = s.Registry().Get(info.ID); !ok || !sess.Recovered {
+			t.Fatalf("session %s not recovered from its snapshot", info.ID)
+		}
+		checkCountInvariant(t, sess, "after restart")
+	}
+
+	// mirror tracks the logical row handles client-side: nil = hole.
+	mirror := make([]disc.Tuple, rel.N())
+	copy(mirror, rel.Tuples)
+	live := rel.N()
+
+	for op := 0; op < 45; op++ {
+		switch {
+		case live < 60 || rng.Intn(3) == 0: // insert
+			scale := 1.0
+			if rng.Intn(4) == 0 {
+				// Far outside the initial bounding box: on grid this
+				// refuses the native cell insert and lands in the
+				// delta buffer.
+				scale = 50
+			}
+			tp := randTuple2D(rng, scale)
+			w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/tuples",
+				mutateRequest{Tuple: tupleAny(tp)})
+			if w.Code != http.StatusCreated {
+				t.Fatalf("insert: status %d, body %s", w.Code, w.Body.String())
+			}
+			mres := decode[mutationResponse](t, w)
+			if mres.Index != len(mirror) {
+				t.Fatalf("insert handle = %d, want %d", mres.Index, len(mirror))
+			}
+			mirror = append(mirror, tp)
+			live++
+			if mres.Tuples != live {
+				t.Fatalf("insert reported %d live tuples, want %d", mres.Tuples, live)
+			}
+		case rng.Intn(2) == 0: // update
+			h := randLiveHandle(rng, mirror)
+			tp := randTuple2D(rng, 1)
+			w := do(t, s, "PUT", fmt.Sprintf("/v1/datasets/%s/tuples/%d", info.ID, h),
+				mutateRequest{Tuple: tupleAny(tp)})
+			if w.Code != http.StatusOK {
+				t.Fatalf("update %d: status %d, body %s", h, w.Code, w.Body.String())
+			}
+			mirror[h] = tp
+		default: // delete
+			h := randLiveHandle(rng, mirror)
+			w := do(t, s, "DELETE", fmt.Sprintf("/v1/datasets/%s/tuples/%d", info.ID, h), nil)
+			if w.Code != http.StatusOK {
+				t.Fatalf("delete %d: status %d, body %s", h, w.Code, w.Body.String())
+			}
+			mirror[h] = nil
+			live--
+			// A deleted handle is a hole: every op on it answers 404.
+			if w := do(t, s, "DELETE", fmt.Sprintf("/v1/datasets/%s/tuples/%d", info.ID, h), nil); w.Code != http.StatusNotFound {
+				t.Fatalf("double delete %d: status %d, want 404", h, w.Code)
+			}
+		}
+		checkCountInvariant(t, sess, fmt.Sprintf("op %d", op))
+	}
+
+	// From-scratch rebuild over the surviving rows in logical order.
+	fresh := disc.NewRelation(rel.Schema)
+	for _, tp := range mirror {
+		if tp != nil {
+			fresh.Append(tp)
+		}
+	}
+	fs, err := s.Registry().Upload(context.Background(), "fresh", fresh,
+		BuildParams{Eps: 0.25, Eta: 3, Kappa: 2, Index: kind})
+	if err != nil {
+		t.Fatalf("fresh rebuild: %v", err)
+	}
+
+	mutInfo := decode[SessionInfo](t, do(t, s, "GET", "/v1/datasets/"+info.ID, nil))
+	freshInfo := fs.Info()
+	if mutInfo.Tuples != freshInfo.Tuples || mutInfo.Inliers != freshInfo.Inliers || mutInfo.Outliers != freshInfo.Outliers {
+		t.Fatalf("mutated split (n=%d in=%d out=%d) != rebuild (n=%d in=%d out=%d)",
+			mutInfo.Tuples, mutInfo.Inliers, mutInfo.Outliers,
+			freshInfo.Tuples, freshInfo.Inliers, freshInfo.Outliers)
+	}
+	if mutInfo.Inserted+mutInfo.Updated+mutInfo.Deleted != 45 {
+		t.Fatalf("mutation counters %d+%d+%d, want 45 total",
+			mutInfo.Inserted, mutInfo.Updated, mutInfo.Deleted)
+	}
+	if mutInfo.Redetect == 0 {
+		t.Fatal("redetect_touched stayed zero across 45 mutations")
+	}
+
+	// Detect parity: every live row (member mode) plus fresh probes.
+	var probes [][]any
+	for _, tp := range mirror {
+		if tp != nil {
+			probes = append(probes, tupleAny(tp))
+		}
+	}
+	dm := decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect",
+		detectRequest{Tuples: probes, Member: true}))
+	df := decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+fs.ID+"/detect",
+		detectRequest{Tuples: probes, Member: true}))
+	if !reflect.DeepEqual(dm.Results, df.Results) {
+		t.Fatalf("member detect diverged from rebuild:\nmutated: %+v\nrebuild: %+v", dm.Results, df.Results)
+	}
+	probes = probes[:0]
+	for i := 0; i < 8; i++ {
+		probes = append(probes, tupleAny(randTuple2D(rng, 1.4)))
+	}
+	dm = decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect",
+		detectRequest{Tuples: probes}))
+	df = decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+fs.ID+"/detect",
+		detectRequest{Tuples: probes}))
+	if !reflect.DeepEqual(dm.Results, df.Results) {
+		t.Fatalf("probe detect diverged from rebuild:\nmutated: %+v\nrebuild: %+v", dm.Results, df.Results)
+	}
+
+	// Save parity: repair the same outlier-ish probes on both sessions and
+	// require identical adjustments (random float data makes the min-cost
+	// adjustment unique, so iteration order — the only thing the mutated
+	// and rebuilt sessions differ in — must not show through).
+	for i := 0; i < 3; i++ {
+		probe := tupleAny(disc.Tuple{disc.Num(1.2 + 0.3*float64(i) + rng.Float64()/8), disc.Num(1.3 + rng.Float64()/8)})
+		am := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: probe})
+		af := do(t, s, "POST", "/v1/datasets/"+fs.ID+"/save", saveRequest{Tuple: probe})
+		if am.Code != http.StatusOK || af.Code != http.StatusOK {
+			t.Fatalf("save probe %d: mutated %d, rebuild %d", i, am.Code, af.Code)
+		}
+		jm := decode[adjustmentJSON](t, am)
+		jf := decode[adjustmentJSON](t, af)
+		if !reflect.DeepEqual(jm, jf) {
+			t.Fatalf("save probe %d diverged from rebuild:\nmutated: %+v\nrebuild: %+v", i, jm, jf)
+		}
+	}
+}
+
+// checkCountInvariant compares a session against a from-scratch detection
+// over its live rows in logical order: every stored count must be
+// min(|r_ε|, η) as DetectContext computes it, the live split totals must
+// match, and the Saver's live inlier rows must be exactly the rebuild's
+// inliers.
+func checkCountInvariant(t *testing.T, s *Session, when string) {
+	t.Helper()
+	s.stateMu.RLock()
+	live := disc.NewRelation(s.Rel.Schema)
+	var got []int
+	for _, phys := range s.logical {
+		if phys < 0 {
+			continue
+		}
+		live.Append(s.Rel.Tuples[phys])
+		got = append(got, s.Det.Counts[phys])
+	}
+	gotIn, gotOut := s.inliers, s.outliers
+	mut := s.Saver.Mutable()
+	var saverRows []string
+	for i, tp := range mut.Rel().Tuples {
+		if mut.Alive(i) {
+			saverRows = append(saverRows, fmt.Sprint(tp))
+		}
+	}
+	s.stateMu.RUnlock()
+
+	ref, err := disc.DetectContext(context.Background(), live, s.Cons)
+	if err != nil {
+		t.Fatalf("%s: reference detect: %v", when, err)
+	}
+	if !reflect.DeepEqual(got, ref.Counts) {
+		t.Fatalf("%s: counts diverged from min(count, η) of a rebuild:\nsession: %v\nrebuild: %v", when, got, ref.Counts)
+	}
+	if gotIn != len(ref.Inliers) || gotOut != len(ref.Outliers) {
+		t.Fatalf("%s: split (%d, %d) != rebuild (%d, %d)", when, gotIn, gotOut, len(ref.Inliers), len(ref.Outliers))
+	}
+	wantRows := make([]string, len(ref.Inliers))
+	for k, i := range ref.Inliers {
+		wantRows[k] = fmt.Sprint(live.Tuples[i])
+	}
+	sort.Strings(saverRows)
+	sort.Strings(wantRows)
+	if !reflect.DeepEqual(saverRows, wantRows) {
+		t.Fatalf("%s: saver holds %d live inliers, rebuild %d, or they differ", when, len(saverRows), len(wantRows))
 	}
 }
 
@@ -457,5 +562,80 @@ func TestCompactionAfterDeleteChurn(t *testing.T) {
 		detectRequest{Tuples: probes}))
 	if !reflect.DeepEqual(dm.Results, df.Results) {
 		t.Fatalf("post-compaction detect diverged:\ncompacted: %+v\nrebuild:   %+v", dm.Results, df.Results)
+	}
+}
+
+// TestRestartFromUncappedSnapshot restarts from a snapshot written before
+// detection capped its counts, so every stored count is the full |r_ε|.
+// Recovery must clamp them to min(|r_ε|, η), and deleting a neighbor of a
+// tuple that then sits exactly at η must flip it exactly as a from-scratch
+// rebuild does.
+func TestRestartFromUncappedSnapshot(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := Config{DataDir: dataDir, BatchWindow: -1, Workers: 2}
+
+	// The test cluster (every count well above η = 3) plus an isolated
+	// square with a center point: a, b, c, d and e each see 4 neighbors.
+	rel := testRelation()
+	base := rel.N()
+	for _, p := range [][2]float64{{10, 10}, {10.5, 10}, {10, 10.5}, {10.5, 10.5}, {10.25, 10.25}} {
+		rel.Append(disc.Tuple{disc.Num(p[0]), disc.Num(p[1])})
+	}
+	a, b, d := base, base+1, base+3
+	idx, err := disc.NewMutableIndex(rel, testParams.Eps, disc.KindBrute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncapped := make([]int, rel.N())
+	for i, tp := range rel.Tuples {
+		uncapped[i] = idx.CountWithin(tp, testParams.Eps, i, 0)
+	}
+	const id = "0123456789abcdef"
+	err = snapshot.Write(filepath.Join(dataDir, id+snapshot.Ext), &snapshot.Snapshot{
+		ID: id, Name: "old", Key: "old",
+		Params: snapshot.Params{Eps: testParams.Eps, Eta: testParams.Eta, Kappa: testParams.Kappa},
+		Eps:    testParams.Eps, Eta: testParams.Eta,
+		Rel: rel, Counts: append([]int(nil), uncapped...), CreatedAt: time.Now(),
+	})
+	if err != nil {
+		t.Fatalf("writing the old-format snapshot: %v", err)
+	}
+
+	s := recoverServer(t, cfg)
+	sess, ok := s.Registry().Get(id)
+	if !ok || !sess.Recovered {
+		t.Fatal("session not recovered from the snapshot")
+	}
+	for i, c := range uncapped {
+		if want := min(c, testParams.Eta); sess.Det.Counts[i] != want {
+			t.Fatalf("row %d: recovered count %d, want min(%d, η) = %d", i, sess.Det.Counts[i], c, want)
+		}
+	}
+	checkCountInvariant(t, sess, "after restart")
+
+	// Deleting b leaves a at exactly η: still an inlier.
+	w := do(t, s, "DELETE", fmt.Sprintf("/v1/datasets/%s/tuples/%d", id, b), nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("delete b: status %d, body %s", w.Code, w.Body.String())
+	}
+	if res := decode[mutationResponse](t, w); res.Flipped != 0 {
+		t.Fatalf("deleting b flipped %d tuples, want 0", res.Flipped)
+	}
+	checkCountInvariant(t, sess, "after deleting b")
+
+	// Deleting d drops a, c and e below η: all three flip, as in a rebuild.
+	w = do(t, s, "DELETE", fmt.Sprintf("/v1/datasets/%s/tuples/%d", id, d), nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("delete d: status %d, body %s", w.Code, w.Body.String())
+	}
+	if res := decode[mutationResponse](t, w); res.Flipped != 3 {
+		t.Fatalf("deleting d flipped %d tuples, want 3 (a, c, e)", res.Flipped)
+	}
+	checkCountInvariant(t, sess, "after deleting d")
+	sess.stateMu.RLock()
+	gotA := sess.Det.Counts[sess.logical[a]]
+	sess.stateMu.RUnlock()
+	if gotA != 2 {
+		t.Fatalf("a's count after both deletes = %d, want 2", gotA)
 	}
 }

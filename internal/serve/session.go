@@ -324,6 +324,15 @@ func tupleBytes(t disc.Tuple) int64 {
 	return 3 * b
 }
 
+// approxMinN and approxSampleRate pass through to the approximate
+// detector's MinN and SampleRate; zero keeps its defaults. Vars so tests
+// can drive the sampled path on relations small enough to re-detect from
+// scratch after every mutation.
+var (
+	approxMinN       = 0
+	approxSampleRate = 0.0
+)
+
 // buildSession runs the one-off pipeline: validate, determine parameters if
 // unset, build the full-relation index, detect, and prepare the saver over
 // the inliers. Everything a warm request touches is constructed here.
@@ -364,7 +373,8 @@ func buildSession(ctx context.Context, id, name, key, source string, rel *disc.R
 	var det *disc.Detection
 	if p.Approx || cfg.ApproxDefault {
 		det, err = disc.DetectApproxWithIndex(ctx, rel, cons, relMut,
-			disc.ApproxDetectOptions{Confidence: p.ApproxConfidence, Seed: p.Seed})
+			disc.ApproxDetectOptions{Confidence: p.ApproxConfidence, Seed: p.Seed,
+				MinN: approxMinN, SampleRate: approxSampleRate})
 	} else {
 		det, err = disc.DetectWithIndex(ctx, rel, cons, relMut)
 	}

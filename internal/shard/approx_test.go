@@ -18,8 +18,8 @@ import (
 // neighbor count equal the global one, so the per-shard certificates stay
 // sound and — with refinement on and η below the certification
 // threshold — the merged inlier/outlier split equals the single-node
-// exact split for every index kind and shard count. The counts of
-// sample-certified tuples are estimates, so only the split is compared.
+// exact split for every index kind and shard count, and so do the counts:
+// every producer stores min(count, η).
 func TestShardedApproxDifferential(t *testing.T) {
 	rel, err := data.GenLattice(data.LatticeSpec{Side: 5, PerCell: 16, Dims: 3, Noise: 8, Seed: 7})
 	if err != nil {
@@ -49,6 +49,9 @@ func TestShardedApproxDifferential(t *testing.T) {
 						!reflect.DeepEqual(det.Outliers, exact.Outliers) {
 						t.Fatalf("sharded approximate split diverges from exact (%d/%d vs %d/%d in/out)",
 							len(det.Inliers), len(det.Outliers), len(exact.Inliers), len(exact.Outliers))
+					}
+					if !reflect.DeepEqual(det.Counts, exact.Counts) {
+						t.Fatal("sharded approximate counts break min(count, η)")
 					}
 					// Every owned tuple is classified exactly once, and the
 					// merged stats carry the per-shard approx counters.

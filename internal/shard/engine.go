@@ -129,8 +129,8 @@ func (e *Engine) Detect(ctx context.Context) (*core.Detection, []ShardStats, err
 		if e.opts.Approx.Enabled() {
 			// Owned tuples occupy the first len(sh.Owned) positions of the
 			// shard relation; the halo rows behind them complete every
-			// owned tuple's ε-ball, so the shard-local counts (exact or
-			// estimated) match the global ones.
+			// owned tuple's ε-ball, so the shard-local counts match the
+			// global ones.
 			pos := make([]int, len(sh.Owned))
 			for p := range pos {
 				pos[p] = p
@@ -150,7 +150,7 @@ func (e *Engine) Detect(ctx context.Context) (*core.Detection, []ShardStats, err
 		var c neighbors.Counters
 		view := neighbors.WithContext(ctx, neighbors.Counting(idx, &c))
 		for p, gi := range sh.Owned {
-			counts[gi] = view.CountWithin(sh.Rel.Tuples[p], e.cons.Eps, p, 0)
+			counts[gi] = view.CountWithin(sh.Rel.Tuples[p], e.cons.Eps, p, e.cons.Eta)
 		}
 		st.Detect = time.Since(td)
 		st.Stats = statsFromCounters(c)

@@ -20,9 +20,9 @@
 // in cell c lies within reach = ceil(ε/cell)+1 cells of c per dimension.
 // Enumerating the (2·reach+1)^m cube around each occupied cell finds every
 // foreign shard whose territory intersects that ball; the cell's tuples
-// become halo of each such shard. The relation-level cube-width guard from
-// the grid applies here too: when the cube would visit more cells than the
-// relation has tuples — or the schema has text attributes, which have no
+// become halo of each such shard. A relation-level cube-width guard, like
+// the grid walk's, applies here too: when the cube would visit more cells
+// than the relation has tuples — or the schema has text attributes, which have no
 // cell coordinates — the partitioner degrades to full replication (every
 // shard sees every tuple, owning a contiguous slice), which is always
 // correct and still parallelizes the save fan-out.
@@ -107,8 +107,8 @@ func Split(rel *data.Relation, eps float64, s int) (*Partition, error) {
 
 	// The halo cube: every cell within reach cells per dimension. When it
 	// would visit more cells than the relation has tuples, the per-cell
-	// walk costs more than replicating everything — degrade, exactly like
-	// the grid's tooWide guard.
+	// walk costs more than replicating everything — degrade, like the grid
+	// walk's box-size guard.
 	reach := keyer.Reach(eps)
 	cube := 1.0
 	for a := 0; a < m; a++ {

@@ -116,8 +116,10 @@ type Snapshot struct {
 	Eps float64
 	Eta int
 	Rel *data.Relation
-	// Counts[i] is the detection pass's |r_ε(t_i)| (self excluded); the
-	// inlier/outlier split is re-derived as Counts[i] >= Eta.
+	// Counts[i] is the detection's min(|r_ε(t_i)|, Eta), self excluded
+	// (the Detection.Counts invariant); the inlier/outlier split is
+	// re-derived as Counts[i] >= Eta. Snapshots written before counts were
+	// capped hold larger values, which rehydration clamps to Eta.
 	Counts    []int
 	CreatedAt time.Time
 }
