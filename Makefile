@@ -7,7 +7,9 @@ FUZZTIME ?= 10s
 # of a perf change and "after" at the end) via cmd/benchjson, which merges
 # rather than overwrites so both snapshots survive in the committed file.
 # BENCHOUT has no default: a bare `make bench` would otherwise overwrite an
-# earlier change's committed snapshot.
+# earlier change's committed snapshot. Every benchmark runs five times and
+# benchjson folds the repeats into a median with min/max and GOMAXPROCS, so
+# each snapshot carries its spread.
 BENCHKEY ?= after
 BENCHPAT = BenchmarkSaveSingle$$|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkShardDetect|BenchmarkShardSave|BenchmarkDetectApprox|BenchmarkDetectExactLattice
 
@@ -29,7 +31,7 @@ race:
 
 bench:
 	@test -n "$(BENCHOUT)" || { echo "usage: make bench BENCHOUT=BENCH_<pr>.json [BENCHKEY=before|after]" >&2; exit 2; }
-	$(GO) test -run '^$$' -bench '$(BENCHPAT)' -benchmem . ./internal/neighbors ./internal/serve > .bench.out.tmp
+	$(GO) test -run '^$$' -bench '$(BENCHPAT)' -benchmem -count 5 . ./internal/neighbors ./internal/serve > .bench.out.tmp
 	$(GO) run ./cmd/benchjson -out $(BENCHOUT) -key $(BENCHKEY) < .bench.out.tmp
 	rm -f .bench.out.tmp
 

@@ -4,12 +4,14 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem ./... | benchjson -out BENCH_2.json -key after
+//	go test -run '^$' -bench . -benchmem -count 5 ./... | benchjson -out BENCH_2.json -key after
 //
 // The file holds one snapshot per key (conventionally "before" and
 // "after"); an existing file is merged, not overwritten, so the before
-// numbers captured at the start of a change survive the final run. Stdin
-// is echoed to stdout, keeping the human-readable table visible when the
+// numbers captured at the start of a change survive the final run. Repeats
+// of one benchmark (go test -count N) fold into one entry: the median of
+// every column, the min and max of ns/op, and the repeat count. Stdin is
+// echoed to stdout, keeping the human-readable table visible when the
 // command is used in a pipe.
 package main
 
@@ -18,26 +20,40 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Bench is one parsed benchmark result line.
+// Bench is one benchmark's result, folded over its repeats.
 type Bench struct {
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped.
 	Name string `json:"name"`
 	// Pkg is the package the benchmark ran in (from the pkg: header).
 	Pkg string `json:"pkg,omitempty"`
-	// Iters is the b.N the reported averages were taken over.
+	// Procs is the GOMAXPROCS the benchmark ran under (the stripped
+	// suffix; 1 when the name carries none). Procs, Count and the ns/op
+	// spread are omitted when zero: snapshots written before repeats were
+	// folded lack them, and a merge must not rewrite them as measured zeros.
+	Procs int `json:"procs,omitempty"`
+	// Count is the number of repeats folded into this entry.
+	Count int `json:"count,omitempty"`
+	// Iters is the total b.N over the repeats.
 	Iters int64 `json:"iters"`
-	// NsPerOp, BytesPerOp and AllocsPerOp mirror the standard columns;
-	// the latter two are present only under -benchmem.
-	NsPerOp     float64  `json:"ns_per_op"`
+	// NsPerOp is the median ns/op over the repeats, NsPerOpMin and
+	// NsPerOpMax its spread.
+	NsPerOp    float64 `json:"ns_per_op"`
+	NsPerOpMin float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax float64 `json:"ns_per_op_max,omitempty"`
+	// BytesPerOp and AllocsPerOp are the medians of the standard columns;
+	// present only under -benchmem.
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	// Metrics holds custom b.ReportMetric units (nodes, saved, ...).
+	// Metrics holds the medians of custom b.ReportMetric units (nodes,
+	// saved, ...).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -56,7 +72,7 @@ type File struct {
 	Runs   map[string]*Run `json:"runs"`
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark[^\s]*?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
+var benchLine = regexp.MustCompile(`^(Benchmark[^\s]*?)(?:-(\d+))?\s+(\d+)\s+(.*)$`)
 
 func main() {
 	var (
@@ -70,36 +86,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	run := &Run{}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line) // tee through
-		switch {
-		case strings.HasPrefix(line, "goos: "):
-			run.Goos = strings.TrimPrefix(line, "goos: ")
-		case strings.HasPrefix(line, "goarch: "):
-			run.Goarch = strings.TrimPrefix(line, "goarch: ")
-		case strings.HasPrefix(line, "cpu: "):
-			run.CPU = strings.TrimPrefix(line, "cpu: ")
-		case strings.HasPrefix(line, "pkg: "):
-			pkg := strings.TrimPrefix(line, "pkg: ")
-			// Remember for subsequent benchmark lines.
-			curPkg = pkg
-		default:
-			if m := benchLine.FindStringSubmatch(line); m != nil {
-				b, err := parseBench(m)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "benchjson: skipping %q: %v\n", line, err)
-					continue
-				}
-				b.Pkg = curPkg
-				run.Benchmarks = append(run.Benchmarks, b)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	run, err := parse(os.Stdin, os.Stdout)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: reading stdin: %v\n", err)
 		os.Exit(1)
 	}
@@ -135,34 +123,146 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s under %q\n", len(run.Benchmarks), *out, *key)
 }
 
-var curPkg string
+// sample is one parsed benchmark result line: a single repeat.
+type sample struct {
+	iters         int64
+	ns            float64
+	bytes, allocs *float64
+	metrics       map[string]float64
+}
 
-func parseBench(m []string) (Bench, error) {
-	iters, err := strconv.ParseInt(m[2], 10, 64)
-	if err != nil {
-		return Bench{}, err
+// parse reads `go test -bench` output, echoing every line to tee, and
+// folds the repeats of each (package, benchmark, GOMAXPROCS) into one
+// Bench, in order of first appearance.
+func parse(r io.Reader, tee io.Writer) (*Run, error) {
+	run := &Run{}
+	type key struct {
+		pkg, name string
+		procs     int
 	}
-	b := Bench{Name: m[1], Iters: iters}
-	// The tail is a sequence of "<value> <unit>" pairs separated by tabs.
-	fields := strings.Fields(m[3])
+	var order []key
+	samples := map[key][]sample{}
+	pkg := ""
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Fprintln(tee, line)
+		switch {
+		case strings.HasPrefix(line, "goos: "):
+			run.Goos = strings.TrimPrefix(line, "goos: ")
+		case strings.HasPrefix(line, "goarch: "):
+			run.Goarch = strings.TrimPrefix(line, "goarch: ")
+		case strings.HasPrefix(line, "cpu: "):
+			run.CPU = strings.TrimPrefix(line, "cpu: ")
+		case strings.HasPrefix(line, "pkg: "):
+			pkg = strings.TrimPrefix(line, "pkg: ")
+		default:
+			m := benchLine.FindStringSubmatch(line)
+			if m == nil {
+				continue
+			}
+			smp, err := parseSample(m[3], m[4])
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "benchjson: skipping %q: %v\n", line, err)
+				continue
+			}
+			k := key{pkg: pkg, name: m[1], procs: 1}
+			if m[2] != "" {
+				k.procs, _ = strconv.Atoi(m[2]) // the pattern admits digits only
+			}
+			if _, seen := samples[k]; !seen {
+				order = append(order, k)
+			}
+			samples[k] = append(samples[k], smp)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	for _, k := range order {
+		b := fold(samples[k])
+		b.Name, b.Pkg, b.Procs = k.name, k.pkg, k.procs
+		run.Benchmarks = append(run.Benchmarks, b)
+	}
+	return run, nil
+}
+
+// parseSample parses the iteration count and the tail of a result line, a
+// sequence of "<value> <unit>" pairs.
+func parseSample(iters, tail string) (sample, error) {
+	n, err := strconv.ParseInt(iters, 10, 64)
+	if err != nil {
+		return sample{}, err
+	}
+	smp := sample{iters: n}
+	fields := strings.Fields(tail)
 	for i := 0; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Bench{}, fmt.Errorf("bad value %q", fields[i])
+			return sample{}, fmt.Errorf("bad value %q", fields[i])
 		}
 		switch unit := fields[i+1]; unit {
 		case "ns/op":
-			b.NsPerOp = v
+			smp.ns = v
 		case "B/op":
-			b.BytesPerOp = &v
+			smp.bytes = &v
 		case "allocs/op":
-			b.AllocsPerOp = &v
+			smp.allocs = &v
 		default:
-			if b.Metrics == nil {
-				b.Metrics = map[string]float64{}
+			if smp.metrics == nil {
+				smp.metrics = map[string]float64{}
 			}
-			b.Metrics[unit] = v
+			smp.metrics[unit] = v
 		}
 	}
-	return b, nil
+	return smp, nil
+}
+
+// fold reduces the repeats of one benchmark to medians, with the min and
+// max of ns/op.
+func fold(ss []sample) Bench {
+	b := Bench{Count: len(ss)}
+	var ns, bytes, allocs []float64
+	metrics := map[string][]float64{}
+	for _, s := range ss {
+		b.Iters += s.iters
+		ns = append(ns, s.ns)
+		if s.bytes != nil {
+			bytes = append(bytes, *s.bytes)
+		}
+		if s.allocs != nil {
+			allocs = append(allocs, *s.allocs)
+		}
+		for unit, v := range s.metrics {
+			metrics[unit] = append(metrics[unit], v)
+		}
+	}
+	b.NsPerOp, b.NsPerOpMin, b.NsPerOpMax = median(ns), slices.Min(ns), slices.Max(ns)
+	if len(bytes) > 0 {
+		v := median(bytes)
+		b.BytesPerOp = &v
+	}
+	if len(allocs) > 0 {
+		v := median(allocs)
+		b.AllocsPerOp = &v
+	}
+	for unit, vs := range metrics {
+		if b.Metrics == nil {
+			b.Metrics = map[string]float64{}
+		}
+		b.Metrics[unit] = median(vs)
+	}
+	return b
+}
+
+// median returns the median of vs (the mean of the middle two for an even
+// count), sorting vs in place.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }

@@ -8,9 +8,10 @@ import (
 
 // saveArena is the reusable scratch memory of one Algorithm 1 search. Every
 // slice the hot path needs — the compact candidate tables, one candidate
-// slab per recursion depth, the quickselect scratch, the κ-prefilter top-k
-// buffer and the visited-X memo — lives here and is recycled across nodes
-// and across outliers, so the steady-state recursion allocates nothing.
+// slab per recursion depth, the quickselect scratch, the κ screen's top-k
+// buffer, the start-mask complement and the visited-X memo — lives here and
+// is recycled across nodes and across outliers, so the steady-state
+// recursion allocates nothing.
 //
 // Ownership is strictly single-threaded: SaveAll hands each worker its own
 // arena (no sync needed), and the public Save/SaveContext path draws one
@@ -21,6 +22,8 @@ import (
 type saveArena struct {
 	st saveState // the per-outlier working set itself, reused
 
+	// The compact candidate tables. On the κ path they have room for
+	// every inlier but hold the screen's survivors only.
 	ids   []int     // compact candidate ids
 	attrD []float64 // per-attribute distance table
 	fullD []float64 // full-space aggregates
@@ -30,8 +33,9 @@ type saveArena struct {
 	cand [][]int
 	sub  [][]float64
 
-	qsel []float64 // quickselectKth scratch
-	top  []float64 // bestCaseSub top-κ scratch
+	qsel  []float64 // quickselectKth scratch
+	top   []float64 // κ screen: the κ largest terms of the inlier being read
+	compl []int     // forEachStartMask: the current κ-sized complement R\X
 
 	visited map[data.AttrMask]struct{}
 

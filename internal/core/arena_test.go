@@ -12,8 +12,10 @@ import (
 // arenaWorkload builds a mid-size numeric instance whose unrestricted
 // search expands enough nodes that per-node allocations would dominate the
 // measurement: with memoization the unrestricted recursion can visit up to
-// 2^m masks, so m = 10 admits ~1k nodes.
-func arenaWorkload(tb testing.TB) (*Saver, data.Tuple) {
+// 2^m masks, so m = 10 admits ~1k nodes. kappa > 0 runs the same instance
+// down the κ-restricted path instead: the screen over all 200 inliers,
+// then the C(10, κ) start masks.
+func arenaWorkload(tb testing.TB, kappa int) (*Saver, data.Tuple) {
 	tb.Helper()
 	names := make([]string, 10)
 	for i := range names {
@@ -31,7 +33,7 @@ func arenaWorkload(tb testing.TB) (*Saver, data.Tuple) {
 	cons := Constraints{Eps: 4.0, Eta: 4}
 	// Pruning off keeps the search wide, which is exactly what the
 	// per-node allocation guard needs to be sensitive.
-	s, err := NewSaver(r, cons, Options{DisablePruning: true})
+	s, err := NewSaver(r, cons, Options{DisablePruning: true, Kappa: kappa})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -43,34 +45,51 @@ func arenaWorkload(tb testing.TB) (*Saver, data.Tuple) {
 	return s, to
 }
 
+// arenaCases are the inputs of the steady-state allocation guards: the
+// unrestricted search, and the κ = 2 path, whose screen and start-mask
+// enumeration must allocate nothing per save either.
+var arenaCases = []struct {
+	name     string
+	kappa    int
+	minNodes int // a smaller search is too small to expose per-node allocations
+}{
+	{"unrestricted", 0, 100},
+	{"kappa2", 2, 5},
+}
+
 // TestSaveSteadyStateAllocs pins the arena contract: once a worker's arena
 // is warm, a whole save — thousands of recursion nodes — performs only the
 // per-save allocations that escape by design (the Within ball of the
 // truncation pass, the k-NN lists of the Lemma 4 bound, the composed
 // adjustment tuple). Per recursion node the steady state allocates zero.
 func TestSaveSteadyStateAllocs(t *testing.T) {
-	s, to := arenaWorkload(t)
-	ar := new(saveArena)
-	ctx := context.Background()
-	adj := s.save(ctx, to, ar) // warm the slabs
-	if adj.Nodes < 100 {
-		t.Fatalf("workload expanded only %d nodes; too small to expose per-node allocations", adj.Nodes)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		s.save(ctx, to, ar)
-	})
-	// The per-save fixed costs are a handful of allocations; per node the
-	// budget is zero, so the total must not scale with Nodes. The race
-	// detector's sync.Pool drops ~25% of released kernel queries, so each
-	// save re-allocates a few of its handful of query binds; the wider
-	// budget still fails on anything that scales with Nodes.
-	budget := 16.0
-	if raceDetector {
-		budget = 64
-	}
-	if allocs > budget {
-		t.Errorf("steady-state save allocates %.1f times (budget %.0f) over %d nodes; want a small node-independent constant",
-			allocs, budget, adj.Nodes)
+	for _, tc := range arenaCases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, to := arenaWorkload(t, tc.kappa)
+			ar := new(saveArena)
+			ctx := context.Background()
+			adj := s.save(ctx, to, ar) // warm the slabs
+			if adj.Nodes < tc.minNodes {
+				t.Fatalf("workload expanded only %d nodes; too small to expose per-node allocations", adj.Nodes)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				s.save(ctx, to, ar)
+			})
+			// The per-save fixed costs are a handful of allocations; per
+			// node the budget is zero, so the total must not scale with
+			// Nodes. The race detector's sync.Pool drops ~25% of released
+			// kernel queries, so each save re-allocates a few of its
+			// handful of query binds; the wider budget still fails on
+			// anything that scales with Nodes.
+			budget := 16.0
+			if raceDetector {
+				budget = 64
+			}
+			if allocs > budget {
+				t.Errorf("steady-state save allocates %.1f times (budget %.0f) over %d nodes; want a small node-independent constant",
+					allocs, budget, adj.Nodes)
+			}
+		})
 	}
 }
 
@@ -79,7 +98,7 @@ func TestSaveSteadyStateAllocs(t *testing.T) {
 // save: no candidate table, memo entry or slab length may survive one save
 // and distort the next.
 func TestArenaReuseDoesNotLeakState(t *testing.T) {
-	s, to := arenaWorkload(t)
+	s, to := arenaWorkload(t, 0)
 	other := to.Clone()
 	other[0] = data.Num(other[0].Num + 0.5)
 	other[3] = data.Num(other[3].Num - 4)
@@ -157,7 +176,7 @@ func TestSaveAllWorkerArenaEquivalence(t *testing.T) {
 // TestSavePoolPathMatchesArenaPath checks the public Save (sync.Pool
 // arena) and the internal explicit-arena path give the same answer.
 func TestSavePoolPathMatchesArenaPath(t *testing.T) {
-	s, to := arenaWorkload(t)
+	s, to := arenaWorkload(t, 0)
 	pooled := s.Save(to)
 	direct := s.save(context.Background(), to, new(saveArena))
 	if pooled.Cost != direct.Cost || !pooled.bestEqual(direct) {

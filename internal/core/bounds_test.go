@@ -44,6 +44,90 @@ func bruteOptimal(r *data.Relation, cons Constraints, to data.Tuple, x data.Attr
 	return bestT, best
 }
 
+// propBounds holds the Proposition 3 / Proposition 5 bounds for a single
+// outlier and unadjusted-attribute set X — the quantities Algorithm 1
+// uses internally (Figure 3 of the paper).
+type propBounds struct {
+	// Lower is the Proposition 3 lower bound on the cost of any feasible
+	// adjustment with t''[X] = t_o[X]: Δ(t_o, t_1) − ε with t_1 the η-th
+	// nearest neighbor of t_o within r_ε(t_o[X]). +Inf when fewer than η
+	// tuples lie within ε on X (no such adjustment exists).
+	Lower float64
+	// Upper is the Proposition 5 upper bound: the cost of the composite
+	// t_o[X] ⊕ t_2[R\X] for the best donor t_2; +Inf when no donor
+	// satisfies δ_η(t_2) ≤ ε − Δ(t_o[X], t_2[X]).
+	Upper float64
+	// Witness is the composite upper-bound adjustment (nil when Upper is
+	// +Inf). It is always feasible.
+	Witness data.Tuple
+}
+
+// computeBounds is the Proposition 3/5 oracle: it evaluates the bounds of
+// the optimal adjustment of outlier to with unadjusted attributes x against
+// the outlier-free relation r by brute-force scans, where Algorithm 1
+// reuses distances across the recursion instead.
+func computeBounds(r *data.Relation, cons Constraints, to data.Tuple, x data.AttrMask) (propBounds, error) {
+	if err := cons.Validate(); err != nil {
+		return propBounds{}, err
+	}
+	b := propBounds{Lower: math.Inf(1), Upper: math.Inf(1)}
+	sch := r.Schema
+	idx := neighbors.NewBrute(r)
+	// Distances to the outlier go through the brute index's compiled
+	// kernel: the query binds once and text distances hit the shared
+	// per-pair cache the index queries also warm.
+	kq := idx.Kernel().Bind(to)
+	defer kq.Release()
+
+	// Candidates: r_ε(t_o[X]).
+	type cand struct {
+		i         int
+		dx, dfull float64
+	}
+	var cands []cand
+	for i := 0; i < r.N(); i++ {
+		dx := kq.DistToX(i, x)
+		if dx > cons.Eps {
+			continue
+		}
+		cands = append(cands, cand{i: i, dx: dx, dfull: kq.DistTo(i)})
+	}
+	if len(cands) < cons.Eta {
+		return b, nil // Lower stays +Inf: infeasible with this X
+	}
+
+	// Proposition 3: η-th smallest full-space distance.
+	full := make([]float64, len(cands))
+	for k, c := range cands {
+		full[k] = c.dfull
+	}
+	kth := quickselect(full, cons.Eta-1)
+	b.Lower = kth - cons.Eps
+	if b.Lower < 0 {
+		b.Lower = 0
+	}
+
+	// Proposition 5: best donor with δ_η(t_2) ≤ ε − Δ_X.
+	compl := x.Complement(sch.M())
+	for _, c := range cands {
+		t2 := r.Tuples[c.i]
+		etaRadius := math.Inf(1)
+		nn := idx.KNN(t2, cons.Eta, c.i)
+		if len(nn) >= cons.Eta {
+			etaRadius = nn[cons.Eta-1].Dist
+		}
+		if etaRadius > cons.Eps-c.dx {
+			continue
+		}
+		cost := kq.DistToX(c.i, compl)
+		if cost < b.Upper {
+			b.Upper = cost
+			b.Witness = data.Compose(to, t2, x)
+		}
+	}
+	return b, nil
+}
+
 func TestComputeBoundsSandwichTheOptimum(t *testing.T) {
 	// Propositions 3 and 5 verified against brute-force enumeration on
 	// random small instances: Lower ≤ optimal ≤ Upper whenever the
@@ -60,7 +144,7 @@ func TestComputeBoundsSandwichTheOptimum(t *testing.T) {
 		cons := Constraints{Eps: 1.5, Eta: 4}
 		to := data.Tuple{data.Num(12 + rng.Float64()*5), data.Num(math.Floor(rng.Float64() * 5))}
 		for _, x := range []data.AttrMask{0, data.AttrMask(0).With(1)} {
-			b, err := ComputeBounds(r, cons, to, x)
+			b, err := computeBounds(r, cons, to, x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +172,7 @@ func TestComputeBoundsWitnessIsFeasible(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		to := data.Tuple{data.Num(rng.Float64()*20 - 5), data.Num(rng.Float64()*20 - 5)}
 		for _, x := range []data.AttrMask{0, 1, 2} {
-			b, err := ComputeBounds(r, cons, to, x)
+			b, err := computeBounds(r, cons, to, x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,14 +201,14 @@ func TestComputeBoundsInfeasibleX(t *testing.T) {
 	cons := Constraints{Eps: 1.5, Eta: 3}
 	// Keeping x = 100 fixed admits no candidates at all.
 	to := data.Tuple{data.Num(100), data.Num(0)}
-	b, err := ComputeBounds(r, cons, to, data.AttrMask(0).With(0))
+	b, err := computeBounds(r, cons, to, data.AttrMask(0).With(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsInf(b.Lower, 1) || !math.IsInf(b.Upper, 1) || b.Witness != nil {
 		t.Errorf("infeasible X produced bounds %+v", b)
 	}
-	if _, err := ComputeBounds(r, Constraints{}, to, 0); err == nil {
+	if _, err := computeBounds(r, Constraints{}, to, 0); err == nil {
 		t.Error("invalid constraints accepted")
 	}
 }
@@ -144,7 +228,7 @@ func TestSaverAgreesWithBoundsAcrossMasks(t *testing.T) {
 	if !adj.Saved() {
 		t.Fatal("not saved")
 	}
-	b0, err := ComputeBounds(r, cons, to, 0)
+	b0, err := computeBounds(r, cons, to, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +238,7 @@ func TestSaverAgreesWithBoundsAcrossMasks(t *testing.T) {
 	// The best single-attribute-unadjusted upper bound is attainable.
 	bestUpper := b0.Upper
 	for a := 0; a < 2; a++ {
-		b, err := ComputeBounds(r, cons, to, data.AttrMask(0).With(a))
+		b, err := computeBounds(r, cons, to, data.AttrMask(0).With(a))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,20 +6,28 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/metric"
 	"repro/internal/neighbors"
 )
 
-// FuzzSave drives Algorithm 1 over randomized small relations, constraint
-// settings, and budgets. Whatever the input, Save must not panic, and every
-// answer must be classifiable: a feasible adjustment (Proposition 5 — each
-// intermediate answer is a real repair), a Natural flag from a search that
-// ran to completion, or a best-so-far answer flagged Exhausted.
+// FuzzSave drives Algorithm 1 over randomized small relations, norms,
+// constraint settings, and budgets. Whatever the input, Save must not
+// panic, and every answer must be classifiable: a feasible adjustment
+// (Proposition 5 — each intermediate answer is a real repair), a Natural
+// flag from a search that ran to completion, or a best-so-far answer
+// flagged Exhausted. A saved answer under the κ restriction adjusts at
+// most κ attributes.
 func FuzzSave(f *testing.F) {
-	f.Add(int64(1), uint8(20), 1.0, uint8(3), uint8(0), uint8(0))
-	f.Add(int64(2), uint8(8), 0.4, uint8(2), uint8(1), uint8(3))
-	f.Add(int64(99), uint8(30), 2.5, uint8(5), uint8(2), uint8(1))
-	f.Add(int64(-7), uint8(3), 0.05, uint8(9), uint8(4), uint8(200))
-	f.Fuzz(func(t *testing.T, seed int64, n uint8, eps float64, eta, kappa, maxNodes uint8) {
+	f.Add(int64(1), uint8(20), 1.0, uint8(3), uint8(0), uint8(0), uint8(metric.L2))
+	f.Add(int64(2), uint8(8), 0.4, uint8(2), uint8(1), uint8(3), uint8(metric.L2))
+	f.Add(int64(99), uint8(30), 2.5, uint8(5), uint8(2), uint8(1), uint8(metric.L2))
+	f.Add(int64(-7), uint8(3), 0.05, uint8(9), uint8(4), uint8(200), uint8(metric.L2))
+	// κ-restricted seeds, one per norm: each screens out part of r and
+	// still saves the outlier.
+	f.Add(int64(11), uint8(36), 3.0, uint8(2), uint8(1), uint8(0), uint8(metric.L1))
+	f.Add(int64(12), uint8(33), 1.8, uint8(2), uint8(2), uint8(0), uint8(metric.L2))
+	f.Add(int64(13), uint8(38), 0.6, uint8(2), uint8(2), uint8(0), uint8(metric.LInf))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, eps float64, eta, kappa, maxNodes, norm uint8) {
 		size := 2 + int(n)%39 // 2..40 tuples
 		if math.IsNaN(eps) || math.IsInf(eps, 0) {
 			eps = 0.5
@@ -31,7 +39,9 @@ func FuzzSave(f *testing.F) {
 		m := 2 + size%3 // 2..4 attributes
 		names := []string{"a", "b", "c", "d"}
 		rng := rand.New(rand.NewSource(seed))
-		rel := data.NewRelation(data.NewNumericSchema(names[:m]...))
+		sch := data.NewNumericSchema(names[:m]...)
+		sch.Norm = metric.Norm(norm % 3)
+		rel := data.NewRelation(sch)
 		for i := 0; i < size; i++ {
 			tp := make(data.Tuple, m)
 			for a := range tp {
@@ -60,8 +70,11 @@ func FuzzSave(f *testing.F) {
 			}
 			idx := neighbors.NewBrute(rel)
 			if got := idx.CountWithin(adj.Tuple, cons.Eps, -1, 0); got < cons.Eta {
-				t.Fatalf("adjustment has %d ε-neighbors, want ≥ %d (eps=%v eta=%d kappa=%d maxNodes=%d)",
-					got, cons.Eta, eps, cons.Eta, opts.Kappa, opts.MaxNodes)
+				t.Fatalf("adjustment has %d ε-neighbors, want ≥ %d (norm=%v eps=%v eta=%d kappa=%d maxNodes=%d)",
+					got, cons.Eta, sch.Norm, eps, cons.Eta, opts.Kappa, opts.MaxNodes)
+			}
+			if opts.Kappa > 0 && opts.Kappa < m && adj.Adjusted.Count() > opts.Kappa {
+				t.Fatalf("κ=%d answer adjusts %d attributes (norm=%v)", opts.Kappa, adj.Adjusted.Count(), sch.Norm)
 			}
 		case adj.Natural:
 			if adj.Exhausted {

@@ -262,7 +262,7 @@ type saveState struct {
 }
 
 // Save finds the near-optimal adjustment of the outlier tuple to
-// (Algorithm 1). The caller is responsible for to actually violating the
+// (Algorithm 1). The caller must ensure that to actually violates the
 // constraints; saving an inlier simply returns a zero-cost adjustment.
 func (s *Saver) Save(to data.Tuple) Adjustment {
 	return s.SaveContext(context.Background(), to)
@@ -285,8 +285,9 @@ func (s *Saver) SaveContext(ctx context.Context, to data.Tuple) Adjustment {
 // against the prepared inlier set, under the same per-save budgets as
 // SaveContext. The saver's index, η-radius table and arena pool are all
 // reused across calls — repeated SaveOne calls on a warm saver rebuild
-// nothing and stay ~1 alloc/op — and concurrent calls are safe: each draws
-// its own arena from the pool and the shared structures are read-only.
+// nothing and allocate at most the composed tuple of a saved answer — and
+// concurrent calls are safe: each draws its own arena from the pool and
+// the shared structures are read-only.
 func (s *Saver) SaveOne(ctx context.Context, to data.Tuple) Adjustment {
 	return s.SaveContext(ctx, to)
 }
@@ -332,47 +333,15 @@ func (s *Saver) save(ctx context.Context, to data.Tuple, ar *saveArena) Adjustme
 		}
 	}
 
-	// Materialize the compact candidate tables in the arena.
-	if math.IsInf(st.bestCost, 1) {
-		st.ids = grow(ar.ids, s.rel.N())[:0]
-		for i, n := 0, s.rel.N(); i < n; i++ {
-			// Tombstoned rows of a mutable inlier set are invisible to the
-			// index but still occupy physical slots; the all-rows fallback
-			// must skip them too.
-			if s.mut != nil && !s.mut.Alive(i) {
-				continue
-			}
-			st.ids = append(st.ids, i)
-		}
-	} else {
-		ball := cidx.Within(to, s.cons.Eps+st.bestCost, -1)
-		st.ids = grow(ar.ids, len(ball))
-		for c, nb := range ball {
-			st.ids[c] = nb.Idx
-		}
-	}
-	st.stats.Candidates = int64(len(st.ids))
-	ar.ids = st.ids
-	c := len(st.ids)
-	st.attrD = grow(ar.attrD, c*s.m)
-	ar.attrD = st.attrD
-	st.fullD = grow(ar.fullD, c)
-	ar.fullD = st.fullD
-	// Fill the tables through the compiled kernel: the outlier binds once,
-	// per-attribute distances read flat columns, and repeated text values
-	// hit the pair cache / query memo instead of re-running Levenshtein.
+	// Materialize the compact candidate tables in the arena through the
+	// compiled kernel: the outlier binds once, per-attribute distances read
+	// flat columns, and repeated text values hit the pair cache / query
+	// memo instead of re-running Levenshtein.
 	kq := s.kern.Bind(to)
-	for ci, i := range st.ids {
-		acc := 0.0
-		for a := 0; a < s.m; a++ {
-			d := kq.AttrDist(a, i)
-			if s.sqNorm {
-				d = d * d
-			}
-			st.attrD[ci*s.m+a] = d
-			acc = s.accumulate(acc, d)
-		}
-		st.fullD[ci] = acc
+	if kappaRestricted {
+		s.screen(st, kq)
+	} else {
+		s.fill(st, cidx, kq, to)
 	}
 	st.stats.TextCacheHits += kq.TextCacheHits
 	st.stats.TextCacheMisses += kq.TextCacheMisses
@@ -381,6 +350,7 @@ func (s *Saver) save(ctx context.Context, to data.Tuple, ar *saveArena) Adjustme
 	// Root candidate set: X = ∅ admits every (truncated) inlier. The root
 	// lists live in the depth-0 slabs; recurse builds each child's list in
 	// the slab one depth down.
+	c := len(st.ids)
 	cand := ar.intsAt(0, c)[:c]
 	subD := ar.floatsAt(0, c)[:c] // d_X aggregate per candidate (squared under L2)
 	for ci := range cand {
@@ -646,38 +616,127 @@ func (s *Saver) residual(st *saveState, sub float64, i int, x data.AttrMask) flo
 	return acc
 }
 
+// fill builds the unrestricted path's candidate tables: the inliers within
+// ε + bestCost of to (Lemma 4 truncation), or every live inlier when no
+// initial bound was found, each with its full per-attribute row and fullD.
+func (s *Saver) fill(st *saveState, cidx neighbors.Index, kq *data.KernelQuery, to data.Tuple) {
+	ar := st.ar
+	if math.IsInf(st.bestCost, 1) {
+		st.ids = grow(ar.ids, s.rel.N())[:0]
+		for i, n := 0, s.rel.N(); i < n; i++ {
+			// Tombstoned rows of a mutable inlier set are invisible to the
+			// index but still occupy physical slots; the all-rows fallback
+			// must skip them too.
+			if s.mut != nil && !s.mut.Alive(i) {
+				continue
+			}
+			st.ids = append(st.ids, i)
+		}
+	} else {
+		ball := cidx.Within(to, s.cons.Eps+st.bestCost, -1)
+		st.ids = grow(ar.ids, len(ball))
+		for c, nb := range ball {
+			st.ids[c] = nb.Idx
+		}
+	}
+	st.stats.Candidates = int64(len(st.ids))
+	ar.ids = st.ids
+	st.attrD = grow(ar.attrD, len(st.ids)*s.m)
+	ar.attrD = st.attrD
+	st.fullD = grow(ar.fullD, len(st.ids))
+	ar.fullD = st.fullD
+	for ci, i := range st.ids {
+		acc := 0.0
+		for a := 0; a < s.m; a++ {
+			d := kq.AttrDist(a, i)
+			if s.sqNorm {
+				d = d * d
+			}
+			st.attrD[ci*s.m+a] = d
+			acc = s.accumulate(acc, d)
+		}
+		st.fullD[ci] = acc
+	}
+}
+
+// screen fills the κ path's candidate tables with one pass over the live
+// inliers, keeping only those some start mask |X| = m−κ admits. Each
+// inlier's terms are read in attribute order (squared under L2); the κ
+// largest so far sit in the arena's top buffer, and every term pushed out
+// of it is folded into rest, so after j attributes rest aggregates the
+// j−κ smallest terms read. A sum (L1, squared L2) or max (L∞) of
+// non-negative terms never decreases, and at j = m rest is the best
+// aggregate over any |X| = m−κ, so the inlier is dropped the moment rest
+// exceeds ε: no start mask can admit it. Survivors keep their full row
+// and fullD, accumulated in attribute order like the unrestricted fill.
+func (s *Saver) screen(st *saveState, kq *data.KernelQuery) {
+	ar := st.ar
+	m, n := s.m, s.rel.N()
+	epsAcc := s.threshold(s.cons.Eps)
+	ids := grow(ar.ids, n)[:0]
+	attrD := grow(ar.attrD, n*m)
+	fullD := grow(ar.fullD, n)
+	top := grow(ar.top, s.opts.Kappa)
+	var read int64
+inliers:
+	for i := 0; i < n; i++ {
+		// Tombstoned rows of a mutable inlier set are invisible to the
+		// index but still occupy physical slots.
+		if s.mut != nil && !s.mut.Alive(i) {
+			continue
+		}
+		read++
+		c := len(ids)
+		row := attrD[c*m : c*m+m]
+		clear(top)
+		rest := 0.0
+		for a := 0; a < m; a++ {
+			d := kq.AttrDist(a, i)
+			if s.sqNorm {
+				d = d * d
+			}
+			row[a] = d
+			for k := range top {
+				if d > top[k] {
+					d, top[k] = top[k], d
+				}
+			}
+			if rest = s.accumulate(rest, d); rest > epsAcc {
+				continue inliers
+			}
+		}
+		full := 0.0
+		for _, d := range row {
+			full = s.accumulate(full, d)
+		}
+		ids = append(ids, i)
+		fullD[c] = full
+	}
+	st.stats.Candidates = read
+	st.stats.KappaPrefiltered = read - int64(len(ids))
+	ar.ids, ar.attrD, ar.fullD, ar.top = ids, attrD, fullD, top
+	st.ids = ids
+	st.attrD = attrD[:len(ids)*m]
+	st.fullD = fullD[:len(ids)]
+}
+
 // forEachStartMask enumerates every X with |X| = m−κ and runs the
 // recursion from each, sharing the memo table so overlapping supersets are
 // processed once (the O(m^{κ+1}·n) bound of §3.3). Enumeration iterates
 // over the κ-sized complements C = R\X: under the decomposable norms the
 // subspace aggregate is fullD minus the ≤ κ complement terms, an O(κ)
-// step per candidate instead of O(m−κ).
+// step per candidate instead of O(m−κ). rootCand holds only the screen's
+// survivors.
 func (s *Saver) forEachStartMask(st *saveState, rootCand []int, rootSub []float64) {
 	m := s.m
 	kappa := s.opts.Kappa
-	compl := make([]int, kappa)
+	compl := grow(st.ar.compl, kappa)
+	st.ar.compl = compl
 	for i := range compl {
 		compl[i] = i
 	}
 	epsAcc := s.threshold(s.cons.Eps)
 	decomposable := s.sqNorm || s.rel.Schema.Norm == metric.L1
-	if decomposable {
-		// A candidate can appear in some r_ε(t_o[X]) with |X| = m−κ only
-		// if dropping its κ most expensive attributes brings the
-		// aggregate under ε; filter the root set once instead of per
-		// mask (most distant tuples fail for every complement). The
-		// filter compacts rootCand in place — it only ever writes behind
-		// its read cursor.
-		before := len(rootCand)
-		filtered := rootCand[:0]
-		for _, c := range rootCand {
-			if s.bestCaseSub(st, c, kappa) <= epsAcc {
-				filtered = append(filtered, c)
-			}
-		}
-		st.stats.KappaPrefiltered += int64(before - len(filtered))
-		rootCand = filtered
-	}
 	// Per-mask lists live in the slab for depth m−κ (the start masks'
 	// |X|), reused across the C(m, κ) masks; recurse only reads them and
 	// filters what it keeps into deeper slabs.
@@ -732,35 +791,6 @@ func (s *Saver) forEachStartMask(st *saveState, rootCand []int, rootSub []float6
 			compl[l] = compl[l-1] + 1
 		}
 	}
-}
-
-// bestCaseSub returns the smallest achievable subspace aggregate for
-// candidate c over any X with |X| = m−κ: the full aggregate minus the κ
-// largest per-attribute terms (valid for the decomposable norms).
-func (s *Saver) bestCaseSub(st *saveState, c, kappa int) float64 {
-	// Track the κ largest attribute terms (κ is small: 1–3 typically).
-	top := grow(st.ar.top, kappa)
-	st.ar.top = top
-	for i := range top {
-		top[i] = 0
-	}
-	for a := 0; a < s.m; a++ {
-		d := st.attrD[c*s.m+a]
-		// Insert into the running top-κ (insertion into a tiny array).
-		for k := 0; k < kappa; k++ {
-			if d > top[k] {
-				d, top[k] = top[k], d
-			}
-		}
-	}
-	acc := st.fullD[c]
-	for _, d := range top {
-		acc -= d
-	}
-	if acc < 0 {
-		acc = 0
-	}
-	return acc
 }
 
 // quickselectKth returns the k-th smallest (1-based) full-space aggregate

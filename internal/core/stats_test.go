@@ -330,27 +330,36 @@ func (b *syncBuffer) String() string {
 // allocations (same bound as TestSaveSteadyStateAllocs) — the counting
 // index view is cached on the arena and the counters are plain fields.
 func TestInstrumentationAllocFree(t *testing.T) {
-	s, to := arenaWorkload(t)
-	ar := new(saveArena)
-	ctx := context.Background()
-	adj := s.save(ctx, to, ar) // warm slabs + counting view
-	if adj.Stats.Nodes < 100 {
-		t.Fatalf("workload too small (%d nodes)", adj.Stats.Nodes)
-	}
-	if adj.Stats.DistEvals == 0 {
-		t.Fatal("instrumentation inactive: no distance evaluations counted")
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		s.save(ctx, to, ar)
-	})
-	// Same race-mode widening as TestSaveSteadyStateAllocs: the race
-	// detector's sync.Pool drops re-admit a few query-bind allocations.
-	budget := 16.0
-	if raceDetector {
-		budget = 64
-	}
-	if allocs > budget {
-		t.Errorf("instrumented steady-state save allocates %.1f per call (budget %.0f) over %d nodes",
-			allocs, budget, adj.Stats.Nodes)
+	for _, tc := range arenaCases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, to := arenaWorkload(t, tc.kappa)
+			ar := new(saveArena)
+			ctx := context.Background()
+			adj := s.save(ctx, to, ar) // warm slabs + counting view
+			if adj.Stats.Nodes < int64(tc.minNodes) {
+				t.Fatalf("workload too small (%d nodes)", adj.Stats.Nodes)
+			}
+			// The κ path never queries the index; its screen and start
+			// masks are what the counters must see.
+			if tc.kappa == 0 && adj.Stats.DistEvals == 0 {
+				t.Fatal("instrumentation inactive: no distance evaluations counted")
+			}
+			if tc.kappa > 0 && (adj.Stats.KappaMasks == 0 || adj.Stats.KappaPrefiltered == 0) {
+				t.Fatalf("instrumentation inactive: κ counters %+v", adj.Stats)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				s.save(ctx, to, ar)
+			})
+			// Same race-mode widening as TestSaveSteadyStateAllocs: the race
+			// detector's sync.Pool drops re-admit a few query-bind allocations.
+			budget := 16.0
+			if raceDetector {
+				budget = 64
+			}
+			if allocs > budget {
+				t.Errorf("instrumented steady-state save allocates %.1f per call (budget %.0f) over %d nodes",
+					allocs, budget, adj.Stats.Nodes)
+			}
+		})
 	}
 }

@@ -54,15 +54,18 @@ type SearchStats struct {
 	// enumerated (C(m, κ) minus budget cut-offs); zero for unrestricted
 	// searches.
 	KappaMasks int64 `json:"kappa_masks"`
-	// KappaPrefiltered counts root candidates discarded by the κ best-case
-	// filter before any mask was searched: even dropping their κ most
-	// expensive attributes leaves them outside ε.
+	// KappaPrefiltered counts the live inliers the κ screen dropped before
+	// any mask was searched: even their best aggregate over any |X| = m−κ
+	// exceeds ε, so no start mask admits them. Counted under every norm,
+	// L∞ included.
 	KappaPrefiltered int64 `json:"kappa_prefiltered"`
 	// BudgetTrips counts searches cut short by MaxNodes, Deadline or
 	// context cancellation (0 or 1 per save; summed across a batch).
 	BudgetTrips int64 `json:"budget_trips"`
-	// Candidates is the size of the compact candidate table(s) — the
-	// tuples close enough to ever matter, after the Lemma 4 truncation.
+	// Candidates counts the inliers read into the compact candidate
+	// table(s): the Lemma 4 truncation ball on the unrestricted path, or
+	// every live inlier the κ screen read on the κ path (Candidates −
+	// KappaPrefiltered of them survive into the tables).
 	Candidates int64 `json:"candidates"`
 	// KNNQueries and RangeQueries count neighbor-index queries (k-NN, and
 	// Within/CountWithin respectively); DistEvals counts the tuple-pair

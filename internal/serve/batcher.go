@@ -222,14 +222,27 @@ func (b *batcher) dispatch(batch []*saveReq) {
 		wstart := time.Now()
 		tr.Span("queue", r.enq)
 		b.session.observeQueueWait(wstart.Sub(r.enq))
-		defer tr.Span("dispatch", wstart)
+		// The dispatch span closes before the reply is sent, so the
+		// handler's slow-request line always carries it; a panicking save
+		// closes it while unwinding, before the pool's recovery answers.
+		answered := false
+		reply := func(res saveRes) {
+			tr.Span("dispatch", wstart)
+			answered = true
+			r.res <- res
+		}
+		defer func() {
+			if !answered {
+				tr.Span("dispatch", wstart)
+			}
+		}()
 		if draining {
 			r.es.Drained.Add(1)
 		}
 		if err := r.ctx.Err(); err != nil {
 			r.es.Expired.Add(1)
-			r.res <- saveRes{err: fmt.Errorf("serve: request expired after %s in queue: %w",
-				time.Since(r.enq).Round(time.Millisecond), err)}
+			reply(saveRes{err: fmt.Errorf("serve: request expired after %s in queue: %w",
+				time.Since(r.enq).Round(time.Millisecond), err)})
 			return nil
 		}
 		// pprof labels scope the worker's samples to (session, endpoint),
@@ -239,7 +252,7 @@ func (b *batcher) dispatch(batch []*saveReq) {
 			// Inside the worker func so an injected panic exercises the pool's
 			// recover path, answering the caller like any other save panic.
 			if err := fault.Inject(fault.BatchDispatch); err != nil {
-				r.res <- saveRes{err: fmt.Errorf("serve: save failed: %w", err)}
+				reply(saveRes{err: fmt.Errorf("serve: save failed: %w", err)})
 				return
 			}
 			if r.mut != nil {
@@ -249,7 +262,7 @@ func (b *batcher) dispatch(batch []*saveReq) {
 				if err == nil {
 					b.session.observeRedetect(mres.Touched)
 				}
-				r.res <- saveRes{mres: mres, err: err}
+				reply(saveRes{mres: mres, err: err})
 				return
 			}
 			// Saves hold the session state read-lock: a mutation in the same
@@ -262,7 +275,7 @@ func (b *batcher) dispatch(batch []*saveReq) {
 			tr.Span("save", sstart)
 			b.session.observeSave(time.Since(sstart), adj.Stats.Nodes)
 			b.session.addStats(&adj.Stats, 1, 0)
-			r.res <- saveRes{adj: adj}
+			reply(saveRes{adj: adj})
 		})
 		return nil
 	})
