@@ -11,11 +11,11 @@ FUZZTIME ?= 10s
 # benchjson folds the repeats into a median with min/max and GOMAXPROCS, so
 # each snapshot carries its spread.
 BENCHKEY ?= after
-BENCHPAT = BenchmarkSaveSingle$$|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkShardDetect|BenchmarkShardSave|BenchmarkDetectApprox|BenchmarkDetectExactLattice
+BENCHPAT = BenchmarkSaveSingle$$|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkShardDetect|BenchmarkShardSave|BenchmarkDetectExactLattice
 
-.PHONY: check build vet test race cover fuzz bench bench-check serve-smoke mutate-smoke shard-smoke approx-smoke chaos drift profile
+.PHONY: check build vet test race cover fuzz bench bench-check serve-smoke mutate-smoke shard-smoke chaos drift profile
 
-check: build vet race cover bench-check serve-smoke mutate-smoke shard-smoke approx-smoke chaos drift fuzz
+check: build vet race cover bench-check serve-smoke mutate-smoke shard-smoke chaos drift fuzz
 
 build:
 	$(GO) build ./...
@@ -76,13 +76,6 @@ mutate-smoke:
 # shard_smoke_test.go).
 shard-smoke:
 	$(GO) test -run TestShardSmoke -count=1 .
-
-# Scripted approximate-detection round-trip: build datagen and disccli,
-# stream a 48k jittered-lattice CSV, run detect-and-repair with -approx
-# and assert the emitted counters show the sampled estimator carried the
-# pass (see approx_smoke_test.go).
-approx-smoke:
-	$(GO) test -run TestApproxSmoke -count=1 .
 
 # Docs drift gate: every json counter tag in obs must appear in the
 # docs/OBSERVABILITY.md tables, and every tag the tables document must

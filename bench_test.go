@@ -11,6 +11,7 @@ package disc_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +19,7 @@ import (
 
 	disc "repro"
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/exp"
 	"repro/internal/neighbors"
 	"repro/internal/serve"
@@ -305,6 +307,58 @@ func BenchmarkDetect(b *testing.B) {
 		if _, err := core.Detect(ds.Rel, cons, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// latticeDetectCons: unit ε on a unit-cell lattice; η = 20 sits far below
+// the interior density (≈ 4.19 · PerCell), so an inlier's capped count
+// stops long before its ball is exhausted.
+var latticeDetectCons = disc.Constraints{Eps: 1, Eta: 20}
+
+// latticeDetectSizes are the jittered-lattice workloads: 10³ cells × 64 =
+// 64k and 24³ cells × 72 = 995,328 (the n ≈ 1M leg). Noise rows are
+// isolated outliers so the split is never degenerate. rel and idx are
+// built on first use and shared by every repeat of the benchmark.
+var latticeDetectSizes = []*struct {
+	size string
+	spec data.LatticeSpec
+	rel  *disc.Relation
+	idx  neighbors.Index
+}{
+	{size: "n=64k", spec: data.LatticeSpec{Side: 10, PerCell: 64, Dims: 3, Noise: 64, Seed: 41}},
+	{size: "n=1m", spec: data.LatticeSpec{Side: 24, PerCell: 72, Dims: 3, Noise: 64, Seed: 43}},
+}
+
+// BenchmarkDetectExactLattice measures η-capped exact detection on the
+// jittered lattice (uniform density, closed-form neighbor geometry) at
+// n = 64k and n ≈ 1M, the perf ledger's detect-ns/tuple leg. Every
+// iteration runs against one prebuilt index, so the number is pure
+// classification cost.
+func BenchmarkDetectExactLattice(b *testing.B) {
+	for _, ws := range latticeDetectSizes {
+		b.Run(ws.size, func(b *testing.B) {
+			if ws.rel == nil {
+				rel, err := data.GenLattice(ws.spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ws.rel, ws.idx = rel, neighbors.Build(rel, latticeDetectCons.Eps)
+			}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var det *core.Detection
+			var err error
+			for i := 0; i < b.N; i++ {
+				if det, err = core.DetectContext(ctx, ws.rel, latticeDetectCons, ws.idx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if len(det.Outliers) == 0 || len(det.Inliers) == 0 {
+				b.Fatalf("degenerate split: %d inliers, %d outliers", len(det.Inliers), len(det.Outliers))
+			}
+		})
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	disc "repro"
 )
 
 // buildTool compiles one of the cmd binaries into a temp dir once per
@@ -177,6 +179,74 @@ func TestCLIDisccliObservability(t *testing.T) {
 	}
 	if rec.Timings.TotalS <= 0 || rec.Timings.TotalS < rec.Timings.SaveS {
 		t.Errorf("phase timings inconsistent: %s", b)
+	}
+}
+
+// TestCLIDatagenLatticeDisccli streams the jittered-lattice workload from
+// datagen into disccli: 10³ cells × 48 = 48k lattice rows (η = 20 well under
+// the ≈ 201 interior density) plus 8 isolated outliers. The run must see
+// every row, flag at least the 8 noise rows, and write a repaired CSV with
+// the input's row count.
+func TestCLIDatagenLatticeDisccli(t *testing.T) {
+	datagen := buildTool(t, "datagen")
+	disccli := buildTool(t, "disccli")
+
+	dir := t.TempDir()
+	in := filepath.Join(dir, "lattice.csv")
+	out := filepath.Join(dir, "fixed.csv")
+	statsPath := filepath.Join(dir, "stats.json")
+
+	f, err := os.Create(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := exec.Command(datagen, "-lattice", "-side", "10", "-per-cell", "48", "-noise", "8", "-seed", "5")
+	gen.Stdout = f
+	var genErr bytes.Buffer
+	gen.Stderr = &genErr
+	if err := gen.Run(); err != nil {
+		t.Fatalf("datagen -lattice: %v\n%s", err, genErr.String())
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	run := exec.Command(disccli, "-in", in, "-out", out, "-eps", "1", "-eta", "20",
+		"-max-nodes", "2000", "-stats-json", statsPath)
+	var runErr bytes.Buffer
+	run.Stderr = &runErr
+	if err := run.Run(); err != nil {
+		t.Fatalf("disccli: %v\n%s", err, runErr.String())
+	}
+
+	raw, err := os.ReadFile(statsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Tuples   int `json:"tuples"`
+		Outliers int `json:"outliers"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("parsing %s: %v", statsPath, err)
+	}
+	if doc.Tuples != 48008 {
+		t.Fatalf("run saw %d tuples, want 48008", doc.Tuples)
+	}
+	if doc.Outliers < 8 {
+		t.Fatalf("run found %d outliers, want at least the 8 isolated noise rows", doc.Outliers)
+	}
+
+	fixedRaw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := disc.ReadCSV(bytes.NewReader(fixedRaw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.N() != doc.Tuples {
+		t.Fatalf("repaired CSV has %d rows, want %d", rel.N(), doc.Tuples)
 	}
 }
 

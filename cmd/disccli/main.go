@@ -70,8 +70,6 @@ func main() {
 		logLevel     = flag.String("log-level", "", "emit structured pipeline logs to stderr at this level (debug|info|warn|error)")
 		remote       = flag.String("remote", "", "run the pipeline against a discserve instance at this base URL (e.g. http://127.0.0.1:8080); if the server is unreachable the run falls back to local execution")
 		remoteCommit = flag.Bool("remote-commit", false, "with -remote: write the repaired tuples back into the server session (PUT per saved row, keyed by upload row order) and keep the session alive instead of deleting it")
-		approx       = flag.Bool("approx", false, "approximate detection: classify tuples from sampled neighbor-count estimates, refining only the borderline band exactly (identical split, cost grows with the band)")
-		approxConf   = flag.Float64("approx-confidence", 0, "certificate confidence of -approx (0 = default 0.999)")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -111,8 +109,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "disccli: request %s %s %s\n", id, method, path)
 			},
 		})
-		p := client.Params{Eps: *eps, Eta: *eta, Kappa: *kappa, MaxNodes: *maxNodes, Seed: *seed,
-			Approx: *approx, ApproxConfidence: *approxConf}
+		p := client.Params{Eps: *eps, Eta: *eta, Kappa: *kappa, MaxNodes: *maxNodes, Seed: *seed}
 		repaired, rerr := runRemote(ctx, cl, filepath.Base(*in), string(raw), rel, p, *timeout, *report, *remoteCommit)
 		switch {
 		case rerr == nil:
@@ -164,13 +161,6 @@ func main() {
 		Deadline: *deadline,
 		Workers:  *workers,
 	}
-	if *approx {
-		conf := *approxConf
-		if conf <= 0 {
-			conf = disc.DefaultApproxConfidence
-		}
-		opts.ApproxDetect = disc.ApproxDetectOptions{Confidence: conf, Seed: *seed}
-	}
 	if *progress {
 		opts.Progress = func(p disc.Progress) {
 			line := fmt.Sprintf("disccli: saving %d/%d (saved %d, natural %d", p.Done, p.Total, p.Saved, p.Natural)
@@ -197,7 +187,7 @@ func main() {
 	var res *disc.SaveResult
 	var shardStats []disc.ShardStats
 	if *shards > 1 {
-		res, shardStats, err = disc.SaveSharded(ctx, rel, cons, disc.ShardOptions{Shards: *shards, Save: opts, Approx: opts.ApproxDetect})
+		res, shardStats, err = disc.SaveSharded(ctx, rel, cons, disc.ShardOptions{Shards: *shards, Save: opts})
 	} else {
 		res, err = disc.SaveContext(ctx, rel, cons, opts)
 	}

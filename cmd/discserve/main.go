@@ -83,7 +83,6 @@ func main() {
 		maxUpload     = flag.Int64("max-upload", 64<<20, "max request body bytes, dataset uploads included")
 		drainTimeout  = flag.Duration("drain-timeout", time.Minute, "max time to finish admitted work on shutdown")
 		dataDir       = flag.String("data-dir", "", "directory for durable session snapshots; on restart sessions are recovered from it instead of rebuilt ('' = memory-only)")
-		approxDefault = flag.Bool("approx", false, "build sessions with approximate detection by default (sampled estimator, exact borderline refinement); per-request \"approx\" still overrides")
 		slowRequest   = flag.Duration("slow-request", time.Second, "log a span breakdown for API requests slower than this (0 = off)")
 		pprofAddr     = flag.String("pprof-addr", "", "separate listen address for net/http/pprof ('' = off); keep it off public interfaces")
 		faultSpec     = flag.String("fault", "", "fault-injection spec, site:mode[:arg][:prob],... (e.g. snapshot.write:sleep:2s); testing only")
@@ -126,7 +125,6 @@ func main() {
 		MaxBodyBytes:  *maxUpload,
 		SlowRequest:   *slowRequest,
 		DataDir:       *dataDir,
-		ApproxDefault: *approxDefault,
 		Logger:        log,
 	})
 

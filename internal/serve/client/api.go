@@ -19,25 +19,18 @@ type Params struct {
 	// Index selects the neighbor index kind ("auto", "brute", "grid",
 	// "kd", "vp"); empty means auto.
 	Index string
-	// Approx requests approximate build-time detection (sampled estimator
-	// with exact borderline refinement); ApproxConfidence tunes its
-	// certificate confidence (0 = server default).
-	Approx           bool
-	ApproxConfidence float64
 }
 
 // createRequest mirrors the server's dataset-creation body (CSV source).
 type createRequest struct {
-	Name             string  `json:"name,omitempty"`
-	CSV              string  `json:"csv"`
-	Eps              float64 `json:"eps,omitempty"`
-	Eta              int     `json:"eta,omitempty"`
-	Kappa            int     `json:"kappa,omitempty"`
-	MaxNodes         int     `json:"max_nodes,omitempty"`
-	Seed             int64   `json:"seed,omitempty"`
-	Index            string  `json:"index,omitempty"`
-	Approx           bool    `json:"approx,omitempty"`
-	ApproxConfidence float64 `json:"approx_confidence,omitempty"`
+	Name     string  `json:"name,omitempty"`
+	CSV      string  `json:"csv"`
+	Eps      float64 `json:"eps,omitempty"`
+	Eta      int     `json:"eta,omitempty"`
+	Kappa    int     `json:"kappa,omitempty"`
+	MaxNodes int     `json:"max_nodes,omitempty"`
+	Seed     int64   `json:"seed,omitempty"`
+	Index    string  `json:"index,omitempty"`
 }
 
 // DetectResult is one tuple's screening answer.
@@ -89,8 +82,7 @@ func (c *Client) CreateDatasetCSV(ctx context.Context, name, csv string, p Param
 	err := c.do(ctx, http.MethodPost, "/v1/datasets", createRequest{
 		Name: name, CSV: csv,
 		Eps: p.Eps, Eta: p.Eta, Kappa: p.Kappa, MaxNodes: p.MaxNodes, Seed: p.Seed,
-		Index:  p.Index,
-		Approx: p.Approx, ApproxConfidence: p.ApproxConfidence,
+		Index: p.Index,
 	}, &info)
 	if err != nil {
 		return nil, err

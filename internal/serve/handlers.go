@@ -54,11 +54,6 @@ type Config struct {
 	// Server.Recover) instead of rebuilding from scratch. Empty keeps the
 	// registry memory-only.
 	DataDir string
-	// ApproxDefault makes every session build use approximate detection
-	// (sampled estimator + exact borderline refinement) even when the
-	// request did not ask for it; per-request params still tune the
-	// confidence.
-	ApproxDefault bool
 	// Logger receives structured request and lifecycle logs (nil = silent).
 	Logger *slog.Logger
 }
@@ -237,11 +232,6 @@ type createRequest struct {
 	// Index selects the neighbor index kind: "auto" (default), "brute",
 	// "grid", "kd" or "vp".
 	Index string `json:"index"`
-	// Approx switches the build-time detection pass to the sampled
-	// estimator with exact borderline refinement; ApproxConfidence tunes
-	// its certificate confidence (0 = default 0.999).
-	Approx           bool    `json:"approx"`
-	ApproxConfidence float64 `json:"approx_confidence"`
 }
 
 // mutateRequest carries one tuple for POST .../tuples (insert) and
@@ -327,8 +317,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			p.Kappa, _ = strconv.Atoi(k)
 		}
 		p.Index = q.Get("index")
-		p.Approx = q.Get("approx") == "1" || q.Get("approx") == "true"
-		p.ApproxConfidence, _ = strconv.ParseFloat(q.Get("approx_confidence"), 64)
 		rel, rerr := disc.ReadCSV(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 		if rerr != nil {
 			var mbe *http.MaxBytesError
@@ -361,8 +349,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 				errors.New("serve: exactly one of csv, path or table1 must be set"))
 			return
 		}
-		p := BuildParams{Eps: req.Eps, Eta: req.Eta, Kappa: req.Kappa, MaxNodes: req.MaxNodes, Seed: req.Seed, Index: req.Index,
-			Approx: req.Approx, ApproxConfidence: req.ApproxConfidence}
+		p := BuildParams{Eps: req.Eps, Eta: req.Eta, Kappa: req.Kappa, MaxNodes: req.MaxNodes, Seed: req.Seed, Index: req.Index}
 		switch {
 		case req.Path != "":
 			sess, err = s.reg.OpenPath(r.Context(), req.Path, p)

@@ -44,16 +44,14 @@ func randLiveHandle(rng *rand.Rand, mirror []disc.Tuple) int {
 // min(|r_ε|, η) from a from-scratch DetectContext over the live rows and
 // the Saver holds exactly that rebuild's inliers; at the end the mutated
 // session answers /detect and /save exactly like a session built from
-// scratch. It runs across all four index kinds, for exact sessions,
-// approximate (approx=1) sessions on the sampled path, and approximate
-// sessions restarted from their snapshot before the first mutation. Run
-// under -race this also exercises the mutation/query locking.
+// scratch. It runs across all four index kinds, for freshly built sessions
+// ("exact") and for sessions snapshotted and recovered before the first
+// mutation ("restart"), so recovery × mutation is pinned too. Run under
+// -race this also exercises the mutation/query locking.
 func TestMutateDifferential(t *testing.T) {
-	defer func(n int, rate float64) { approxMinN, approxSampleRate = n, rate }(approxMinN, approxSampleRate)
-	approxMinN, approxSampleRate = 32, 0.5 // sample 45 of 90 rows
 	for _, kind := range []string{"brute", "grid", "kd", "vp"} {
 		t.Run(kind, func(t *testing.T) {
-			for _, mode := range []string{"exact", "approx", "approx-restart"} {
+			for _, mode := range []string{"exact", "restart"} {
 				t.Run(mode, func(t *testing.T) { mutateDifferential(t, kind, mode) })
 			}
 		})
@@ -63,13 +61,12 @@ func TestMutateDifferential(t *testing.T) {
 func mutateDifferential(t *testing.T, kind, mode string) {
 	rng := rand.New(rand.NewSource(42))
 	cfg := Config{BatchWindow: -1, Workers: 2}
-	if mode == "approx-restart" {
+	if mode == "restart" {
 		cfg.DataDir = t.TempDir()
 	}
 
 	// 60 rows spread over the unit square, with counts on both sides of
-	// η, plus a dense core whose rows the sampled detector certifies as
-	// inliers from the sample alone.
+	// η, plus a dense core of inliers.
 	rel := disc.NewRelation(disc.NewNumericSchema("x", "y"))
 	for i := 0; i < 60; i++ {
 		rel.Append(randTuple2D(rng, 1))
@@ -81,11 +78,10 @@ func mutateDifferential(t *testing.T, kind, mode string) {
 	if err := disc.WriteCSV(&buf, rel); err != nil {
 		t.Fatal(err)
 	}
-	create := createRequest{Name: "mut", CSV: buf.String(), Eps: 0.25, Eta: 3, Kappa: 2, Index: kind,
-		Approx: mode != "exact"}
+	create := createRequest{Name: "mut", CSV: buf.String(), Eps: 0.25, Eta: 3, Kappa: 2, Index: kind}
 
 	var s *Server
-	if mode == "approx-restart" {
+	if mode == "restart" {
 		s = New(cfg)
 		if err := s.Recover(context.Background()); err != nil {
 			t.Fatalf("first Recover: %v", err)
@@ -102,16 +98,8 @@ func mutateDifferential(t *testing.T, kind, mode string) {
 		t.Fatalf("session index = %q, want %q", info.Index, kind)
 	}
 	sess, _ := s.Registry().Get(info.ID)
-	if mode != "exact" {
-		sess.mu.Lock()
-		sampled := sess.stats.ApproxSampled
-		sess.mu.Unlock()
-		if sampled == 0 {
-			t.Fatal("approx session never took the sampled path")
-		}
-	}
 	checkCountInvariant(t, sess, "after build")
-	if mode == "approx-restart" {
+	if mode == "restart" {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {
@@ -592,7 +580,7 @@ func TestRestartFromUncappedSnapshot(t *testing.T) {
 	}
 	const id = "0123456789abcdef"
 	err = snapshot.Write(filepath.Join(dataDir, id+snapshot.Ext), &snapshot.Snapshot{
-		ID: id, Name: "old", Key: "old",
+		ID: id, Name: "old",
 		Params: snapshot.Params{Eps: testParams.Eps, Eta: testParams.Eta, Kappa: testParams.Kappa},
 		Eps:    testParams.Eps, Eta: testParams.Eta,
 		Rel: rel, Counts: append([]int(nil), uncapped...), CreatedAt: time.Now(),

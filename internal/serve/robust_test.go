@@ -1,16 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	disc "repro"
 	"repro/internal/fault"
 	"repro/internal/snapshot"
 )
@@ -102,6 +105,99 @@ func TestRestartRecoversWarmSessions(t *testing.T) {
 	}
 	if got := s2.reg.store.Stats(); got.RecoveredSessions != 2 || got.SnapshotLoads != 2 {
 		t.Errorf("store stats = %+v, want 2 loads and 2 recovered", got)
+	}
+}
+
+// TestRecoveredSessionKeyDerived: a recovered path-loaded session takes its
+// dedup key from its source path and params, never from a key string the
+// snapshot carries. testdata/old-approx-session.snap was written by the
+// serving layer as it stood before sampled detection was removed, for
+// testdata/old-approx-session.csv opened with approx=1: its hint holds a
+// key in the old format and params naming the removed mode. It must
+// recover with the exact detection's counts (that mode's split and counts
+// were bit-identical to exact), and the next OpenPath with the same
+// params must return it instead of building another. A dataset JSON path
+// loaded with ε and η left to the file's defaults dedups across a restart
+// too: the requested params are kept verbatim.
+func TestRecoveredSessionKeyDerived(t *testing.T) {
+	const (
+		oldPath = "testdata/old-approx-session.csv"
+		oldSnap = "testdata/old-approx-session.snap"
+		oldID   = "da00d69d3b78d0f4" // the id inside oldSnap
+	)
+	dataDir := t.TempDir()
+	cfg := Config{DataDir: dataDir, BatchWindow: -1, Workers: 2}
+	jsonPath := filepath.Join(t.TempDir(), "iris.json")
+	ds, err := disc.Table1("Iris", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := disc.WriteDatasetJSON(&buf, ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jsonPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	open := func(s *Server, req createRequest) SessionInfo {
+		t.Helper()
+		w := do(t, s, "POST", "/v1/datasets", req)
+		if w.Code != http.StatusCreated {
+			t.Fatalf("open %s: status %d, body %s", req.Path, w.Code, w.Body.String())
+		}
+		return decode[SessionInfo](t, w)
+	}
+	oldReq := createRequest{Path: oldPath, Eps: 0.5, Eta: 4, Kappa: 2}
+	jsonReq := createRequest{Path: jsonPath, Kappa: 2}
+
+	s1 := New(cfg)
+	if err := s1.Recover(context.Background()); err != nil {
+		t.Fatalf("first Recover: %v", err)
+	}
+	byJSON := open(s1, jsonReq)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	old, err := os.ReadFile(oldSnap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dataDir, oldID+snapshot.Ext), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := recoverServer(t, cfg)
+	got, ok := s2.Registry().Get(oldID)
+	if !ok || !got.Recovered {
+		t.Fatalf("session %s not recovered from %s", oldID, oldSnap)
+	}
+	raw, err := os.ReadFile(oldPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := disc.ReadCSV(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := disc.DetectContext(context.Background(), rel, disc.Constraints{Eps: oldReq.Eps, Eta: oldReq.Eta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Det.Counts, exact.Counts) {
+		t.Fatalf("recovered counts %v, want the exact detection's %v", got.Det.Counts, exact.Counts)
+	}
+	if again := open(s2, oldReq); again.ID != oldID || !again.Recovered {
+		t.Errorf("OpenPath %s after restart returned session %s (recovered=%v), want recovered %s",
+			oldPath, again.ID, again.Recovered, oldID)
+	}
+	if again := open(s2, jsonReq); again.ID != byJSON.ID || !again.Recovered {
+		t.Errorf("OpenPath %s after restart returned session %s (recovered=%v), want recovered %s",
+			jsonPath, again.ID, again.Recovered, byJSON.ID)
+	}
+	if n := len(s2.Registry().List()); n != 2 {
+		t.Errorf("registry holds %d sessions after the repeat opens, want 2", n)
 	}
 }
 

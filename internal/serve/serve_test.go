@@ -373,7 +373,8 @@ func TestRegistryTTL(t *testing.T) {
 }
 
 // TestOpenPathSingleflight: concurrent loads of the same path share one
-// build, and a later load hits the cached session.
+// build, and later loads with the same params — index "" or "auto" —
+// hit the cached session.
 func TestOpenPathSingleflight(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "data.csv")
 	if err := os.WriteFile(path, []byte(testCSV(t)), 0o644); err != nil {
@@ -436,6 +437,18 @@ func TestOpenPathSingleflight(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Errorf("cached load rebuilt: %d builds", got)
+	}
+
+	// Index "auto" names the same kind as "": still the same session.
+	auto := testParams
+	auto.Index = "auto"
+	sess, err = s.reg.OpenPath(context.Background(), path, auto)
+	if err != nil {
+		t.Fatalf("OpenPath index auto: %v", err)
+	}
+	if sess.ID != ids[0] || calls.Load() != 1 || sess.Info().IndexBuilds != 2 {
+		t.Errorf("index auto: session %s after %d builds with index_builds %d, want %s after 1 build with 2",
+			sess.ID, calls.Load(), sess.Info().IndexBuilds, ids[0])
 	}
 
 	// Different params on the same path: a distinct session.

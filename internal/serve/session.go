@@ -49,17 +49,22 @@ type BuildParams struct {
 	// Index names the neighbor index kind ("" or "auto" picks one; see
 	// disc.ParseIndexKind for the wire names).
 	Index string
-	// Approx switches the session's build-time detection to the sampled
-	// estimator with exact borderline refinement (disc.DetectApprox);
-	// ApproxConfidence tunes its certificate confidence (0 picks the
-	// default). Warm /detect requests answer from cached counts either way.
-	Approx           bool
-	ApproxConfidence float64
 }
 
-// key canonicalizes the params for load-by-path deduplication.
+// key is the load-by-path dedup key of a session built from path under p,
+// and its only source: OpenPath looks sessions up by it, and every session
+// (fresh, rehydrated or rebuilt) derives its own from Source and Params.
+// The index is canonicalized, so "" and "auto" share one session. Uploads
+// (path "") are never deduplicated and have no key.
 func (p BuildParams) key(path string) string {
-	return fmt.Sprintf("%s|%g|%d|%d|%d|%d|%s|%t|%g", path, p.Eps, p.Eta, p.Kappa, p.MaxNodes, p.Seed, p.Index, p.Approx, p.ApproxConfidence)
+	if path == "" {
+		return ""
+	}
+	index := p.Index
+	if kind, err := disc.ParseIndexKind(index); err == nil {
+		index = kind.String()
+	}
+	return fmt.Sprintf("%s|%g|%d|%d|%d|%d|%s", path, p.Eps, p.Eta, p.Kappa, p.MaxNodes, p.Seed, index)
 }
 
 // Session is one cached dataset: the relation, its detection split, the
@@ -68,13 +73,14 @@ func (p BuildParams) key(path string) string {
 type Session struct {
 	ID string
 	// Name labels the session for humans (upload name, path, or table1
-	// spec); Key is the dedup key for path-loaded sessions ("" for
-	// uploads, which are never deduplicated).
-	Name, Key string
+	// spec).
+	Name string
 	// Source is the server-side dataset path for path-loaded sessions (""
-	// for uploads); Params are the requested build parameters. Both go into
-	// the durable snapshot so a corrupt payload can still be rebuilt from
-	// source under identical settings.
+	// for uploads); Params are the requested build parameters, verbatim
+	// (a dataset file's own (ε, η) defaults resolve into Cons, not here).
+	// Together they determine the dedup key, and both go into the durable
+	// snapshot so a corrupt payload can still be rebuilt from source under
+	// identical settings.
 	Source string
 	Params BuildParams
 	Rel    *disc.Relation
@@ -198,6 +204,9 @@ type mutStats struct {
 	compactions int64
 }
 
+// key is the session's load-by-path dedup key ("" for uploads).
+func (s *Session) key() string { return s.Params.key(s.Source) }
+
 // touch marks the session used now (LRU recency).
 func (s *Session) touch() {
 	s.mu.Lock()
@@ -217,39 +226,34 @@ func (s *Session) addStats(st *obs.SearchStats, saves, detects int64) {
 
 // SessionInfo is the JSON view of a session.
 type SessionInfo struct {
-	ID          string  `json:"id"`
-	Name        string  `json:"name"`
-	Tuples      int     `json:"tuples"`
-	Attrs       int     `json:"attrs"`
-	Eps         float64 `json:"eps"`
-	Eta         int     `json:"eta"`
-	Kappa       int     `json:"kappa"`
-	Inliers     int     `json:"inliers"`
-	Outliers    int     `json:"outliers"`
-	Bytes       int64   `json:"bytes"`
-	IndexBuilds int64   `json:"index_builds"`
-	Saves       int64   `json:"saves"`
-	Detects     int64   `json:"detects"`
-	Batches     int64   `json:"batches"`
-	QueueDepth  int     `json:"queue_depth"`
-	Recovered   bool    `json:"recovered"`
-	Index       string  `json:"index"`
-	Inserted    int64   `json:"tuples_inserted"`
-	Updated     int64   `json:"tuples_updated"`
-	Deleted     int64   `json:"tuples_deleted"`
-	Redetect    int64   `json:"redetect_touched"`
-	DeltaMerges int64   `json:"delta_merges"`
-	Compactions int64   `json:"compactions"`
-	// ApproxBandFrac is the borderline-band fraction of the approximate
-	// detection passes served so far: exact refinements over all
-	// approx-classified tuples (0 when the session never ran approximate
-	// detection). The speed win is roughly 1 − band fraction.
-	ApproxBandFrac float64                `json:"approx_band_frac"`
-	CreatedAt      time.Time              `json:"created_at"`
-	LastUsedAt     time.Time              `json:"last_used_at"`
-	Stats          obs.SearchStats        `json:"stats"`
-	Timings        obs.PhaseTimings       `json:"timings"`
-	Hists          obs.ServeHistsSnapshot `json:"hists"`
+	ID          string                 `json:"id"`
+	Name        string                 `json:"name"`
+	Tuples      int                    `json:"tuples"`
+	Attrs       int                    `json:"attrs"`
+	Eps         float64                `json:"eps"`
+	Eta         int                    `json:"eta"`
+	Kappa       int                    `json:"kappa"`
+	Inliers     int                    `json:"inliers"`
+	Outliers    int                    `json:"outliers"`
+	Bytes       int64                  `json:"bytes"`
+	IndexBuilds int64                  `json:"index_builds"`
+	Saves       int64                  `json:"saves"`
+	Detects     int64                  `json:"detects"`
+	Batches     int64                  `json:"batches"`
+	QueueDepth  int                    `json:"queue_depth"`
+	Recovered   bool                   `json:"recovered"`
+	Index       string                 `json:"index"`
+	Inserted    int64                  `json:"tuples_inserted"`
+	Updated     int64                  `json:"tuples_updated"`
+	Deleted     int64                  `json:"tuples_deleted"`
+	Redetect    int64                  `json:"redetect_touched"`
+	DeltaMerges int64                  `json:"delta_merges"`
+	Compactions int64                  `json:"compactions"`
+	CreatedAt   time.Time              `json:"created_at"`
+	LastUsedAt  time.Time              `json:"last_used_at"`
+	Stats       obs.SearchStats        `json:"stats"`
+	Timings     obs.PhaseTimings       `json:"timings"`
+	Hists       obs.ServeHistsSnapshot `json:"hists"`
 }
 
 // Info snapshots the session.
@@ -258,10 +262,6 @@ func (s *Session) Info() SessionInfo {
 	defer s.stateMu.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bandFrac := 0.0
-	if tot := s.stats.ApproxSampled + s.stats.ApproxRefined; tot > 0 {
-		bandFrac = float64(s.stats.ApproxRefined) / float64(tot)
-	}
 	return SessionInfo{
 		ID: s.ID, Name: s.Name,
 		Tuples: s.relMut.Live(), Attrs: s.Rel.Schema.M(),
@@ -275,11 +275,10 @@ func (s *Session) Info() SessionInfo {
 		Recovered:  s.Recovered,
 		Index:      s.relMut.Kind().String(),
 		Inserted:   s.mstats.inserted, Updated: s.mstats.updated, Deleted: s.mstats.deleted,
-		Redetect:       s.mstats.redetectTouched,
-		DeltaMerges:    s.relMut.Merges() + s.Saver.Mutable().Merges(),
-		Compactions:    s.mstats.compactions,
-		ApproxBandFrac: bandFrac,
-		CreatedAt:      s.Created, LastUsedAt: s.lastUsed,
+		Redetect:    s.mstats.redetectTouched,
+		DeltaMerges: s.relMut.Merges() + s.Saver.Mutable().Merges(),
+		Compactions: s.mstats.compactions,
+		CreatedAt:   s.Created, LastUsedAt: s.lastUsed,
 		Stats: s.stats, Timings: s.Timings,
 		Hists: s.hists.Snapshot(),
 	}
@@ -324,19 +323,12 @@ func tupleBytes(t disc.Tuple) int64 {
 	return 3 * b
 }
 
-// approxMinN and approxSampleRate pass through to the approximate
-// detector's MinN and SampleRate; zero keeps its defaults. Vars so tests
-// can drive the sampled path on relations small enough to re-detect from
-// scratch after every mutation.
-var (
-	approxMinN       = 0
-	approxSampleRate = 0.0
-)
-
 // buildSession runs the one-off pipeline: validate, determine parameters if
 // unset, build the full-relation index, detect, and prepare the saver over
-// the inliers. Everything a warm request touches is constructed here.
-func buildSession(ctx context.Context, id, name, key, source string, rel *disc.Relation, p BuildParams, cfg Config, log *slog.Logger) (*Session, error) {
+// the inliers. Everything a warm request touches is constructed here. dflt
+// fills in whichever of ε and η p leaves unset (a dataset file's own
+// constraints) before parameter determination does.
+func buildSession(ctx context.Context, id, name, source string, rel *disc.Relation, p BuildParams, dflt disc.Constraints, cfg Config, log *slog.Logger) (*Session, error) {
 	start := time.Now()
 	if rel.N() == 0 {
 		return nil, fmt.Errorf("serve: dataset %q is empty", name)
@@ -347,6 +339,12 @@ func buildSession(ctx context.Context, id, name, key, source string, rel *disc.R
 	validate := time.Since(start)
 
 	cons := disc.Constraints{Eps: p.Eps, Eta: p.Eta}
+	if cons.Eps <= 0 {
+		cons.Eps = dflt.Eps
+	}
+	if cons.Eta < 1 {
+		cons.Eta = dflt.Eta
+	}
 	if cons.Eps <= 0 || cons.Eta < 1 {
 		choice, err := disc.DetermineParamsContext(ctx, rel, disc.ParamOptions{Seed: p.Seed})
 		if err != nil {
@@ -370,14 +368,7 @@ func buildSession(ctx context.Context, id, name, key, source string, rel *disc.R
 		return nil, fmt.Errorf("serve: indexing %q: %w", name, err)
 	}
 	detIdxBuild := time.Since(t0)
-	var det *disc.Detection
-	if p.Approx || cfg.ApproxDefault {
-		det, err = disc.DetectApproxWithIndex(ctx, rel, cons, relMut,
-			disc.ApproxDetectOptions{Confidence: p.ApproxConfidence, Seed: p.Seed,
-				MinN: approxMinN, SampleRate: approxSampleRate})
-	} else {
-		det, err = disc.DetectWithIndex(ctx, rel, cons, relMut)
-	}
+	det, err := disc.DetectWithIndex(ctx, rel, cons, relMut)
 	if err != nil {
 		return nil, fmt.Errorf("serve: detecting over %q: %w", name, err)
 	}
@@ -402,7 +393,7 @@ func buildSession(ctx context.Context, id, name, key, source string, rel *disc.R
 	setupStats, _, etaRadius := saver.SetupStats()
 
 	s := &Session{
-		ID: id, Name: name, Key: key,
+		ID: id, Name: name,
 		Source: source, Params: p,
 		Rel: rel, Cons: cons, Kappa: p.Kappa,
 		Det: det, RelIdx: relMut, relMut: relMut, Saver: saver,
@@ -551,7 +542,7 @@ func (r *Registry) Upload(ctx context.Context, name string, rel *disc.Relation, 
 	if testBuildHook != nil {
 		testBuildHook()
 	}
-	s, err := buildSession(ctx, newID(), name, "", "", rel, p, r.cfg, r.log)
+	s, err := buildSession(ctx, newID(), name, "", rel, p, disc.Constraints{}, r.cfg, r.log)
 	if err != nil {
 		return nil, err
 	}
@@ -585,7 +576,7 @@ func (r *Registry) OpenPath(ctx context.Context, path string, p BuildParams) (*S
 	r.inflight[key] = fl
 	r.mu.Unlock()
 
-	s, err := r.buildFromPath(ctx, newID(), path, key, p)
+	s, err := r.buildFromPath(ctx, newID(), path, p)
 	if err == nil {
 		s, err = r.register(ctx, s)
 	}
@@ -602,7 +593,7 @@ func (r *Registry) OpenPath(ctx context.Context, path string, p BuildParams) (*S
 // session under the given id. Recovery reuses it to rebuild a session whose
 // snapshot was corrupt, keeping the original id so clients' handles stay
 // valid.
-func (r *Registry) buildFromPath(ctx context.Context, id, path, key string, p BuildParams) (*Session, error) {
+func (r *Registry) buildFromPath(ctx context.Context, id, path string, p BuildParams) (*Session, error) {
 	if testBuildHook != nil {
 		testBuildHook()
 	}
@@ -612,25 +603,20 @@ func (r *Registry) buildFromPath(ctx context.Context, id, path, key string, p Bu
 	}
 	defer f.Close()
 	var rel *disc.Relation
+	var dflt disc.Constraints
 	if strings.EqualFold(filepath.Ext(path), ".json") {
 		ds, err := disc.ReadDatasetJSON(f)
 		if err != nil {
 			return nil, fmt.Errorf("serve: reading %s: %w", path, err)
 		}
-		rel = ds.Rel
-		if p.Eps <= 0 {
-			p.Eps = ds.Eps
-		}
-		if p.Eta < 1 {
-			p.Eta = ds.Eta
-		}
+		rel, dflt = ds.Rel, disc.Constraints{Eps: ds.Eps, Eta: ds.Eta}
 	} else {
 		rel, err = disc.ReadCSV(f)
 		if err != nil {
 			return nil, fmt.Errorf("serve: reading %s: %w", path, err)
 		}
 	}
-	return buildSession(ctx, id, path, key, path, rel, p, r.cfg, r.log)
+	return buildSession(ctx, id, path, path, rel, p, dflt, r.cfg, r.log)
 }
 
 // register installs a built session and enforces the count/byte bounds,
@@ -658,8 +644,8 @@ func (r *Registry) register(ctx context.Context, s *Session) (*Session, error) {
 	}
 	s.reg = r
 	r.sessions[s.ID] = s
-	if s.Key != "" {
-		r.byKey[s.Key] = s
+	if k := s.key(); k != "" {
+		r.byKey[k] = s
 	}
 	r.bytes += s.Bytes
 	for r.overLocked() {
@@ -757,8 +743,8 @@ func (r *Registry) noteBytes(s *Session, delta int64) {
 // caller closes its batcher outside the lock.
 func (r *Registry) removeLocked(s *Session) {
 	delete(r.sessions, s.ID)
-	if s.Key != "" && r.byKey[s.Key] == s {
-		delete(r.byKey, s.Key)
+	if k := s.key(); k != "" && r.byKey[k] == s {
+		delete(r.byKey, k)
 	}
 	r.bytes -= s.Bytes
 }

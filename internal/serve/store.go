@@ -55,15 +55,9 @@ func (st *Store) persist(s *Session) error {
 	// after deletes.
 	rel, counts := s.snapshotView()
 	snap := &snapshot.Snapshot{
-		ID: s.ID, Name: s.Name, Key: s.Key,
-		SourcePath: s.Source,
-		Params: snapshot.Params{
-			Eps: s.Params.Eps, Eta: s.Params.Eta, Kappa: s.Params.Kappa,
-			MaxNodes: s.Params.MaxNodes, Seed: s.Params.Seed,
-			Index:  s.Params.Index,
-			Approx: s.Params.Approx, ApproxConfidence: s.Params.ApproxConfidence,
-		},
-		Eps: s.Cons.Eps, Eta: s.Cons.Eta,
+		ID: s.ID, Name: s.Name, SourcePath: s.Source,
+		Params: snapshot.Params(s.Params),
+		Eps:    s.Cons.Eps, Eta: s.Cons.Eta,
 		Rel: rel, Counts: counts,
 		CreatedAt: s.Created,
 	}
@@ -207,13 +201,7 @@ func (r *Registry) rebuildFromHint(ctx context.Context, hint *snapshot.Hint) {
 		}
 		return
 	}
-	p := BuildParams{
-		Eps: hint.Params.Eps, Eta: hint.Params.Eta, Kappa: hint.Params.Kappa,
-		MaxNodes: hint.Params.MaxNodes, Seed: hint.Params.Seed,
-		Index:  hint.Params.Index,
-		Approx: hint.Params.Approx, ApproxConfidence: hint.Params.ApproxConfidence,
-	}
-	s, err := r.buildFromPath(ctx, hint.ID, hint.SourcePath, hint.Key, p)
+	s, err := r.buildFromPath(ctx, hint.ID, hint.SourcePath, BuildParams(hint.Params))
 	if err != nil {
 		r.log.Warn("serve: rebuilding session from source", "id", hint.ID,
 			"path", hint.SourcePath, "err", err)
@@ -267,15 +255,9 @@ func (r *Registry) rehydrate(ctx context.Context, snap *snapshot.Snapshot) (*Ses
 	}
 	setupStats, saverIdxBuild, etaRadius := saver.SetupStats()
 	s := &Session{
-		ID: snap.ID, Name: snap.Name, Key: snap.Key,
-		Source: snap.SourcePath,
-		Params: BuildParams{
-			Eps: snap.Params.Eps, Eta: snap.Params.Eta, Kappa: snap.Params.Kappa,
-			MaxNodes: snap.Params.MaxNodes, Seed: snap.Params.Seed,
-			Index:  snap.Params.Index,
-			Approx: snap.Params.Approx, ApproxConfidence: snap.Params.ApproxConfidence,
-		},
-		Rel: snap.Rel, Cons: cons, Kappa: snap.Params.Kappa,
+		ID: snap.ID, Name: snap.Name, Source: snap.SourcePath,
+		Params: BuildParams(snap.Params),
+		Rel:    snap.Rel, Cons: cons, Kappa: snap.Params.Kappa,
 		Det: det, RelIdx: relMut, relMut: relMut, Saver: saver,
 		Created: snap.CreatedAt, Bytes: estimateBytes(snap.Rel),
 		Recovered: true,

@@ -25,12 +25,6 @@ type Options struct {
 	// Save.Index is ignored — it would index the full relation, not a
 	// shard. Save.Workers bounds the shard-level fan-out.
 	Save core.Options
-	// Approx, when Enabled, switches each shard's detection pass to the
-	// sampled estimator with exact borderline refinement. The ε-halo makes
-	// every shard-local count equal the global count, so the per-shard
-	// certificates are sound globally; shards below the MinN floor fall
-	// back to exact counting on their own.
-	Approx core.ApproxOptions
 }
 
 // ShardStats is one shard's contribution to a run: its size, its share of
@@ -98,8 +92,9 @@ func (e *Engine) workers() int {
 }
 
 // Detect runs the ε-neighbor counting pass shard-wise: each shard builds
-// its own index over owned+halo tuples and counts only its owned tuples.
-// The ε-halo makes each count equal the global count, so the merged
+// its own index over owned+halo tuples and counts only its owned tuples,
+// each capped at η like core.DetectContext's counts. The ε-halo makes each
+// count equal the global count, so the merged
 // Detection is identical to core.DetectContext's. Like the single-node
 // path, detection produces no partial results — a failed shard fails the
 // run (a partial split would misclassify the uncounted tuples).
@@ -126,27 +121,6 @@ func (e *Engine) Detect(ctx context.Context) (*core.Detection, []ShardStats, err
 		}
 		st.IndexBuild = time.Since(tb)
 		td := time.Now()
-		if e.opts.Approx.Enabled() {
-			// Owned tuples occupy the first len(sh.Owned) positions of the
-			// shard relation; the halo rows behind them complete every
-			// owned tuple's ε-ball, so the shard-local counts match the
-			// global ones.
-			pos := make([]int, len(sh.Owned))
-			for p := range pos {
-				pos[p] = p
-			}
-			cs, ast, err := core.ApproxNeighborCounts(ctx, sh.Rel, e.cons, idx, e.opts.Approx, pos, 1)
-			if err != nil {
-				st.Err = err.Error()
-				return err
-			}
-			for p, gi := range sh.Owned {
-				counts[gi] = cs[p]
-			}
-			st.Detect = time.Since(td)
-			st.Stats = ast
-			return nil
-		}
 		var c neighbors.Counters
 		view := neighbors.WithContext(ctx, neighbors.Counting(idx, &c))
 		for p, gi := range sh.Owned {

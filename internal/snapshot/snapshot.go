@@ -11,8 +11,8 @@
 //	magic "DISCSNP1" | version u32 | hintLen u32 | hintCRC u32 |
 //	payloadLen u64 | payloadCRC u32 | hint JSON | payload JSON
 //
-// The hint repeats the session's identity (id, name, dedup key, source
-// path, requested build params) so that when the payload is corrupt — torn
+// The hint repeats the session's identity (id, name, source path,
+// requested build params) so that when the payload is corrupt — torn
 // write, bit rot — but the hint's checksum still holds, the recovery path
 // can rebuild path-loaded sessions from their source instead of losing
 // them. All integers are little-endian; checksums are CRC-32C.
@@ -72,9 +72,13 @@ var (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Params are the requested build parameters of a session, kept verbatim so
-// a rebuild-from-source reproduces the original dedup key (auto-determined
-// constraints re-derive identically under the same seed).
+// Params are the requested build parameters of a session, kept verbatim:
+// a rebuild-from-source reproduces the original build (auto-determined
+// constraints re-derive identically under the same seed), and the serving
+// layer derives the session's dedup key from them and the source path. The
+// decode must stay lenient both ways: a field added later reads as zero
+// from an older snapshot, and a field an older snapshot still carries but
+// this struct no longer declares is ignored.
 type Params struct {
 	Eps      float64 `json:"eps"`
 	Eta      int     `json:"eta"`
@@ -85,18 +89,12 @@ type Params struct {
 	// mutable sessions; the lenient payload decode keeps snapshots
 	// written before the field readable.
 	Index string `json:"index,omitempty"`
-	// Approx and ApproxConfidence request approximate detection on a
-	// rebuild-from-source (the counts in the payload already reflect it).
-	// Additive like Index: older snapshots decode with both zero.
-	Approx           bool    `json:"approx,omitempty"`
-	ApproxConfidence float64 `json:"approx_confidence,omitempty"`
 }
 
 // Hint is the identity section, readable independently of the payload.
 type Hint struct {
 	ID   string `json:"id"`
 	Name string `json:"name"`
-	Key  string `json:"key"`
 	// SourcePath is the server-side dataset path for path-loaded sessions
 	// ("" for uploads, whose data exists only in the payload).
 	SourcePath string `json:"source_path,omitempty"`
@@ -108,7 +106,6 @@ type Hint struct {
 type Snapshot struct {
 	ID         string
 	Name       string
-	Key        string
 	SourcePath string
 	Params     Params
 	// Eps and Eta are the resolved constraints (post parameter
@@ -127,7 +124,7 @@ type Snapshot struct {
 // Hint returns the snapshot's identity section, the same record Read
 // recovers from a payload-corrupt file.
 func (s *Snapshot) Hint() *Hint {
-	return &Hint{ID: s.ID, Name: s.Name, Key: s.Key, SourcePath: s.SourcePath, Params: s.Params}
+	return &Hint{ID: s.ID, Name: s.Name, SourcePath: s.SourcePath, Params: s.Params}
 }
 
 type payloadJSON struct {
@@ -214,7 +211,7 @@ func encode(s *Snapshot) (hint, payload []byte, err error) {
 		return nil, nil, fmt.Errorf("snapshot: encoding payload: %w", err)
 	}
 	hint, err = json.Marshal(Hint{
-		ID: s.ID, Name: s.Name, Key: s.Key,
+		ID: s.ID, Name: s.Name,
 		SourcePath: s.SourcePath, Params: s.Params,
 	})
 	if err != nil {
@@ -395,7 +392,7 @@ func decode(h *Hint, p *payloadJSON) (*Snapshot, error) {
 		return nil, fmt.Errorf("constraints (ε=%g, η=%d) invalid", p.Eps, p.Eta)
 	}
 	return &Snapshot{
-		ID: h.ID, Name: h.Name, Key: h.Key,
+		ID: h.ID, Name: h.Name,
 		SourcePath: h.SourcePath, Params: h.Params,
 		Eps: p.Eps, Eta: p.Eta,
 		Rel: rel, Counts: p.Counts,

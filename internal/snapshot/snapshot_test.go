@@ -24,7 +24,7 @@ func testSnapshot(t *testing.T) *Snapshot {
 	rel.Append(data.Tuple{data.Num(-2), data.Str("boston")})
 	rel.Append(data.Tuple{data.Num(40), data.Str("zzz")})
 	return &Snapshot{
-		ID: "abc123", Name: "test.csv", Key: "test.csv|1|3|2|0|1",
+		ID: "abc123", Name: "test.csv",
 		SourcePath: "/data/test.csv",
 		Params:     Params{Eps: 1, Eta: 3, Kappa: 2, Seed: 1},
 		Eps:        1, Eta: 3,
@@ -46,7 +46,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if got.ID != want.ID || got.Name != want.Name || got.Key != want.Key ||
+	if got.ID != want.ID || got.Name != want.Name ||
 		got.SourcePath != want.SourcePath || got.Params != want.Params ||
 		got.Eps != want.Eps || got.Eta != want.Eta {
 		t.Fatalf("metadata mismatch: got %+v", got)

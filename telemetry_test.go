@@ -100,10 +100,9 @@ func TestObservabilityDocsDrift(t *testing.T) {
 		known[tag] = true
 	}
 	known["index"] = true
-	// Histogram fields and float gauges (SessionInfo's approx_band_frac)
-	// are not int64 counters, so CounterNames skips them; their json tags
-	// are documented in the tables all the same.
-	for _, v := range []any{obs.ServeHistsSnapshot{}, obs.EndpointSnapshot{}, obs.StoreSnapshot{}, serve.SessionInfo{}} {
+	// Histogram fields are not int64 counters, so CounterNames skips them;
+	// their json tags are documented in the tables all the same.
+	for _, v := range []any{obs.ServeHistsSnapshot{}, obs.EndpointSnapshot{}, obs.StoreSnapshot{}} {
 		rt := reflect.TypeOf(v)
 		for i := 0; i < rt.NumField(); i++ {
 			if name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ","); name != "" && name != "-" {
