@@ -69,7 +69,7 @@ func benchSaveAll(b *testing.B, ds *disc.Dataset, cons disc.Constraints, opts di
 	b.ReportAllocs()
 	saved := 0
 	for i := 0; i < b.N; i++ {
-		res, err := disc.Save(ds.Rel, cons, opts)
+		res, err := disc.SaveContext(context.Background(), ds.Rel, cons, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,8 +117,9 @@ func BenchmarkAblationKappa(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIndex compares ε-range query throughput across the
-// three neighbor indexes on the Flight geometry (m=3 numeric).
+// BenchmarkAblationIndex compares the throughput of detection's query, the
+// ε-count capped at η, across the three neighbor indexes on the Flight
+// geometry (m=3 numeric).
 func BenchmarkAblationIndex(b *testing.B) {
 	ds, err := disc.Table1("Flight", 0.025, 1)
 	if err != nil {
@@ -127,7 +128,6 @@ func BenchmarkAblationIndex(b *testing.B) {
 	builders := map[string]func() neighbors.Index{
 		"brute":  func() neighbors.Index { return neighbors.NewBrute(ds.Rel) },
 		"grid":   func() neighbors.Index { return neighbors.NewGrid(ds.Rel, ds.Eps) },
-		"kdtree": func() neighbors.Index { return neighbors.NewKDTree(ds.Rel) },
 		"vptree": func() neighbors.Index { return neighbors.NewVPTree(ds.Rel, 1) },
 	}
 	for name, build := range builders {
@@ -137,7 +137,7 @@ func BenchmarkAblationIndex(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := i % ds.N()
-				idx.CountWithin(ds.Rel.Tuples[q], ds.Eps, q, 0)
+				idx.CountWithin(ds.Rel.Tuples[q], ds.Eps, q, ds.Eta)
 			}
 		})
 	}
@@ -159,14 +159,14 @@ func BenchmarkAblationParallel(b *testing.B) {
 // inlier set (the unit the O(2^m·n) analysis of §3.3 talks about).
 func BenchmarkSaveSingle(b *testing.B) {
 	ds, cons := ablationWorkload(b)
-	det, err := disc.Detect(ds.Rel, cons)
+	det, err := disc.DetectContext(context.Background(), ds.Rel, cons, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if len(det.Outliers) == 0 {
 		b.Skip("no outliers")
 	}
-	saver, err := disc.NewSaver(ds.Rel.Subset(det.Inliers), cons, disc.Options{Kappa: 2})
+	saver, err := disc.NewSaverContext(context.Background(), ds.Rel.Subset(det.Inliers), cons, disc.Options{Kappa: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func BenchmarkSaveSingle(b *testing.B) {
 	b.ResetTimer()
 	var st disc.SearchStats
 	for i := 0; i < b.N; i++ {
-		st = saver.Save(to).Stats
+		st = saver.SaveOne(context.Background(), to).Stats
 	}
 	// Search effort per save, tracked in BENCH_*.json alongside ns/op:
 	// nodes is the unit the O(m^{κ+1}·n) analysis counts (masks whose
@@ -192,7 +192,7 @@ func BenchmarkSaveSingle(b *testing.B) {
 // workload (thinned domains).
 func BenchmarkExactSingle(b *testing.B) {
 	ds, cons := ablationWorkload(b)
-	det, err := disc.Detect(ds.Rel, cons)
+	det, err := disc.DetectContext(context.Background(), ds.Rel, cons, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func BenchmarkExactSingle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex.Save(to)
+		ex.SaveOne(context.Background(), to)
 	}
 }
 
@@ -247,7 +247,7 @@ func BenchmarkDetectMixed(b *testing.B) {
 	ds, cons := mixedWorkload(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Detect(ds.Rel, cons, nil); err != nil {
+		if _, err := core.DetectContext(context.Background(), ds.Rel, cons, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -258,14 +258,14 @@ func BenchmarkDetectMixed(b *testing.B) {
 // text distances.
 func BenchmarkSaveSingleMixed(b *testing.B) {
 	ds, cons := mixedWorkload(b)
-	det, err := disc.Detect(ds.Rel, cons)
+	det, err := disc.DetectContext(context.Background(), ds.Rel, cons, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if len(det.Outliers) == 0 {
 		b.Skip("no outliers")
 	}
-	saver, err := disc.NewSaver(ds.Rel.Subset(det.Inliers), cons, disc.Options{Kappa: 2})
+	saver, err := disc.NewSaverContext(context.Background(), ds.Rel.Subset(det.Inliers), cons, disc.Options{Kappa: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func BenchmarkSaveSingleMixed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		saver.Save(to)
+		saver.SaveOne(context.Background(), to)
 	}
 }
 
@@ -304,7 +304,7 @@ func BenchmarkDetect(b *testing.B) {
 	ds, cons := ablationWorkload(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Detect(ds.Rel, cons, nil); err != nil {
+		if _, err := core.DetectContext(context.Background(), ds.Rel, cons, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -468,7 +468,7 @@ func BenchmarkDetermineParams(b *testing.B) {
 	ds, _ := ablationWorkload(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := disc.DetermineParams(ds.Rel, disc.ParamOptions{SampleRate: 0.1, Seed: 1}); err != nil {
+		if _, err := disc.DetermineParamsContext(context.Background(), ds.Rel, disc.ParamOptions{SampleRate: 0.1, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,11 +12,17 @@
 //
 // Quick start:
 //
+//	ctx := context.Background()
 //	rel := disc.NewRelation(disc.NewNumericSchema("x", "y"))
 //	// ... append tuples ...
-//	params, _ := disc.DetermineParams(rel, disc.ParamOptions{})
-//	res, _ := disc.Save(rel, disc.Constraints{Eps: params.Eps, Eta: params.Eta}, disc.Options{Kappa: 2})
+//	params, _ := disc.DetermineParamsContext(ctx, rel, disc.ParamOptions{})
+//	res, _ := disc.SaveContext(ctx, rel, disc.Constraints{Eps: params.Eps, Eta: params.Eta}, disc.Options{Kappa: 2})
 //	clusters := disc.DBSCAN(res.Repaired, disc.DBSCANConfig{Eps: params.Eps, MinPts: params.Eta})
+//
+// Each pipeline operation has one entry point, and it takes a context
+// first: DetectContext, SaveContext, NewSaverContext (then Saver.SaveOne),
+// DetermineParamsContext and NeighborCountsContext. Pass
+// context.Background() when nothing needs cancelling.
 //
 // The library also ships the paper's complete experimental apparatus: the
 // DBSCAN / K-Means / K-Means-- / CCKM / SREM / KMC clustering substrates,
@@ -129,24 +135,13 @@ type (
 	Progress = obs.Progress
 )
 
-// Detect splits a relation into inliers and outliers under the
-// constraints.
-func Detect(rel *Relation, cons Constraints) (*Detection, error) {
-	return core.Detect(rel, cons, nil)
-}
-
-// DetectContext is Detect with cancellation: the counting pass stops
-// promptly once ctx is cancelled and the cancellation is returned as an
-// error.
-func DetectContext(ctx context.Context, rel *Relation, cons Constraints) (*Detection, error) {
-	return core.DetectContext(ctx, rel, cons, nil)
-}
-
-// DetectWithIndex is DetectContext against a caller-supplied index over
-// rel, so a session-caching layer (or any caller running detection more
-// than once) reuses one built index instead of rebuilding it per call.
-// Detection.IndexBuild stays zero on this path.
-func DetectWithIndex(ctx context.Context, rel *Relation, cons Constraints, idx NeighborIndex) (*Detection, error) {
+// DetectContext splits a relation into inliers and outliers under the
+// constraints. idx must index rel; nil builds one. A caller running
+// detection more than once, such as a session-caching layer, passes its
+// built index so nothing is rebuilt per call; Detection.IndexBuild stays
+// zero on that path. The counting pass stops promptly once ctx is
+// cancelled and the cancellation is returned as an error.
+func DetectContext(ctx context.Context, rel *Relation, cons Constraints, idx NeighborIndex) (*Detection, error) {
 	return core.DetectContext(ctx, rel, cons, idx)
 }
 
@@ -161,18 +156,15 @@ func RehydrateDetection(counts []int, eta int) *Detection {
 	return core.RehydrateDetection(counts, eta)
 }
 
-// Save runs the full DISC pipeline: detect every violation of the distance
-// constraints and save each outlier by near-minimal value adjustment
-// (Algorithm 1 with the Proposition 3/5 bounds). The input is not
-// modified; the repaired copy and the per-outlier adjustments are
+// SaveContext runs the full DISC pipeline: detect every violation of the
+// distance constraints and save each outlier by near-minimal value
+// adjustment (Algorithm 1 with the Proposition 3/5 bounds). The input is
+// not modified; the repaired copy and the per-outlier adjustments are
 // returned.
-func Save(rel *Relation, cons Constraints, opts Options) (*SaveResult, error) {
-	return core.SaveAll(rel, cons, opts)
-}
-
-// SaveContext is Save under budgets: ctx (plus Options.BatchTimeout) bounds
-// the whole batch and Options.MaxNodes/Deadline bound each outlier's
-// search. Instead of aborting on an expired budget the pipeline degrades:
+//
+// ctx (plus Options.BatchTimeout) bounds the whole batch and
+// Options.MaxNodes/Deadline bound each outlier's search. Instead of
+// aborting on an expired budget the pipeline degrades:
 // completed saves stand, in-flight saves return best-so-far adjustments
 // flagged Exhausted, skipped outliers are listed in SaveResult.Errs, and a
 // panic inside one outlier's save is recovered into its Errs entry while
@@ -181,14 +173,9 @@ func SaveContext(ctx context.Context, rel *Relation, cons Constraints, opts Opti
 	return core.SaveAllContext(ctx, rel, cons, opts)
 }
 
-// NewSaver prepares a saver for repeated single-tuple saves against a
-// fixed outlier-free relation.
-func NewSaver(r *Relation, cons Constraints, opts Options) (*Saver, error) {
-	return core.NewSaver(r, cons, opts)
-}
-
-// NewSaverContext is NewSaver with cancellation of the η-radius precompute
-// pass.
+// NewSaverContext prepares a saver for repeated single-tuple saves
+// (Saver.SaveOne) against a fixed outlier-free relation. Cancelling ctx
+// stops the η-radius precompute pass.
 func NewSaverContext(ctx context.Context, r *Relation, cons Constraints, opts Options) (*Saver, error) {
 	return core.NewSaverContext(ctx, r, cons, opts)
 }
@@ -199,22 +186,18 @@ func NewExactSaver(r *Relation, cons Constraints, maxDomain int) (*ExactSaver, e
 	return core.NewExactSaver(r, cons, maxDomain)
 }
 
-// DetermineParams chooses (ε, η) from the Poisson model of ε-neighbor
-// appearance (§2.1.2, Figure 5), optionally from a sample of the data.
-func DetermineParams(rel *Relation, opts ParamOptions) (ParamChoice, error) {
-	return core.DeterminePoisson(rel, opts)
-}
-
-// DetermineParamsContext is DetermineParams under cancellation, degrading
-// to the best choice among the ε candidates measured before ctx was
-// cancelled (flagged ParamChoice.Exhausted).
+// DetermineParamsContext chooses (ε, η) from the Poisson model of
+// ε-neighbor appearance (§2.1.2, Figure 5), optionally from a sample of
+// the data. Cancelling ctx degrades to the best choice among the ε
+// candidates measured so far (flagged ParamChoice.Exhausted).
 func DetermineParamsContext(ctx context.Context, rel *Relation, opts ParamOptions) (ParamChoice, error) {
 	return core.DeterminePoissonContext(ctx, rel, opts)
 }
 
-// NeighborCounts returns the sampled #ε-neighbor distribution (Figure 5).
-func NeighborCounts(rel *Relation, eps, sampleRate float64, seed int64) []int {
-	return core.NeighborCounts(rel, eps, sampleRate, seed, nil)
+// NeighborCountsContext returns the sampled, uncapped #ε-neighbor
+// distribution (Figure 5). Cancelling ctx returns (nil, ctx error).
+func NeighborCountsContext(ctx context.Context, rel *Relation, eps, sampleRate float64, seed int64) ([]int, error) {
+	return core.NeighborCountsContext(ctx, rel, eps, sampleRate, seed, nil)
 }
 
 // Clustering substrates (see internal/cluster).
@@ -279,9 +262,9 @@ type IndexCounters = neighbors.Counters
 // counters move while build counters stay put.
 var CountingIndex = neighbors.Counting
 
-// BuildIndex picks a neighbor index for the relation (grid for
-// low-dimensional numeric data, vantage-point tree otherwise); eps hints
-// the grid cell size.
+// BuildIndex picks a neighbor index for the relation: a grid for numeric
+// data with at most six attributes when eps > 0, else a vantage-point tree
+// from 64 tuples, else a brute scan. eps hints the grid cell size.
 func BuildIndex(rel *Relation, eps float64) NeighborIndex {
 	return neighbors.Build(rel, eps)
 }
@@ -297,23 +280,22 @@ type MutableIndex = neighbors.Mutable
 // parse wire names with ParseIndexKind.
 type IndexKind = neighbors.IndexKind
 
-// Index kinds: automatic selection (Build's policy), brute scan, grid,
-// k-d tree, vantage-point tree.
+// Index kinds: automatic selection (BuildIndex's rule), brute scan, grid,
+// vantage-point tree.
 const (
 	KindAuto  = neighbors.KindAuto
 	KindBrute = neighbors.KindBrute
 	KindGrid  = neighbors.KindGrid
-	KindKD    = neighbors.KindKD
 	KindVP    = neighbors.KindVP
 )
 
-// ParseIndexKind maps the wire names ("auto", "brute", "grid", "kd",
-// "vp") to an IndexKind.
+// ParseIndexKind maps the wire names ("auto", "brute", "grid", "vp") to
+// an IndexKind.
 var ParseIndexKind = neighbors.ParseIndexKind
 
 // NewMutableIndex builds a mutable neighbor index over rel; kind selects
-// the concrete base (KindAuto replicates BuildIndex's policy). Grid and
-// kd require an all-numeric schema.
+// the concrete base (KindAuto applies BuildIndex's rule). The grid
+// requires an all-numeric schema.
 func NewMutableIndex(rel *Relation, eps float64, kind IndexKind) (*MutableIndex, error) {
 	return neighbors.NewMutable(rel, eps, kind)
 }

@@ -28,7 +28,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	rel := noisyBlobs()
 	cons := disc.Constraints{Eps: 1.5, Eta: 3}
 
-	det, err := disc.Detect(rel, cons)
+	det, err := disc.DetectContext(context.Background(), rel, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("detected %d outliers, want 2", len(det.Outliers))
 	}
 
-	res, err := disc.Save(rel, cons, disc.Options{Kappa: 1})
+	res, err := disc.SaveContext(context.Background(), rel, cons, disc.Options{Kappa: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +89,17 @@ func TestPublicParamDetermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	choice, err := disc.DetermineParams(ds.Rel, disc.ParamOptions{Seed: 1})
+	choice, err := disc.DetermineParamsContext(context.Background(), ds.Rel, disc.ParamOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if choice.Eps <= 0 || choice.Eta < 2 {
 		t.Fatalf("bad choice %+v", choice)
 	}
-	counts := disc.NeighborCounts(ds.Rel, choice.Eps, 0.5, 1)
+	counts, err := disc.NeighborCountsContext(context.Background(), ds.Rel, choice.Eps, 0.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(counts) == 0 {
 		t.Fatal("no neighbor counts")
 	}
@@ -165,7 +168,7 @@ func TestPublicExplainAndExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	cons := disc.Constraints{Eps: ds.Eps, Eta: ds.Eta}
-	det, err := disc.Detect(ds.Rel, cons)
+	det, err := disc.DetectContext(context.Background(), ds.Rel, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +185,7 @@ func TestPublicExplainAndExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adj := ex.Save(ds.Rel.Tuples[oi])
+	adj := ex.SaveOne(context.Background(), ds.Rel.Tuples[oi])
 	if adj.Saved() && adj.Cost <= 0 {
 		t.Error("exact adjustment with nonpositive cost")
 	}
@@ -260,7 +263,7 @@ func TestPublicExtensions(t *testing.T) {
 func TestPublicSaverSaveOne(t *testing.T) {
 	rel := noisyBlobs()
 	cons := disc.Constraints{Eps: 1.5, Eta: 3}
-	det, err := disc.Detect(rel, cons)
+	det, err := disc.DetectContext(context.Background(), rel, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,16 @@
 package disc_test
 
 import (
+	"context"
 	"fmt"
 
 	disc "repro"
 )
 
-// ExampleSave shows the full DISC pipeline on the Figure 1 scenario: a
+// ExampleSaveContext shows the full DISC pipeline on the Figure 1 scenario: a
 // dense cluster, one tuple with a single corrupted attribute, one natural
 // outlier.
-func ExampleSave() {
+func ExampleSaveContext() {
 	rel := disc.NewRelation(disc.NewNumericSchema("length", "width"))
 	for i := 0; i < 7; i++ {
 		for j := 0; j < 7; j++ {
@@ -19,7 +20,7 @@ func ExampleSave() {
 	rel.Append(disc.Tuple{disc.Num(10), disc.Num(1.5)}) // length corrupted
 	rel.Append(disc.Tuple{disc.Num(40), disc.Num(-40)}) // natural outlier
 
-	res, _ := disc.Save(rel, disc.Constraints{Eps: 1.5, Eta: 3}, disc.Options{Kappa: 1})
+	res, _ := disc.SaveContext(context.Background(), rel, disc.Constraints{Eps: 1.5, Eta: 3}, disc.Options{Kappa: 1})
 	fmt.Printf("outliers=%d saved=%d natural=%d\n",
 		len(res.Detection.Outliers), res.Saved, res.Natural)
 	for _, adj := range res.Adjustments {
@@ -33,15 +34,16 @@ func ExampleSave() {
 	// adjusted attributes: [0], width kept: true
 }
 
-// ExampleDetect shows the inlier/outlier split under distance constraints.
-func ExampleDetect() {
+// ExampleDetectContext shows the inlier/outlier split under distance
+// constraints.
+func ExampleDetectContext() {
 	rel := disc.NewRelation(disc.NewNumericSchema("x"))
 	for i := 0; i < 10; i++ {
 		rel.Append(disc.Tuple{disc.Num(float64(i) * 0.1)})
 	}
 	rel.Append(disc.Tuple{disc.Num(50)})
 
-	det, _ := disc.Detect(rel, disc.Constraints{Eps: 0.5, Eta: 2})
+	det, _ := disc.DetectContext(context.Background(), rel, disc.Constraints{Eps: 0.5, Eta: 2}, nil)
 	fmt.Printf("inliers=%d outliers=%d\n", len(det.Inliers), len(det.Outliers))
 	// Output:
 	// inliers=10 outliers=1

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -35,7 +36,7 @@ func main() {
 	methods := []method{
 		{"Raw", func() (*disc.Relation, error) { return ds.Rel, nil }},
 		{"DISC", func() (*disc.Relation, error) {
-			res, err := disc.Save(ds.Rel, cons, disc.Options{Kappa: 2})
+			res, err := disc.SaveContext(context.Background(), ds.Rel, cons, disc.Options{Kappa: 2})
 			if err != nil {
 				return nil, err
 			}

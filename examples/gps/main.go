@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 
 	// κ = 1: GPS errors hit exactly one attribute; anything needing more
 	// adjustment is a genuine anomaly and stays untouched (§1.2).
-	res, err := disc.Save(ds.Rel, cons, disc.Options{Kappa: 1})
+	res, err := disc.SaveContext(context.Background(), ds.Rel, cons, disc.Options{Kappa: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

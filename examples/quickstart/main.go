@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -39,7 +40,7 @@ func main() {
 
 	// Save the outliers: adjust the erroneous width values minimally so
 	// the tuples satisfy the distance constraints again.
-	res, err := disc.Save(rel, cons, disc.Options{Kappa: 1})
+	res, err := disc.SaveContext(context.Background(), rel, cons, disc.Options{Kappa: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

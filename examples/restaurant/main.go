@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,7 @@ func main() {
 	fmt.Printf("raw matching:   %3d pairs found, F1 = %.4f\n", rawPairs, rawF1)
 
 	cons := disc.Constraints{Eps: ds.Eps, Eta: ds.Eta}
-	res, err := disc.Save(ds.Rel, cons, disc.Options{Kappa: 2})
+	res, err := disc.SaveContext(context.Background(), ds.Rel, cons, disc.Options{Kappa: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

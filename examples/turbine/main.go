@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -63,13 +64,14 @@ func main() {
 	// Let the library pick (ε, η) from the data, then repair with a
 	// two-sensor trust budget: "a turbine is switched off if more than κ
 	// sensors are broken" (§3.3).
-	choice, err := disc.DetermineParams(rel, disc.ParamOptions{Seed: 1})
+	ctx := context.Background()
+	choice, err := disc.DetermineParamsContext(ctx, rel, disc.ParamOptions{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("determined ε=%.3g η=%d (mean neighbors λ=%.1f)\n", choice.Eps, choice.Eta, choice.Lambda)
 
-	res, err := disc.Save(rel, disc.Constraints{Eps: choice.Eps, Eta: choice.Eta}, disc.Options{Kappa: 2})
+	res, err := disc.SaveContext(ctx, rel, disc.Constraints{Eps: choice.Eps, Eta: choice.Eta}, disc.Options{Kappa: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,11 +40,11 @@ func TestProposition6ApproximationFactor(t *testing.T) {
 		if c <= 1.05 {
 			continue // premise not satisfied; guarantee does not apply
 		}
-		s, err := NewSaver(r, cons, Options{})
+		s, err := NewSaverContext(context.Background(), r, cons, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		adj := s.Save(to)
+		adj := s.SaveOne(context.Background(), to)
 		if !adj.Saved() {
 			continue
 		}
@@ -79,11 +80,11 @@ func TestProposition7IntegralMetricFactor(t *testing.T) {
 		}
 		cons := Constraints{Eps: 1, Eta: 5} // integer ε, unit distances
 		to := data.Tuple{data.Num(float64(20 + rng.Intn(30)))}
-		s, err := NewSaver(r, cons, Options{})
+		s, err := NewSaverContext(context.Background(), r, cons, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		adj := s.Save(to)
+		adj := s.SaveOne(context.Background(), to)
 		if !adj.Saved() {
 			continue
 		}
@@ -112,13 +113,13 @@ func TestApproximationTightensWithDistance(t *testing.T) {
 		}
 	}
 	cons := Constraints{Eps: 1.5, Eta: 4}
-	s, err := NewSaver(r, cons, Options{})
+	s, err := NewSaverContext(context.Background(), r, cons, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	worst := func(dist float64) float64 {
 		to := data.Tuple{data.Num(dist), data.Num(2)}
-		adj := s.Save(to)
+		adj := s.SaveOne(context.Background(), to)
 		if !adj.Saved() {
 			t.Fatalf("unsaved at distance %v", dist)
 		}

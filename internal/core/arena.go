@@ -13,8 +13,8 @@ import (
 // is recycled across nodes and across outliers, so the steady-state
 // recursion allocates nothing.
 //
-// Ownership is strictly single-threaded: SaveAll hands each worker its own
-// arena (no sync needed), and the public Save/SaveContext path draws one
+// Ownership is strictly single-threaded: SaveAllContext hands each worker
+// its own arena (no sync needed), and the public SaveOne path draws one
 // from a per-Saver sync.Pool. The depth-indexed slabs exploit the shape of
 // the recursion: at any moment at most one node per depth |X| is on the
 // stack, so the child candidate list for depth d+1 can always be built in

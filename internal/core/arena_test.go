@@ -33,7 +33,7 @@ func arenaWorkload(tb testing.TB, kappa int) (*Saver, data.Tuple) {
 	cons := Constraints{Eps: 4.0, Eta: 4}
 	// Pruning off keeps the search wide, which is exactly what the
 	// per-node allocation guard needs to be sensitive.
-	s, err := NewSaver(r, cons, Options{DisablePruning: true, Kappa: kappa})
+	s, err := NewSaverContext(context.Background(), r, cons, Options{DisablePruning: true, Kappa: kappa})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -151,14 +151,14 @@ func TestSaveAllWorkerArenaEquivalence(t *testing.T) {
 		r.Append(t3)
 	}
 	cons := Constraints{Eps: 1.0, Eta: 4}
-	seq, err := SaveAll(r, cons, Options{Workers: 1})
+	seq, err := SaveAllContext(context.Background(), r, cons, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seq.Detection.Outliers) < 4 {
 		t.Fatalf("want several outliers, got %d", len(seq.Detection.Outliers))
 	}
-	par4, err := SaveAll(r, cons, Options{Workers: 4})
+	par4, err := SaveAllContext(context.Background(), r, cons, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +173,11 @@ func TestSaveAllWorkerArenaEquivalence(t *testing.T) {
 	}
 }
 
-// TestSavePoolPathMatchesArenaPath checks the public Save (sync.Pool
+// TestSavePoolPathMatchesArenaPath checks the public SaveOne (sync.Pool
 // arena) and the internal explicit-arena path give the same answer.
 func TestSavePoolPathMatchesArenaPath(t *testing.T) {
 	s, to := arenaWorkload(t, 0)
-	pooled := s.Save(to)
+	pooled := s.SaveOne(context.Background(), to)
 	direct := s.save(context.Background(), to, new(saveArena))
 	if pooled.Cost != direct.Cost || !pooled.bestEqual(direct) {
 		t.Fatalf("pool path %+v differs from arena path %+v", pooled, direct)

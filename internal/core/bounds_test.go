@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -219,12 +220,12 @@ func TestSaverAgreesWithBoundsAcrossMasks(t *testing.T) {
 	// bound.
 	r := clusterRelation(0, 0, 3)
 	cons := Constraints{Eps: 1.5, Eta: 3}
-	s, err := NewSaver(r, cons, Options{})
+	s, err := NewSaverContext(context.Background(), r, cons, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	to := data.Tuple{data.Num(9), data.Num(0.4)}
-	adj := s.Save(to)
+	adj := s.SaveOne(context.Background(), to)
 	if !adj.Saved() {
 		t.Fatal("not saved")
 	}
@@ -255,12 +256,12 @@ func TestSaverL1Norm(t *testing.T) {
 	r := clusterRelation(0, 0, 3)
 	r.Schema.Norm = metric.L1
 	cons := Constraints{Eps: 2, Eta: 3}
-	s, err := NewSaver(r, cons, Options{})
+	s, err := NewSaverContext(context.Background(), r, cons, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	to := data.Tuple{data.Num(10), data.Num(0.25)}
-	adj := s.Save(to)
+	adj := s.SaveOne(context.Background(), to)
 	if !adj.Saved() {
 		t.Fatal("L1 saver failed")
 	}
@@ -277,12 +278,12 @@ func TestSaverLInfNorm(t *testing.T) {
 	r := clusterRelation(0, 0, 3)
 	r.Schema.Norm = metric.LInf
 	cons := Constraints{Eps: 1.2, Eta: 3}
-	s, err := NewSaver(r, cons, Options{})
+	s, err := NewSaverContext(context.Background(), r, cons, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	to := data.Tuple{data.Num(10), data.Num(0.25)}
-	adj := s.Save(to)
+	adj := s.SaveOne(context.Background(), to)
 	if !adj.Saved() {
 		t.Fatal("L∞ saver failed")
 	}
@@ -298,11 +299,11 @@ func TestSaverLInfNorm(t *testing.T) {
 func TestSaverWorkersOption(t *testing.T) {
 	ds := mixture(t, 400, 31)
 	cons := Constraints{Eps: ds.Eps, Eta: ds.Eta}
-	seq, err := SaveAll(ds.Rel, cons, Options{Kappa: 2, Workers: 1})
+	seq, err := SaveAllContext(context.Background(), ds.Rel, cons, Options{Kappa: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SaveAll(ds.Rel, cons, Options{Kappa: 2, Workers: 8})
+	par, err := SaveAllContext(context.Background(), ds.Rel, cons, Options{Kappa: 2, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestKappaMonotonicity(t *testing.T) {
 	// Loosening κ can only lower (or keep) the adjustment cost.
 	ds := mixture(t, 300, 32)
 	cons := Constraints{Eps: ds.Eps, Eta: ds.Eta}
-	det, err := Detect(ds.Rel, cons, nil)
+	det, err := DetectContext(context.Background(), ds.Rel, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,12 +332,12 @@ func TestKappaMonotonicity(t *testing.T) {
 	r := ds.Rel.Subset(det.Inliers)
 	costs := map[int][]float64{}
 	for ki, kappa := range []int{1, 2, 0} { // 0 = unrestricted
-		s, err := NewSaver(r, cons, Options{Kappa: kappa})
+		s, err := NewSaverContext(context.Background(), r, cons, Options{Kappa: kappa})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, oi := range det.Outliers {
-			adj := s.Save(ds.Rel.Tuples[oi])
+			adj := s.SaveOne(context.Background(), ds.Rel.Tuples[oi])
 			c := math.Inf(1)
 			if adj.Saved() {
 				c = adj.Cost

@@ -46,11 +46,11 @@ func TestSaveMaxNodesReturnsFeasibleExhausted(t *testing.T) {
 	outlier := centered6D()
 	outlier[0], outlier[1], outlier[2] = data.Num(3), data.Num(4), data.Num(5)
 
-	free, err := NewSaver(r, cons, Options{})
+	free, err := NewSaverContext(context.Background(), r, cons, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unbounded := free.Save(outlier)
+	unbounded := free.SaveOne(context.Background(), outlier)
 	if !unbounded.Saved() || unbounded.Exhausted {
 		t.Fatalf("unbounded save: saved=%v exhausted=%v", unbounded.Saved(), unbounded.Exhausted)
 	}
@@ -59,11 +59,11 @@ func TestSaveMaxNodesReturnsFeasibleExhausted(t *testing.T) {
 		t.Fatalf("search too small to exercise the budget: %d nodes", unbounded.Nodes)
 	}
 
-	capped, err := NewSaver(r, cons, Options{MaxNodes: nodeCap})
+	capped, err := NewSaverContext(context.Background(), r, cons, Options{MaxNodes: nodeCap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adj := capped.Save(outlier)
+	adj := capped.SaveOne(context.Background(), outlier)
 	if !adj.Exhausted {
 		t.Fatal("MaxNodes trip not flagged Exhausted")
 	}
@@ -91,13 +91,13 @@ func TestSaveMaxNodesReturnsFeasibleExhausted(t *testing.T) {
 func TestSaveContextCancelledDegrades(t *testing.T) {
 	r := denseRelation6D(150, 11)
 	cons := Constraints{Eps: 1.4, Eta: 4}
-	s, err := NewSaver(r, cons, Options{})
+	s, err := NewSaverContext(context.Background(), r, cons, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	adj := s.SaveContext(ctx, far6D())
+	adj := s.SaveOne(ctx, far6D())
 	if !adj.Exhausted {
 		t.Fatal("cancelled context not flagged Exhausted")
 	}
@@ -111,18 +111,18 @@ func TestSaveContextCancelledDegrades(t *testing.T) {
 		}
 	}
 	// An untripped save of the same tuple is not marked Exhausted.
-	if again := s.Save(far6D()); again.Exhausted {
+	if again := s.SaveOne(context.Background(), far6D()); again.Exhausted {
 		t.Error("background save marked Exhausted")
 	}
 }
 
 func TestSaveDeadlineTrips(t *testing.T) {
 	r := denseRelation6D(150, 19)
-	s, err := NewSaver(r, Constraints{Eps: 1.4, Eta: 4}, Options{Deadline: time.Nanosecond})
+	s, err := NewSaverContext(context.Background(), r, Constraints{Eps: 1.4, Eta: 4}, Options{Deadline: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adj := s.Save(far6D())
+	adj := s.SaveOne(context.Background(), far6D())
 	if !adj.Exhausted {
 		t.Fatal("1ns deadline did not trip")
 	}
@@ -132,7 +132,7 @@ func TestSaveKappaRestrictedBudget(t *testing.T) {
 	// The κ-restricted start-mask enumeration must also honor the budget.
 	r := denseRelation6D(150, 23)
 	cons := Constraints{Eps: 1.4, Eta: 4}
-	free, err := NewSaver(r, cons, Options{Kappa: 3})
+	free, err := NewSaverContext(context.Background(), r, cons, Options{Kappa: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,15 +140,15 @@ func TestSaveKappaRestrictedBudget(t *testing.T) {
 	o[0] = data.Num(0.5) // partially corrupted so a κ-repair can exist
 	o[1] = data.Num(0.5)
 	o[2] = data.Num(0.5)
-	unbounded := free.Save(o)
+	unbounded := free.SaveOne(context.Background(), o)
 	if unbounded.Nodes <= 2 {
 		t.Skipf("κ search too small to budget: %d nodes", unbounded.Nodes)
 	}
-	capped, err := NewSaver(r, cons, Options{Kappa: 3, MaxNodes: 2})
+	capped, err := NewSaverContext(context.Background(), r, cons, Options{Kappa: 3, MaxNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adj := capped.Save(o)
+	adj := capped.SaveOne(context.Background(), o)
 	if !adj.Exhausted {
 		t.Fatal("κ-restricted MaxNodes trip not flagged Exhausted")
 	}
@@ -165,13 +165,13 @@ func TestExactSaverBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	outlier := data.Tuple{data.Num(10), data.Num(0.25)}
-	full := e.Save(outlier)
+	full := e.SaveOne(context.Background(), outlier)
 	if !full.Saved() || full.Exhausted {
 		t.Fatalf("unbounded exact save: saved=%v exhausted=%v", full.Saved(), full.Exhausted)
 	}
 
 	e.MaxNodes = 2
-	adj := e.Save(outlier)
+	adj := e.SaveOne(context.Background(), outlier)
 	if !adj.Exhausted {
 		t.Fatal("exact MaxNodes trip not flagged Exhausted")
 	}
@@ -185,7 +185,7 @@ func TestExactSaverBudget(t *testing.T) {
 	e.MaxNodes = 0
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if adj := e.SaveContext(ctx, outlier); !adj.Exhausted {
+	if adj := e.SaveOne(ctx, outlier); !adj.Exhausted {
 		t.Fatal("cancelled exact save not flagged Exhausted")
 	}
 }
@@ -207,7 +207,7 @@ func TestDeterminePoissonContextCancelled(t *testing.T) {
 		t.Fatal("cancelled DeterminePoissonContext returned no error")
 	}
 	// A live context still determines parameters (and is not Exhausted).
-	choice, err := DeterminePoisson(r, ParamOptions{Seed: 1})
+	choice, err := DeterminePoissonContext(context.Background(), r, ParamOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

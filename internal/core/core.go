@@ -52,8 +52,8 @@ type Detection struct {
 	// exact count, η for every inlier. The split only asks which side of η
 	// a count falls on, so counting stops at η. Every producer keeps this
 	// invariant: DetectContext, the shard engine, RehydrateDetection and
-	// the serving layer's mutations. NeighborCounts gives the uncapped
-	// counts.
+	// the serving layer's mutations. NeighborCountsContext gives the
+	// uncapped counts.
 	Counts []int
 	// Stats holds the index traffic of the counting pass (range queries,
 	// distance evaluations, grid fallbacks); the search counters stay
@@ -96,17 +96,13 @@ func RehydrateDetection(counts []int, eta int) *Detection {
 	return det
 }
 
-// Detect splits rel under the constraints: tuples with ≥ η ε-neighbors
-// (self excluded) are inliers, the rest outliers. idx must index rel; pass
-// nil to build one automatically.
-func Detect(rel *data.Relation, cons Constraints, idx neighbors.Index) (*Detection, error) {
-	return DetectContext(context.Background(), rel, cons, idx)
-}
-
-// DetectContext is Detect with cancellation: the neighbor-counting pass
-// stops promptly once ctx is cancelled and the cancellation is returned as
-// an error (a partial split would misclassify the uncounted tuples, so no
-// partial Detection is produced).
+// DetectContext splits rel under the constraints: tuples with ≥ η
+// ε-neighbors (self excluded) are inliers, the rest outliers. idx must
+// index rel; pass nil to build one automatically, which Detection.IndexBuild
+// then times. The neighbor-counting pass stops promptly once ctx is
+// cancelled and the cancellation is returned as an error (a partial split
+// would misclassify the uncounted tuples, so no partial Detection is
+// produced).
 func DetectContext(ctx context.Context, rel *data.Relation, cons Constraints, idx neighbors.Index) (*Detection, error) {
 	if err := cons.Validate(); err != nil {
 		return nil, err
@@ -140,7 +136,7 @@ func DetectContext(ctx context.Context, rel *data.Relation, cons Constraints, id
 	for w := range shards {
 		merged.Add(shards[w])
 	}
-	addCounters(&det.Stats, merged)
+	AddCounters(&det.Stats, merged)
 	det.Elapsed = time.Since(start)
 	if err := par.FirstErr(errs); err != nil {
 		return nil, fmt.Errorf("core: detecting outliers: %w", err)
@@ -158,7 +154,7 @@ func DetectContext(ctx context.Context, rel *data.Relation, cons Constraints, id
 // Adjustment is the result of saving one outlier.
 type Adjustment struct {
 	// Index is the outlier's position in the original relation (set by
-	// SaveAll; -1 for single-tuple calls).
+	// SaveAllContext; -1 for single-tuple calls).
 	Index int
 	// Tuple is the adjusted tuple t'_o; nil when the outlier was left
 	// unchanged (natural, or no feasible adjustment).

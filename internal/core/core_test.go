@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -38,7 +39,7 @@ func TestDetectSplitsInliersAndOutliers(t *testing.T) {
 	out := data.Tuple{data.Num(20), data.Num(20)}
 	r.Append(out)
 	cons := Constraints{Eps: 1.5, Eta: 3}
-	det, err := Detect(r, cons, nil)
+	det, err := DetectContext(context.Background(), r, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestDetectSplitsInliersAndOutliers(t *testing.T) {
 
 func TestDetectInvalidConstraints(t *testing.T) {
 	r := clusterRelation(0, 0, 1)
-	if _, err := Detect(r, Constraints{Eps: -1, Eta: 1}, nil); err == nil {
+	if _, err := DetectContext(context.Background(), r, Constraints{Eps: -1, Eta: 1}, nil); err == nil {
 		t.Error("invalid constraints accepted")
 	}
 }
@@ -72,12 +73,12 @@ func TestSaveAdjustsOnlyTheErroneousAttribute(t *testing.T) {
 	// tuple outlying; DISC should repair that attribute and keep the rest.
 	r := clusterRelation(0, 0, 3)
 	cons := Constraints{Eps: 1.5, Eta: 3}
-	s, err := NewSaver(r, cons, Options{})
+	s, err := NewSaverContext(context.Background(), r, cons, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	outlier := data.Tuple{data.Num(10), data.Num(0.25)} // x corrupted, y fine
-	adj := s.Save(outlier)
+	adj := s.SaveOne(context.Background(), outlier)
 	if !adj.Saved() {
 		t.Fatal("outlier not saved")
 	}
@@ -121,7 +122,7 @@ func TestSaveFeasibilityAndBoundsRandom(t *testing.T) {
 			r.Append(t2)
 		}
 		cons := Constraints{Eps: 1.5, Eta: 2 + rng.Intn(4)}
-		s, err := NewSaver(r, cons, Options{})
+		s, err := NewSaverContext(context.Background(), r, cons, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func TestSaveFeasibilityAndBoundsRandom(t *testing.T) {
 			data.Num(rng.Float64()*30 - 5),
 		}
 		idx := neighbors.NewBrute(r)
-		adj := s.Save(outlier)
+		adj := s.SaveOne(context.Background(), outlier)
 		if !adj.Saved() {
 			t.Fatalf("trial %d: not saved", trial)
 		}
@@ -167,7 +168,7 @@ func TestSaveMatchesExactOnSmallInstances(t *testing.T) {
 			})
 		}
 		cons := Constraints{Eps: 1.5, Eta: 4}
-		s, err := NewSaver(r, cons, Options{})
+		s, err := NewSaverContext(context.Background(), r, cons, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,8 +177,8 @@ func TestSaveMatchesExactOnSmallInstances(t *testing.T) {
 			t.Fatal(err)
 		}
 		outlier := data.Tuple{data.Num(25), data.Num(3)}
-		dAdj := s.Save(outlier)
-		eAdj := ex.Save(outlier)
+		dAdj := s.SaveOne(context.Background(), outlier)
+		eAdj := ex.SaveOne(context.Background(), outlier)
 		if !eAdj.Saved() {
 			continue // no feasible position in this draw
 		}
@@ -197,13 +198,13 @@ func TestSaveMatchesExactOnSmallInstances(t *testing.T) {
 func TestSaveKappaRestriction(t *testing.T) {
 	r := clusterRelation(0, 0, 3)
 	cons := Constraints{Eps: 1.5, Eta: 3}
-	s, err := NewSaver(r, cons, Options{Kappa: 1})
+	s, err := NewSaverContext(context.Background(), r, cons, Options{Kappa: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One corrupted attribute: savable within κ=1.
 	dirty := data.Tuple{data.Num(10), data.Num(0.25)}
-	adj := s.Save(dirty)
+	adj := s.SaveOne(context.Background(), dirty)
 	if !adj.Saved() {
 		t.Fatal("dirty outlier not saved under κ=1")
 	}
@@ -212,7 +213,7 @@ func TestSaveKappaRestriction(t *testing.T) {
 	}
 	// Natural outlier: both attributes far off; not savable within κ=1.
 	natural := data.Tuple{data.Num(40), data.Num(-40)}
-	nAdj := s.Save(natural)
+	nAdj := s.SaveOne(context.Background(), natural)
 	if nAdj.Saved() {
 		t.Errorf("natural outlier saved under κ=1 by adjusting %b (cost %v)", nAdj.Adjusted, nAdj.Cost)
 	}
@@ -230,19 +231,19 @@ func TestSaveAblationsAgree(t *testing.T) {
 	cons := Constraints{Eps: 1.5, Eta: 3}
 	outlier := data.Tuple{data.Num(12), data.Num(2.2)}
 
-	base, _ := NewSaver(r, cons, Options{})
-	noPrune, _ := NewSaver(r, cons, Options{DisablePruning: true})
-	noMemo, _ := NewSaver(r, cons, Options{DisableMemo: true})
+	base, _ := NewSaverContext(context.Background(), r, cons, Options{})
+	noPrune, _ := NewSaverContext(context.Background(), r, cons, Options{DisablePruning: true})
+	noMemo, _ := NewSaverContext(context.Background(), r, cons, Options{DisableMemo: true})
 
-	want := base.Save(outlier)
+	want := base.SaveOne(context.Background(), outlier)
 	for name, s := range map[string]*Saver{"noPrune": noPrune, "noMemo": noMemo} {
-		got := s.Save(outlier)
+		got := s.SaveOne(context.Background(), outlier)
 		if math.Abs(got.Cost-want.Cost) > 1e-9 {
 			t.Errorf("%s: cost %v, want %v", name, got.Cost, want.Cost)
 		}
 	}
 	// Pruning must not increase the node count.
-	noPruneAdj := noPrune.Save(outlier)
+	noPruneAdj := noPrune.SaveOne(context.Background(), outlier)
 	if want.Nodes > noPruneAdj.Nodes {
 		t.Errorf("pruning expanded more nodes (%d) than no pruning (%d)", want.Nodes, noPruneAdj.Nodes)
 	}
@@ -250,11 +251,11 @@ func TestSaveAblationsAgree(t *testing.T) {
 
 func TestSaverRejectsBadInput(t *testing.T) {
 	r := data.NewRelation(data.NewNumericSchema("x"))
-	if _, err := NewSaver(r, Constraints{Eps: 1, Eta: 1}, Options{}); err == nil {
+	if _, err := NewSaverContext(context.Background(), r, Constraints{Eps: 1, Eta: 1}, Options{}); err == nil {
 		t.Error("empty inlier set accepted")
 	}
 	r.Append(data.Tuple{data.Num(0)})
-	if _, err := NewSaver(r, Constraints{Eps: 0, Eta: 1}, Options{}); err == nil {
+	if _, err := NewSaverContext(context.Background(), r, Constraints{Eps: 0, Eta: 1}, Options{}); err == nil {
 		t.Error("invalid constraints accepted")
 	}
 }
@@ -274,13 +275,13 @@ func TestSaveGPSStyleSingleAttributeError(t *testing.T) {
 		})
 	}
 	cons := Constraints{Eps: 21, Eta: 2}
-	s, err := NewSaver(r, cons, Options{})
+	s, err := NewSaverContext(context.Background(), r, cons, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The reading at time 130 with longitude 1010 instead of ≈ 810.
 	outlier := data.Tuple{data.Num(130), data.Num(1010), data.Num(163.9)}
-	adj := s.Save(outlier)
+	adj := s.SaveOne(context.Background(), outlier)
 	if !adj.Saved() {
 		t.Fatal("trajectory outlier not saved")
 	}
@@ -307,7 +308,7 @@ func TestSaveAllPipeline(t *testing.T) {
 	r.Append(data.Tuple{data.Num(50), data.Num(-50)})
 	cons := Constraints{Eps: 1.5, Eta: 3}
 
-	res, err := SaveAll(r, cons, Options{Kappa: 1})
+	res, err := SaveAllContext(context.Background(), r, cons, Options{Kappa: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +320,11 @@ func TestSaveAllPipeline(t *testing.T) {
 	}
 	// The input relation is untouched.
 	if r.Tuples[n0][0].Num != 9 {
-		t.Error("SaveAll modified its input")
+		t.Error("SaveAllContext modified its input")
 	}
 	// Repaired relation has no remaining dirty outliers (the natural one
 	// stays).
-	det2, err := Detect(res.Repaired, cons, nil)
+	det2, err := DetectContext(context.Background(), res.Repaired, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +341,7 @@ func TestSaveAllPipeline(t *testing.T) {
 
 func TestSaveAllNoOutliers(t *testing.T) {
 	r := clusterRelation(0, 0, 3)
-	res, err := SaveAll(r, Constraints{Eps: 1.5, Eta: 3}, Options{})
+	res, err := SaveAllContext(context.Background(), r, Constraints{Eps: 1.5, Eta: 3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +356,7 @@ func TestSaveAllAllOutliers(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Append(data.Tuple{data.Num(float64(i) * 100)})
 	}
-	res, err := SaveAll(r, Constraints{Eps: 1, Eta: 2}, Options{})
+	res, err := SaveAllContext(context.Background(), r, Constraints{Eps: 1, Eta: 2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,24 +69,20 @@ func (r *SaveResult) Failed() int { return len(r.Errs) }
 // panics and mid-batch cancellations at deterministic points.
 var saveAllHook func(k int)
 
-// SaveAll runs the full DISC pipeline on a relation: detect the violations
-// of the distance constraints, split the dataset into inliers r and
-// outliers s, and save each outlier against r one by one (§2.2), in
+// SaveAllContext runs the full DISC pipeline on a relation: detect the
+// violations of the distance constraints, split the dataset into inliers
+// r and outliers s, and save each outlier against r one by one (§2.2), in
 // parallel across outliers. The input relation is not modified.
-func SaveAll(rel *data.Relation, cons Constraints, opts Options) (*SaveResult, error) {
-	return SaveAllContext(context.Background(), rel, cons, opts)
-}
-
-// SaveAllContext is SaveAll under budgets: ctx (plus Options.BatchTimeout,
-// when set) bounds the whole batch, Options.MaxNodes/Deadline bound each
-// outlier's search. The pipeline degrades instead of aborting — when the
-// batch budget expires mid-run, outliers already saved keep their
-// adjustments, the in-flight ones return best-so-far answers flagged
-// Exhausted, and the never-started ones are recorded in SaveResult.Errs. A
-// panic inside one outlier's save is recovered into its Errs entry and the
-// remaining outliers are still saved. An error is returned only when
-// nothing was produced at all: invalid inputs, or cancellation before the
-// detection pass completed.
+//
+// ctx (plus Options.BatchTimeout, when set) bounds the whole batch,
+// Options.MaxNodes/Deadline bound each outlier's search. The pipeline
+// degrades instead of aborting — when the batch budget expires mid-run,
+// outliers already saved keep their adjustments, the in-flight ones return
+// best-so-far answers flagged Exhausted, and the never-started ones are
+// recorded in SaveResult.Errs. A panic inside one outlier's save is
+// recovered into its Errs entry and the remaining outliers are still
+// saved. An error is returned only when nothing was produced at all:
+// invalid inputs, or cancellation before the detection pass completed.
 func SaveAllContext(ctx context.Context, rel *data.Relation, cons Constraints, opts Options) (*SaveResult, error) {
 	totalStart := time.Now()
 	log := obs.Logger(opts.Logger)

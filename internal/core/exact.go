@@ -77,18 +77,15 @@ func thinDomain(vals []data.Value, k int) []data.Value {
 	return out
 }
 
-// Save enumerates candidate adjustments of to in best-first per-attribute
-// cost order with partial-cost pruning, returning the minimum-cost feasible
-// adjustment. The search is exact over the (possibly thinned) domains.
-func (e *ExactSaver) Save(to data.Tuple) Adjustment {
-	return e.SaveContext(context.Background(), to)
-}
-
-// SaveContext is Save under a budget: the enumeration stops as soon as ctx
-// is cancelled, Deadline elapses, or MaxNodes nodes have been expanded,
-// returning the best feasible adjustment found so far flagged Exhausted
-// (optimality no longer holds; feasibility of any returned tuple does).
-func (e *ExactSaver) SaveContext(ctx context.Context, to data.Tuple) Adjustment {
+// SaveOne enumerates candidate adjustments of to in best-first
+// per-attribute cost order with partial-cost pruning, returning the
+// minimum-cost feasible adjustment. The search is exact over the (possibly
+// thinned) domains. It runs under a budget: the enumeration stops as soon
+// as ctx is cancelled, Deadline elapses, or MaxNodes nodes have been
+// expanded, returning the best feasible adjustment found so far flagged
+// Exhausted (optimality no longer holds; feasibility of any returned tuple
+// does).
+func (e *ExactSaver) SaveOne(ctx context.Context, to data.Tuple) Adjustment {
 	m := e.rel.Schema.M()
 	sch := e.rel.Schema
 	bud := newBudget(ctx, Options{MaxNodes: e.MaxNodes, Deadline: e.Deadline})

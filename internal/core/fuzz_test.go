@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,7 +12,7 @@ import (
 )
 
 // FuzzSave drives Algorithm 1 over randomized small relations, norms,
-// constraint settings, and budgets. Whatever the input, Save must not
+// constraint settings, and budgets. Whatever the input, SaveOne must not
 // panic, and every answer must be classifiable: a feasible adjustment
 // (Proposition 5 — each intermediate answer is a real repair), a Natural
 // flag from a search that ran to completion, or a best-so-far answer
@@ -51,7 +52,7 @@ func FuzzSave(f *testing.F) {
 		}
 		cons := Constraints{Eps: eps, Eta: 1 + int(eta)%size}
 		opts := Options{Kappa: int(kappa) % (m + 1), MaxNodes: int(maxNodes)}
-		s, err := NewSaver(rel, cons, opts)
+		s, err := NewSaverContext(context.Background(), rel, cons, opts)
 		if err != nil {
 			t.Skip()
 		}
@@ -59,7 +60,7 @@ func FuzzSave(f *testing.F) {
 		for a := range outlier {
 			outlier[a] = data.Num(rng.Float64()*6 - 1)
 		}
-		adj := s.Save(outlier)
+		adj := s.SaveOne(context.Background(), outlier)
 		switch {
 		case adj.Saved():
 			if len(adj.Tuple) != m {

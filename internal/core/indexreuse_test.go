@@ -55,7 +55,7 @@ func TestDetectReportsIndexBuild(t *testing.T) {
 	r := clusterRelation(0, 0, 3)
 	cons := Constraints{Eps: 1.5, Eta: 3}
 
-	det, err := Detect(r, cons, nil)
+	det, err := DetectContext(context.Background(), r, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestDetectReportsIndexBuild(t *testing.T) {
 	}
 
 	idx := neighbors.Build(r, cons.Eps)
-	det2, err := Detect(r, cons, idx)
+	det2, err := DetectContext(context.Background(), r, cons, idx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,17 +46,11 @@ type ParamChoice struct {
 	Exhausted bool
 }
 
-// NeighborCounts returns the number of ε-neighbors (self excluded) for the
-// sampled tuples — the raw distribution plotted in Figure 5. idx may be
-// nil to build one.
-func NeighborCounts(rel *data.Relation, eps float64, sampleRate float64, seed int64, idx neighbors.Index) []int {
-	counts, _ := NeighborCountsContext(context.Background(), rel, eps, sampleRate, seed, idx)
-	return counts
-}
-
-// NeighborCountsContext is NeighborCounts with cancellation: the counting
-// pass stops promptly once ctx is cancelled and returns (nil, ctx error) —
-// a partially counted sample would bias the Poisson fit.
+// NeighborCountsContext returns the number of ε-neighbors (self excluded)
+// for the sampled tuples — the raw, uncapped distribution plotted in
+// Figure 5. idx may be nil to build one. The counting pass stops promptly
+// once ctx is cancelled and returns (nil, ctx error) — a partially counted
+// sample would bias the Poisson fit.
 func NeighborCountsContext(ctx context.Context, rel *data.Relation, eps float64, sampleRate float64, seed int64, idx neighbors.Index) ([]int, error) {
 	if idx == nil {
 		idx = neighbors.Build(rel, eps)
@@ -78,21 +72,18 @@ func NeighborCountsContext(ctx context.Context, rel *data.Relation, eps float64,
 	return counts, nil
 }
 
-// DeterminePoisson chooses (ε, η) from the Poisson model of ε-neighbor
-// appearance: for each candidate ε it fits λε to the sampled neighbor
-// counts, takes the largest η with p(N(ε) ≥ η) ≥ Confidence (Formula 3),
-// and keeps the candidate whose violation rate is closest to
+// DeterminePoissonContext chooses (ε, η) from the Poisson model of
+// ε-neighbor appearance: for each candidate ε it fits λε to the sampled
+// neighbor counts, takes the largest η with p(N(ε) ≥ η) ≥ Confidence
+// (Formula 3), and keeps the candidate whose violation rate is closest to
 // TargetOutlierRate — the "moderately large ε" rule of §2.1.2 under which
 // a limited number of points are identified as outliers.
-func DeterminePoisson(rel *data.Relation, opts ParamOptions) (ParamChoice, error) {
-	return DeterminePoissonContext(context.Background(), rel, opts)
-}
-
-// DeterminePoissonContext is DeterminePoisson under cancellation, degrading
-// gracefully: when ctx is cancelled mid-grid, the best choice among the ε
-// candidates measured so far is returned with Exhausted set (the selection
-// rule runs over the partial grid); only a cancellation before the first
-// candidate was measured is returned as an error.
+//
+// It degrades gracefully under cancellation: when ctx is cancelled
+// mid-grid, the best choice among the ε candidates measured so far is
+// returned with Exhausted set (the selection rule runs over the partial
+// grid); only a cancellation before the first candidate was measured is
+// returned as an error.
 func DeterminePoissonContext(ctx context.Context, rel *data.Relation, opts ParamOptions) (ParamChoice, error) {
 	if rel.N() < 2 {
 		return ParamChoice{}, fmt.Errorf("core: cannot determine parameters over %d tuples", rel.N())
@@ -225,7 +216,7 @@ func DeterminePoissonContext(ctx context.Context, rel *data.Relation, opts Param
 // distance distribution of a small sample: a geometric grid between the
 // median 1-NN distance (everything tighter than this is noise floor) and
 // four times the 90th percentile 8-NN distance (room for the repair
-// headroom the selection in DeterminePoisson checks for).
+// headroom the selection in DeterminePoissonContext checks for).
 func epsCandidateGrid(ctx context.Context, rel *data.Relation, seed int64) []float64 {
 	const k = 8
 	sampleRate := 256.0 / float64(rel.N())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -21,9 +22,20 @@ func mixture(t *testing.T, n int, seed int64) *data.Dataset {
 	return ds
 }
 
+// neighborCounts is NeighborCountsContext over a fresh index, failing the
+// test on error.
+func neighborCounts(t *testing.T, rel *data.Relation, eps, sampleRate float64, seed int64) []int {
+	t.Helper()
+	counts, err := NeighborCountsContext(context.Background(), rel, eps, sampleRate, seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return counts
+}
+
 func TestNeighborCounts(t *testing.T) {
 	ds := mixture(t, 400, 1)
-	counts := NeighborCounts(ds.Rel, 1.5, 1, 0, nil)
+	counts := neighborCounts(t, ds.Rel, 1.5, 1, 0)
 	if len(counts) != 400 {
 		t.Fatalf("got %d counts", len(counts))
 	}
@@ -36,7 +48,7 @@ func TestNeighborCounts(t *testing.T) {
 		}
 	}
 	// Sampled counts are a subset-sized slice.
-	sampled := NeighborCounts(ds.Rel, 1.5, 0.1, 0, nil)
+	sampled := neighborCounts(t, ds.Rel, 1.5, 0.1, 0)
 	if len(sampled) != 40 {
 		t.Errorf("sampled counts = %d, want 40", len(sampled))
 	}
@@ -44,7 +56,7 @@ func TestNeighborCounts(t *testing.T) {
 
 func TestDeterminePoissonFindsReasonableParams(t *testing.T) {
 	ds := mixture(t, 600, 2)
-	choice, err := DeterminePoisson(ds.Rel, ParamOptions{Seed: 3})
+	choice, err := DeterminePoissonContext(context.Background(), ds.Rel, ParamOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +65,7 @@ func TestDeterminePoissonFindsReasonableParams(t *testing.T) {
 	}
 	// The chosen constraints should flag roughly the injected outlier
 	// fraction (10%); allow a wide band since the grid is coarse.
-	det, err := Detect(ds.Rel, Constraints{Eps: choice.Eps, Eta: choice.Eta}, nil)
+	det, err := DetectContext(context.Background(), ds.Rel, Constraints{Eps: choice.Eps, Eta: choice.Eta}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +98,11 @@ func TestDeterminePoissonSamplingStable(t *testing.T) {
 	// distribution. Compare the Poisson fit at a fixed ε between the full
 	// scan and a 10% sample.
 	ds := mixture(t, 800, 4)
-	full, err := stats.FitPoisson(NeighborCounts(ds.Rel, ds.Eps, 1, 5, nil))
+	full, err := stats.FitPoisson(neighborCounts(t, ds.Rel, ds.Eps, 1, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := stats.FitPoisson(NeighborCounts(ds.Rel, ds.Eps, 0.1, 5, nil))
+	sampled, err := stats.FitPoisson(neighborCounts(t, ds.Rel, ds.Eps, 0.1, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +115,11 @@ func TestDeterminePoissonSamplingStable(t *testing.T) {
 	}
 	// The determined parameters from a sample remain usable: the chosen
 	// constraints flag a sane outlier fraction on the full data.
-	choice, err := DeterminePoisson(ds.Rel, ParamOptions{Seed: 5, SampleRate: 0.25})
+	choice, err := DeterminePoissonContext(context.Background(), ds.Rel, ParamOptions{Seed: 5, SampleRate: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := Detect(ds.Rel, Constraints{Eps: choice.Eps, Eta: choice.Eta}, nil)
+	det, err := DetectContext(context.Background(), ds.Rel, Constraints{Eps: choice.Eps, Eta: choice.Eta}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,18 +131,18 @@ func TestDeterminePoissonSamplingStable(t *testing.T) {
 
 func TestDeterminePoissonErrors(t *testing.T) {
 	r := data.NewRelation(data.NewNumericSchema("x"))
-	if _, err := DeterminePoisson(r, ParamOptions{}); err == nil {
+	if _, err := DeterminePoissonContext(context.Background(), r, ParamOptions{}); err == nil {
 		t.Error("empty relation accepted")
 	}
 	r.Append(data.Tuple{data.Num(0)})
-	if _, err := DeterminePoisson(r, ParamOptions{}); err == nil {
+	if _, err := DeterminePoissonContext(context.Background(), r, ParamOptions{}); err == nil {
 		t.Error("single tuple accepted")
 	}
 }
 
 func TestDeterminePoissonExplicitCandidates(t *testing.T) {
 	ds := mixture(t, 300, 7)
-	choice, err := DeterminePoisson(ds.Rel, ParamOptions{
+	choice, err := DeterminePoissonContext(context.Background(), ds.Rel, ParamOptions{
 		EpsCandidates: []float64{1.0, 1.5, 2.0},
 		Seed:          1,
 	})
@@ -162,7 +174,7 @@ func TestExactSaverOptimalOnTinyDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 	outlier := data.Tuple{data.Num(30)}
-	adj := ex.Save(outlier)
+	adj := ex.SaveOne(context.Background(), outlier)
 	if !adj.Saved() {
 		t.Fatal("exact did not save")
 	}
@@ -192,7 +204,7 @@ func TestExactSaverRespectsDomainThinning(t *testing.T) {
 			t.Errorf("domain %d has %d values after thinning to 5", a, len(ex.domains[a]))
 		}
 	}
-	adj := ex.Save(data.Tuple{data.Num(50), data.Num(5)})
+	adj := ex.SaveOne(context.Background(), data.Tuple{data.Num(50), data.Num(5)})
 	if !adj.Saved() {
 		t.Error("thinned exact failed to save")
 	}
@@ -209,7 +221,7 @@ func TestExactSaverInvalidConstraints(t *testing.T) {
 func TestExactNeverWorseThanDISCCost(t *testing.T) {
 	ds := mixture(t, 200, 11)
 	cons := Constraints{Eps: ds.Eps, Eta: ds.Eta}
-	det, err := Detect(ds.Rel, cons, nil)
+	det, err := DetectContext(context.Background(), ds.Rel, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +229,7 @@ func TestExactNeverWorseThanDISCCost(t *testing.T) {
 		t.Skip("no outliers in draw")
 	}
 	r := ds.Rel.Subset(det.Inliers)
-	saver, err := NewSaver(r, cons, Options{})
+	saver, err := NewSaverContext(context.Background(), r, cons, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +243,8 @@ func TestExactNeverWorseThanDISCCost(t *testing.T) {
 			break
 		}
 		to := ds.Rel.Tuples[oi]
-		dAdj := saver.Save(to)
-		eAdj := ex.Save(to)
+		dAdj := saver.SaveOne(context.Background(), to)
+		eAdj := ex.SaveOne(context.Background(), to)
 		if !dAdj.Saved() || !eAdj.Saved() {
 			continue
 		}

@@ -12,7 +12,7 @@ import (
 )
 
 // scatteredOutliers builds a dense 49-point cluster plus k mutually
-// distant isolated points, so Detect finds exactly k outliers.
+// distant isolated points, so DetectContext finds exactly k outliers.
 func scatteredOutliers(k int) *data.Relation {
 	r := clusterRelation(0, 0, 3)
 	for i := 0; i < k; i++ {
@@ -29,7 +29,7 @@ func scatteredOutliers(k int) *data.Relation {
 func TestSaveAllParallelManyOutliers(t *testing.T) {
 	rel := scatteredOutliers(20)
 	cons := Constraints{Eps: 1.5, Eta: 3}
-	res, err := SaveAll(rel, cons, Options{Workers: 4})
+	res, err := SaveAllContext(context.Background(), rel, cons, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSaveAllRecoversInjectedPanic(t *testing.T) {
 
 	rel := scatteredOutliers(6)
 	cons := Constraints{Eps: 1.5, Eta: 3}
-	res, err := SaveAll(rel, cons, Options{Workers: 2})
+	res, err := SaveAllContext(context.Background(), rel, cons, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestSaveAllRejectsNaN(t *testing.T) {
 	rel := clusterRelation(0, 0, 3)
 	rel.Append(data.Tuple{data.Num(20), data.Num(20)}) // outlier → save path runs
 	rel.Append(data.Tuple{data.Num(1), data.Num(math.NaN())})
-	if _, err := SaveAll(rel, Constraints{Eps: 1.5, Eta: 3}, Options{}); err == nil {
-		t.Fatal("SaveAll accepted a NaN value")
+	if _, err := SaveAllContext(context.Background(), rel, Constraints{Eps: 1.5, Eta: 3}, Options{}); err == nil {
+		t.Fatal("SaveAllContext accepted a NaN value")
 	}
 }

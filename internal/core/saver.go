@@ -28,12 +28,13 @@ type Options struct {
 	DisablePruning bool
 	// DisableMemo turns off the visited-X deduplication (ablation only).
 	DisableMemo bool
-	// Workers bounds SaveAll's parallelism; ≤ 0 means GOMAXPROCS.
+	// Workers bounds SaveAllContext's parallelism; ≤ 0 means GOMAXPROCS.
 	Workers int
-	// Index overrides the automatically built neighbor index. For NewSaver
-	// it must index r (the inlier relation); for SaveAll it must index the
-	// full input relation and is reused by the detection pass (the saver's
-	// inlier index is still built over the inlier subset).
+	// Index overrides the automatically built neighbor index. For
+	// NewSaverContext it must index r (the inlier relation); for
+	// SaveAllContext it must index the full input relation and is reused
+	// by the detection pass (the saver's inlier index is still built over
+	// the inlier subset).
 	Index neighbors.Index
 	// MaxNodes bounds the search nodes Algorithm 1 expands per outlier
 	// (≤ 0: unlimited). When the cap trips mid-search, the best-so-far
@@ -45,24 +46,25 @@ type Options struct {
 	// (0: none). Like MaxNodes, tripping it degrades to the best-so-far
 	// answer instead of aborting.
 	Deadline time.Duration
-	// BatchTimeout is the wall-clock allowance for a whole SaveAll run,
-	// covering detection and every per-outlier save (0: none). When it
+	// BatchTimeout is the wall-clock allowance for a whole SaveAllContext
+	// run, covering detection and every per-outlier save (0: none). When it
 	// expires, outliers not yet saved are reported in SaveResult.Errs and
 	// the partial result is returned.
 	BatchTimeout time.Duration
-	// Progress, when non-nil, receives batch snapshots from SaveAll: the
-	// first completed save, at most one per ProgressInterval after that,
-	// and always a final snapshot. The callback is serialized (never runs
-	// concurrently with itself) but may fire from any worker goroutine.
+	// Progress, when non-nil, receives batch snapshots from
+	// SaveAllContext: the first completed save, at most one per
+	// ProgressInterval after that, and always a final snapshot. The
+	// callback is serialized (never runs concurrently with itself) but may
+	// fire from any worker goroutine.
 	Progress func(obs.Progress)
 	// ProgressInterval bounds the Progress rate; ≤ 0 selects
 	// obs.DefaultProgressInterval (200ms).
 	ProgressInterval time.Duration
 	// Logger, when non-nil, receives structured per-phase and degradation
-	// events from SaveAll and NewSaver: detection and precompute done
-	// (Info), per-outlier budget trips (Debug), recovered panics and
-	// skipped outliers (Warn), grid→brute fallbacks (Debug). The hot
-	// search path itself never logs.
+	// events from SaveAllContext and NewSaverContext: detection and
+	// precompute done (Info), per-outlier budget trips (Debug), recovered
+	// panics and skipped outliers (Warn), grid→brute fallbacks (Debug).
+	// The hot search path itself never logs.
 	Logger *slog.Logger
 }
 
@@ -82,12 +84,12 @@ type Saver struct {
 	etaRadius []float64
 	m         int
 	sqNorm    bool // L2: accumulate squared per-attribute distances
-	// arenas recycles saveArena scratch across Save/SaveContext calls;
-	// SaveAll bypasses it with explicit per-worker arenas.
+	// arenas recycles saveArena scratch across SaveOne calls;
+	// SaveAllContext bypasses it with explicit per-worker arenas.
 	arenas sync.Pool
 	// setupStats and setup time the one-off construction work (index
-	// build, η-radius precompute) so SaveAll can report pipeline phases;
-	// setupStats holds the index traffic of the precompute pass.
+	// build, η-radius precompute) so SaveAllContext can report pipeline
+	// phases; setupStats holds the index traffic of the precompute pass.
 	setupStats obs.SearchStats
 	setup      struct{ indexBuild, etaRadius time.Duration }
 	// builtIndex marks that the saver built idx itself (as opposed to
@@ -100,17 +102,12 @@ type Saver struct {
 	mut *neighbors.Mutable
 }
 
-// NewSaver precomputes the η-th-neighbor radii of r. r must be outlier-free
-// under cons (use Detect to split first); an empty r cannot save anything
-// and is rejected, as is a relation with NaN/±Inf values (distances over
-// them are undefined and would silently poison every aggregate).
-func NewSaver(r *data.Relation, cons Constraints, opts Options) (*Saver, error) {
-	return NewSaverContext(context.Background(), r, cons, opts)
-}
-
-// NewSaverContext is NewSaver with cancellation: the η-radius precompute
-// pass over r stops promptly once ctx is cancelled and the cancellation is
-// returned as an error.
+// NewSaverContext precomputes the η-th-neighbor radii of r. r must be
+// outlier-free under cons (use DetectContext to split first); an empty r
+// cannot save anything and is rejected, as is a relation with NaN/±Inf
+// values (distances over them are undefined and would silently poison
+// every aggregate). The η-radius precompute pass over r stops promptly
+// once ctx is cancelled and the cancellation is returned as an error.
 func NewSaverContext(ctx context.Context, r *data.Relation, cons Constraints, opts Options) (*Saver, error) {
 	if err := cons.Validate(); err != nil {
 		return nil, err
@@ -187,7 +184,7 @@ func NewSaverContext(ctx context.Context, r *data.Relation, cons Constraints, op
 	for w := range shards {
 		merged.Add(shards[w])
 	}
-	addCounters(&s.setupStats, merged)
+	AddCounters(&s.setupStats, merged)
 	if err := par.FirstErr(errs); err != nil {
 		return nil, fmt.Errorf("core: building saver: %w", err)
 	}
@@ -197,9 +194,10 @@ func NewSaverContext(ctx context.Context, r *data.Relation, cons Constraints, op
 	return s, nil
 }
 
-// addCounters folds an index-counter shard into a stats shard; obs stays
-// import-free of neighbors, so the bridge lives here.
-func addCounters(s *obs.SearchStats, c neighbors.Counters) {
+// AddCounters folds an index-counter shard into the index-traffic slots
+// of a stats shard. obs stays import-free of neighbors, so this is the one
+// bridge between the two; the shard engine uses it too.
+func AddCounters(s *obs.SearchStats, c neighbors.Counters) {
 	s.KNNQueries += c.KNNQueries
 	s.RangeQueries += c.RangeQueries
 	s.DistEvals += c.DistEvals
@@ -213,10 +211,11 @@ func addCounters(s *obs.SearchStats, c neighbors.Counters) {
 func (s *Saver) Rel() *data.Relation { return s.rel }
 
 // Index returns the neighbor index over r the saver queries. It is the
-// structure a session-caching layer amortizes: built once (by NewSaver or
-// supplied via Options.Index), it serves every subsequent SaveOne call
-// without rebuilding. The index is safe for concurrent readers; wrap it
-// with neighbors.Counting to meter per-caller query traffic.
+// structure a session-caching layer amortizes: built once (by
+// NewSaverContext or supplied via Options.Index), it serves every
+// subsequent SaveOne call without rebuilding. The index is safe for
+// concurrent readers; wrap it with neighbors.Counting to meter per-caller
+// query traffic.
 func (s *Saver) Index() neighbors.Index { return s.idx }
 
 // SetupStats returns the index traffic of the saver's construction (the
@@ -256,35 +255,27 @@ type saveState struct {
 	stats *obs.SearchStats
 }
 
-// Save finds the near-optimal adjustment of the outlier tuple to
+// SaveOne finds the near-optimal adjustment of the outlier tuple to
 // (Algorithm 1). The caller must ensure that to actually violates the
 // constraints; saving an inlier simply returns a zero-cost adjustment.
-func (s *Saver) Save(to data.Tuple) Adjustment {
-	return s.SaveContext(context.Background(), to)
-}
-
-// SaveContext is Save under a budget: the search stops as soon as ctx is
-// cancelled, Options.Deadline elapses, or Options.MaxNodes search nodes have
-// been expanded, returning the best-so-far adjustment with Exhausted set.
+//
+// The search runs under a budget: it stops as soon as ctx is cancelled,
+// Options.Deadline elapses, or Options.MaxNodes search nodes have been
+// expanded, returning the best-so-far adjustment with Exhausted set.
 // Whenever any answer was found before the trip it is feasible — every
 // intermediate solution is a Lemma 4 / Proposition 5 witness, so degrading
 // never fabricates an infeasible repair.
-func (s *Saver) SaveContext(ctx context.Context, to data.Tuple) Adjustment {
+//
+// The saver's index, η-radius table and arena pool are all reused across
+// calls — repeated SaveOne calls on a warm saver rebuild nothing and
+// allocate at most the composed tuple of a saved answer — and concurrent
+// calls are safe: each draws its own arena from the pool and the shared
+// structures are read-only.
+func (s *Saver) SaveOne(ctx context.Context, to data.Tuple) Adjustment {
 	ar := s.arenas.Get().(*saveArena)
 	adj := s.save(ctx, to, ar)
 	s.arenas.Put(ar)
 	return adj
-}
-
-// SaveOne is the session-reuse surface of the serving path: one save of to
-// against the prepared inlier set, under the same per-save budgets as
-// SaveContext. The saver's index, η-radius table and arena pool are all
-// reused across calls — repeated SaveOne calls on a warm saver rebuild
-// nothing and allocate at most the composed tuple of a saved answer — and
-// concurrent calls are safe: each draws its own arena from the pool and
-// the shared structures are read-only.
-func (s *Saver) SaveOne(ctx context.Context, to data.Tuple) Adjustment {
-	return s.SaveContext(ctx, to)
 }
 
 // save runs one Algorithm 1 search with its scratch memory drawn from ar.
@@ -365,7 +356,7 @@ func (s *Saver) save(ctx context.Context, to data.Tuple, ar *saveArena) Adjustme
 	if st.bud.exhausted {
 		st.stats.BudgetTrips = 1
 	}
-	addCounters(st.stats, ar.nc)
+	AddCounters(st.stats, ar.nc)
 
 	if st.bestT2 < 0 {
 		// Natural is only a sound classification when the search ran to

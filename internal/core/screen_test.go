@@ -183,7 +183,7 @@ func checkScreen(t *testing.T, norm metric.Norm, mixed, mutable bool, kappa int,
 		}
 		opts.Index = mut
 	}
-	s, err := NewSaver(r, cons, opts)
+	s, err := NewSaverContext(context.Background(), r, cons, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

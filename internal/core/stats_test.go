@@ -61,7 +61,7 @@ func TestSearchCountersExact(t *testing.T) {
 		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
 			r := statsRelation(40, m, 7)
 			cons := Constraints{Eps: 1000, Eta: 3}
-			s, err := NewSaver(r, cons, Options{Workers: 1})
+			s, err := NewSaverContext(context.Background(), r, cons, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func TestSearchCountersExact(t *testing.T) {
 			for a := range to {
 				to[a] = data.Num(50) // far outside the cluster
 			}
-			adj := s.Save(to)
+			adj := s.SaveOne(context.Background(), to)
 
 			wantNodes := int64(1) << m
 			wantHits := int64(m)*(1<<(m-1)) - (1 << m) + 1
@@ -137,11 +137,11 @@ func TestCounterAblations(t *testing.T) {
 		r.Append(decoy)
 	}
 	save := func(opts Options) obs.SearchStats {
-		s, err := NewSaver(r, cons, opts)
+		s, err := NewSaverContext(context.Background(), r, cons, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.Save(outlier).Stats
+		return s.SaveOne(context.Background(), outlier).Stats
 	}
 	base := save(Options{Workers: 1})
 	noPrune := save(Options{Workers: 1, DisablePruning: true})
@@ -170,11 +170,11 @@ func TestCounterAblations(t *testing.T) {
 // search enumerates C(m, κ) start masks (minus budget cut-offs; none here).
 func TestKappaCounters(t *testing.T) {
 	r := denseRelation6D(200, 5)
-	s, err := NewSaver(r, Constraints{Eps: 1.2, Eta: 4}, Options{Kappa: 2, Workers: 1})
+	s, err := NewSaverContext(context.Background(), r, Constraints{Eps: 1.2, Eta: 4}, Options{Kappa: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.Save(far6D()).Stats
+	st := s.SaveOne(context.Background(), far6D()).Stats
 	if want := int64(15); st.KappaMasks != want { // C(6,2)
 		t.Errorf("KappaMasks = %d, want C(6,2) = %d", st.KappaMasks, want)
 	}
@@ -195,7 +195,7 @@ func TestSaveAllMergesStats(t *testing.T) {
 	var mu sync.Mutex
 	var snaps []obs.Progress
 	var logBuf bytes.Buffer
-	res, err := SaveAll(r, Constraints{Eps: 1.2, Eta: 4}, Options{
+	res, err := SaveAllContext(context.Background(), r, Constraints{Eps: 1.2, Eta: 4}, Options{
 		Kappa:            2,
 		Progress:         func(p obs.Progress) { mu.Lock(); snaps = append(snaps, p); mu.Unlock() },
 		ProgressInterval: time.Nanosecond, // deliver every report
@@ -281,7 +281,7 @@ func TestSaveAllStatsUnderPanics(t *testing.T) {
 	defer func() { saveAllHook = nil }()
 
 	var logBuf syncBuffer
-	res, err := SaveAll(r, Constraints{Eps: 1.2, Eta: 4}, Options{
+	res, err := SaveAllContext(context.Background(), r, Constraints{Eps: 1.2, Eta: 4}, Options{
 		Kappa:            2,
 		Workers:          4,
 		Progress:         func(obs.Progress) {},

@@ -488,23 +488,25 @@ func TestAblationShape(t *testing.T) {
 	if get("kappa=2 (default)", "Saved") != get("sequential (workers=1)", "Saved") {
 		t.Error("parallel changed the saved count")
 	}
-	// Index scan times are timing-noise-prone under CI load, so only
-	// assert the robust property: every time is positive and at least one
-	// real index clearly beats brute force.
+	// Index query times are timing-noise-prone under CI load, so only
+	// assert the robust property, per query column: every time is positive
+	// and at least one real index clearly beats brute force.
 	idx := res.Tables[1]
-	brute := cell(t, &idx, "brute", "Scan(s)")
-	beats := 0
-	for _, name := range []string{"grid", "kdtree", "vptree"} {
-		v := cell(t, &idx, name, "Scan(s)")
-		if v <= 0 {
-			t.Errorf("%s scan time %v", name, v)
+	for _, col := range []string{"Count(s)", "KNN(s)"} {
+		brute := cell(t, &idx, "brute", col)
+		beats := 0
+		for _, name := range []string{"grid", "vptree"} {
+			v := cell(t, &idx, name, col)
+			if v <= 0 {
+				t.Errorf("%s %s %v", name, col, v)
+			}
+			if v < brute {
+				beats++
+			}
 		}
-		if v < brute {
-			beats++
+		if beats == 0 {
+			t.Errorf("no index beat the brute-force scan on %s", col)
 		}
-	}
-	if beats == 0 {
-		t.Error("no index beat the brute-force scan")
 	}
 }
 

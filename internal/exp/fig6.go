@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -130,7 +131,7 @@ func exactRepair(ds *data.Dataset, cons core.Constraints, det *core.Detection, m
 	}
 	ex.Kappa = discKappa(ds.Name)
 	for _, oi := range det.Outliers {
-		adj := ex.Save(ds.Rel.Tuples[oi])
+		adj := ex.SaveOne(context.TODO(), ds.Rel.Tuples[oi])
 		if adj.Saved() {
 			out.Tuples[oi] = adj.Tuple
 		}

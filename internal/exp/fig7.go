@@ -39,7 +39,7 @@ func runFig7(cfg Config) (*Result, error) {
 		}
 		// Re-determine ε for the projected geometry (subspace distances
 		// shrink with m); η stays.
-		choice, err := core.DeterminePoisson(proj.Rel, core.ParamOptions{
+		choice, err := core.DeterminePoissonContext(cfg.context(), proj.Rel, core.ParamOptions{
 			SampleRate: 0.25, Seed: cfg.Seed,
 		})
 		if err == nil && choice.Eps > 0 {

@@ -139,7 +139,7 @@ func runFig9(cfg Config) (*Result, error) {
 	// (a) dirty / natural outlier rates, as detected vs ground truth. The
 	// index is built once here and reused by the part-(b) DISC run below.
 	idx := neighbors.Build(ds.Rel, ds.Eps)
-	det, err := core.Detect(ds.Rel, core.Constraints{Eps: ds.Eps, Eta: ds.Eta}, idx)
+	det, err := core.DetectContext(cfg.context(), ds.Rel, core.Constraints{Eps: ds.Eps, Eta: ds.Eta}, idx)
 	if err != nil {
 		return nil, err
 	}

@@ -49,7 +49,7 @@ func runTable4(cfg Config) (*Result, error) {
 		for _, rate := range sp.rates {
 			// DISC: Poisson-based determination over the sampled counts.
 			start := time.Now()
-			choice, err := core.DeterminePoisson(ds.Rel, core.ParamOptions{
+			choice, err := core.DeterminePoissonContext(cfg.context(), ds.Rel, core.ParamOptions{
 				SampleRate: rate, Seed: cfg.Seed,
 			})
 			discTime := time.Since(start)

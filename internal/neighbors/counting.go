@@ -4,7 +4,7 @@ import "repro/internal/data"
 
 // Counters tallies the work an index performs: queries by kind, the
 // tuple-pair distance evaluations spent answering them (the common
-// currency that makes Brute, Grid, VPTree and KDTree comparable), and grid
+// currency that makes Brute, Grid and VPTree comparable), and grid
 // queries that degraded to a brute scan. The fields are plain int64s
 // incremented without synchronization — a Counters instance must be owned
 // by one goroutine at a time and merged (Add) only after the owner is done.
@@ -67,7 +67,7 @@ func hooksFor(c *Counters) kernHooks {
 func (c *Counters) Reset() { *c = Counters{} }
 
 // Counting returns an index view that adds every query against it to c.
-// For the four concrete index types the view is a shallow copy sharing the
+// For the three concrete index types the view is a shallow copy sharing the
 // built structure (tree nodes, grid cells, tuple storage) with hooks
 // attached, so DistEvals counts the distance evaluations performed inside
 // the traversal — not just the query calls. Unknown Index implementations
@@ -79,7 +79,7 @@ func (c *Counters) Reset() { *c = Counters{} }
 // one Counters) per goroutine against the same shared base index.
 func Counting(idx Index, c *Counters) Index {
 	switch t := idx.(type) {
-	case *Brute, *Grid, *VPTree, *KDTree:
+	case *Brute, *Grid, *VPTree:
 		return &counting{idx: instrumented(t, c), c: c}
 	case *Mutable:
 		// The view re-instruments its base copy whenever the Mutable's
@@ -120,11 +120,6 @@ func instrumented(idx Index, c *Counters) Index {
 		cp.brute = &bcp
 		return &cp
 	case *VPTree:
-		cp := *t
-		cp.evals = &c.DistEvals
-		cp.ks = hooksFor(c)
-		return &cp
-	case *KDTree:
 		cp := *t
 		cp.evals = &c.DistEvals
 		cp.ks = hooksFor(c)

@@ -49,7 +49,6 @@ func TestCountingViewsMatchBase(t *testing.T) {
 		"brute":  NewBrute(r),
 		"grid":   NewGrid(r, eps),
 		"vptree": NewVPTree(r, 1),
-		"kdtree": NewKDTree(r),
 	}
 	for name, base := range bases {
 		var c Counters
@@ -96,8 +95,7 @@ func TestCountingPruningIndexesBeatBrute(t *testing.T) {
 	}
 	brute := evals(NewBrute(r))
 	for name, idx := range map[string]Index{
-		"grid":   NewGrid(r, eps),
-		"kdtree": NewKDTree(r),
+		"grid": NewGrid(r, eps),
 	} {
 		if got := evals(idx); got >= brute {
 			t.Errorf("%s evaluated %d distances, brute only %d — index not pruning", name, got, brute)

@@ -45,8 +45,8 @@ func diffRelation(n, m int, norm metric.Norm, seed int64, duplicate bool) *data.
 	return r
 }
 
-// TestDifferentialIndexEquivalence pins Brute, Grid, VP-tree and k-d tree
-// to identical answers for Within, CountWithin and KNN across norms,
+// TestDifferentialIndexEquivalence pins Brute, Grid and VP-tree to
+// identical answers for Within, CountWithin and KNN across norms,
 // scaled attributes, duplicated tuples (ties at every boundary) and skip
 // values. KNN answers are compared element-wise: the deterministic
 // (distance, index) tie-break makes the full neighbor list, indexes
@@ -59,7 +59,6 @@ func TestDifferentialIndexEquivalence(t *testing.T) {
 			indexes := map[string]Index{
 				"grid":   NewGrid(r, 1.5),
 				"vptree": NewVPTree(r, 3),
-				"kdtree": NewKDTree(r),
 			}
 			// An L1/L∞ numeric schema must route to the grid now; keep the
 			// routed index in the comparison so the Build path is what the
@@ -122,7 +121,7 @@ func TestDifferentialIndexEquivalence(t *testing.T) {
 // resume its geometric k-NN growth without re-checking earlier positions.
 func TestKNNPrefixProperty(t *testing.T) {
 	r := diffRelation(120, 3, metric.L2, 11, true)
-	for _, idx := range []Index{NewBrute(r), NewGrid(r, 1.5), NewVPTree(r, 5), NewKDTree(r)} {
+	for _, idx := range []Index{NewBrute(r), NewGrid(r, 1.5), NewVPTree(r, 5)} {
 		q := r.Tuples[17]
 		prev := idx.KNN(q, 4, 17)
 		for _, k := range []int{16, 64} {

@@ -62,10 +62,8 @@ const gridStackDims = 8
 // positive value). It panics on non-numeric schemas, which would be a
 // programming error — Build routes those to the VP-tree.
 func NewGrid(r *data.Relation, cell float64) *Grid {
-	for _, a := range r.Schema.Attrs {
-		if a.Kind != data.Numeric {
-			panic("neighbors: grid index requires an all-numeric schema")
-		}
+	if !allNumeric(r) {
+		panic("neighbors: grid index requires an all-numeric schema")
 	}
 	return newGridKernel(r, data.CompileKernel(r), cell)
 }

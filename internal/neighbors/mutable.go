@@ -23,20 +23,20 @@ type deadSet struct {
 // outside any Mutable wrapper) reports false for every row.
 func (d *deadSet) has(i int) bool { return d != nil && d.bits[i] }
 
-// IndexKind names one of the four concrete index implementations, or the
-// automatic choice Build makes.
+// IndexKind names one of the three concrete index implementations, or the
+// automatic choice Build makes. The serving layer persists kinds by name,
+// never by value.
 type IndexKind int
 
 const (
 	KindAuto IndexKind = iota
 	KindBrute
 	KindGrid
-	KindKD
 	KindVP
 )
 
-// ParseIndexKind maps the wire names ("", "auto", "brute", "grid", "kd",
-// "vp") to an IndexKind.
+// ParseIndexKind maps the wire names ("", "auto", "brute", "grid", "vp")
+// to an IndexKind.
 func ParseIndexKind(s string) (IndexKind, error) {
 	switch s {
 	case "", "auto":
@@ -45,12 +45,10 @@ func ParseIndexKind(s string) (IndexKind, error) {
 		return KindBrute, nil
 	case "grid":
 		return KindGrid, nil
-	case "kd":
-		return KindKD, nil
 	case "vp":
 		return KindVP, nil
 	}
-	return KindAuto, fmt.Errorf("neighbors: unknown index kind %q (want auto, brute, grid, kd or vp)", s)
+	return KindAuto, fmt.Errorf("neighbors: unknown index kind %q (want auto, brute, grid or vp)", s)
 }
 
 func (k IndexKind) String() string {
@@ -59,8 +57,6 @@ func (k IndexKind) String() string {
 		return "brute"
 	case KindGrid:
 		return "grid"
-	case KindKD:
-		return "kd"
 	case KindVP:
 		return "vp"
 	}
@@ -76,7 +72,7 @@ func (k IndexKind) String() string {
 //   - The grid absorbs inserts natively into its cell map whenever the
 //     packed key can address the new row's coordinates (extending its
 //     brute fallback's scan bound alongside).
-//   - All other inserts — kd/VP/brute bases, and grid rows outside the
+//   - All other inserts — VP/brute bases, and grid rows outside the
 //     packed ranges — land in a delta buffer scanned linearly next to
 //     the frozen base on every query, and folded into a rebuilt base
 //     once the buffer crosses a size threshold (Merges counts these).
@@ -96,11 +92,10 @@ type Mutable struct {
 	r    *data.Relation
 	kern *data.Kernel
 	eps  float64
-	seed int64
 	kind IndexKind // resolved concrete kind (never KindAuto)
 
 	ds    deadSet
-	base  Index // one of the four concrete, dead-aware indexes
+	base  Index // one of the three concrete, dead-aware indexes
 	grid  *Grid // base as grid, for native cell inserts (nil otherwise)
 	delta []int // physical rows in neither base structure nor grid cells
 
@@ -111,37 +106,21 @@ type Mutable struct {
 }
 
 // NewMutable builds a mutable index over r. kind selects the concrete
-// base index; KindAuto resolves exactly like Build (grid for all-numeric
-// m ≤ 6 with eps > 0, VP-tree for n ≥ 64, brute otherwise). Explicitly
-// requesting grid or kd on a schema with text attributes is an error —
-// the HTTP layer surfaces it as a 400 rather than the constructors'
-// programming-error panic.
+// base index; KindAuto resolves by Build's rule at r's current size.
+// Explicitly requesting a grid on a schema with text attributes is an
+// error — the HTTP layer reports it as a 422 rather than the grid
+// constructor's programming-error panic.
 func NewMutable(r *data.Relation, eps float64, kind IndexKind) (*Mutable, error) {
-	numeric := true
-	for _, a := range r.Schema.Attrs {
-		if a.Kind != data.Numeric {
-			numeric = false
-			break
-		}
-	}
 	if kind == KindAuto {
-		switch {
-		case numeric && r.Schema.M() <= 6 && eps > 0:
-			kind = KindGrid
-		case r.N() >= 64:
-			kind = KindVP
-		default:
-			kind = KindBrute
-		}
+		kind = autoKind(r, eps)
 	}
-	if !numeric && (kind == KindGrid || kind == KindKD) {
+	if kind == KindGrid && !allNumeric(r) {
 		return nil, fmt.Errorf("neighbors: %s index requires an all-numeric schema", kind)
 	}
 	m := &Mutable{
 		r:    r,
 		kern: data.CompileKernel(r),
 		eps:  eps,
-		seed: 1,
 		kind: kind,
 		ds:   deadSet{bits: make([]bool, r.N())},
 	}
@@ -152,25 +131,8 @@ func NewMutable(r *data.Relation, eps float64, kind IndexKind) (*Mutable, error)
 // rebuildBase constructs the concrete base over all current physical
 // rows, reusing the shared kernel, and wires the tombstone table in.
 func (m *Mutable) rebuildBase() {
-	switch m.kind {
-	case KindGrid:
-		g := newGridKernel(m.r, m.kern, m.eps)
-		g.dead = &m.ds
-		g.brute.dead = &m.ds
-		m.base, m.grid = g, g
-	case KindKD:
-		t := newKDTreeKernel(m.r, m.kern)
-		t.dead = &m.ds
-		m.base = t
-	case KindVP:
-		t := newVPTreeKernel(m.r, m.kern, m.seed)
-		t.dead = &m.ds
-		m.base = t
-	default:
-		b := newBruteKernel(m.r, m.kern)
-		b.dead = &m.ds
-		m.base = b
-	}
+	m.base = build(m.r, m.kern, m.eps, m.kind, &m.ds)
+	m.grid, _ = m.base.(*Grid)
 	m.baseRows = m.r.N()
 }
 

@@ -2,13 +2,14 @@ package neighbors
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
 )
 
-// mutableKinds are the four concrete kinds the differential tests sweep.
-var mutableKinds = []IndexKind{KindBrute, KindGrid, KindKD, KindVP}
+// mutableKinds are the three concrete kinds the differential tests sweep.
+var mutableKinds = []IndexKind{KindBrute, KindGrid, KindVP}
 
 func randomTuple(rng *rand.Rand, m int, scale float64) data.Tuple {
 	t := make(data.Tuple, m)
@@ -128,7 +129,7 @@ func TestMutableDifferential(t *testing.T) {
 // TestMutableForcedMerges drives the delta through many tiny merges and
 // checks results stay exact; also verifies Merges() advances.
 func TestMutableForcedMerges(t *testing.T) {
-	for _, kind := range []IndexKind{KindKD, KindVP} {
+	for _, kind := range []IndexKind{KindVP} {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			r := randomRelation(80, 2, 3)
@@ -230,15 +231,26 @@ func TestMutableCountingView(t *testing.T) {
 func TestParseIndexKind(t *testing.T) {
 	for s, want := range map[string]IndexKind{
 		"": KindAuto, "auto": KindAuto, "brute": KindBrute,
-		"grid": KindGrid, "kd": KindKD, "vp": KindVP,
+		"grid": KindGrid, "vp": KindVP,
 	} {
 		got, err := ParseIndexKind(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseIndexKind(%q) = %v, %v", s, got, err)
 		}
+		if want != KindAuto && got.String() != s {
+			t.Fatalf("%v.String() = %q, want %q", got, got.String(), s)
+		}
 	}
-	if _, err := ParseIndexKind("rtree"); err == nil {
-		t.Fatal("expected error for unknown kind")
+	// "kd" is a retired kind name: it fails like any unknown name, and the
+	// error lists the kinds that remain.
+	for _, s := range []string{"rtree", "kd"} {
+		_, err := ParseIndexKind(s)
+		if err == nil {
+			t.Fatalf("ParseIndexKind(%q): expected error for unknown kind", s)
+		}
+		if want := "want auto, brute, grid or vp"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("ParseIndexKind(%q) error %q does not name the kinds (%s)", s, err, want)
+		}
 	}
 }
 
@@ -247,7 +259,7 @@ func TestMutableRejectsTextSchemaForNumericIndexes(t *testing.T) {
 	r := data.NewRelation(sch)
 	r.Append(data.Tuple{data.Str("a")})
 	r.Append(data.Tuple{data.Str("b")})
-	for _, kind := range []IndexKind{KindGrid, KindKD} {
+	for _, kind := range []IndexKind{KindGrid} {
 		if _, err := NewMutable(r, 1, kind); err == nil {
 			t.Fatalf("NewMutable(%v) on text schema should fail", kind)
 		}

@@ -50,7 +50,7 @@ func CountWithinAtLeast(idx Index, q data.Tuple, eps float64, skip, k int) bool 
 // WithinAppender is the optional extension of Index for allocation-
 // sensitive callers: WithinAppend appends the ε-neighbors to dst (which
 // may be nil or a reused buffer truncated by the caller) instead of
-// allocating a fresh result slice per query. All four concrete indexes
+// allocating a fresh result slice per query. All three concrete indexes
 // and the counting/context views implement it; DBSCAN's seed expansion
 // depends on it for its near-zero steady-state allocation budget.
 type WithinAppender interface {
@@ -101,27 +101,57 @@ func KernelOf(idx Index) *data.Kernel {
 	}
 }
 
-// Build picks an index for the relation: a grid when the schema is fully
-// numeric with at most six attributes (range queries touch 3^m cells), a
-// VP-tree otherwise. eps hints the grid cell size; it must be > 0 for the
-// grid path. The grid serves every supported norm, not only the L2
-// default: its walk aggregates per-axis cell gaps under the schema's own
-// norm, so the cell bound stays valid for any of them.
+// Build indexes the relation with the kind autoKind selects. eps hints the
+// grid cell size.
 func Build(r *data.Relation, eps float64) Index {
-	numeric := true
+	return build(r, data.CompileKernel(r), eps, autoKind(r, eps), nil)
+}
+
+// autoKind is the one index-selection rule, behind both Build and
+// KindAuto: a grid when the schema is fully numeric with at most six
+// attributes (range queries touch 3^m cells) and eps > 0 sizes its cells,
+// else a VP-tree once r holds 64 tuples, else a brute scan. The grid
+// serves every supported norm, not only the L2 default: its walk
+// aggregates per-axis cell gaps under the schema's own norm, so the cell
+// bound stays valid for any of them.
+func autoKind(r *data.Relation, eps float64) IndexKind {
+	switch {
+	case allNumeric(r) && r.Schema.M() <= 6 && eps > 0:
+		return KindGrid
+	case r.N() >= 64:
+		return KindVP
+	}
+	return KindBrute
+}
+
+// build constructs the concrete index of kind (never KindAuto) over r,
+// sharing the compiled kernel kern and wiring in dead, the tombstone table
+// of a Mutable wrapper (nil outside one).
+func build(r *data.Relation, kern *data.Kernel, eps float64, kind IndexKind, dead *deadSet) Index {
+	switch kind {
+	case KindGrid:
+		g := newGridKernel(r, kern, eps)
+		g.dead, g.brute.dead = dead, dead
+		return g
+	case KindVP:
+		t := newVPTreeKernel(r, kern, 1)
+		t.dead = dead
+		return t
+	}
+	b := newBruteKernel(r, kern)
+	b.dead = dead
+	return b
+}
+
+// allNumeric reports whether every attribute of r is numeric, which the
+// grid requires.
+func allNumeric(r *data.Relation) bool {
 	for _, a := range r.Schema.Attrs {
 		if a.Kind != data.Numeric {
-			numeric = false
-			break
+			return false
 		}
 	}
-	if numeric && r.Schema.M() <= 6 && eps > 0 {
-		return NewGrid(r, eps)
-	}
-	if r.N() >= 64 {
-		return NewVPTree(r, 1)
-	}
-	return NewBrute(r)
+	return true
 }
 
 // Brute is the exhaustive-scan index; it is the correctness reference for
@@ -242,8 +272,8 @@ func (b *Brute) KNN(q data.Tuple, k, skip int) []Neighbor {
 // The index tie-break is a correctness contract, not cosmetics: when
 // several tuples sit exactly at the k-th distance, a heap ordered by
 // distance alone keeps whichever it happened to see first, so KNN results
-// would depend on scan order and differ between Brute, Grid, VP-tree and
-// k-d tree. Under the total order every index returns the identical
+// would depend on scan order and differ between Brute, Grid and VP-tree.
+// Under the total order every index returns the identical
 // neighbor list — the lowest-indexed tuples among the tied — which also
 // makes KNN(k) a strict prefix of KNN(k') for k' > k.
 type maxHeap struct {

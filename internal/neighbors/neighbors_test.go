@@ -113,7 +113,6 @@ func TestCountWithinAtLeast(t *testing.T) {
 		"brute":  brute,
 		"grid":   NewGrid(r, 1.5),
 		"vptree": NewVPTree(r, 3),
-		"kdtree": NewKDTree(r),
 	}
 	eps := 6.0
 	for name, idx := range indexes {
@@ -217,48 +216,70 @@ func TestGridRespectsAttributeScale(t *testing.T) {
 }
 
 func TestBuildSelectsIndex(t *testing.T) {
-	small := randomRelation(10, 2, 1)
-	if _, ok := Build(small, 1).(*Grid); !ok {
-		t.Error("small numeric relation should still use the grid")
-	}
 	smallText := data.NewRelation(&data.Schema{Attrs: []data.Attribute{{Name: "w", Kind: data.Text}}})
 	smallText.Append(data.Tuple{data.Str("x")})
-	if _, ok := Build(smallText, 1).(*Brute); !ok {
-		t.Error("small text relation should use brute force")
-	}
-	big := randomRelation(500, 3, 1)
-	if _, ok := Build(big, 1).(*Grid); !ok {
-		t.Error("numeric low-dim relation should use grid")
-	}
-	// The grid's reach bound holds for every supported norm, so fully
-	// numeric low-dimensional relations route to it regardless of norm
-	// (a silent VP-tree fallback here was a routing bug).
-	for _, norm := range []metric.Norm{metric.L1, metric.LInf} {
-		byNorm := randomRelation(500, 3, 1)
-		byNorm.Schema.Norm = norm
-		if _, ok := Build(byNorm, 1).(*Grid); !ok {
-			t.Errorf("numeric low-dim relation with %v norm should use grid", norm)
-		}
-	}
-	sixteen := randomRelation(200, 3, 1)
-	sixteen.Schema = data.NewNumericSchema("a", "b", "c", "d", "e", "f", "g")
-	// 7 attributes: rebuild tuples to match arity.
-	r := data.NewRelation(sixteen.Schema)
+	// 7 attributes: one past the grid's dimensionality limit.
+	seven := data.NewRelation(data.NewNumericSchema("a", "b", "c", "d", "e", "f", "g"))
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 200; i++ {
 		t7 := make(data.Tuple, 7)
 		for a := range t7 {
 			t7[a] = data.Num(rng.Float64())
 		}
-		r.Append(t7)
+		seven.Append(t7)
 	}
-	if _, ok := Build(r, 1).(*VPTree); !ok {
-		t.Error("7-attribute relation should use vp-tree")
+	withNorm := func(norm metric.Norm) *data.Relation {
+		r := randomRelation(500, 3, 1)
+		r.Schema.Norm = norm
+		return r
 	}
-	empty := data.NewRelation(data.NewNumericSchema("a"))
-	if _, ok := Build(empty, 1).(*Grid); !ok {
-		t.Error("empty numeric relation should build an (empty) grid")
+	cases := []struct {
+		name string
+		r    *data.Relation
+		eps  float64
+		want IndexKind
+	}{
+		{"small numeric relation", randomRelation(10, 2, 1), 1, KindGrid},
+		{"small text relation", smallText, 1, KindBrute},
+		{"numeric low-dim relation", randomRelation(500, 3, 1), 1, KindGrid},
+		// The grid's reach bound holds for every supported norm, so fully
+		// numeric low-dimensional relations route to it regardless of norm
+		// (a silent VP-tree fallback here was a routing bug).
+		{"numeric low-dim relation, L1 norm", withNorm(metric.L1), 1, KindGrid},
+		{"numeric low-dim relation, L∞ norm", withNorm(metric.LInf), 1, KindGrid},
+		{"7-attribute relation", seven, 1, KindVP},
+		// Without a cell size there is no grid, whatever the schema.
+		{"numeric low-dim relation, eps 0", randomRelation(500, 3, 1), 0, KindVP},
+		{"empty numeric relation", data.NewRelation(data.NewNumericSchema("a")), 1, KindGrid},
 	}
+	for _, c := range cases {
+		idx := Build(c.r, c.eps)
+		if got := concreteKind(idx); got != c.want {
+			t.Errorf("%s: Build returned %T, want %v", c.name, idx, c.want)
+		}
+		// KindAuto resolves by the same rule Build applies.
+		m, err := NewMutable(c.r, c.eps, KindAuto)
+		if err != nil {
+			t.Fatalf("%s: NewMutable: %v", c.name, err)
+		}
+		if m.Kind() != concreteKind(idx) {
+			t.Errorf("%s: NewMutable resolved auto to %v, Build returned %T", c.name, m.Kind(), idx)
+		}
+	}
+}
+
+// concreteKind names the kind of a concrete index (KindAuto for anything
+// else).
+func concreteKind(idx Index) IndexKind {
+	switch idx.(type) {
+	case *Brute:
+		return KindBrute
+	case *Grid:
+		return KindGrid
+	case *VPTree:
+		return KindVP
+	}
+	return KindAuto
 }
 
 func TestEmptyRelationQueries(t *testing.T) {

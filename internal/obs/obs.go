@@ -2,8 +2,9 @@
 // counters that quantify why Algorithm 1 is fast (how much of the O(2^m)
 // mask lattice the Lemma 2 / Proposition 3 lower bound pruned, how often
 // the memo deduplicated a mask, how hard the κ restriction cut the start
-// set), phase timings for the SaveAll pipeline, a rate-bounded progress
-// reporter for long batches, and nil-safe structured-logging helpers.
+// set), phase timings for the SaveAllContext pipeline, a rate-bounded
+// progress reporter for long batches, and nil-safe structured-logging
+// helpers.
 //
 // The counters are plain int64 fields updated without synchronization: the
 // hot path (one Algorithm 1 search) owns its SearchStats exclusively — one
@@ -22,8 +23,8 @@ import (
 
 // SearchStats counts the work of one or more Algorithm 1 searches plus the
 // neighbor-index traffic that fed them. A single save fills one instance
-// (Adjustment.Stats); SaveAll merges the per-outlier instances together
-// with the detection pass and the η-radius precompute into
+// (Adjustment.Stats); SaveAllContext merges the per-outlier instances
+// together with the detection pass and the η-radius precompute into
 // SaveResult.Stats.
 type SearchStats struct {
 	// Nodes is the number of recursion nodes expanded — the unit the
@@ -70,7 +71,7 @@ type SearchStats struct {
 	// KNNQueries and RangeQueries count neighbor-index queries (k-NN, and
 	// Within/CountWithin respectively); DistEvals counts the tuple-pair
 	// distance evaluations the index performed to answer them, the common
-	// currency that makes Brute/Grid/VPTree/KDTree comparable.
+	// currency that makes Brute/Grid/VPTree comparable.
 	KNNQueries   int64 `json:"knn_queries"`
 	RangeQueries int64 `json:"range_queries"`
 	DistEvals    int64 `json:"dist_evals"`
@@ -123,7 +124,7 @@ func (s *SearchStats) String() string {
 		s.DistEarlyExits, s.TextCacheHits, s.TextCacheMisses)
 }
 
-// PhaseTimings breaks a SaveAll run into its pipeline phases. Phases not
+// PhaseTimings breaks a SaveAllContext run into its pipeline phases. Phases not
 // run (e.g. no outliers → no save fan-out) stay zero.
 type PhaseTimings struct {
 	// Validate is the NaN/±Inf value scan over the input relation.

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Progress is one batch-progress snapshot: how far a SaveAll run has come
-// and how its outcomes split so far.
+// Progress is one batch-progress snapshot: how far a SaveAllContext run has
+// come and how its outcomes split so far.
 type Progress struct {
 	// Done and Total count outliers whose save has finished vs. all
 	// outliers of the batch.

@@ -57,7 +57,7 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) []ItemEr
 // goroutine running it, in [0, min(workers, n)). Ids are stable for the
 // whole call, so callers can hand each worker private scratch memory — a
 // save arena, a reusable buffer — indexed by id with no synchronization
-// (core.SaveAll does exactly this).
+// (core.SaveAllContext does exactly this).
 func ForEachWorker(ctx context.Context, n, workers int, fn func(worker, i int) error) []ItemError {
 	if n <= 0 {
 		return nil

@@ -56,7 +56,7 @@ type saveRes struct {
 // par worker pool. Batching exists because one save is short relative to
 // scheduling overhead under concurrent load: coalescing turns k concurrent
 // HTTP requests into one pool dispatch with k items, the same shape
-// SaveAll's fan-out already optimizes for.
+// SaveAllContext's fan-out already optimizes for.
 type batcher struct {
 	session *Session
 	queue   chan *saveReq

@@ -17,7 +17,7 @@ type Params struct {
 	MaxNodes int
 	Seed     int64
 	// Index selects the neighbor index kind ("auto", "brute", "grid",
-	// "kd", "vp"); empty means auto.
+	// "vp"); empty means auto.
 	Index string
 }
 

@@ -230,7 +230,7 @@ type createRequest struct {
 	Kappa    int     `json:"kappa"`
 	MaxNodes int     `json:"max_nodes"`
 	// Index selects the neighbor index kind: "auto" (default), "brute",
-	// "grid", "kd" or "vp".
+	// "grid" or "vp".
 	Index string `json:"index"`
 }
 

@@ -113,7 +113,7 @@ func BenchmarkMutateRebuild(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := disc.DetectWithIndex(context.Background(), rel, cons, idx); err != nil {
+				if _, err := disc.DetectContext(context.Background(), rel, cons, idx); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -44,12 +44,12 @@ func randLiveHandle(rng *rand.Rand, mirror []disc.Tuple) int {
 // min(|r_ε|, η) from a from-scratch DetectContext over the live rows and
 // the Saver holds exactly that rebuild's inliers; at the end the mutated
 // session answers /detect and /save exactly like a session built from
-// scratch. It runs across all four index kinds, for freshly built sessions
+// scratch. It runs across all three index kinds, for freshly built sessions
 // ("exact") and for sessions snapshotted and recovered before the first
 // mutation ("restart"), so recovery × mutation is pinned too. Run under
 // -race this also exercises the mutation/query locking.
 func TestMutateDifferential(t *testing.T) {
-	for _, kind := range []string{"brute", "grid", "kd", "vp"} {
+	for _, kind := range []string{"brute", "grid", "vp"} {
 		t.Run(kind, func(t *testing.T) {
 			for _, mode := range []string{"exact", "restart"} {
 				t.Run(mode, func(t *testing.T) { mutateDifferential(t, kind, mode) })
@@ -268,7 +268,7 @@ func checkCountInvariant(t *testing.T, s *Session, when string) {
 	}
 	s.stateMu.RUnlock()
 
-	ref, err := disc.DetectContext(context.Background(), live, s.Cons)
+	ref, err := disc.DetectContext(context.Background(), live, s.Cons, nil)
 	if err != nil {
 		t.Fatalf("%s: reference detect: %v", when, err)
 	}
@@ -340,7 +340,7 @@ func FuzzMutate(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reference index: %v", err)
 		}
-		det, err := disc.DetectWithIndex(context.Background(), liveRel, s.Cons, idx)
+		det, err := disc.DetectContext(context.Background(), liveRel, s.Cons, idx)
 		if err != nil {
 			t.Fatalf("reference detect: %v", err)
 		}

@@ -181,7 +181,7 @@ func TestRecoveredSessionKeyDerived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := disc.DetectContext(context.Background(), rel, disc.Constraints{Eps: oldReq.Eps, Eta: oldReq.Eta})
+	exact, err := disc.DetectContext(context.Background(), rel, disc.Constraints{Eps: oldReq.Eps, Eta: oldReq.Eta}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +198,117 @@ func TestRecoveredSessionKeyDerived(t *testing.T) {
 	}
 	if n := len(s2.Registry().List()); n != 2 {
 		t.Errorf("registry holds %d sessions after the repeat opens, want 2", n)
+	}
+}
+
+// TestCreateRefusesRetiredKDIndex: "kd" is no longer an index kind. A
+// create request naming it gets the status any unknown kind gets, whether
+// the kind rides in the JSON body or in a raw CSV upload's query string,
+// and the error lists the kinds that remain.
+func TestCreateRefusesRetiredKDIndex(t *testing.T) {
+	s := newTestServer(t, Config{BatchWindow: -1, Workers: 2})
+	for _, index := range []string{"kd", "rtree"} {
+		w := do(t, s, "POST", "/v1/datasets", createRequest{
+			Name: "test", CSV: testCSV(t), Eps: 1, Eta: 3, Kappa: 2, Index: index,
+		})
+		if w.Code != http.StatusUnprocessableEntity {
+			t.Errorf("JSON create with index %q: status %d, want 422", index, w.Code)
+		}
+		if want := "want auto, brute, grid or vp"; !strings.Contains(w.Body.String(), want) {
+			t.Errorf("JSON create with index %q: body %s does not list the kinds (%s)", index, w.Body.String(), want)
+		}
+		req := httptest.NewRequest("POST", "/v1/datasets?eps=1&eta=3&index="+index, strings.NewReader(testCSV(t)))
+		req.Header.Set("Content-Type", "text/csv")
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Errorf("CSV create with index %q: status %d, want 422", index, rec.Code)
+		}
+	}
+	if n := len(s.Registry().List()); n != 0 {
+		t.Errorf("refused creates left %d sessions", n)
+	}
+}
+
+// TestRetiredKDSnapshotRecoversAsAuto: a snapshot whose params name the
+// retired "kd" index kind still recovers, under the automatic choice, on
+// both recovery paths. A valid snapshot rehydrates; a payload-corrupt one
+// is rebuilt from its source path. Either way the session holds the counts
+// a fresh detection gives, and the next OpenPath with index "" returns it.
+func TestRetiredKDSnapshotRecoversAsAuto(t *testing.T) {
+	rel := testRelation()
+	rel.Append(outlierTuple())
+	rel.Append(disc.Tuple{disc.Num(-20), disc.Num(3)})
+	var buf bytes.Buffer
+	if err := disc.WriteCSV(&buf, rel); err != nil {
+		t.Fatal(err)
+	}
+	csvPath := filepath.Join(t.TempDir(), "data.csv")
+	if err := os.WriteFile(csvPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cons := disc.Constraints{Eps: 1, Eta: 3}
+	fresh, err := disc.DetectContext(context.Background(), rel, cons, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh.Outliers) != 2 {
+		t.Fatalf("setup: %d outliers, want 2", len(fresh.Outliers))
+	}
+	auto, err := disc.NewMutableIndex(rel, cons.Eps, disc.KindAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"rehydrate", "rebuild"} {
+		t.Run(mode, func(t *testing.T) {
+			const id = "6b64000000000001"
+			dataDir := t.TempDir()
+			path := filepath.Join(dataDir, id+snapshot.Ext)
+			err := snapshot.Write(path, &snapshot.Snapshot{
+				ID: id, Name: csvPath, SourcePath: csvPath,
+				Params: snapshot.Params{Eps: cons.Eps, Eta: cons.Eta, Kappa: 2, Index: "kd"},
+				Eps:    cons.Eps, Eta: cons.Eta,
+				Rel: rel, Counts: fresh.Counts,
+				CreatedAt: time.Now(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode == "rebuild" {
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b[len(b)-8] ^= 0x01 // payload corrupt, hint intact
+				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := recoverServer(t, Config{DataDir: dataDir, BatchWindow: -1, Workers: 2})
+			got, ok := s.Registry().Get(id)
+			if !ok {
+				t.Fatalf("session %s not recovered", id)
+			}
+			if got.Recovered != (mode == "rehydrate") {
+				t.Errorf("recovered = %v, want %v", got.Recovered, mode == "rehydrate")
+			}
+			if !reflect.DeepEqual(got.Det.Counts, fresh.Counts) {
+				t.Errorf("counts %v, want the fresh detection's %v", got.Det.Counts, fresh.Counts)
+			}
+			if info := got.Info(); info.Index != auto.Kind().String() {
+				t.Errorf("index %q, want the automatic choice %q", info.Index, auto.Kind())
+			}
+			w := do(t, s, "POST", "/v1/datasets", createRequest{Path: csvPath, Eps: cons.Eps, Eta: cons.Eta, Kappa: 2})
+			if w.Code != http.StatusCreated {
+				t.Fatalf("open path: status %d, body %s", w.Code, w.Body.String())
+			}
+			if again := decode[SessionInfo](t, w); again.ID != id {
+				t.Errorf("OpenPath with index \"\" returned session %s, want the recovered %s", again.ID, id)
+			}
+			if n := len(s.Registry().List()); n != 1 {
+				t.Errorf("registry holds %d sessions after the repeat open, want 1", n)
+			}
+		})
 	}
 }
 

@@ -124,9 +124,9 @@ type Session struct {
 	// Bytes approximates the session's resident footprint (tuples plus
 	// index structures) for the registry's byte bound.
 	Bytes int64
-	// Timings records the one-off build phases, in the same shape SaveAll
-	// reports. On a recovered session Detect and Validate are zero — the
-	// snapshot skipped both — and Recovered is set.
+	// Timings records the one-off build phases, in the same shape
+	// SaveAllContext reports. On a recovered session Detect and Validate
+	// are zero — the snapshot skipped both — and Recovered is set.
 	Timings   obs.PhaseTimings
 	Recovered bool
 
@@ -362,63 +362,83 @@ func buildSession(ctx context.Context, id, name, source string, rel *disc.Relati
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	t0 := time.Now()
-	relMut, err := disc.NewMutableIndex(rel, cons.Eps, kind)
-	if err != nil {
-		return nil, fmt.Errorf("serve: indexing %q: %w", name, err)
-	}
-	detIdxBuild := time.Since(t0)
-	det, err := disc.DetectWithIndex(ctx, rel, cons, relMut)
-	if err != nil {
-		return nil, fmt.Errorf("serve: detecting over %q: %w", name, err)
-	}
-	if len(det.Inliers) == 0 {
-		return nil, fmt.Errorf("serve: every tuple of %q violates (ε=%g, η=%d); nothing to save against", name, cons.Eps, cons.Eta)
-	}
-	t0 = time.Now()
-	saverMut, err := disc.NewMutableIndex(rel.Subset(det.Inliers), cons.Eps, kind)
-	if err != nil {
-		return nil, fmt.Errorf("serve: indexing inliers of %q: %w", name, err)
-	}
-	saverIdxBuild := time.Since(t0)
-	saver, err := disc.NewSaverContext(ctx, saverMut.Rel(), cons, disc.Options{
-		Kappa:    p.Kappa,
-		MaxNodes: p.MaxNodes,
-		Index:    saverMut,
-		Logger:   cfg.Logger,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("serve: preparing saver for %q: %w", name, err)
-	}
-	setupStats, _, etaRadius := saver.SetupStats()
-
 	s := &Session{
 		ID: id, Name: name,
 		Source: source, Params: p,
-		Rel: rel, Cons: cons, Kappa: p.Kappa,
-		Det: det, RelIdx: relMut, relMut: relMut, Saver: saver,
-		Created: time.Now(), Bytes: estimateBytes(rel),
-		Timings: obs.PhaseTimings{
-			Validate: validate,
-			Detect:   det.Elapsed, DetectIndexBuild: detIdxBuild,
-			IndexBuild: saverIdxBuild, EtaRadius: etaRadius,
-			Total: time.Since(start),
-		},
-		lastUsed: time.Now(),
-		// Exactly two index builds per session lifetime (compactions
-		// aside): the full-relation detection index and the saver's
-		// inlier index. Warm requests must never move this counter.
-		indexBuilds: 2,
+		Cons: cons, Kappa: p.Kappa,
+		Bytes: estimateBytes(rel),
 	}
-	s.initMutableState()
-	s.stats.Add(&det.Stats)
-	s.stats.Add(&setupStats)
+	timings, setup, err := s.warmUp(ctx, rel, nil, kind, cfg.Logger)
+	if err != nil {
+		return nil, fmt.Errorf("serve: building %q: %w", name, err)
+	}
+	s.Created, s.lastUsed = time.Now(), time.Now()
+	s.stats.Add(&setup)
+	s.Timings = timings
+	s.Timings.Validate = validate
+	s.Timings.Total = time.Since(start)
 	s.batcher = newBatcher(s, cfg)
 	obs.Logger(log).Info("serve: session built", "id", id, "name", name,
-		"tuples", rel.N(), "inliers", len(det.Inliers), "outliers", len(det.Outliers),
+		"tuples", rel.N(), "inliers", s.inliers, "outliers", s.outliers,
 		"eps", cons.Eps, "eta", cons.Eta, "bytes", s.Bytes,
 		"build", s.Timings.Total)
 	return s, nil
+}
+
+// warmUp builds everything a warm request reads over rel and installs it
+// on s: the detection index over the full relation, the detection split
+// (det, or a counting pass over that index when det is nil), and the
+// saver over the inliers with its own index, η-radius table and arena
+// pool. A fresh build, a snapshot rehydration and a compaction differ
+// only in where det comes from, so this is the one place a session
+// builds indexes, and the one place index_builds moves: by exactly two
+// per call. Warm requests must never move it. On error s is left as it
+// was.
+//
+// The returned timings fill the detection, index-build and η-radius
+// phases; setup is the index traffic of detection and of the η-radius
+// precompute. Callers decide whether a build reports them: a compaction
+// does not.
+func (s *Session) warmUp(ctx context.Context, rel *disc.Relation, det *disc.Detection, kind disc.IndexKind, logger *slog.Logger) (timings obs.PhaseTimings, setup obs.SearchStats, err error) {
+	t0 := time.Now()
+	relMut, err := disc.NewMutableIndex(rel, s.Cons.Eps, kind)
+	if err != nil {
+		return timings, setup, fmt.Errorf("indexing: %w", err)
+	}
+	timings.DetectIndexBuild = time.Since(t0)
+	if det == nil {
+		if det, err = disc.DetectContext(ctx, rel, s.Cons, relMut); err != nil {
+			return timings, setup, fmt.Errorf("detecting: %w", err)
+		}
+	}
+	if len(det.Inliers) == 0 {
+		return timings, setup, fmt.Errorf("every tuple violates (ε=%g, η=%d); nothing to save against", s.Cons.Eps, s.Cons.Eta)
+	}
+	t0 = time.Now()
+	saverMut, err := disc.NewMutableIndex(rel.Subset(det.Inliers), s.Cons.Eps, kind)
+	if err != nil {
+		return timings, setup, fmt.Errorf("indexing inliers: %w", err)
+	}
+	timings.IndexBuild = time.Since(t0)
+	saver, err := disc.NewSaverContext(ctx, saverMut.Rel(), s.Cons, disc.Options{
+		Kappa:    s.Kappa,
+		MaxNodes: s.Params.MaxNodes,
+		Index:    saverMut,
+		Logger:   logger,
+	})
+	if err != nil {
+		return timings, setup, fmt.Errorf("preparing saver: %w", err)
+	}
+	setup, _, timings.EtaRadius = saver.SetupStats()
+	setup.Add(&det.Stats)
+	timings.Detect = det.Elapsed
+
+	s.Rel, s.Det, s.RelIdx, s.relMut, s.Saver = rel, det, relMut, relMut, saver
+	s.initMutableState()
+	s.mu.Lock()
+	s.indexBuilds += 2
+	s.mu.Unlock()
+	return timings, setup, nil
 }
 
 // Registry is the LRU/TTL-bounded session cache. Uploads always create a

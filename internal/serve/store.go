@@ -201,7 +201,7 @@ func (r *Registry) rebuildFromHint(ctx context.Context, hint *snapshot.Hint) {
 		}
 		return
 	}
-	s, err := r.buildFromPath(ctx, hint.ID, hint.SourcePath, BuildParams(hint.Params))
+	s, err := r.buildFromPath(ctx, hint.ID, hint.SourcePath, buildParams(hint.Params))
 	if err != nil {
 		r.log.Warn("serve: rebuilding session from source", "id", hint.ID,
 			"path", hint.SourcePath, "err", err)
@@ -212,6 +212,17 @@ func (r *Registry) rebuildFromHint(ctx context.Context, hint *snapshot.Hint) {
 	}
 	r.store.stats.RebuiltSessions.Add(1)
 	r.log.Info("serve: session rebuilt from source", "id", s.ID, "path", hint.SourcePath)
+}
+
+// buildParams converts persisted build parameters, the one place a
+// snapshot's params enter the serving layer. Snapshots name their index
+// kind; "kd" named an index kind this program no longer has, and such a
+// session recovers under the automatic choice instead.
+func buildParams(p snapshot.Params) BuildParams {
+	if p.Index == "kd" {
+		p.Index = "auto"
+	}
+	return BuildParams(p)
 }
 
 // rehydrate reconstructs a warm session from a verified snapshot: the
@@ -225,55 +236,30 @@ func (r *Registry) rehydrate(ctx context.Context, snap *snapshot.Snapshot) (*Ses
 		return nil, fmt.Errorf("serve: rebuilding indexes for %q: %w", snap.ID, err)
 	}
 	start := time.Now()
-	cons := disc.Constraints{Eps: snap.Eps, Eta: snap.Eta}
-	det := disc.RehydrateDetection(snap.Counts, snap.Eta)
-	if len(det.Inliers) == 0 {
-		return nil, fmt.Errorf("serve: snapshot %q has no inliers", snap.ID)
-	}
-	kind, err := disc.ParseIndexKind(snap.Params.Index)
+	p := buildParams(snap.Params)
+	kind, err := disc.ParseIndexKind(p.Index)
 	if err != nil {
 		return nil, fmt.Errorf("serve: snapshot %q: %w", snap.ID, err)
 	}
-	t0 := time.Now()
-	relMut, err := disc.NewMutableIndex(snap.Rel, cons.Eps, kind)
-	if err != nil {
-		return nil, fmt.Errorf("serve: rebuilding index for %q: %w", snap.ID, err)
-	}
-	detIdxBuild := time.Since(t0)
-	saverMut, err := disc.NewMutableIndex(snap.Rel.Subset(det.Inliers), cons.Eps, kind)
-	if err != nil {
-		return nil, fmt.Errorf("serve: rebuilding saver index for %q: %w", snap.ID, err)
-	}
-	saver, err := disc.NewSaverContext(ctx, saverMut.Rel(), cons, disc.Options{
-		Kappa:    snap.Params.Kappa,
-		MaxNodes: snap.Params.MaxNodes,
-		Index:    saverMut,
-		Logger:   r.cfg.Logger,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("serve: preparing saver for %q: %w", snap.ID, err)
-	}
-	setupStats, saverIdxBuild, etaRadius := saver.SetupStats()
 	s := &Session{
 		ID: snap.ID, Name: snap.Name, Source: snap.SourcePath,
-		Params: BuildParams(snap.Params),
-		Rel:    snap.Rel, Cons: cons, Kappa: snap.Params.Kappa,
-		Det: det, RelIdx: relMut, relMut: relMut, Saver: saver,
+		Params: p,
+		Cons:   disc.Constraints{Eps: snap.Eps, Eta: snap.Eta}, Kappa: p.Kappa,
 		Created: snap.CreatedAt, Bytes: estimateBytes(snap.Rel),
 		Recovered: true,
-		Timings: obs.PhaseTimings{
-			DetectIndexBuild: detIdxBuild,
-			IndexBuild:       saverIdxBuild, EtaRadius: etaRadius,
-			Total: time.Since(start),
-		},
-		lastUsed:    time.Now(),
-		indexBuilds: 2,
 	}
-	s.initMutableState()
-	s.stats.Add(&setupStats)
+	det := disc.RehydrateDetection(snap.Counts, snap.Eta)
+	timings, setup, err := s.warmUp(ctx, snap.Rel, det, kind, r.cfg.Logger)
+	if err != nil {
+		return nil, fmt.Errorf("serve: recovering %q: %w", snap.ID, err)
+	}
+	s.lastUsed = time.Now()
+	s.stats.Add(&setup)
+	s.Timings = timings
+	s.Timings.Total = time.Since(start)
 	s.batcher = newBatcher(s, r.cfg)
 	r.log.Info("serve: session recovered", "id", s.ID, "name", s.Name,
-		"tuples", s.Rel.N(), "inliers", len(det.Inliers), "outliers", len(det.Outliers),
+		"tuples", s.Rel.N(), "inliers", s.inliers, "outliers", s.outliers,
 		"rebuild", s.Timings.Total)
 	return s, nil
 }

@@ -127,7 +127,7 @@ func (e *Engine) Detect(ctx context.Context) (*core.Detection, []ShardStats, err
 			counts[gi] = view.CountWithin(sh.Rel.Tuples[p], e.cons.Eps, p, e.cons.Eta)
 		}
 		st.Detect = time.Since(td)
-		st.Stats = statsFromCounters(c)
+		core.AddCounters(&st.Stats, c)
 		return nil
 	})
 	if err := par.FirstErr(errs); err != nil {
@@ -274,21 +274,7 @@ func saveOne(ctx context.Context, saver *core.Saver, to data.Tuple) (adj core.Ad
 			err = fmt.Errorf("shard: save panicked: %v", r)
 		}
 	}()
-	return saver.SaveContext(ctx, to), nil
-}
-
-// statsFromCounters bridges raw index counters into the index-traffic slots
-// of a SearchStats (the same mapping the core saver applies).
-func statsFromCounters(c neighbors.Counters) obs.SearchStats {
-	return obs.SearchStats{
-		KNNQueries:      c.KNNQueries,
-		RangeQueries:    c.RangeQueries,
-		DistEvals:       c.DistEvals,
-		GridFallbacks:   c.GridFallbacks,
-		DistEarlyExits:  c.DistEarlyExits,
-		TextCacheHits:   c.TextCacheHits,
-		TextCacheMisses: c.TextCacheMisses,
-	}
+	return saver.SaveOne(ctx, to), nil
 }
 
 // MergeShardStats folds per-shard stats into one SearchStats (the /varz

@@ -21,7 +21,7 @@ import (
 // the shared saver is the identical deterministic computation), same
 // repaired relation. Run under -race by the chaos target.
 func TestShardedDifferential(t *testing.T) {
-	kinds := []neighbors.IndexKind{neighbors.KindBrute, neighbors.KindGrid, neighbors.KindKD, neighbors.KindVP}
+	kinds := []neighbors.IndexKind{neighbors.KindBrute, neighbors.KindGrid, neighbors.KindVP}
 	norms := []metric.Norm{metric.L1, metric.L2, metric.LInf}
 	cons := core.Constraints{Eps: 1.0, Eta: 4}
 	opts := core.Options{Kappa: 2}

@@ -72,7 +72,7 @@ func benchShardDetect(b *testing.B, shards int) {
 		var det *disc.Detection
 		var err error
 		if shards <= 0 {
-			det, err = disc.DetectContext(context.Background(), rel, shardBenchCons)
+			det, err = disc.DetectContext(context.Background(), rel, shardBenchCons, nil)
 		} else {
 			det, _, err = disc.DetectSharded(context.Background(), rel, shardBenchCons,
 				disc.ShardOptions{Shards: shards})

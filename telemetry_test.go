@@ -1,6 +1,7 @@
 package disc_test
 
 import (
+	"context"
 	"os"
 	"reflect"
 	"regexp"
@@ -25,26 +26,26 @@ func TestSaveSingleAllocsWithHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	cons := disc.Constraints{Eps: ds.Eps, Eta: ds.Eta}
-	det, err := disc.Detect(ds.Rel, cons)
+	det, err := disc.DetectContext(context.Background(), ds.Rel, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(det.Outliers) == 0 {
 		t.Skip("no outliers in the workload")
 	}
-	saver, err := disc.NewSaver(ds.Rel.Subset(det.Inliers), cons, disc.Options{Kappa: 2})
+	saver, err := disc.NewSaverContext(context.Background(), ds.Rel.Subset(det.Inliers), cons, disc.Options{Kappa: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	to := ds.Rel.Tuples[det.Outliers[0]]
 	var hists obs.ServeHists
-	if adj := saver.Save(to); !adj.Natural { // also warms the arena pool
+	if adj := saver.SaveOne(context.Background(), to); !adj.Natural { // also warms the arena pool
 		t.Fatalf("workload outlier is no longer natural (%+v); a saved answer allocates its tuple", adj)
 	}
 
 	allocs := testing.AllocsPerRun(20, func() {
 		start := time.Now()
-		adj := saver.Save(to)
+		adj := saver.SaveOne(context.Background(), to)
 		hists.Save.ObserveSince(start)
 		hists.SaveNodes.Observe(adj.Stats.Nodes)
 	})
