@@ -12,6 +12,7 @@ func FuzzLevenshteinMetric(f *testing.F) {
 	f.Add("", "abc")
 	f.Add("日本語", "日本")
 	f.Add("aaaa", "aa")
+	f.Add("caf\xe9", "cafe")
 	f.Fuzz(func(t *testing.T, a, b string) {
 		if len(a) > 64 || len(b) > 64 {
 			t.Skip()
@@ -19,6 +20,10 @@ func FuzzLevenshteinMetric(f *testing.F) {
 		dab := Levenshtein(a, b)
 		if dab < 0 {
 			t.Fatalf("negative distance %v", dab)
+		}
+		// The ASCII byte path must agree with the lossless rune DP.
+		if want := float64(LevenshteinRunes(decodeLossless(a), decodeLossless(b))); dab != want {
+			t.Fatalf("Levenshtein(%q, %q) = %v, rune DP %v", a, b, dab, want)
 		}
 		if dab != Levenshtein(b, a) {
 			t.Fatalf("asymmetric for %q/%q", a, b)
