@@ -381,3 +381,71 @@ func TestKernelShardedCache(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestKernelProjection pins Project: over every subset of the test
+// schema's columns, a projection's row-to-row, query and early-exit
+// distances are bit-identical to Schema.DistOn over that subset, its
+// queries bind full-width tuples, and rows appended to the compiled
+// kernel afterwards are visible through it (nothing was copied).
+func TestKernelProjection(t *testing.T) {
+	for _, norm := range []metric.Norm{metric.L2, metric.L1, metric.LInf} {
+		t.Run(norm.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(norm) + 7))
+			r := kernelTestRelation(rng, norm, 40)
+			sch := r.Schema
+			k := CompileKernel(r)
+			m := sch.M()
+			var projs []*Kernel
+			var masks []AttrMask
+			for x := AttrMask(1); x <= FullMask(m); x++ {
+				var cols []int
+				for a := 0; a < m; a++ {
+					if x.Has(a) {
+						cols = append(cols, a)
+					}
+				}
+				projs = append(projs, k.Project(cols))
+				masks = append(masks, x)
+			}
+			// Grow the relation after projecting: the projections must see
+			// the new rows through the compiled kernel.
+			extra := kernelTestRelation(rng, norm, 10)
+			for _, tp := range extra.Tuples {
+				r.Append(tp)
+				k.AppendRow(tp)
+			}
+			queries := kernelTestRelation(rng, norm, 5).Tuples
+			for p, pk := range projs {
+				x := masks[p]
+				if pk.N() != r.N() || pk.M() != x.Count() {
+					t.Fatalf("projection %b: N=%d M=%d, want %d and %d", x, pk.N(), pk.M(), r.N(), x.Count())
+				}
+				for trial := 0; trial < 40; trial++ {
+					i, j := rng.Intn(r.N()), rng.Intn(r.N())
+					if got, want := pk.Dist(i, j), sch.DistOn(r.Tuples[i], r.Tuples[j], x); got != want {
+						t.Fatalf("projection %b Dist(%d,%d) = %v, DistOn %v", x, i, j, got, want)
+					}
+				}
+				for _, q := range queries {
+					kq := pk.Bind(q)
+					for j := 0; j < r.N(); j++ {
+						want := sch.DistOn(q, r.Tuples[j], x)
+						if got := kq.DistTo(j); got != want {
+							t.Fatalf("projection %b DistTo(%d) = %v, DistOn %v", x, j, got, want)
+						}
+						if d, within := kq.DistToLE(j, LEBound(norm, want)); !within || d != want {
+							t.Fatalf("projection %b DistToLE(%d) at its own distance = (%v, %t), want (%v, true)", x, j, d, within, want)
+						}
+					}
+					kq.Release()
+				}
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("AppendRow on a projection did not panic")
+				}
+			}()
+			projs[0].AppendRow(r.Tuples[0])
+		})
+	}
+}

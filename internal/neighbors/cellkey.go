@@ -22,6 +22,9 @@ type CellKeyer struct {
 	rel  *data.Relation
 	cell float64
 	m    int
+	// cols maps keyed dimensions to tuple columns (nil: the identity); a
+	// grid over a projected kernel keys only the projection's columns.
+	cols []int
 	// packed selects the uint64-key layout; minC/maxC/shift describe the
 	// per-dimension bit fields sized to the build-time coordinate ranges.
 	packed bool
@@ -41,7 +44,7 @@ func NewCellKeyer(r *data.Relation, cell float64) (*CellKeyer, error) {
 			return nil, fmt.Errorf("neighbors: cell keying requires an all-numeric schema (attribute %q is text)", a.Name)
 		}
 	}
-	k, _ := newCellKeyer(r, cell)
+	k, _ := newCellKeyer(r, nil, cell)
 	return k, nil
 }
 
@@ -49,12 +52,16 @@ func NewCellKeyer(r *data.Relation, cell float64) (*CellKeyer, error) {
 // returns that per-row coordinate buffer (row i's coordinates occupy
 // coords[i*m : (i+1)*m]) so the grid's constructor can reuse it for
 // insertion instead of paying a second pass. The caller must have verified
-// the schema is all-numeric.
-func newCellKeyer(r *data.Relation, cell float64) (*CellKeyer, []int) {
+// the keyed columns are numeric. cols selects the keyed columns (nil: all
+// of them).
+func newCellKeyer(r *data.Relation, cols []int, cell float64) (*CellKeyer, []int) {
 	if cell <= 0 {
 		cell = 1
 	}
-	k := &CellKeyer{rel: r, cell: cell, m: r.Schema.M()}
+	k := &CellKeyer{rel: r, cell: cell, m: r.Schema.M(), cols: cols}
+	if cols != nil {
+		k.m = len(cols)
+	}
 	n := r.N()
 	coords := make([]int, n*k.m)
 	k.minC, k.maxC = make([]int, k.m), make([]int, k.m)
@@ -108,10 +115,14 @@ func (k *CellKeyer) Coord(t data.Tuple, a int) int {
 	return int(math.Floor(k.pos(t, a)))
 }
 
-// pos returns attribute a of t in cell units: the scaled value divided by
-// the cell size, whose floor is the cell coordinate. The grid walk reads
-// the query's position inside its cell from the same arithmetic.
+// pos returns keyed dimension a of t in cell units: the scaled value
+// divided by the cell size, whose floor is the cell coordinate. The grid
+// walk reads the query's position inside its cell from the same
+// arithmetic.
 func (k *CellKeyer) pos(t data.Tuple, a int) float64 {
+	if k.cols != nil {
+		a = k.cols[a]
+	}
 	v := t[a].Num
 	if s := k.rel.Schema.Attrs[a].Scale; s > 0 {
 		v /= s

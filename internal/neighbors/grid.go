@@ -62,19 +62,20 @@ const gridStackDims = 8
 // positive value). It panics on non-numeric schemas, which would be a
 // programming error — Build routes those to the VP-tree.
 func NewGrid(r *data.Relation, cell float64) *Grid {
-	if !allNumeric(r) {
+	kern := data.CompileKernel(r)
+	if !kern.AllNumeric() {
 		panic("neighbors: grid index requires an all-numeric schema")
 	}
-	return newGridKernel(r, data.CompileKernel(r), cell)
+	return newGridKernel(r, kern, cell)
 }
 
 // newGridKernel builds the grid reusing an already-compiled kernel (the
 // Mutable wrapper keeps one kernel — and its text caches — alive across
-// delta merges).
+// delta merges). A projected kernel grids only its own columns.
 func newGridKernel(r *data.Relation, kern *data.Kernel, cell float64) *Grid {
 	// The keyer's sizing pass doubles as the insertion pass's coordinate
 	// source, so building through it costs no extra scan.
-	key, coords := newCellKeyer(r, cell)
+	key, coords := newCellKeyer(r, kern.Cols(), cell)
 	g := &Grid{
 		r: r, kern: kern, key: key,
 		cell: key.cell, m: key.m, packed: key.packed,

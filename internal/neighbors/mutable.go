@@ -3,6 +3,7 @@ package neighbors
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/data"
 )
@@ -94,15 +95,21 @@ type Mutable struct {
 	eps  float64
 	kind IndexKind // resolved concrete kind (never KindAuto)
 
-	ds    deadSet
-	base  Index // one of the three concrete, dead-aware indexes
-	grid  *Grid // base as grid, for native cell inserts (nil otherwise)
-	delta []int // physical rows in neither base structure nor grid cells
+	ds    *deadSet // shared with every projection
+	base  Index    // one of the three concrete, dead-aware indexes
+	grid  *Grid    // base as grid, for native cell inserts (nil otherwise)
+	delta []int    // physical rows in neither base structure nor grid cells
 
 	baseRows   int    // physical rows covered at the last (re)build
 	gen        uint64 // bumped by every mutation; views re-sync on change
 	merges     int64
 	mergeEvery int // explicit delta threshold; 0 = max(32, baseRows/8)
+
+	// projections are the attribute-subset indexes Project built over the
+	// same rows, each absorbing every Insert; projected marks m as one of
+	// them (its rows and tombstones belong to the Mutable it projects).
+	projections []*Mutable
+	projected   bool
 }
 
 // NewMutable builds a mutable index over r. kind selects the concrete
@@ -111,27 +118,51 @@ type Mutable struct {
 // error — the HTTP layer reports it as a 422 rather than the grid
 // constructor's programming-error panic.
 func NewMutable(r *data.Relation, eps float64, kind IndexKind) (*Mutable, error) {
+	kern := data.CompileKernel(r)
 	if kind == KindAuto {
-		kind = autoKind(r, eps)
+		kind = autoKind(kern, eps)
 	}
-	if kind == KindGrid && !allNumeric(r) {
+	if kind == KindGrid && !kern.AllNumeric() {
 		return nil, fmt.Errorf("neighbors: %s index requires an all-numeric schema", kind)
 	}
 	m := &Mutable{
 		r:    r,
-		kern: data.CompileKernel(r),
+		kern: kern,
 		eps:  eps,
 		kind: kind,
-		ds:   deadSet{bits: make([]bool, r.N())},
+		ds:   &deadSet{bits: make([]bool, r.N())},
 	}
 	m.rebuildBase()
 	return m, nil
 }
 
+// Project returns the index over the attribute columns cols of m's rows
+// (see the package-level Project): its kernel is m's, projected, its kind
+// is autoKind's pick for the projected attributes, and it shares m's
+// tombstone table, so Delete on m is visible to it at once. m's Insert
+// absorbs each new row into every projection — into a grid cell or the
+// projection's own delta buffer, merged on its own threshold — so
+// answers always equal a projection built from scratch over m's live
+// rows. Calls with equal cols return the same projection, so any number
+// of savers over m share one set. A projection's own Insert and Delete
+// panic: mutate m instead.
+func (m *Mutable) Project(cols []int) *Mutable {
+	for _, p := range m.projections {
+		if slices.Equal(p.kern.Cols(), cols) {
+			return p
+		}
+	}
+	kern := m.kern.Project(slices.Clone(cols))
+	p := &Mutable{r: m.r, kern: kern, eps: m.eps, kind: autoKind(kern, m.eps), ds: m.ds, projected: true}
+	p.rebuildBase()
+	m.projections = append(m.projections, p)
+	return p
+}
+
 // rebuildBase constructs the concrete base over all current physical
 // rows, reusing the shared kernel, and wires the tombstone table in.
 func (m *Mutable) rebuildBase() {
-	m.base = build(m.r, m.kern, m.eps, m.kind, &m.ds)
+	m.base = build(m.r, m.kern, m.eps, m.kind, m.ds)
 	m.grid, _ = m.base.(*Grid)
 	m.baseRows = m.r.N()
 }
@@ -140,27 +171,43 @@ func (m *Mutable) rebuildBase() {
 // to queries, returning its physical row index. The grid absorbs the row
 // into a cell when it can; everything else goes through the delta
 // buffer, which merges into the base once it crosses the threshold.
+// Every projection absorbs the row the same way.
 func (m *Mutable) Insert(t data.Tuple) int {
+	if m.projected {
+		panic("neighbors: Insert on a projection; insert through the Mutable it projects")
+	}
 	i := m.r.N()
 	m.r.Append(t)
 	m.kern.AppendRow(t)
 	m.ds.bits = append(m.ds.bits, false)
+	m.absorb(i)
+	for _, p := range m.projections {
+		p.absorb(i)
+	}
+	return i
+}
+
+// absorb makes physical row i, already appended to the relation and the
+// kernel, visible to m's queries.
+func (m *Mutable) absorb(i int) {
 	m.gen++
 	if m.grid != nil && m.grid.insert(i) {
 		m.baseRows = i + 1
-		return i
+		return
 	}
 	m.delta = append(m.delta, i)
 	if len(m.delta) >= m.mergeThreshold() {
 		m.Merge()
 	}
-	return i
 }
 
 // Delete tombstones physical row i. The row's storage stays in place
 // (columns are append-only); scans skip it from now on. Deleting a row
 // twice is a no-op.
 func (m *Mutable) Delete(i int) {
+	if m.projected {
+		panic("neighbors: Delete on a projection; delete through the Mutable it projects")
+	}
 	if i < 0 || i >= len(m.ds.bits) || m.ds.bits[i] {
 		return
 	}

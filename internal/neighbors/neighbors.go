@@ -104,21 +104,34 @@ func KernelOf(idx Index) *data.Kernel {
 // Build indexes the relation with the kind autoKind selects. eps hints the
 // grid cell size.
 func Build(r *data.Relation, eps float64) Index {
-	return build(r, data.CompileKernel(r), eps, autoKind(r, eps), nil)
+	kern := data.CompileKernel(r)
+	return build(r, kern, eps, autoKind(kern, eps), nil)
 }
 
-// autoKind is the one index-selection rule, behind both Build and
-// KindAuto: a grid when the schema is fully numeric with at most six
-// attributes (range queries touch 3^m cells) and eps > 0 sizes its cells,
-// else a VP-tree once r holds 64 tuples, else a brute scan. The grid
-// serves every supported norm, not only the L2 default: its walk
+// Project indexes the attribute columns cols of r for queries decided by
+// the distance over those attributes alone. kern must be r's compiled
+// kernel; the index reads it through data.Kernel.Project, so it copies no
+// column and shares the text caches, and autoKind picks its kind from the
+// projected attributes. Query tuples stay full-width. A Mutable's
+// projections come from Mutable.Project instead, which keeps them in step
+// with its inserts and tombstones.
+func Project(r *data.Relation, kern *data.Kernel, cols []int, eps float64) Index {
+	pk := kern.Project(cols)
+	return build(r, pk, eps, autoKind(pk, eps), nil)
+}
+
+// autoKind is the one index-selection rule, behind Build, Project and
+// KindAuto: a grid when the kernel's attributes are all numeric and at
+// most six (range queries touch 3^m cells) and eps > 0 sizes its cells,
+// else a VP-tree once the kernel holds 64 rows, else a brute scan. The
+// grid serves every supported norm, not only the L2 default: its walk
 // aggregates per-axis cell gaps under the schema's own norm, so the cell
 // bound stays valid for any of them.
-func autoKind(r *data.Relation, eps float64) IndexKind {
+func autoKind(kern *data.Kernel, eps float64) IndexKind {
 	switch {
-	case allNumeric(r) && r.Schema.M() <= 6 && eps > 0:
+	case kern.AllNumeric() && kern.M() <= 6 && eps > 0:
 		return KindGrid
-	case r.N() >= 64:
+	case kern.N() >= 64:
 		return KindVP
 	}
 	return KindBrute
@@ -141,17 +154,6 @@ func build(r *data.Relation, kern *data.Kernel, eps float64, kind IndexKind, dea
 	b := newBruteKernel(r, kern)
 	b.dead = dead
 	return b
-}
-
-// allNumeric reports whether every attribute of r is numeric, which the
-// grid requires.
-func allNumeric(r *data.Relation) bool {
-	for _, a := range r.Schema.Attrs {
-		if a.Kind != data.Numeric {
-			return false
-		}
-	}
-	return true
 }
 
 // Brute is the exhaustive-scan index; it is the correctness reference for

@@ -303,6 +303,38 @@ func BenchmarkVPTreeWithin(b *testing.B) {
 	}
 }
 
+// letterVP builds a VP-tree over Table 1 Letter at scale 0.15 (3,000
+// rows, m = 16), the index Build picks for every relation with m ≥ 7 and
+// for text-bearing ones, with Letter's recorded (ε, η).
+func letterVP(b *testing.B) (*VPTree, *data.Relation, float64, int) {
+	b.Helper()
+	ds, err := data.Table1("Letter", 0.15, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return NewVPTree(ds.Rel, 1), ds.Rel, ds.Eps, ds.Eta
+}
+
+// BenchmarkVPTreeCountWithin is detection's query: a count capped at η.
+func BenchmarkVPTreeCountWithin(b *testing.B) {
+	vp, r, eps, eta := letterVP(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vp.CountWithin(r.Tuples[i%r.N()], eps, i%r.N(), eta)
+	}
+}
+
+// BenchmarkVPTreeKNN is the η-radius precompute's query: KNN(η).
+func BenchmarkVPTreeKNN(b *testing.B) {
+	vp, r, _, eta := letterVP(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vp.KNN(r.Tuples[i%r.N()], eta, i%r.N())
+	}
+}
+
 func BenchmarkGridWithin(b *testing.B) {
 	r := randomRelation(10000, 3, 1)
 	g := NewGrid(r, 1.5)

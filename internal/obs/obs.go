@@ -65,8 +65,9 @@ type SearchStats struct {
 	BudgetTrips int64 `json:"budget_trips"`
 	// Candidates counts the inliers read into the compact candidate
 	// table(s): the Lemma 4 truncation ball on the unrestricted path, or
-	// every live inlier the κ screen read on the κ path (Candidates −
-	// KappaPrefiltered of them survive into the tables).
+	// the inliers the κ screen read on the κ path — the union of the
+	// attribute-group range hits (Candidates − KappaPrefiltered of them
+	// survive into the tables).
 	Candidates int64 `json:"candidates"`
 	// KNNQueries and RangeQueries count neighbor-index queries (k-NN, and
 	// Within/CountWithin respectively); DistEvals counts the tuple-pair

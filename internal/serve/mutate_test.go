@@ -18,7 +18,16 @@ import (
 )
 
 func randTuple2D(rng *rand.Rand, scale float64) disc.Tuple {
-	return disc.Tuple{disc.Num(rng.Float64() * scale), disc.Num(rng.Float64() * scale)}
+	return randTuple(rng, 2, scale)
+}
+
+// randTuple draws dims coordinates uniformly from [0, scale).
+func randTuple(rng *rand.Rand, dims int, scale float64) disc.Tuple {
+	t := make(disc.Tuple, dims)
+	for a := range t {
+		t[a] = disc.Num(rng.Float64() * scale)
+	}
+	return t
 }
 
 func tupleAny(t disc.Tuple) []any {
@@ -47,38 +56,54 @@ func randLiveHandle(rng *rand.Rand, mirror []disc.Tuple) int {
 // scratch. It runs across all three index kinds, for freshly built sessions
 // ("exact") and for sessions snapshotted and recovered before the first
 // mutation ("restart"), so recovery × mutation is pinned too. Run under
-// -race this also exercises the mutation/query locking.
+// -race this also exercises the mutation/query locking. The 2-D sessions
+// save unrestricted (κ ≥ m); "restart-groups" runs a 4-D session at κ = 1,
+// whose saver screens through its attribute-group indexes, so the groups
+// must track every mutation across recovery too.
 func TestMutateDifferential(t *testing.T) {
 	for _, kind := range []string{"brute", "grid", "vp"} {
 		t.Run(kind, func(t *testing.T) {
 			for _, mode := range []string{"exact", "restart"} {
-				t.Run(mode, func(t *testing.T) { mutateDifferential(t, kind, mode) })
+				t.Run(mode, func(t *testing.T) { mutateDifferential(t, kind, mode, 2, 2) })
 			}
+			t.Run("restart-groups", func(t *testing.T) { mutateDifferential(t, kind, "restart", 4, 1) })
 		})
 	}
 }
 
-func mutateDifferential(t *testing.T, kind, mode string) {
+func mutateDifferential(t *testing.T, kind, mode string, dims, kappa int) {
 	rng := rand.New(rand.NewSource(42))
 	cfg := Config{BatchWindow: -1, Workers: 2}
 	if mode == "restart" {
 		cfg.DataDir = t.TempDir()
 	}
 
-	// 60 rows spread over the unit square, with counts on both sides of
-	// η, plus a dense core of inliers.
-	rel := disc.NewRelation(disc.NewNumericSchema("x", "y"))
+	// 60 rows spread over the unit cube, with counts on both sides of
+	// η, plus a dense core of inliers. Beyond two attributes the core
+	// splits into four clusters half a unit apart on every attribute, so
+	// each attribute's ε-hit rate among the inliers stays near 1/4 and the
+	// saver's attribute groups pay.
+	names := []string{"x", "y", "z", "w"}[:dims]
+	rel := disc.NewRelation(disc.NewNumericSchema(names...))
 	for i := 0; i < 60; i++ {
-		rel.Append(randTuple2D(rng, 1))
+		rel.Append(randTuple(rng, dims, 1))
 	}
 	for i := 0; i < 30; i++ {
-		rel.Append(disc.Tuple{disc.Num(0.4 + rng.Float64()*0.15), disc.Num(0.4 + rng.Float64()*0.15)})
+		center := 0.4
+		if dims > 2 {
+			center = 0.5 * float64(i%4)
+		}
+		core := make(disc.Tuple, dims)
+		for a := range core {
+			core[a] = disc.Num(center + rng.Float64()*0.15)
+		}
+		rel.Append(core)
 	}
 	var buf bytes.Buffer
 	if err := disc.WriteCSV(&buf, rel); err != nil {
 		t.Fatal(err)
 	}
-	create := createRequest{Name: "mut", CSV: buf.String(), Eps: 0.25, Eta: 3, Kappa: 2, Index: kind}
+	create := createRequest{Name: "mut", CSV: buf.String(), Eps: 0.25, Eta: 3, Kappa: kappa, Index: kind}
 
 	var s *Server
 	if mode == "restart" {
@@ -112,6 +137,9 @@ func mutateDifferential(t *testing.T, kind, mode string) {
 		}
 		checkCountInvariant(t, sess, "after restart")
 	}
+	if groups := sess.Saver.AttributeGroups(); (kappa < dims) != (len(groups) > 0) {
+		t.Fatalf("κ=%d over %d attributes: saver groups %v", kappa, dims, groups)
+	}
 
 	// mirror tracks the logical row handles client-side: nil = hole.
 	mirror := make([]disc.Tuple, rel.N())
@@ -128,7 +156,7 @@ func mutateDifferential(t *testing.T, kind, mode string) {
 				// delta buffer.
 				scale = 50
 			}
-			tp := randTuple2D(rng, scale)
+			tp := randTuple(rng, dims, scale)
 			w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/tuples",
 				mutateRequest{Tuple: tupleAny(tp)})
 			if w.Code != http.StatusCreated {
@@ -145,7 +173,7 @@ func mutateDifferential(t *testing.T, kind, mode string) {
 			}
 		case rng.Intn(2) == 0: // update
 			h := randLiveHandle(rng, mirror)
-			tp := randTuple2D(rng, 1)
+			tp := randTuple(rng, dims, 1)
 			w := do(t, s, "PUT", fmt.Sprintf("/v1/datasets/%s/tuples/%d", info.ID, h),
 				mutateRequest{Tuple: tupleAny(tp)})
 			if w.Code != http.StatusOK {
@@ -176,7 +204,7 @@ func mutateDifferential(t *testing.T, kind, mode string) {
 		}
 	}
 	fs, err := s.Registry().Upload(context.Background(), "fresh", fresh,
-		BuildParams{Eps: 0.25, Eta: 3, Kappa: 2, Index: kind})
+		BuildParams{Eps: 0.25, Eta: 3, Kappa: kappa, Index: kind})
 	if err != nil {
 		t.Fatalf("fresh rebuild: %v", err)
 	}
@@ -212,7 +240,7 @@ func mutateDifferential(t *testing.T, kind, mode string) {
 	}
 	probes = probes[:0]
 	for i := 0; i < 8; i++ {
-		probes = append(probes, tupleAny(randTuple2D(rng, 1.4)))
+		probes = append(probes, tupleAny(randTuple(rng, dims, 1.4)))
 	}
 	dm = decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect",
 		detectRequest{Tuples: probes}))
@@ -226,8 +254,16 @@ func mutateDifferential(t *testing.T, kind, mode string) {
 	// require identical adjustments (random float data makes the min-cost
 	// adjustment unique, so iteration order — the only thing the mutated
 	// and rebuilt sessions differ in — must not show through).
+	// Beyond two attributes the probe stays inside the core on all but
+	// the first, so a κ save adjusts that one.
 	for i := 0; i < 3; i++ {
 		probe := tupleAny(disc.Tuple{disc.Num(1.2 + 0.3*float64(i) + rng.Float64()/8), disc.Num(1.3 + rng.Float64()/8)})
+		if dims > 2 {
+			probe[1] = 0.4 + rng.Float64()*0.15
+			for a := 2; a < dims; a++ {
+				probe = append(probe, 0.4+rng.Float64()*0.15)
+			}
+		}
 		am := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: probe})
 		af := do(t, s, "POST", "/v1/datasets/"+fs.ID+"/save", saveRequest{Tuple: probe})
 		if am.Code != http.StatusOK || af.Code != http.StatusOK {
