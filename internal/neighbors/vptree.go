@@ -36,14 +36,16 @@ type VPTree struct {
 	ks    kernHooks
 }
 
+// vpNode is one vantage point. The median distance that splits its
+// subtrees is maxInside itself (the median row lands inside), so it is
+// not stored; int32 ids keep a node at 32 bytes, which matters once a
+// saver keeps a tree per attribute group besides its own.
 type vpNode struct {
-	idx         int     // tuple index of the vantage point
-	radius      float64 // median distance separating inside/outside
-	inside      int     // node id of the ≤ radius subtree (-1 none)
-	outside     int     // node id of the > radius subtree (-1 none)
-	maxInside   float64 // max distance to vantage point within inside subtree
-	minOutside  float64 // min distance to vantage point within outside subtree
-	subtreeSize int
+	idx        int32   // tuple index of the vantage point
+	inside     int32   // node id of the ≤ median subtree (-1 none)
+	outside    int32   // node id of the > median subtree (-1 none)
+	maxInside  float64 // max distance to vantage point within inside subtree
+	minOutside float64 // min distance to vantage point within outside subtree
 }
 
 // NewVPTree builds the tree over r; seed drives vantage-point selection.
@@ -91,7 +93,7 @@ func (t *VPTree) build(idx []int, rng *rand.Rand) int {
 	rest := idx[:len(idx)-1]
 
 	id := len(t.nodes)
-	t.nodes = append(t.nodes, vpNode{idx: vp, inside: -1, outside: -1, subtreeSize: len(idx)})
+	t.nodes = append(t.nodes, vpNode{idx: int32(vp), inside: -1, outside: -1})
 	if len(rest) == 0 {
 		return id
 	}
@@ -123,9 +125,8 @@ func (t *VPTree) build(idx []int, rng *rand.Rand) int {
 	in := t.build(insideIdx, rng)
 	out := t.build(outsideIdx, rng)
 	n := &t.nodes[id]
-	n.radius = radius
-	n.inside = in
-	n.outside = out
+	n.inside = int32(in)
+	n.outside = int32(out)
 	n.maxInside = maxIn
 	n.minOutside = minOut
 	return id
@@ -162,20 +163,21 @@ func (t *VPTree) CountWithin(q data.Tuple, eps float64, skip, cap int) int {
 // rangeAppend appends every tuple within eps of the bound query to dst.
 func (t *VPTree) rangeAppend(id int, kq *data.KernelQuery, eps float64, skip int, dst []Neighbor) []Neighbor {
 	n := &t.nodes[id]
+	vp := int(n.idx)
 	count(t.evals)
-	d := kq.DistTo(n.idx)
-	if d <= eps && n.idx != skip && !t.dead.has(n.idx) {
-		dst = append(dst, Neighbor{Idx: n.idx, Dist: d})
+	d := kq.DistTo(vp)
+	if d <= eps && vp != skip && !t.dead.has(vp) {
+		dst = append(dst, Neighbor{Idx: vp, Dist: d})
 	}
 	// Triangle inequality: any point p in the inside subtree has
 	// |d − Δ(vp,p)| ≤ Δ(q,p), with Δ(vp,p) ≤ maxInside; the inside subtree
 	// can contain matches only if d − eps ≤ maxInside. Symmetrically for
 	// the outside subtree with Δ(vp,p) ≥ minOutside.
 	if n.inside >= 0 && d-eps <= n.maxInside {
-		dst = t.rangeAppend(n.inside, kq, eps, skip, dst)
+		dst = t.rangeAppend(int(n.inside), kq, eps, skip, dst)
 	}
 	if n.outside >= 0 && d+eps >= n.minOutside {
-		dst = t.rangeAppend(n.outside, kq, eps, skip, dst)
+		dst = t.rangeAppend(int(n.outside), kq, eps, skip, dst)
 	}
 	return dst
 }
@@ -185,9 +187,10 @@ func (t *VPTree) rangeAppend(id int, kq *data.KernelQuery, eps float64, skip int
 // propagates the abort up the recursion.
 func (t *VPTree) rangeCount(id int, kq *data.KernelQuery, eps float64, skip, cap, c int) (int, bool) {
 	n := &t.nodes[id]
+	vp := int(n.idx)
 	count(t.evals)
-	d := kq.DistTo(n.idx)
-	if d <= eps && n.idx != skip && !t.dead.has(n.idx) {
+	d := kq.DistTo(vp)
+	if d <= eps && vp != skip && !t.dead.has(vp) {
 		c++
 		if cap > 0 && c >= cap {
 			return c, false
@@ -195,12 +198,12 @@ func (t *VPTree) rangeCount(id int, kq *data.KernelQuery, eps float64, skip, cap
 	}
 	more := true
 	if n.inside >= 0 && d-eps <= n.maxInside {
-		if c, more = t.rangeCount(n.inside, kq, eps, skip, cap, c); !more {
+		if c, more = t.rangeCount(int(n.inside), kq, eps, skip, cap, c); !more {
 			return c, false
 		}
 	}
 	if n.outside >= 0 && d+eps >= n.minOutside {
-		if c, more = t.rangeCount(n.outside, kq, eps, skip, cap, c); !more {
+		if c, more = t.rangeCount(int(n.outside), kq, eps, skip, cap, c); !more {
 			return c, false
 		}
 	}
@@ -224,35 +227,36 @@ func (t *VPTree) knnSearch(id int, kq *data.KernelQuery, skip int, h *maxHeap) {
 		return
 	}
 	n := &t.nodes[id]
+	vp := int(n.idx)
 	count(t.evals)
-	d := kq.DistTo(n.idx)
-	if n.idx != skip && !t.dead.has(n.idx) {
-		h.offer(Neighbor{Idx: n.idx, Dist: d})
+	d := kq.DistTo(vp)
+	if vp != skip && !t.dead.has(vp) {
+		h.offer(Neighbor{Idx: vp, Dist: d})
 	}
 	bound, full := h.bound()
 	if !full {
 		bound = math.Inf(1)
 	}
 	// Descend the more promising side first so the bound tightens early.
-	if d <= n.radius {
+	if d <= n.maxInside {
 		if n.inside >= 0 && d-bound <= n.maxInside {
-			t.knnSearch(n.inside, kq, skip, h)
+			t.knnSearch(int(n.inside), kq, skip, h)
 		}
 		if bound, full = h.bound(); !full {
 			bound = math.Inf(1)
 		}
 		if n.outside >= 0 && d+bound >= n.minOutside {
-			t.knnSearch(n.outside, kq, skip, h)
+			t.knnSearch(int(n.outside), kq, skip, h)
 		}
 	} else {
 		if n.outside >= 0 && d+bound >= n.minOutside {
-			t.knnSearch(n.outside, kq, skip, h)
+			t.knnSearch(int(n.outside), kq, skip, h)
 		}
 		if bound, full = h.bound(); !full {
 			bound = math.Inf(1)
 		}
 		if n.inside >= 0 && d-bound <= n.maxInside {
-			t.knnSearch(n.inside, kq, skip, h)
+			t.knnSearch(int(n.inside), kq, skip, h)
 		}
 	}
 }
