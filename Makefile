@@ -11,9 +11,9 @@ FUZZTIME ?= 10s
 # benchjson folds the repeats into a median with min/max and GOMAXPROCS, so
 # each snapshot carries its spread.
 BENCHKEY ?= after
-BENCHPAT = BenchmarkSaveSingle$$|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkShardDetect|BenchmarkShardSave|BenchmarkDetectExactLattice
+BENCHPAT = BenchmarkSaveSingle$$|BenchmarkSaveSingleSaved$$|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkVPTreeCountWithin$$|BenchmarkVPTreeKNN$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkShardDetect|BenchmarkShardSave|BenchmarkDetectExactLattice
 
-.PHONY: check build vet test race cover fuzz bench bench-check serve-smoke mutate-smoke shard-smoke chaos drift profile perfbench
+.PHONY: check build vet test race cover fuzz bench bench-diff bench-check serve-smoke mutate-smoke shard-smoke chaos drift profile perfbench
 
 check: build vet race cover bench-check serve-smoke mutate-smoke shard-smoke chaos drift fuzz perfbench
 
@@ -34,6 +34,15 @@ bench:
 	$(GO) test -run '^$$' -bench '$(BENCHPAT)' -benchmem -count 5 . ./internal/neighbors ./internal/serve > .bench.out.tmp
 	$(GO) run ./cmd/benchjson -out $(BENCHOUT) -key $(BENCHKEY) < .bench.out.tmp
 	rm -f .bench.out.tmp
+
+# The per-layer regression gate: compare two snapshots, each FILE or
+# FILE:KEY (KEY defaults to after), matching entries by package, name and
+# GOMAXPROCS. Prints old and new median ns/op and allocs/op and fails when
+# a new median is above the old snapshot's recorded max, e.g.
+#   make bench-diff OLD=BENCH_17.json:before NEW=BENCH_17.json:after
+bench-diff:
+	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-diff OLD=BENCH_<a>.json[:key] NEW=BENCH_<b>.json[:key]" >&2; exit 2; }
+	$(GO) run ./cmd/benchjson -diff $(OLD) $(NEW)
 
 # Coverage summary: per-function percentages plus the total line, so a PR
 # that drops a package's coverage shows up in the diff of `make cover`.

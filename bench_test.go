@@ -188,6 +188,42 @@ func BenchmarkSaveSingle(b *testing.B) {
 	b.ReportMetric(float64(st.MemoHits), "memo_hits")
 }
 
+// BenchmarkSaveSingleSaved measures one Algorithm 1 invocation on the
+// BenchmarkSaveSingle fixture that runs the search proper: its outlier is
+// the first, in index order, whose κ = 2 save expands nodes and returns a
+// saved (not natural) answer, so the group queries, the screen, the start
+// masks, node expansion and the Proposition 5 witness tests are all timed.
+func BenchmarkSaveSingleSaved(b *testing.B) {
+	ds, cons := ablationWorkload(b)
+	det, err := disc.DetectContext(context.Background(), ds.Rel, cons, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	saver, err := disc.NewSaverContext(context.Background(), ds.Rel.Subset(det.Inliers), cons, disc.Options{Kappa: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var to disc.Tuple
+	for _, o := range det.Outliers {
+		if adj := saver.SaveOne(context.Background(), ds.Rel.Tuples[o]); adj.Saved() && adj.Nodes > 0 {
+			to = ds.Rel.Tuples[o]
+			break
+		}
+	}
+	if to == nil {
+		b.Skip("no outlier is saved")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st disc.SearchStats
+	for i := 0; i < b.N; i++ {
+		st = saver.SaveOne(context.Background(), to).Stats
+	}
+	b.ReportMetric(float64(st.Nodes), "nodes")
+	b.ReportMetric(float64(st.UBWitnesses), "witnesses")
+	b.ReportMetric(float64(st.Candidates), "candidates")
+}
+
 // BenchmarkExactSingle measures the §2.3 enumeration baseline on the same
 // workload (thinned domains).
 func BenchmarkExactSingle(b *testing.B) {

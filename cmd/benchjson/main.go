@@ -13,6 +13,16 @@
 // every column, the min and max of ns/op, and the repeat count. Stdin is
 // echoed to stdout, keeping the human-readable table visible when the
 // command is used in a pipe.
+//
+// With -diff it compares two committed snapshots instead, each named
+// FILE or FILE:KEY (KEY defaults to "after"):
+//
+//	benchjson -diff BENCH_14.json BENCH_17.json:after
+//
+// Entries match by (package, name, GOMAXPROCS). The table shows the old
+// and new median ns/op and allocs/op; the command exits 1 when any new
+// median lies above the old snapshot's recorded ns/op max (its slowest
+// repeat), so a move inside the old spread is not a regression.
 package main
 
 import (
@@ -26,6 +36,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 )
 
 // Bench is one benchmark's result, folded over its repeats.
@@ -76,11 +87,15 @@ var benchLine = regexp.MustCompile(`^(Benchmark[^\s]*?)(?:-(\d+))?\s+(\d+)\s+(.*
 
 func main() {
 	var (
-		out  = flag.String("out", "", "JSON file to merge the snapshot into (required)")
-		key  = flag.String("key", "after", "snapshot label inside the file (e.g. before, after)")
-		note = flag.String("note", "", "optional note stored at the top level of the file")
+		out   = flag.String("out", "", "JSON file to merge the snapshot into (required)")
+		key   = flag.String("key", "after", "snapshot label inside the file (e.g. before, after)")
+		note  = flag.String("note", "", "optional note stored at the top level of the file")
+		isDif = flag.Bool("diff", false, "compare two snapshots given as arguments (OLD NEW, each FILE or FILE:KEY)")
 	)
 	flag.Parse()
+	if *isDif {
+		os.Exit(diffMain(flag.Args(), os.Stdout))
+	}
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "benchjson: -out is required")
 		os.Exit(2)
@@ -265,4 +280,113 @@ func median(vs []float64) float64 {
 		return vs[n/2]
 	}
 	return (vs[n/2-1] + vs[n/2]) / 2
+}
+
+// diffMain runs -diff over its two FILE[:KEY] arguments and returns the
+// exit status: 0 clean, 1 regression or unreadable input, 2 usage.
+func diffMain(args []string, w io.Writer) int {
+	if len(args) != 2 {
+		fmt.Fprintln(os.Stderr, "usage: benchjson -diff OLD NEW (each FILE or FILE:KEY, KEY defaults to after)")
+		return 2
+	}
+	var runs [2]*Run
+	for i, arg := range args {
+		run, err := loadRun(arg)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+			return 1
+		}
+		runs[i] = run
+	}
+	if n := diff(runs[0], runs[1], w); n > 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) slower than the old snapshot's max\n", n)
+		return 1
+	}
+	return 0
+}
+
+// loadRun reads the snapshot named by FILE or FILE:KEY.
+func loadRun(arg string) (*Run, error) {
+	file, key := arg, "after"
+	if i := strings.LastIndex(arg, ":"); i >= 0 {
+		file, key = arg[:i], arg[i+1:]
+	}
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		return nil, err
+	}
+	var f File
+	if err := json.Unmarshal(raw, &f); err != nil {
+		return nil, fmt.Errorf("%s is not a bench file: %v", file, err)
+	}
+	run, ok := f.Runs[key]
+	if !ok {
+		return nil, fmt.Errorf("%s has no snapshot %q", file, key)
+	}
+	return run, nil
+}
+
+// benchKey identifies one benchmark across snapshots. Snapshots written
+// before GOMAXPROCS was recorded carry procs 0 and match only each other.
+type benchKey struct {
+	pkg, name string
+	procs     int
+}
+
+// diff writes the comparison table of the before snapshot against the
+// after one and returns the number of regressions: matched entries whose
+// new median ns/op exceeds the old entry's recorded max. Entries present
+// on one side only are listed and never counted.
+func diff(before, after *Run, w io.Writer) int {
+	olds := map[benchKey]Bench{}
+	for _, b := range before.Benchmarks {
+		olds[benchKey{b.Pkg, b.Name, b.Procs}] = b
+	}
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintln(tw, "benchmark\tprocs\told ns/op\tnew ns/op\tdelta\told allocs\tnew allocs\t\t")
+	regressions := 0
+	seen := map[benchKey]bool{}
+	for _, b := range after.Benchmarks {
+		k := benchKey{b.Pkg, b.Name, b.Procs}
+		seen[k] = true
+		o, ok := olds[k]
+		if !ok {
+			fmt.Fprintf(tw, "%s\t%d\t-\t%.0f\t\t-\t%s\tnew\t\n", label(b), b.Procs, b.NsPerOp, allocs(b))
+			continue
+		}
+		verdict := ""
+		switch {
+		case o.NsPerOpMax > 0 && b.NsPerOp > o.NsPerOpMax:
+			verdict = "SLOWER"
+			regressions++
+		case o.NsPerOpMin > 0 && b.NsPerOp < o.NsPerOpMin:
+			verdict = "faster"
+		}
+		fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.0f\t%+.1f%%\t%s\t%s\t%s\t\n", label(b), b.Procs, o.NsPerOp, b.NsPerOp,
+			100*(b.NsPerOp-o.NsPerOp)/o.NsPerOp, allocs(o), allocs(b), verdict)
+	}
+	for _, o := range before.Benchmarks {
+		if !seen[benchKey{o.Pkg, o.Name, o.Procs}] {
+			fmt.Fprintf(tw, "%s\t%d\t%.0f\t-\t\t%s\t-\tgone\t\n", label(o), o.Procs, o.NsPerOp, allocs(o))
+		}
+	}
+	tw.Flush()
+	return regressions
+}
+
+// label names a benchmark by package-relative path and name.
+func label(b Bench) string {
+	pkg := strings.TrimPrefix(strings.TrimPrefix(b.Pkg, "repro"), "/")
+	if pkg == "" {
+		return b.Name
+	}
+	return pkg + "." + b.Name
+}
+
+// allocs formats the median allocs/op, or "-" when -benchmem was off.
+func allocs(b Bench) string {
+	if b.AllocsPerOp == nil {
+		return "-"
+	}
+	return strconv.FormatFloat(*b.AllocsPerOp, 'f', -1, 64)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
@@ -91,5 +92,85 @@ func TestOldSnapshotKeepsShape(t *testing.T) {
 	}
 	if string(out) != old {
 		t.Errorf("rewritten as %s, want %s", out, old)
+	}
+}
+
+// TestDiff covers -diff's verdicts: a median above the old max is a
+// regression and fails the gate; one below the old min is reported as
+// faster; a move inside the old spread is neither; entries on one side
+// only, and entries whose GOMAXPROCS differ, are listed but never
+// compared.
+func TestDiff(t *testing.T) {
+	allocs := func(v float64) *float64 { return &v }
+	before := &Run{Benchmarks: []Bench{
+		{Pkg: "repro", Name: "BenchmarkSlower", Procs: 2, NsPerOp: 100, NsPerOpMin: 90, NsPerOpMax: 110, AllocsPerOp: allocs(3)},
+		{Pkg: "repro", Name: "BenchmarkFaster", Procs: 2, NsPerOp: 100, NsPerOpMin: 95, NsPerOpMax: 105},
+		{Pkg: "repro", Name: "BenchmarkSteady", Procs: 2, NsPerOp: 100, NsPerOpMin: 95, NsPerOpMax: 105},
+		{Pkg: "repro", Name: "BenchmarkGone", Procs: 2, NsPerOp: 100, NsPerOpMin: 95, NsPerOpMax: 105},
+		{Pkg: "repro/internal/neighbors", Name: "BenchmarkProcs", Procs: 1, NsPerOp: 100, NsPerOpMin: 95, NsPerOpMax: 105},
+	}}
+	after := &Run{Benchmarks: []Bench{
+		{Pkg: "repro", Name: "BenchmarkSlower", Procs: 2, NsPerOp: 130, AllocsPerOp: allocs(0)},
+		{Pkg: "repro", Name: "BenchmarkFaster", Procs: 2, NsPerOp: 80},
+		{Pkg: "repro", Name: "BenchmarkSteady", Procs: 2, NsPerOp: 104},
+		{Pkg: "repro", Name: "BenchmarkNew", Procs: 2, NsPerOp: 100},
+		{Pkg: "repro/internal/neighbors", Name: "BenchmarkProcs", Procs: 2, NsPerOp: 900},
+	}}
+	var out bytes.Buffer
+	if n := diff(before, after, &out); n != 1 {
+		t.Fatalf("diff counted %d regressions, want 1 (BenchmarkSlower only):\n%s", n, out.String())
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n")[1:] {
+		f := strings.Fields(line)
+		rows[f[0]+"/"+f[1]] = line
+	}
+	for name, want := range map[string]string{
+		"BenchmarkSlower/2":                   "SLOWER",
+		"BenchmarkFaster/2":                   "faster",
+		"BenchmarkGone/2":                     "gone",
+		"BenchmarkNew/2":                      "new",
+		"internal/neighbors.BenchmarkProcs/1": "gone",
+		"internal/neighbors.BenchmarkProcs/2": "new",
+	} {
+		if !strings.HasSuffix(strings.TrimSpace(rows[name]), want) {
+			t.Errorf("row %s = %q, want verdict %q", name, rows[name], want)
+		}
+	}
+	if f := strings.Fields(rows["BenchmarkSteady/2"]); f[len(f)-1] != "0" && f[len(f)-1] != "-" {
+		t.Errorf("steady row %q carries a verdict", rows["BenchmarkSteady/2"])
+	}
+	if f := strings.Fields(rows["BenchmarkSlower/2"]); f[2] != "100" || f[3] != "130" || f[5] != "3" || f[6] != "0" {
+		t.Errorf("slower row %q: want old/new ns/op 100/130 and allocs 3/0", rows["BenchmarkSlower/2"])
+	}
+}
+
+// TestDiffMain drives -diff through files and snapshot keys: a
+// regression exits 1, a clean comparison 0, bad arguments 2.
+func TestDiffMain(t *testing.T) {
+	f := File{Schema: "disc-bench/v1", Runs: map[string]*Run{
+		"before": {Benchmarks: []Bench{{Pkg: "repro", Name: "BenchmarkX", Procs: 2, NsPerOp: 100, NsPerOpMin: 90, NsPerOpMax: 110}}},
+		"after":  {Benchmarks: []Bench{{Pkg: "repro", Name: "BenchmarkX", Procs: 2, NsPerOp: 120, NsPerOpMin: 115, NsPerOpMax: 125}}},
+	}}
+	raw, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/BENCH_X.json"
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if code := diffMain([]string{path + ":before", path}, &out); code != 1 {
+		t.Errorf("before→after exit %d, want 1 (120 > max 110)", code)
+	}
+	if code := diffMain([]string{path + ":after", path + ":before"}, &out); code != 0 {
+		t.Errorf("after→before exit %d, want 0", code)
+	}
+	if code := diffMain([]string{path}, &out); code != 2 {
+		t.Errorf("one argument: exit %d, want 2", code)
+	}
+	if code := diffMain([]string{path + ":missing", path}, &out); code != 1 {
+		t.Errorf("unknown snapshot key: exit %d, want 1", code)
 	}
 }
