@@ -1,8 +1,8 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-# Perf-trajectory suite: core save/detect, downstream clustering, and the
-# three neighbor indexes. `make bench BENCHOUT=BENCH_<pr>.json` snapshots it
+# Perf-trajectory suite: core save/detect, downstream clustering, the
+# three neighbor indexes, and the distance kernel. `make bench BENCHOUT=BENCH_<pr>.json` snapshots it
 # into $(BENCHOUT) under $(BENCHKEY) (conventionally "before" at the start
 # of a perf change and "after" at the end) via cmd/benchjson, which merges
 # rather than overwrites so both snapshots survive in the committed file.
@@ -11,7 +11,7 @@ FUZZTIME ?= 10s
 # benchjson folds the repeats into a median with min/max and GOMAXPROCS, so
 # each snapshot carries its spread.
 BENCHKEY ?= after
-BENCHPAT = BenchmarkSaveSingle$$|BenchmarkSaveSingleSaved$$|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkVPTreeCountWithin$$|BenchmarkVPTreeKNN$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkShardDetect|BenchmarkShardSave|BenchmarkDetectExactLattice
+BENCHPAT = BenchmarkSaveSingle$$|BenchmarkSaveSingleSaved$$|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkVPTreeCountWithin$$|BenchmarkVPTreeKNN$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkDetectExactLattice|BenchmarkKernelDistNumeric$$|BenchmarkKernelDistTextHit$$|BenchmarkKernelDistTextMiss$$
 
 .PHONY: check build vet test race cover fuzz bench bench-diff bench-check serve-smoke mutate-smoke shard-smoke chaos drift profile perfbench
 
@@ -31,7 +31,7 @@ race:
 
 bench:
 	@test -n "$(BENCHOUT)" || { echo "usage: make bench BENCHOUT=BENCH_<pr>.json [BENCHKEY=before|after]" >&2; exit 2; }
-	$(GO) test -run '^$$' -bench '$(BENCHPAT)' -benchmem -count 5 . ./internal/neighbors ./internal/serve > .bench.out.tmp
+	$(GO) test -run '^$$' -bench '$(BENCHPAT)' -benchmem -count 5 . ./internal/data ./internal/neighbors ./internal/serve > .bench.out.tmp
 	$(GO) run ./cmd/benchjson -out $(BENCHOUT) -key $(BENCHKEY) < .bench.out.tmp
 	rm -f .bench.out.tmp
 
@@ -106,7 +106,7 @@ drift:
 # recovery invariants) under -race, plus the durability-layer unit tests
 # (snapshot format, fault sites, robust client).
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos' . ./internal/serve ./internal/shard ./internal/serve/coord
+	$(GO) test -race -count=1 -run 'Chaos' . ./internal/serve ./internal/serve/coord
 	$(GO) test -race -count=1 ./internal/snapshot ./internal/fault ./internal/serve/client
 
 # Each fuzz target needs its own invocation: go test allows one -fuzz

@@ -20,15 +20,11 @@
 // merged search counters and phase timings (see docs/OBSERVABILITY.md for
 // the counter semantics).
 //
-// With -shards S (S > 1) the pipeline runs shard-parallel over an ε-halo
-// spatial partition: detection and repair results stay bit-exact with the
-// unsharded run, and a per-shard breakdown is printed to stderr.
-//
 // Usage:
 //
 //	disccli -in data.csv -out repaired.csv [-eps 3 -eta 18] [-kappa 2]
 //	        [-timeout 30s] [-deadline 200ms] [-max-nodes 100000] [-workers 8]
-//	        [-shards 4] [-report] [-progress] [-stats-json -] [-log-level info]
+//	        [-report] [-progress] [-stats-json -] [-log-level info]
 package main
 
 import (
@@ -63,7 +59,6 @@ func main() {
 		deadline     = flag.Duration("deadline", 0, "wall-clock budget per outlier (0 = none); tripped saves keep their best-so-far adjustment")
 		maxNodes     = flag.Int("max-nodes", 0, "search-node budget per outlier (0 = unlimited); tripped saves keep their best-so-far adjustment")
 		workers      = flag.Int("workers", 0, "parallel saves (0 = GOMAXPROCS)")
-		shards       = flag.Int("shards", 1, "split the local pipeline into this many spatial ε-halo shards (results stay bit-exact with 1; -progress is per-shard-silent)")
 		progress     = flag.Bool("progress", false, "print rate-limited progress snapshots to stderr while saving")
 		statsJSON    = flag.String("stats-json", "", "write search counters and phase timings as JSON to this file (\"-\" = stderr)")
 		trace        = flag.Bool("trace", false, "print a per-phase span timeline of the run to stderr (local runs)")
@@ -184,24 +179,9 @@ func main() {
 		}
 		opts.Logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
 	}
-	var res *disc.SaveResult
-	var shardStats []disc.ShardStats
-	if *shards > 1 {
-		res, shardStats, err = disc.SaveSharded(ctx, rel, cons, disc.ShardOptions{Shards: *shards, Save: opts})
-	} else {
-		res, err = disc.SaveContext(ctx, rel, cons, opts)
-	}
+	res, err := disc.SaveContext(ctx, rel, cons, opts)
 	if err != nil {
 		fatal(err)
-	}
-	for _, ss := range shardStats {
-		line := fmt.Sprintf("disccli: shard %d: %d owned (+%d halo), %d outliers, detect %s, save %s",
-			ss.Shard, ss.Owned, ss.Halo, ss.Outliers,
-			ss.Detect.Round(time.Millisecond), ss.Save.Round(time.Millisecond))
-		if ss.Err != "" {
-			line += fmt.Sprintf(" [LOST: %s]", ss.Err)
-		}
-		fmt.Fprintln(os.Stderr, line)
 	}
 	fmt.Fprintf(os.Stderr, "disccli: %d tuples, %d outliers, %d saved, %d left as natural",
 		rel.N(), len(res.Detection.Outliers), res.Saved, res.Natural)

@@ -51,9 +51,8 @@ type Detection struct {
 	// Counts[i] is min(|r_ε(t_i)|, η), t_i itself excluded: an outlier's
 	// exact count, η for every inlier. The split only asks which side of η
 	// a count falls on, so counting stops at η. Every producer keeps this
-	// invariant: DetectContext, the shard engine, RehydrateDetection and
-	// the serving layer's mutations. NeighborCountsContext gives the
-	// uncapped counts.
+	// invariant: DetectContext, RehydrateDetection and the serving layer's
+	// mutations. NeighborCountsContext gives the uncapped counts.
 	Counts []int
 	// Stats holds the index traffic of the counting pass (range queries,
 	// distance evaluations, grid fallbacks); the search counters stay

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/metric"
 	"repro/internal/neighbors"
 )
 
@@ -26,26 +29,57 @@ func (p *probeIndex) CountWithin(q data.Tuple, eps float64, skip, cap int) int {
 
 // TestSaveAllReusesSuppliedIndex: a caller-supplied Options.Index serves the
 // detection pass — every per-tuple count query hits it, and the pipeline
-// reports no detection index build of its own.
+// reports no detection index build of its own — and the whole pipeline
+// answers exactly as with Options.Index == nil: the same neighbor counts,
+// split, adjustments and repaired relation, for every index kind under
+// every norm.
 func TestSaveAllReusesSuppliedIndex(t *testing.T) {
-	r := clusterRelation(0, 0, 3)
-	r.Append(data.Tuple{data.Num(20), data.Num(20)})
 	cons := Constraints{Eps: 1.5, Eta: 3}
-
-	probe := &probeIndex{Index: neighbors.Build(r, cons.Eps)}
-	res, err := SaveAllContext(context.Background(), r, cons, Options{Kappa: 2, Index: probe, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := probe.rangeQueries.Load(); got < int64(r.N()) {
-		t.Errorf("supplied index answered %d range queries, want >= %d (one per tuple): detection did not use it",
-			got, r.N())
-	}
-	if res.Timings.DetectIndexBuild != 0 {
-		t.Errorf("detection built its own index (%v) despite Options.Index", res.Timings.DetectIndexBuild)
-	}
-	if len(res.Adjustments) != 1 || !res.Adjustments[0].Saved() {
-		t.Fatalf("outlier not saved with supplied index: %+v", res.Adjustments)
+	kinds := []neighbors.IndexKind{neighbors.KindBrute, neighbors.KindGrid, neighbors.KindVP}
+	for _, norm := range []metric.Norm{metric.L1, metric.L2, metric.LInf} {
+		r := clusterRelation(0, 0, 3)
+		r.Append(data.Tuple{data.Num(20), data.Num(20)})
+		r.Schema.Norm = norm
+		want, err := SaveAllContext(context.Background(), r, cons, Options{Kappa: 2, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range kinds {
+			t.Run(fmt.Sprintf("%v/%v", norm, kind), func(t *testing.T) {
+				idx, err := neighbors.NewMutable(r, cons.Eps, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				probe := &probeIndex{Index: idx}
+				res, err := SaveAllContext(context.Background(), r, cons, Options{Kappa: 2, Index: probe, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := probe.rangeQueries.Load(); got < int64(r.N()) {
+					t.Errorf("supplied index answered %d range queries, want >= %d (one per tuple): detection did not use it",
+						got, r.N())
+				}
+				if res.Timings.DetectIndexBuild != 0 {
+					t.Errorf("detection built its own index (%v) despite Options.Index", res.Timings.DetectIndexBuild)
+				}
+				if len(res.Adjustments) != 1 || !res.Adjustments[0].Saved() {
+					t.Fatalf("outlier not saved with supplied index: %+v", res.Adjustments)
+				}
+				if !reflect.DeepEqual(res.Detection.Counts, want.Detection.Counts) {
+					t.Error("neighbor counts diverge from the Options.Index == nil run")
+				}
+				if !reflect.DeepEqual(res.Detection.Inliers, want.Detection.Inliers) ||
+					!reflect.DeepEqual(res.Detection.Outliers, want.Detection.Outliers) {
+					t.Error("inlier/outlier split diverges from the Options.Index == nil run")
+				}
+				if !reflect.DeepEqual(res.Adjustments, want.Adjustments) {
+					t.Errorf("adjustments diverge:\nsupplied: %+v\nauto:     %+v", res.Adjustments, want.Adjustments)
+				}
+				if !reflect.DeepEqual(res.Repaired.Tuples, want.Repaired.Tuples) {
+					t.Error("repaired relation diverges from the Options.Index == nil run")
+				}
+			})
+		}
 	}
 }
 

@@ -202,7 +202,7 @@ func NewSaverContext(ctx context.Context, r *data.Relation, cons Constraints, op
 
 // AddCounters folds an index-counter shard into the index-traffic slots
 // of a stats shard. obs stays import-free of neighbors, so this is the one
-// bridge between the two; the shard engine uses it too.
+// bridge between the two.
 func AddCounters(s *obs.SearchStats, c neighbors.Counters) {
 	s.KNNQueries += c.KNNQueries
 	s.RangeQueries += c.RangeQueries

@@ -50,13 +50,14 @@ const (
 	// BatchDispatch fires inside the batcher's per-request worker, before
 	// the save runs.
 	BatchDispatch = "batch.dispatch"
-	// ShardDispatch fires once per shard (engine) or per scattered chunk
-	// (coordinator) before its work runs: an error kills that shard's leg
-	// of the fan-out, a sleep delays it mid-scatter — the two degradation
-	// modes the shard chaos suite drives.
+	// ShardDispatch fires before the coordinator dispatches work to its
+	// workers: once per scattered chunk, and once per single-tuple save.
+	// An error kills that leg of the fan-out, a sleep delays it
+	// mid-scatter — the two degradation modes the coordinator chaos tests
+	// drive.
 	ShardDispatch = "shard.dispatch"
-	// ShardMerge fires after the per-shard legs return, before their
-	// results are merged into the global answer.
+	// ShardMerge fires after the coordinator's chunk legs return, before
+	// their results are merged into the global answer.
 	ShardMerge = "shard.merge"
 )
 

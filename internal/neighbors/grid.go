@@ -28,11 +28,9 @@ import (
 type Grid struct {
 	r    *data.Relation
 	kern *data.Kernel
-	// key owns the cell-keying layout (coordinates, packed bit fields,
-	// reach); cell/m/packed are hot-path copies of its fields. The keyer is
-	// also what the spatial partitioner shares (see CellKeyOf), so grid and
-	// partitioner can never disagree on which cell a tuple lands in.
-	key      *CellKeyer
+	// key owns the cell-keying layout (coordinates, packed bit fields);
+	// cell/m/packed are hot-path copies of its fields.
+	key      *cellKeyer
 	cell     float64
 	m        int
 	packed   bool

@@ -1,6 +1,6 @@
 // Package coord is discserve's coordinator mode: a thin scatter/gather
 // front over a fleet of worker discserve instances. Sessions are placed
-// onto workers by consistent hashing (shard.Ring) with a configurable
+// onto workers by consistent hashing (Ring) with a configurable
 // replication factor; uploads fan the raw request body out to every owner,
 // detect and repair requests are split into contiguous tuple chunks
 // scattered across the owners, and the answers are merged back into the
@@ -35,7 +35,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
-	"repro/internal/shard"
 )
 
 // Config tunes the coordinator. Workers is required; the zero value of
@@ -111,7 +110,7 @@ type placement struct {
 type Coordinator struct {
 	cfg     Config
 	log     *slog.Logger
-	ring    *shard.Ring
+	ring    *Ring
 	workers map[string]*worker
 	handler http.Handler
 	start   time.Time
@@ -133,7 +132,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:        cfg,
 		log:        obs.Logger(cfg.Logger),
-		ring:       shard.NewRing(cfg.Workers, cfg.VNodes),
+		ring:       NewRing(cfg.Workers, cfg.VNodes),
 		workers:    make(map[string]*worker, len(cfg.Workers)),
 		start:      time.Now(),
 		placements: make(map[string]*placement),
