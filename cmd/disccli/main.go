@@ -43,6 +43,7 @@ import (
 
 	disc "repro"
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/serve/client"
 )
 
@@ -104,7 +105,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "disccli: request %s %s %s\n", id, method, path)
 			},
 		})
-		p := client.Params{Eps: *eps, Eta: *eta, Kappa: *kappa, MaxNodes: *maxNodes, Seed: *seed}
+		p := serve.BuildParams{Eps: *eps, Eta: *eta, Kappa: *kappa, MaxNodes: *maxNodes, Seed: *seed}
 		repaired, rerr := runRemote(ctx, cl, filepath.Base(*in), string(raw), rel, p, *timeout, *report, *remoteCommit)
 		switch {
 		case rerr == nil:

@@ -3,11 +3,11 @@ package main
 import (
 	"context"
 	"fmt"
-	"math"
 	"os"
 	"time"
 
 	disc "repro"
+	"repro/internal/serve"
 	"repro/internal/serve/client"
 )
 
@@ -26,7 +26,7 @@ import (
 // session (PUT /tuples/{row}, keyed by upload row order — an uploaded CSV's
 // logical handles are exactly its row indices) and the session is kept
 // alive for follow-up queries instead of being deleted.
-func runRemote(ctx context.Context, cl *client.Client, name, csvText string, rel *disc.Relation, p client.Params, timeout time.Duration, report, commit bool) (*disc.Relation, error) {
+func runRemote(ctx context.Context, cl *client.Client, name, csvText string, rel *disc.Relation, p serve.BuildParams, timeout time.Duration, report, commit bool) (*disc.Relation, error) {
 	info, err := cl.CreateDatasetCSV(ctx, name, csvText, p)
 	if err != nil {
 		return nil, err
@@ -44,7 +44,7 @@ func runRemote(ctx context.Context, cl *client.Client, name, csvText string, rel
 
 	tuples := make([][]any, rel.N())
 	for i, t := range rel.Tuples {
-		tuples[i] = tupleToJSON(rel.Schema, t)
+		tuples[i] = serve.TupleJSON(rel.Schema, t)
 	}
 	det, err := cl.Detect(ctx, info.ID, tuples, true)
 	if err != nil {
@@ -81,9 +81,9 @@ func runRemote(ctx context.Context, cl *client.Client, name, csvText string, rel
 		for i, adj := range rep.Adjustments {
 			row := outIdx[i]
 			if adj.Saved && adj.Tuple != nil {
-				t, err := jsonToTuple(rel.Schema, adj.Tuple)
+				t, err := serve.ParseTuple(rel.Schema, adj.Tuple)
 				if err != nil {
-					return nil, fmt.Errorf("disccli: row %d: server returned %w", row+1, err)
+					return nil, fmt.Errorf("disccli: row %d: server returned a bad tuple: %w", row+1, err)
 				}
 				repaired.Tuples[row] = t
 			}
@@ -115,7 +115,7 @@ func runRemote(ctx context.Context, cl *client.Client, name, csvText string, rel
 			if sameTuple(rel.Schema, repaired.Tuples[row], rel.Tuples[row]) {
 				continue // natural or unsaved: nothing to write back
 			}
-			if _, err := cl.UpdateTuple(ctx, info.ID, row, tupleToJSON(rel.Schema, repaired.Tuples[row]), int(timeout/time.Millisecond)); err != nil {
+			if _, err := cl.UpdateTuple(ctx, info.ID, row, serve.TupleJSON(rel.Schema, repaired.Tuples[row]), int(timeout/time.Millisecond)); err != nil {
 				return nil, fmt.Errorf("disccli: committing row %d: %w", row+1, err)
 			}
 			committed++
@@ -134,42 +134,4 @@ func sameTuple(sch *disc.Schema, a, b disc.Tuple) bool {
 		}
 	}
 	return true
-}
-
-// tupleToJSON shapes one tuple for the wire (numbers for numeric
-// attributes, strings for text), matching the server's parse.
-func tupleToJSON(sch *disc.Schema, t disc.Tuple) []any {
-	out := make([]any, len(t))
-	for i := range t {
-		if sch.Attrs[i].Kind == disc.Text {
-			out[i] = t[i].Str
-		} else {
-			out[i] = t[i].Num
-		}
-	}
-	return out
-}
-
-// jsonToTuple is tupleToJSON's inverse for adjusted tuples coming back.
-func jsonToTuple(sch *disc.Schema, raw []any) (disc.Tuple, error) {
-	if len(raw) != sch.M() {
-		return nil, fmt.Errorf("tuple with %d values, schema has %d attributes", len(raw), sch.M())
-	}
-	t := make(disc.Tuple, len(raw))
-	for i, v := range raw {
-		if sch.Attrs[i].Kind == disc.Text {
-			sv, ok := v.(string)
-			if !ok {
-				return nil, fmt.Errorf("tuple with %T in text attribute %q", v, sch.Attrs[i].Name)
-			}
-			t[i] = disc.Str(sv)
-			continue
-		}
-		fv, ok := v.(float64)
-		if !ok || math.IsNaN(fv) || math.IsInf(fv, 0) {
-			return nil, fmt.Errorf("tuple with bad value in numeric attribute %q", sch.Attrs[i].Name)
-		}
-		t[i] = disc.Num(fv)
-	}
-	return t, nil
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -196,6 +198,66 @@ func TestDetectContextCancelled(t *testing.T) {
 	cancel()
 	if _, err := DetectContext(ctx, r, Constraints{Eps: 1.4, Eta: 4}, nil); err == nil {
 		t.Fatal("cancelled DetectContext returned no error")
+	}
+}
+
+// cancelAfter is an index that cancels its pass's context once it has
+// answered k queries, so a test can stop a pass midway through.
+type cancelAfter struct {
+	neighbors.Index
+	k       int64
+	queries atomic.Int64
+	cancel  context.CancelFunc
+}
+
+func (c *cancelAfter) tick() {
+	if c.queries.Add(1) == c.k {
+		c.cancel()
+	}
+}
+
+func (c *cancelAfter) CountWithin(q data.Tuple, eps float64, skip, cap int) int {
+	c.tick()
+	return c.Index.CountWithin(q, eps, skip, cap)
+}
+
+func (c *cancelAfter) KNN(q data.Tuple, k, skip int) []neighbors.Neighbor {
+	c.tick()
+	return c.Index.KNN(q, k, skip)
+}
+
+// TestCancelMidPass cancels the detection and η-radius passes after ten
+// queries. The worker pool's per-item context check is their only
+// cancellation point, so each pass must return the cancellation and stop
+// well before it has queried every row.
+func TestCancelMidPass(t *testing.T) {
+	r := denseRelation6D(400, 7)
+	cons := Constraints{Eps: 1.4, Eta: 4}
+	passes := []struct {
+		name string
+		run  func(ctx context.Context, idx neighbors.Index) error
+	}{
+		{"DetectContext", func(ctx context.Context, idx neighbors.Index) error {
+			_, err := DetectContext(ctx, r, cons, idx)
+			return err
+		}},
+		{"NewSaverContext", func(ctx context.Context, idx neighbors.Index) error {
+			_, err := NewSaverContext(ctx, r, cons, Options{Index: idx})
+			return err
+		}},
+	}
+	for _, pass := range passes {
+		t.Run(pass.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			idx := &cancelAfter{Index: neighbors.NewBrute(r), k: 10, cancel: cancel}
+			if err := pass.run(ctx, idx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if q := idx.queries.Load(); q >= int64(r.N()) {
+				t.Fatalf("%d queries over %d rows: the pass ran to the end", q, r.N())
+			}
+		})
 	}
 }
 

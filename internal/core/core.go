@@ -125,7 +125,7 @@ func DetectContext(ctx context.Context, rel *data.Relation, cons Constraints, id
 	shards := make([]neighbors.Counters, max(workers, 1))
 	views := make([]neighbors.Index, max(workers, 1))
 	for w := range views {
-		views[w] = neighbors.WithContext(ctx, neighbors.Counting(idx, &shards[w]))
+		views[w] = neighbors.Counting(idx, &shards[w])
 	}
 	errs := par.ForEachWorker(ctx, n, workers, func(w, i int) error {
 		det.Counts[i] = views[w].CountWithin(rel.Tuples[i], cons.Eps, i, cons.Eta)
@@ -135,7 +135,7 @@ func DetectContext(ctx context.Context, rel *data.Relation, cons Constraints, id
 	for w := range shards {
 		merged.Add(shards[w])
 	}
-	AddCounters(&det.Stats, merged)
+	merged.AddTo(&det.Stats)
 	det.Elapsed = time.Since(start)
 	if err := par.FirstErr(errs); err != nil {
 		return nil, fmt.Errorf("core: detecting outliers: %w", err)

@@ -60,10 +60,9 @@ func NeighborCountsContext(ctx context.Context, rel *data.Relation, eps float64,
 	}
 	sample := stats.SampleIndices(rel.N(), sampleRate, seed)
 	counts := make([]int, len(sample))
-	cidx := neighbors.WithContext(ctx, idx)
 	errs := par.ForEach(ctx, len(sample), runtime.GOMAXPROCS(0), func(k int) error {
 		i := sample[k]
-		counts[k] = cidx.CountWithin(rel.Tuples[i], eps, i, 0)
+		counts[k] = idx.CountWithin(rel.Tuples[i], eps, i, 0)
 		return nil
 	})
 	if err := par.FirstErr(errs); err != nil {
@@ -221,9 +220,12 @@ func epsCandidateGrid(ctx context.Context, rel *data.Relation, seed int64) []flo
 	const k = 8
 	sampleRate := 256.0 / float64(rel.N())
 	sample := stats.SampleIndices(rel.N(), sampleRate, seed)
-	idx := neighbors.WithContext(ctx, neighbors.NewVPTree(rel, seed+1))
+	idx := neighbors.NewVPTree(rel, seed+1)
 	var d1, dk []float64
 	for _, i := range sample {
+		if ctx.Err() != nil {
+			break // the caller's first count reports the cancellation
+		}
 		nn := idx.KNN(rel.Tuples[i], k, i)
 		if len(nn) == 0 {
 			continue

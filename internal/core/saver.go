@@ -173,7 +173,7 @@ func NewSaverContext(ctx context.Context, r *data.Relation, cons Constraints, op
 	shards := make([]neighbors.Counters, workers)
 	views := make([]neighbors.Index, workers)
 	for w := range views {
-		views[w] = neighbors.WithContext(ctx, neighbors.Counting(idx, &shards[w]))
+		views[w] = neighbors.Counting(idx, &shards[w])
 	}
 	start := time.Now()
 	errs := par.ForEachWorker(ctx, r.N(), workers, func(w, i int) error {
@@ -190,7 +190,7 @@ func NewSaverContext(ctx context.Context, r *data.Relation, cons Constraints, op
 	for w := range shards {
 		merged.Add(shards[w])
 	}
-	AddCounters(&s.setupStats, merged)
+	merged.AddTo(&s.setupStats)
 	if err := par.FirstErr(errs); err != nil {
 		return nil, fmt.Errorf("core: building saver: %w", err)
 	}
@@ -198,19 +198,6 @@ func NewSaverContext(ctx context.Context, r *data.Relation, cons Constraints, op
 		"duration", s.setup.etaRadius, "knn_queries", merged.KNNQueries,
 		"dist_evals", merged.DistEvals)
 	return s, nil
-}
-
-// AddCounters folds an index-counter shard into the index-traffic slots
-// of a stats shard. obs stays import-free of neighbors, so this is the one
-// bridge between the two.
-func AddCounters(s *obs.SearchStats, c neighbors.Counters) {
-	s.KNNQueries += c.KNNQueries
-	s.RangeQueries += c.RangeQueries
-	s.DistEvals += c.DistEvals
-	s.GridFallbacks += c.GridFallbacks
-	s.DistEarlyExits += c.DistEarlyExits
-	s.TextCacheHits += c.TextCacheHits
-	s.TextCacheMisses += c.TextCacheMisses
 }
 
 // Rel returns the inlier relation r.
@@ -390,7 +377,7 @@ func (s *Saver) save(ctx context.Context, to data.Tuple, ar *saveArena) Adjustme
 	if st.bud.exhausted {
 		st.stats.BudgetTrips = 1
 	}
-	AddCounters(st.stats, ar.nc)
+	ar.nc.AddTo(st.stats)
 
 	if st.bestT2 < 0 {
 		// Natural is only a sound classification when the search ran to

@@ -1,6 +1,9 @@
 package neighbors
 
-import "repro/internal/data"
+import (
+	"repro/internal/data"
+	"repro/internal/obs"
+)
 
 // Counters tallies the work an index performs: queries by kind, the
 // tuple-pair distance evaluations spent answering them (the common
@@ -32,6 +35,18 @@ func (c *Counters) Add(o Counters) {
 	c.DistEarlyExits += o.DistEarlyExits
 	c.TextCacheHits += o.TextCacheHits
 	c.TextCacheMisses += o.TextCacheMisses
+}
+
+// AddTo folds c into the index-traffic slots of a stats shard. obs stays
+// import-free of neighbors, so this is the one bridge between the two.
+func (c *Counters) AddTo(s *obs.SearchStats) {
+	s.KNNQueries += c.KNNQueries
+	s.RangeQueries += c.RangeQueries
+	s.DistEvals += c.DistEvals
+	s.GridFallbacks += c.GridFallbacks
+	s.DistEarlyExits += c.DistEarlyExits
+	s.TextCacheHits += c.TextCacheHits
+	s.TextCacheMisses += c.TextCacheMisses
 }
 
 // kernHooks are the per-view destinations for a query's kernel counters;
@@ -87,10 +102,6 @@ func Counting(idx Index, c *Counters) Index {
 		return &counting{idx: &mutView{m: t, c: c}, c: c}
 	case *mutView:
 		return Counting(t.m, c) // replace the previous counters
-	case *ctxIndex:
-		// Re-wrap inside-out so cancellation still short-circuits before
-		// the query is counted as executed work.
-		return &ctxIndex{done: t.done, idx: Counting(t.idx, c)}
 	case *counting:
 		return Counting(t.idx, c) // replace the previous counters
 	default:

@@ -1,7 +1,6 @@
 package neighbors
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/data"
@@ -116,27 +115,6 @@ func TestCountingGridFallback(t *testing.T) {
 	}
 	if c.DistEvals != int64(r.N()-1) {
 		t.Errorf("fallback evals = %d, want the full scan %d", c.DistEvals, r.N()-1)
-	}
-}
-
-// TestCountingComposesWithContext checks the wrap order: cancellation must
-// still short-circuit (ctx outside), while executed queries count.
-func TestCountingComposesWithContext(t *testing.T) {
-	r := randomRelation(100, 3, 9)
-	ctx, cancel := context.WithCancel(context.Background())
-	var c Counters
-	view := Counting(WithContext(ctx, NewBrute(r)), &c)
-	view.Within(r.Tuples[0], 2, 0)
-	if c.RangeQueries != 1 || c.DistEvals == 0 {
-		t.Fatalf("live query not counted: %+v", c)
-	}
-	before := c
-	cancel()
-	if got := view.Within(r.Tuples[0], 2, 0); got != nil {
-		t.Error("cancelled query returned results")
-	}
-	if c.DistEvals != before.DistEvals {
-		t.Error("cancelled query still evaluated distances")
 	}
 }
 

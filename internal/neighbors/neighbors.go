@@ -51,8 +51,8 @@ func CountWithinAtLeast(idx Index, q data.Tuple, eps float64, skip, k int) bool 
 // sensitive callers: WithinAppend appends the ε-neighbors to dst (which
 // may be nil or a reused buffer truncated by the caller) instead of
 // allocating a fresh result slice per query. All three concrete indexes
-// and the counting/context views implement it; DBSCAN's seed expansion
-// depends on it for its near-zero steady-state allocation budget.
+// and the counting view implement it; DBSCAN's seed expansion depends on
+// it for its near-zero steady-state allocation budget.
 type WithinAppender interface {
 	WithinAppend(dst []Neighbor, q data.Tuple, eps float64, skip int) []Neighbor
 }
@@ -66,8 +66,8 @@ func WithinBuf(idx Index, dst []Neighbor, q data.Tuple, eps float64, skip int) [
 }
 
 // withinAppend appends idx's ε-neighbors to dst, using the index's own
-// WithinAppend when available (the counting/context views forward
-// through here so buffers survive the wrapping).
+// WithinAppend when available (the counting view forwards through here
+// so buffers survive the wrapping).
 func withinAppend(idx Index, dst []Neighbor, q data.Tuple, eps float64, skip int) []Neighbor {
 	if wa, ok := idx.(WithinAppender); ok {
 		return wa.WithinAppend(dst, q, eps, skip)
@@ -81,19 +81,16 @@ type Kerneled interface {
 	Kernel() *data.Kernel
 }
 
-// KernelOf returns the compiled kernel behind idx, looking through the
-// counting and context views, or nil when the index is not
-// kernel-backed. Callers like the saver's bound computations use it to
-// share one kernel — and its text-distance cache — with the index built
-// over the same relation.
+// KernelOf returns the compiled kernel behind idx, looking through a
+// counting view, or nil when the index is not kernel-backed. Callers like
+// the saver's bound computations use it to share one kernel — and its
+// text-distance cache — with the index built over the same relation.
 func KernelOf(idx Index) *data.Kernel {
 	for {
 		switch t := idx.(type) {
 		case Kerneled:
 			return t.Kernel()
 		case *counting:
-			idx = t.idx
-		case *ctxIndex:
 			idx = t.idx
 		default:
 			return nil

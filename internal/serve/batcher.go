@@ -45,7 +45,7 @@ type saveReq struct {
 
 type saveRes struct {
 	adj  disc.Adjustment
-	mres mutationResponse
+	mres MutateResponse
 	err  error
 }
 

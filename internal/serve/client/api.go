@@ -9,77 +9,10 @@ import (
 	"repro/internal/serve"
 )
 
-// Params mirror the server's build parameters for dataset creation.
-type Params struct {
-	Eps      float64
-	Eta      int
-	Kappa    int
-	MaxNodes int
-	Seed     int64
-	// Index selects the neighbor index kind ("auto", "brute", "grid",
-	// "vp"); empty means auto.
-	Index string
-}
-
-// createRequest mirrors the server's dataset-creation body (CSV source).
-type createRequest struct {
-	Name     string  `json:"name,omitempty"`
-	CSV      string  `json:"csv"`
-	Eps      float64 `json:"eps,omitempty"`
-	Eta      int     `json:"eta,omitempty"`
-	Kappa    int     `json:"kappa,omitempty"`
-	MaxNodes int     `json:"max_nodes,omitempty"`
-	Seed     int64   `json:"seed,omitempty"`
-	Index    string  `json:"index,omitempty"`
-}
-
-// DetectResult is one tuple's screening answer.
-type DetectResult struct {
-	Neighbors int  `json:"neighbors"`
-	Outlier   bool `json:"outlier"`
-}
-
-// DetectResponse is the /detect answer: the session's resolved constraints
-// and one result per query tuple.
-type DetectResponse struct {
-	Eps     float64        `json:"eps"`
-	Eta     int            `json:"eta"`
-	Results []DetectResult `json:"results"`
-}
-
-// Adjustment is one repaired tuple as the server reports it.
-type Adjustment struct {
-	Saved     bool     `json:"saved"`
-	Natural   bool     `json:"natural"`
-	Exhausted bool     `json:"exhausted"`
-	Cost      float64  `json:"cost"`
-	Tuple     []any    `json:"tuple,omitempty"`
-	Adjusted  []string `json:"adjusted,omitempty"`
-	Nodes     int      `json:"nodes"`
-}
-
-// RepairResponse is the /repair answer.
-type RepairResponse struct {
-	Adjustments []Adjustment `json:"adjustments"`
-	Saved       int          `json:"saved"`
-	Natural     int          `json:"natural"`
-	Exhausted   int          `json:"exhausted"`
-}
-
-type detectRequest struct {
-	Tuples [][]any `json:"tuples"`
-	Member bool    `json:"member,omitempty"`
-}
-
-type repairRequest struct {
-	Tuples    [][]any `json:"tuples"`
-	TimeoutMS int     `json:"timeout_ms,omitempty"`
-}
-
 // CreateDatasetCSV uploads an inline CSV and returns the built session.
-func (c *Client) CreateDatasetCSV(ctx context.Context, name, csv string, p Params) (*serve.SessionInfo, error) {
+func (c *Client) CreateDatasetCSV(ctx context.Context, name, csv string, p serve.BuildParams) (*serve.SessionInfo, error) {
 	var info serve.SessionInfo
-	err := c.do(ctx, http.MethodPost, "/v1/datasets", createRequest{
+	err := c.do(ctx, http.MethodPost, "/v1/datasets", serve.CreateRequest{
 		Name: name, CSV: csv,
 		Eps: p.Eps, Eta: p.Eta, Kappa: p.Kappa, MaxNodes: p.MaxNodes, Seed: p.Seed,
 		Index: p.Index,
@@ -118,10 +51,10 @@ func (c *Client) Session(ctx context.Context, id string) (*serve.SessionInfo, er
 
 // SaveTuple saves one outlier tuple against the session (the single-tuple
 // /save endpoint).
-func (c *Client) SaveTuple(ctx context.Context, id string, tuple []any, timeoutMS int) (*Adjustment, error) {
-	var adj Adjustment
+func (c *Client) SaveTuple(ctx context.Context, id string, tuple []any, timeoutMS int) (*serve.Adjustment, error) {
+	var adj serve.Adjustment
 	err := c.do(ctx, http.MethodPost, "/v1/datasets/"+url.PathEscape(id)+"/save",
-		mutateRequest{Tuple: tuple, TimeoutMS: timeoutMS}, &adj)
+		serve.TupleRequest{Tuple: tuple, TimeoutMS: timeoutMS}, &adj)
 	if err != nil {
 		return nil, err
 	}
@@ -131,10 +64,10 @@ func (c *Client) SaveTuple(ctx context.Context, id string, tuple []any, timeoutM
 // Detect screens tuples against the session's cached index. member declares
 // the tuples to be rows of the session's own dataset, excluding each one's
 // stored copy from its neighbor count.
-func (c *Client) Detect(ctx context.Context, id string, tuples [][]any, member bool) (*DetectResponse, error) {
-	var resp DetectResponse
+func (c *Client) Detect(ctx context.Context, id string, tuples [][]any, member bool) (*serve.DetectResponse, error) {
+	var resp serve.DetectResponse
 	err := c.do(ctx, http.MethodPost, "/v1/datasets/"+url.PathEscape(id)+"/detect",
-		detectRequest{Tuples: tuples, Member: member}, &resp)
+		serve.DetectRequest{Tuples: tuples, Member: member}, &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -142,34 +75,14 @@ func (c *Client) Detect(ctx context.Context, id string, tuples [][]any, member b
 }
 
 // Repair saves a batch of outlier tuples against the session.
-func (c *Client) Repair(ctx context.Context, id string, tuples [][]any, timeoutMS int) (*RepairResponse, error) {
-	var resp RepairResponse
+func (c *Client) Repair(ctx context.Context, id string, tuples [][]any, timeoutMS int) (*serve.RepairResponse, error) {
+	var resp serve.RepairResponse
 	err := c.do(ctx, http.MethodPost, "/v1/datasets/"+url.PathEscape(id)+"/repair",
-		repairRequest{Tuples: tuples, TimeoutMS: timeoutMS}, &resp)
+		serve.RepairRequest{Tuples: tuples, TimeoutMS: timeoutMS}, &resp)
 	if err != nil {
 		return nil, err
 	}
 	return &resp, nil
-}
-
-// MutateResponse mirrors the server's tuple-mutation answer: the affected
-// logical row handle, the live totals after the mutation, and the
-// incremental-maintenance footprint (flipped memberships, touched rows).
-type MutateResponse struct {
-	Op        string `json:"op"`
-	Index     int    `json:"index"`
-	Tuples    int    `json:"tuples"`
-	Inliers   int    `json:"inliers"`
-	Outliers  int    `json:"outliers"`
-	Flipped   int    `json:"flipped"`
-	Touched   int    `json:"touched"`
-	Neighbors int    `json:"neighbors"`
-	Outlier   bool   `json:"outlier"`
-}
-
-type mutateRequest struct {
-	Tuple     []any `json:"tuple"`
-	TimeoutMS int   `json:"timeout_ms,omitempty"`
 }
 
 // InsertTuple appends one tuple to the session's live dataset. The response
@@ -178,10 +91,10 @@ type mutateRequest struct {
 // re-send after an ambiguous failure (timeout, 5xx mid-flight), so an
 // insert may be applied twice; callers needing exactly-once should verify
 // via the returned totals.
-func (c *Client) InsertTuple(ctx context.Context, id string, tuple []any, timeoutMS int) (*MutateResponse, error) {
-	var resp MutateResponse
+func (c *Client) InsertTuple(ctx context.Context, id string, tuple []any, timeoutMS int) (*serve.MutateResponse, error) {
+	var resp serve.MutateResponse
 	err := c.do(ctx, http.MethodPost, "/v1/datasets/"+url.PathEscape(id)+"/tuples",
-		mutateRequest{Tuple: tuple, TimeoutMS: timeoutMS}, &resp)
+		serve.TupleRequest{Tuple: tuple, TimeoutMS: timeoutMS}, &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -189,11 +102,11 @@ func (c *Client) InsertTuple(ctx context.Context, id string, tuple []any, timeou
 }
 
 // UpdateTuple replaces the tuple at a logical row handle.
-func (c *Client) UpdateTuple(ctx context.Context, id string, index int, tuple []any, timeoutMS int) (*MutateResponse, error) {
-	var resp MutateResponse
+func (c *Client) UpdateTuple(ctx context.Context, id string, index int, tuple []any, timeoutMS int) (*serve.MutateResponse, error) {
+	var resp serve.MutateResponse
 	err := c.do(ctx, http.MethodPut,
 		fmt.Sprintf("/v1/datasets/%s/tuples/%d", url.PathEscape(id), index),
-		mutateRequest{Tuple: tuple, TimeoutMS: timeoutMS}, &resp)
+		serve.TupleRequest{Tuple: tuple, TimeoutMS: timeoutMS}, &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -202,8 +115,8 @@ func (c *Client) UpdateTuple(ctx context.Context, id string, index int, tuple []
 
 // DeleteTuple removes the tuple at a logical row handle; the handle
 // becomes a hole, other handles are unaffected.
-func (c *Client) DeleteTuple(ctx context.Context, id string, index int) (*MutateResponse, error) {
-	var resp MutateResponse
+func (c *Client) DeleteTuple(ctx context.Context, id string, index int) (*serve.MutateResponse, error) {
+	var resp serve.MutateResponse
 	err := c.do(ctx, http.MethodDelete,
 		fmt.Sprintf("/v1/datasets/%s/tuples/%d", url.PathEscape(id), index), nil, &resp)
 	if err != nil {

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // ErrUnavailable means the server could not be reached: the circuit breaker
@@ -305,9 +306,7 @@ func (c *Client) attempt(ctx context.Context, method, path, reqID, contentType s
 		return fmt.Errorf("client: %s %s: server answered %d", method, path, resp.StatusCode),
 			true, c.retryAfter(resp)
 	default:
-		var ej struct {
-			Error string `json:"error"`
-		}
+		var ej serve.ErrorResponse
 		json.NewDecoder(resp.Body).Decode(&ej)
 		if ej.Error == "" {
 			ej.Error = http.StatusText(resp.StatusCode)

@@ -291,7 +291,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 	sb.WriteString("25,25\n")
 
-	info, err := cl.CreateDatasetCSV(ctx, "e2e", sb.String(), Params{Eps: 1, Eta: 3, Kappa: 2})
+	info, err := cl.CreateDatasetCSV(ctx, "e2e", sb.String(), serve.BuildParams{Eps: 1, Eta: 3, Kappa: 2})
 	if err != nil {
 		t.Fatalf("CreateDatasetCSV: %v", err)
 	}

@@ -18,7 +18,6 @@ package coord
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -171,7 +170,7 @@ func New(cfg Config) (*Coordinator, error) {
 	mux.HandleFunc("POST /v1/datasets/{id}/save", c.handleSave)
 	mux.HandleFunc("POST /v1/datasets/{id}/repair", c.handleRepair)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /livez", c.handleHealthz)
+	mux.HandleFunc("GET /livez", c.handleLivez)
 	mux.HandleFunc("GET /readyz", c.handleReadyz)
 	mux.HandleFunc("GET /varz", c.handleVarz)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
@@ -210,9 +209,7 @@ func (c *Coordinator) wrap(next http.Handler) http.Handler {
 					"method", r.Method, "path", r.URL.Path,
 					"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
 				if sw.status == 0 {
-					sw.Header().Set("Content-Type", "application/json")
-					sw.WriteHeader(http.StatusInternalServerError)
-					json.NewEncoder(sw).Encode(errorJSON{Error: "internal server error", RequestID: id})
+					serve.WriteError(sw, http.StatusInternalServerError, errors.New("internal server error"))
 				}
 			}
 			c.log.Info("coord: request", "request_id", id,
@@ -242,11 +239,6 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
-type errorJSON struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
 // --- placement ---
 
 func (c *Coordinator) placementOf(gid string) (*placement, bool) {
@@ -271,12 +263,12 @@ type sessionInfoJSON struct {
 // freshly minted placement id. Workers each build a full replica; the
 // placement survives as long as one owner does.
 func (c *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {
-	if c.refuseDraining(w, r) {
+	if c.refuseDraining(w) {
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
 	if err != nil {
-		c.writeErr(w, r, http.StatusRequestEntityTooLarge, fmt.Errorf("coord: reading upload: %w", err))
+		serve.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("coord: reading upload: %w", err))
 		return
 	}
 	gid := "g-" + obs.NewRequestID()
@@ -327,10 +319,10 @@ func (c *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {
 		// Every owner refused. A uniform definitive refusal (bad CSV → 400)
 		// passes through; anything else is unavailability.
 		if status, msg, ok := uniformAPIError(failures); ok {
-			c.writeErr(w, r, status, errors.New(msg))
+			serve.WriteError(w, status, errors.New(msg))
 			return
 		}
-		c.writeErr(w, r, http.StatusServiceUnavailable,
+		serve.WriteError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("coord: no owner accepted the upload: %s", strings.Join(errs, "; ")))
 		return
 	}
@@ -386,12 +378,12 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 	p, ok := c.placementOf(r.PathValue("id"))
 	if !ok {
-		c.writeErr(w, r, http.StatusNotFound, fmt.Errorf("coord: no session %q", r.PathValue("id")))
+		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("coord: no session %q", r.PathValue("id")))
 		return
 	}
 	infos, live := c.gatherInfos(r.Context(), p)
 	if live == 0 {
-		c.writeErr(w, r, http.StatusServiceUnavailable,
+		serve.WriteError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("coord: all %d owners of %s are unreachable", len(p.Owners), p.GID))
 		return
 	}
@@ -453,7 +445,7 @@ func (c *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
 	gid := r.PathValue("id")
 	p, ok := c.placementOf(gid)
 	if !ok {
-		c.writeErr(w, r, http.StatusNotFound, fmt.Errorf("coord: no session %q", gid))
+		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("coord: no session %q", gid))
 		return
 	}
 	var wg sync.WaitGroup
@@ -557,36 +549,30 @@ func (c *Coordinator) scatter(ctx context.Context, p *placement, n int,
 	return out
 }
 
-type detectRequest struct {
-	Tuples [][]any `json:"tuples"`
-	Member bool    `json:"member"`
-}
-
 // coordDetectResponse is the single-node detect answer plus the partial
 // markers. Lost tuples carry neighbors = -1.
 type coordDetectResponse struct {
-	Eps     float64               `json:"eps"`
-	Eta     int                   `json:"eta"`
-	Results []client.DetectResult `json:"results"`
-	Partial bool                  `json:"partial,omitempty"`
-	Errors  []chunkError          `json:"errors,omitempty"`
+	serve.DetectResponse
+	Partial bool         `json:"partial,omitempty"`
+	Errors  []chunkError `json:"errors,omitempty"`
 }
 
 func (c *Coordinator) handleDetect(w http.ResponseWriter, r *http.Request) {
 	p, ok := c.placementOf(r.PathValue("id"))
 	if !ok {
-		c.writeErr(w, r, http.StatusNotFound, fmt.Errorf("coord: no session %q", r.PathValue("id")))
+		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("coord: no session %q", r.PathValue("id")))
 		return
 	}
-	var req detectRequest
-	if !c.decodeJSON(w, r, &req) {
+	var req serve.DetectRequest
+	if !serve.DecodeJSON(w, r, c.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.Tuples) == 0 {
-		c.writeErr(w, r, http.StatusBadRequest, errors.New("coord: tuples is required"))
+		serve.WriteError(w, http.StatusBadRequest, errors.New("coord: tuples is required"))
 		return
 	}
-	resp := coordDetectResponse{Results: make([]client.DetectResult, len(req.Tuples))}
+	var resp coordDetectResponse
+	resp.Results = make([]serve.DetectResult, len(req.Tuples))
 	for i := range resp.Results {
 		resp.Results[i].Neighbors = -1
 	}
@@ -612,41 +598,34 @@ func (c *Coordinator) handleDetect(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-type repairRequest struct {
-	Tuples    [][]any `json:"tuples"`
-	TimeoutMS int     `json:"timeout_ms"`
-}
-
 // coordRepairResponse is the single-node repair answer plus the partial
 // markers. Lost tuples carry zero-valued adjustments (not saved, not
 // natural, not exhausted) and are described in Errors.
 type coordRepairResponse struct {
-	Adjustments []client.Adjustment `json:"adjustments"`
-	Saved       int                 `json:"saved"`
-	Natural     int                 `json:"natural"`
-	Exhausted   int                 `json:"exhausted"`
-	Partial     bool                `json:"partial,omitempty"`
-	Errors      []chunkError        `json:"errors,omitempty"`
+	serve.RepairResponse
+	Partial bool         `json:"partial,omitempty"`
+	Errors  []chunkError `json:"errors,omitempty"`
 }
 
 func (c *Coordinator) handleRepair(w http.ResponseWriter, r *http.Request) {
-	if c.refuseDraining(w, r) {
+	if c.refuseDraining(w) {
 		return
 	}
 	p, ok := c.placementOf(r.PathValue("id"))
 	if !ok {
-		c.writeErr(w, r, http.StatusNotFound, fmt.Errorf("coord: no session %q", r.PathValue("id")))
+		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("coord: no session %q", r.PathValue("id")))
 		return
 	}
-	var req repairRequest
-	if !c.decodeJSON(w, r, &req) {
+	var req serve.RepairRequest
+	if !serve.DecodeJSON(w, r, c.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.Tuples) == 0 {
-		c.writeErr(w, r, http.StatusBadRequest, errors.New("coord: tuples is required"))
+		serve.WriteError(w, http.StatusBadRequest, errors.New("coord: tuples is required"))
 		return
 	}
-	resp := coordRepairResponse{Adjustments: make([]client.Adjustment, len(req.Tuples))}
+	var resp coordRepairResponse
+	resp.Adjustments = make([]serve.Adjustment, len(req.Tuples))
 	var mu sync.Mutex
 	lost := c.scatter(r.Context(), p, len(req.Tuples), func(_ int, lo, hi int, o ownerRef) error {
 		rr, err := c.workers[o.URL].cli.Repair(r.Context(), o.LocalID, req.Tuples[lo:hi], req.TimeoutMS)
@@ -677,11 +656,11 @@ func (c *Coordinator) handleRepair(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) finishScatter(w http.ResponseWriter, r *http.Request, p *placement,
 	lostChunks, totalChunks int, ok func()) {
 	if ferr := fault.Inject(fault.ShardMerge); ferr != nil {
-		c.writeErr(w, r, http.StatusInternalServerError, fmt.Errorf("coord: merging chunk answers: %w", ferr))
+		serve.WriteError(w, http.StatusInternalServerError, fmt.Errorf("coord: merging chunk answers: %w", ferr))
 		return
 	}
 	if lostChunks >= totalChunks {
-		c.writeErr(w, r, http.StatusServiceUnavailable,
+		serve.WriteError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("coord: all %d chunks lost, every owner of %s is unreachable", totalChunks, p.GID))
 		return
 	}
@@ -691,28 +670,23 @@ func (c *Coordinator) finishScatter(w http.ResponseWriter, r *http.Request, p *p
 	ok()
 }
 
-type saveRequest struct {
-	Tuple     []any `json:"tuple"`
-	TimeoutMS int   `json:"timeout_ms"`
-}
-
 // handleSave proxies the single-tuple save, failing over through the
 // owner list; only when every owner is lost does it answer 503.
 func (c *Coordinator) handleSave(w http.ResponseWriter, r *http.Request) {
-	if c.refuseDraining(w, r) {
+	if c.refuseDraining(w) {
 		return
 	}
 	p, ok := c.placementOf(r.PathValue("id"))
 	if !ok {
-		c.writeErr(w, r, http.StatusNotFound, fmt.Errorf("coord: no session %q", r.PathValue("id")))
+		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("coord: no session %q", r.PathValue("id")))
 		return
 	}
-	var req saveRequest
-	if !c.decodeJSON(w, r, &req) {
+	var req serve.TupleRequest
+	if !serve.DecodeJSON(w, r, c.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if ferr := fault.Inject(fault.ShardDispatch); ferr != nil {
-		c.writeErr(w, r, http.StatusServiceUnavailable, fmt.Errorf("coord: dispatching save: %w", ferr))
+		serve.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("coord: dispatching save: %w", ferr))
 		return
 	}
 	var lastErr error
@@ -729,13 +703,13 @@ func (c *Coordinator) handleSave(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &apiErr) {
 			// Definitive refusal (bad tuple → 400): the worker is alive,
 			// pass its answer through instead of failing over.
-			c.writeErr(w, r, apiErr.Status, errors.New(apiErr.Message))
+			serve.WriteError(w, apiErr.Status, errors.New(apiErr.Message))
 			return
 		}
 		c.stats.WorkerErrors.Add(1)
 		lastErr = fmt.Errorf("worker %s: %w", o.URL, err)
 	}
-	c.writeErr(w, r, http.StatusServiceUnavailable,
+	serve.WriteError(w, http.StatusServiceUnavailable,
 		fmt.Errorf("coord: all %d owners of %s are unreachable: %v", len(p.Owners), p.GID, lastErr))
 }
 
@@ -750,6 +724,17 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status":   status,
 		"mode":     "coordinator",
 		"workers":  len(c.workers),
+		"uptime_s": time.Since(c.start).Seconds(),
+	})
+}
+
+// handleLivez answers 200 whenever the process can serve HTTP, as a
+// worker's does: a draining coordinator is still answering reads, and a
+// liveness probe that restarted it would cut them off.
+func (c *Coordinator) handleLivez(w http.ResponseWriter, r *http.Request) {
+	c.writeJSON(w, http.StatusOK, map[string]any{
+		"status":   "ok",
+		"mode":     "coordinator",
 		"uptime_s": time.Since(c.start).Seconds(),
 	})
 }
@@ -896,41 +881,17 @@ func (c *Coordinator) writeMetrics(ctx context.Context, p *obs.PromWriter) {
 
 // --- plumbing ---
 
-func (c *Coordinator) refuseDraining(w http.ResponseWriter, r *http.Request) bool {
+func (c *Coordinator) refuseDraining(w http.ResponseWriter) bool {
 	if !c.draining.Load() {
 		return false
 	}
-	c.writeErr(w, r, http.StatusServiceUnavailable, errors.New("coord: draining"))
+	serve.WriteError(w, http.StatusServiceUnavailable, errors.New("coord: draining"))
 	return true
 }
 
-func (c *Coordinator) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		c.writeErr(w, r, status, fmt.Errorf("coord: decoding request: %w", err))
-		return false
-	}
-	return true
-}
-
+// writeJSON is serve.WriteJSON with an encoding failure logged.
 func (c *Coordinator) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
+	if err := serve.WriteJSON(w, status, v); err != nil {
 		c.log.Warn("coord: writing response", "err", err)
 	}
-}
-
-func (c *Coordinator) writeErr(w http.ResponseWriter, r *http.Request, status int, err error) {
-	id := w.Header().Get("X-Request-ID")
-	c.writeJSON(w, status, errorJSON{Error: err.Error(), RequestID: id})
 }

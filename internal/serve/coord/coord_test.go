@@ -51,6 +51,10 @@ func testDataset(t *testing.T) (csv string, tuples [][]any, outliers [][]any) {
 	return buf.String(), tuples, outliers
 }
 
+// testMaxBody caps request bodies on the fleet's workers and on the
+// coordinator alike, small enough for a test to overflow.
+const testMaxBody = 1 << 16
+
 // fleet is the single-process substrate: n real serve.Server registries
 // behind httptest listeners.
 type fleet struct {
@@ -63,7 +67,7 @@ func startFleet(t *testing.T, n int) *fleet {
 	t.Helper()
 	f := &fleet{}
 	for i := 0; i < n; i++ {
-		srv := serve.New(serve.Config{MaxSessions: 16})
+		srv := serve.New(serve.Config{MaxSessions: 16, MaxBodyBytes: testMaxBody})
 		ts := httptest.NewServer(srv.Handler())
 		f.urls = append(f.urls, ts.URL)
 		f.servers = append(f.servers, ts)
@@ -94,7 +98,8 @@ func (f *fleet) kill(t *testing.T, url string) {
 
 func startCoord(t *testing.T, f *fleet, replicas int) (*Coordinator, *httptest.Server, *client.Client) {
 	t.Helper()
-	co, err := New(Config{Workers: f.urls, Replicas: replicas, RequestTimeout: 5 * time.Second})
+	co, err := New(Config{Workers: f.urls, Replicas: replicas, RequestTimeout: 5 * time.Second,
+		MaxBodyBytes: testMaxBody})
 	if err != nil {
 		t.Fatalf("New coordinator: %v", err)
 	}
@@ -132,7 +137,7 @@ func rawGet(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, out
 }
 
-var testParams = client.Params{Eps: 1, Eta: 3, Kappa: 2}
+var testParams = serve.BuildParams{Eps: 1, Eta: 3, Kappa: 2}
 
 // TestCoordinatorEndToEnd drives the whole proxied surface against a
 // 3-worker fleet and checks every answer against a plain single worker
@@ -427,8 +432,8 @@ func TestCoordinatorChaosKilledChunk(t *testing.T) {
 		t.Fatalf("partial detect status %d, want 200: %s", status, body)
 	}
 	var resp struct {
-		Results []client.DetectResult `json:"results"`
-		Partial bool                  `json:"partial"`
+		Results []serve.DetectResult `json:"results"`
+		Partial bool                 `json:"partial"`
 		Errors  []struct {
 			Chunk int    `json:"chunk"`
 			From  int    `json:"from"`
@@ -500,7 +505,7 @@ func TestCoordinatorChaosDelayedChunk(t *testing.T) {
 	}
 	var resp struct {
 		Partial bool `json:"partial"`
-		Results []client.DetectResult
+		Results []serve.DetectResult
 	}
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
@@ -538,7 +543,7 @@ func TestCoordinatorChaosMergeFault(t *testing.T) {
 // TestCoordinatorRejections pins the edge answers: unknown sessions are
 // 404, malformed bodies 400, a uniform worker-side refusal (bad CSV)
 // passes through as its own status, and a draining coordinator refuses
-// mutating requests with 503.
+// mutating requests with 503 and reports itself unready but alive.
 func TestCoordinatorRejections(t *testing.T) {
 	ctx := context.Background()
 	f := startFleet(t, 3)
@@ -574,9 +579,56 @@ func TestCoordinatorRejections(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Errorf("create while draining: status %d, want 503", status)
 	}
-	status, _ = rawGet(t, cts.URL+"/healthz")
-	if status != http.StatusServiceUnavailable {
-		t.Errorf("healthz while draining: status %d, want 503", status)
+	for path, want := range map[string]int{
+		"/livez":   http.StatusOK,
+		"/readyz":  http.StatusServiceUnavailable,
+		"/healthz": http.StatusServiceUnavailable,
+	} {
+		if status, _ := rawGet(t, cts.URL+path); status != want {
+			t.Errorf("%s while draining: status %d, want %d", path, status, want)
+		}
+	}
+}
+
+// TestCoordinatorRefusesLikeWorker sends each malformed request to a
+// worker and to a coordinator over it. The coordinator decodes with the
+// worker's decoder under the same body cap, so both must answer alike.
+func TestCoordinatorRefusesLikeWorker(t *testing.T) {
+	csv, _, _ := testDataset(t)
+	f := startFleet(t, 1)
+	co, cts, cl := startCoord(t, f, 1)
+	info, err := cl.CreateDatasetCSV(context.Background(), "refuse", csv, testParams)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	p, _ := co.placementOf(info.ID)
+	bases := map[string]string{
+		"worker":      p.Owners[0].URL + "/v1/datasets/" + p.Owners[0].LocalID,
+		"coordinator": cts.URL + "/v1/datasets/" + info.ID,
+	}
+	cases := []struct {
+		name, endpoint, body string
+		want                 int
+	}{
+		{"trailing data", "/detect", `{"tuples":[[0,0]]} {"tuples":[]}`, http.StatusBadRequest},
+		{"unknown field", "/detect", `{"tuples":[[0,0]],"membr":true}`, http.StatusBadRequest},
+		{"no tuples", "/detect", `{"tuples":[]}`, http.StatusBadRequest},
+		{"body over the cap", "/detect",
+			`{"tuples":[[0,0]` + strings.Repeat(`,[0,0]`, testMaxBody/6) + `]}`,
+			http.StatusRequestEntityTooLarge},
+		{"tuple of the wrong width", "/save", `{"tuple":[0]}`, http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		for side, base := range bases {
+			resp, err := http.Post(base+tc.endpoint, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("%s to the %s: %v", tc.name, side, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s: the %s answered %d, want %d", tc.name, side, resp.StatusCode, tc.want)
+			}
+		}
 	}
 }
 

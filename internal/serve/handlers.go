@@ -206,11 +206,16 @@ func (s *Server) logFinalStats() {
 	}
 }
 
-// --- request/response schemas ---
+// --- wire format ---
+//
+// The types below are the JSON API's one definition: the handlers decode
+// and encode them, and the client, the coordinator and disccli -remote use
+// them as they are. perfbench and curl users read the field names, so a
+// renamed tag breaks them; wire_test.go pins every name.
 
-// createRequest selects the dataset source (exactly one of csv / path /
+// CreateRequest selects the dataset source (exactly one of csv / path /
 // table1) and the constraint parameters.
-type createRequest struct {
+type CreateRequest struct {
 	// Name labels the session (defaults to the source).
 	Name string `json:"name"`
 	// CSV is an inline dataset in the disccli CSV dialect.
@@ -234,14 +239,15 @@ type createRequest struct {
 	Index string `json:"index"`
 }
 
-// mutateRequest carries one tuple for POST .../tuples (insert) and
-// PUT .../tuples/{idx} (update); DELETE takes no body.
-type mutateRequest struct {
+// TupleRequest carries one tuple for POST .../save, POST .../tuples
+// (insert) and PUT .../tuples/{idx} (update); DELETE takes no body.
+type TupleRequest struct {
 	Tuple     []any `json:"tuple"`
 	TimeoutMS int   `json:"timeout_ms"`
 }
 
-type detectRequest struct {
+// DetectRequest is the /detect body.
+type DetectRequest struct {
 	Tuples [][]any `json:"tuples"`
 	// Member declares the query tuples to be rows of the session's dataset
 	// (a remote client re-screening its own data): each tuple's stored copy
@@ -251,28 +257,29 @@ type detectRequest struct {
 	Member bool `json:"member"`
 }
 
-type detectResponse struct {
+// DetectResponse is the /detect answer: the session's resolved constraints
+// and one result per query tuple.
+type DetectResponse struct {
 	Eps     float64        `json:"eps"`
 	Eta     int            `json:"eta"`
-	Results []detectResult `json:"results"`
+	Results []DetectResult `json:"results"`
 }
 
-type detectResult struct {
+// DetectResult is one tuple's screening answer.
+type DetectResult struct {
 	Neighbors int  `json:"neighbors"`
 	Outlier   bool `json:"outlier"`
 }
 
-type saveRequest struct {
-	Tuple     []any `json:"tuple"`
-	TimeoutMS int   `json:"timeout_ms"`
-}
-
-type repairRequest struct {
+// RepairRequest is the /repair body.
+type RepairRequest struct {
 	Tuples    [][]any `json:"tuples"`
 	TimeoutMS int     `json:"timeout_ms"`
 }
 
-type adjustmentJSON struct {
+// Adjustment is one repaired tuple: the /save answer and each entry of a
+// /repair answer.
+type Adjustment struct {
 	Saved     bool     `json:"saved"`
 	Natural   bool     `json:"natural"`
 	Exhausted bool     `json:"exhausted"`
@@ -282,15 +289,16 @@ type adjustmentJSON struct {
 	Nodes     int      `json:"nodes"`
 }
 
-type repairResponse struct {
-	Adjustments []adjustmentJSON `json:"adjustments"`
-	Saved       int              `json:"saved"`
-	Natural     int              `json:"natural"`
-	Exhausted   int              `json:"exhausted"`
+// RepairResponse is the /repair answer.
+type RepairResponse struct {
+	Adjustments []Adjustment `json:"adjustments"`
+	Saved       int          `json:"saved"`
+	Natural     int          `json:"natural"`
+	Exhausted   int          `json:"exhausted"`
 }
 
-// errorJSON is the uniform error body.
-type errorJSON struct {
+// ErrorResponse is the uniform error body.
+type ErrorResponse struct {
 	Error     string `json:"error"`
 	RequestID string `json:"request_id,omitempty"`
 }
@@ -299,7 +307,7 @@ type errorJSON struct {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	s.endpoints["datasets"].Requests.Add(1)
-	if s.refuseDraining(w, r) {
+	if s.refuseDraining(w) {
 		return
 	}
 	var (
@@ -321,11 +329,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		if rerr != nil {
 			var mbe *http.MaxBytesError
 			if errors.As(rerr, &mbe) {
-				s.writeErr(w, r, http.StatusRequestEntityTooLarge,
+				WriteError(w, http.StatusRequestEntityTooLarge,
 					fmt.Errorf("serve: request body exceeds %d bytes", s.cfg.MaxBodyBytes))
 				return
 			}
-			s.writeErr(w, r, http.StatusBadRequest, rerr)
+			WriteError(w, http.StatusBadRequest, rerr)
 			return
 		}
 		name := q.Get("name")
@@ -334,8 +342,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		sess, err = s.reg.Upload(r.Context(), name, rel, p)
 	} else {
-		var req createRequest
-		if !s.decodeJSON(w, r, &req) {
+		var req CreateRequest
+		if !DecodeJSON(w, r, s.cfg.MaxBodyBytes, &req) {
 			return
 		}
 		sources := 0
@@ -345,7 +353,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if sources != 1 {
-			s.writeErr(w, r, http.StatusBadRequest,
+			WriteError(w, http.StatusBadRequest,
 				errors.New("serve: exactly one of csv, path or table1 must be set"))
 			return
 		}
@@ -360,7 +368,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			}
 			ds, derr := disc.Table1(req.Table1, scale, req.Seed)
 			if derr != nil {
-				s.writeErr(w, r, http.StatusBadRequest, derr)
+				WriteError(w, http.StatusBadRequest, derr)
 				return
 			}
 			if p.Eps <= 0 {
@@ -377,7 +385,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		default:
 			rel, rerr := disc.ReadCSV(strings.NewReader(req.CSV))
 			if rerr != nil {
-				s.writeErr(w, r, http.StatusBadRequest, rerr)
+				WriteError(w, http.StatusBadRequest, rerr)
 				return
 			}
 			name := req.Name
@@ -394,7 +402,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		} else if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			status = http.StatusGatewayTimeout
 		}
-		s.writeErr(w, r, status, err)
+		WriteError(w, status, err)
 		return
 	}
 	s.writeJSON(w, http.StatusCreated, sess.Info())
@@ -412,7 +420,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.reg.Get(r.PathValue("id"))
 	if !ok {
-		s.writeErr(w, r, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
 		return
 	}
 	s.writeJSON(w, http.StatusOK, sess.Info())
@@ -420,7 +428,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if !s.reg.Delete(r.PathValue("id")) {
-		s.writeErr(w, r, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -433,22 +441,22 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	s.endpoints["detect"].Requests.Add(1)
 	sess, ok := s.reg.Get(r.PathValue("id"))
 	if !ok {
-		s.writeErr(w, r, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
 		return
 	}
-	var req detectRequest
-	if !s.decodeJSON(w, r, &req) {
+	var req DetectRequest
+	if !DecodeJSON(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.Tuples) == 0 {
-		s.writeErr(w, r, http.StatusBadRequest, errors.New("serve: tuples must be non-empty"))
+		WriteError(w, http.StatusBadRequest, errors.New("serve: tuples must be non-empty"))
 		return
 	}
 	tuples := make([]disc.Tuple, len(req.Tuples))
 	for i, raw := range req.Tuples {
-		t, err := parseTuple(sess.schema, raw)
+		t, err := ParseTuple(sess.schema, raw)
 		if err != nil {
-			s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("serve: tuple %d: %w", i, err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: tuple %d: %w", i, err))
 			return
 		}
 		tuples[i] = t
@@ -458,8 +466,8 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	// index answers, and the traffic proves it. The state read-lock keeps
 	// the queries consistent against concurrent mutations.
 	var qc disc.IndexCounters
-	resp := detectResponse{Eps: sess.Cons.Eps, Eta: sess.Cons.Eta,
-		Results: make([]detectResult, len(tuples))}
+	resp := DetectResponse{Eps: sess.Cons.Eps, Eta: sess.Cons.Eta,
+		Results: make([]DetectResult, len(tuples))}
 	sess.stateMu.RLock()
 	view := disc.CountingIndex(sess.RelIdx, &qc)
 	for i, t := range tuples {
@@ -475,14 +483,11 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		if req.Member && n > 0 {
 			n--
 		}
-		resp.Results[i] = detectResult{Neighbors: n, Outlier: n < sess.Cons.Eta}
+		resp.Results[i] = DetectResult{Neighbors: n, Outlier: n < sess.Cons.Eta}
 	}
 	sess.stateMu.RUnlock()
 	var st obs.SearchStats
-	st.KNNQueries = qc.KNNQueries
-	st.RangeQueries = qc.RangeQueries
-	st.DistEvals = qc.DistEvals
-	st.GridFallbacks = qc.GridFallbacks
+	qc.AddTo(&st)
 	sess.addStats(&st, 0, int64(len(req.Tuples)))
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -493,28 +498,28 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	tr := obs.TraceFrom(r.Context())
 	es := s.endpoints["save"]
 	es.Requests.Add(1)
-	if s.refuseDraining(w, r) {
+	if s.refuseDraining(w) {
 		return
 	}
 	sess, ok := s.reg.Get(r.PathValue("id"))
 	if !ok {
-		s.writeErr(w, r, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
 		return
 	}
-	var req saveRequest
-	if !s.decodeJSON(w, r, &req) {
+	var req TupleRequest
+	if !DecodeJSON(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
-	t, err := parseTuple(sess.schema, req.Tuple)
+	t, err := ParseTuple(sess.schema, req.Tuple)
 	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
 	sreq := &saveReq{ctx: ctx, tuple: t, res: make(chan saveRes, 1), es: es, ep: "save"}
 	if err := sess.batcher.admit(sreq); err != nil {
-		s.writeAdmitErr(w, r, err)
+		s.writeAdmitErr(w, err)
 		return
 	}
 	// The admit span covers decode, tuple parsing and queue admission —
@@ -523,7 +528,7 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	select {
 	case res := <-sreq.res:
 		if res.err != nil {
-			s.writeErr(w, r, http.StatusGatewayTimeout, res.err)
+			WriteError(w, http.StatusGatewayTimeout, res.err)
 			return
 		}
 		rs := time.Now()
@@ -532,7 +537,7 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	case <-ctx.Done():
 		// The dispatcher will still answer the buffered channel; this
 		// request just stops waiting.
-		s.writeErr(w, r, http.StatusGatewayTimeout,
+		WriteError(w, http.StatusGatewayTimeout,
 			fmt.Errorf("serve: request deadline exceeded: %w", ctx.Err()))
 	}
 }
@@ -544,45 +549,45 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	tr := obs.TraceFrom(r.Context())
 	es := s.endpoints["repair"]
 	es.Requests.Add(1)
-	if s.refuseDraining(w, r) {
+	if s.refuseDraining(w) {
 		return
 	}
 	sess, ok := s.reg.Get(r.PathValue("id"))
 	if !ok {
-		s.writeErr(w, r, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
 		return
 	}
-	var req repairRequest
-	if !s.decodeJSON(w, r, &req) {
+	var req RepairRequest
+	if !DecodeJSON(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.Tuples) == 0 {
-		s.writeErr(w, r, http.StatusBadRequest, errors.New("serve: tuples must be non-empty"))
+		WriteError(w, http.StatusBadRequest, errors.New("serve: tuples must be non-empty"))
 		return
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
 	reqs := make([]*saveReq, len(req.Tuples))
 	for i, raw := range req.Tuples {
-		t, err := parseTuple(sess.schema, raw)
+		t, err := ParseTuple(sess.schema, raw)
 		if err != nil {
-			s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("serve: tuple %d: %w", i, err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: tuple %d: %w", i, err))
 			return
 		}
 		reqs[i] = &saveReq{ctx: ctx, tuple: t, res: make(chan saveRes, 1), es: es, ep: "repair"}
 	}
 	if err := sess.batcher.admit(reqs...); err != nil {
-		s.writeAdmitErr(w, r, err)
+		s.writeAdmitErr(w, err)
 		return
 	}
 	tr.Span("admit", hStart)
 	rs := time.Now()
-	resp := repairResponse{Adjustments: make([]adjustmentJSON, len(reqs))}
+	resp := RepairResponse{Adjustments: make([]Adjustment, len(reqs))}
 	for i, sr := range reqs {
 		select {
 		case res := <-sr.res:
 			if res.err != nil {
-				s.writeErr(w, r, http.StatusGatewayTimeout,
+				WriteError(w, http.StatusGatewayTimeout,
 					fmt.Errorf("serve: tuple %d: %w", i, res.err))
 				return
 			}
@@ -598,7 +603,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 				resp.Exhausted++
 			}
 		case <-ctx.Done():
-			s.writeErr(w, r, http.StatusGatewayTimeout,
+			WriteError(w, http.StatusGatewayTimeout,
 				fmt.Errorf("serve: request deadline exceeded after %d/%d tuples: %w", i, len(reqs), ctx.Err()))
 			return
 		}
@@ -616,21 +621,21 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTupleInsert(w http.ResponseWriter, r *http.Request) {
 	es := s.endpoints["tuples"]
 	es.Requests.Add(1)
-	if s.refuseDraining(w, r) {
+	if s.refuseDraining(w) {
 		return
 	}
 	sess, ok := s.reg.Get(r.PathValue("id"))
 	if !ok {
-		s.writeErr(w, r, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
 		return
 	}
-	var req mutateRequest
-	if !s.decodeJSON(w, r, &req) {
+	var req TupleRequest
+	if !DecodeJSON(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
-	t, err := parseTuple(sess.schema, req.Tuple)
+	t, err := ParseTuple(sess.schema, req.Tuple)
 	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.runMutation(w, r, sess, &mutation{op: "insert", tuple: t}, req.TimeoutMS, http.StatusCreated)
@@ -641,26 +646,26 @@ func (s *Server) handleTupleInsert(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTupleUpdate(w http.ResponseWriter, r *http.Request) {
 	es := s.endpoints["tuples"]
 	es.Requests.Add(1)
-	if s.refuseDraining(w, r) {
+	if s.refuseDraining(w) {
 		return
 	}
 	sess, ok := s.reg.Get(r.PathValue("id"))
 	if !ok {
-		s.writeErr(w, r, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
 		return
 	}
 	idx, err := strconv.Atoi(r.PathValue("idx"))
 	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("serve: bad row index %q", r.PathValue("idx")))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: bad row index %q", r.PathValue("idx")))
 		return
 	}
-	var req mutateRequest
-	if !s.decodeJSON(w, r, &req) {
+	var req TupleRequest
+	if !DecodeJSON(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
-	t, perr := parseTuple(sess.schema, req.Tuple)
+	t, perr := ParseTuple(sess.schema, req.Tuple)
 	if perr != nil {
-		s.writeErr(w, r, http.StatusBadRequest, perr)
+		WriteError(w, http.StatusBadRequest, perr)
 		return
 	}
 	s.runMutation(w, r, sess, &mutation{op: "update", index: idx, tuple: t}, req.TimeoutMS, http.StatusOK)
@@ -671,17 +676,17 @@ func (s *Server) handleTupleUpdate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTupleDelete(w http.ResponseWriter, r *http.Request) {
 	es := s.endpoints["tuples"]
 	es.Requests.Add(1)
-	if s.refuseDraining(w, r) {
+	if s.refuseDraining(w) {
 		return
 	}
 	sess, ok := s.reg.Get(r.PathValue("id"))
 	if !ok {
-		s.writeErr(w, r, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
 		return
 	}
 	idx, err := strconv.Atoi(r.PathValue("idx"))
 	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("serve: bad row index %q", r.PathValue("idx")))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: bad row index %q", r.PathValue("idx")))
 		return
 	}
 	s.runMutation(w, r, sess, &mutation{op: "delete", index: idx}, 0, http.StatusOK)
@@ -696,7 +701,7 @@ func (s *Server) runMutation(w http.ResponseWriter, r *http.Request, sess *Sessi
 	defer cancel()
 	sreq := &saveReq{ctx: ctx, mut: m, res: make(chan saveRes, 1), es: s.endpoints["tuples"], ep: "tuples"}
 	if err := sess.batcher.admit(sreq); err != nil {
-		s.writeAdmitErr(w, r, err)
+		s.writeAdmitErr(w, err)
 		return
 	}
 	tr.Span("admit", hStart)
@@ -707,14 +712,14 @@ func (s *Server) runMutation(w http.ResponseWriter, r *http.Request, sess *Sessi
 			if errors.Is(res.err, errNoSuchRow) {
 				status = http.StatusNotFound
 			}
-			s.writeErr(w, r, status, res.err)
+			WriteError(w, status, res.err)
 			return
 		}
 		rs := time.Now()
 		s.writeJSON(w, okStatus, res.mres)
 		tr.Span("respond", rs)
 	case <-ctx.Done():
-		s.writeErr(w, r, http.StatusGatewayTimeout,
+		WriteError(w, http.StatusGatewayTimeout,
 			fmt.Errorf("serve: request deadline exceeded: %w", ctx.Err()))
 	}
 }
@@ -809,14 +814,14 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 
 // --- plumbing ---
 
-// decodeJSON reads one JSON request body into v with the full hardening
-// set: the body is capped at MaxBodyBytes (413, not a mid-stream decode
+// DecodeJSON reads one JSON request body into v with the full hardening
+// set: the body is capped at maxBytes (413, not a mid-stream decode
 // error), unknown fields are rejected (a typoed "kapa" should fail loudly,
 // not silently use the default), and trailing garbage after the value is a
 // 400. It writes the error response itself and reports whether the handler
 // should continue.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
+	body := http.MaxBytesReader(w, r.Body, maxBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
@@ -828,11 +833,11 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 	}
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
-		s.writeErr(w, r, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("serve: request body exceeds %d bytes", s.cfg.MaxBodyBytes))
+		WriteError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("serve: request body exceeds %d bytes", maxBytes))
 		return false
 	}
-	s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("serve: decoding request: %w", err))
+	WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: decoding request: %w", err))
 	return false
 }
 
@@ -850,48 +855,58 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int) (context.Context, co
 
 // refuseDraining answers 503 + Retry-After on mutating endpoints once the
 // drain has begun; reads stay available until the listener closes.
-func (s *Server) refuseDraining(w http.ResponseWriter, r *http.Request) bool {
+func (s *Server) refuseDraining(w http.ResponseWriter) bool {
 	if !s.draining.Load() {
 		return false
 	}
 	w.Header().Set("Retry-After", "1")
-	s.writeErr(w, r, http.StatusServiceUnavailable, errClosed)
+	WriteError(w, http.StatusServiceUnavailable, errClosed)
 	return true
 }
 
 // writeAdmitErr maps admission failures: queue overflow → 429 with a
 // Retry-After hinting one batch window, drain → 503.
-func (s *Server) writeAdmitErr(w http.ResponseWriter, r *http.Request, err error) {
+func (s *Server) writeAdmitErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errQueueFull):
 		retry := int(math.Ceil(math.Max(s.cfg.BatchWindow.Seconds(), 1)))
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		s.writeErr(w, r, http.StatusTooManyRequests, err)
+		WriteError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, errClosed):
 		w.Header().Set("Retry-After", "1")
-		s.writeErr(w, r, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 	default:
-		s.writeErr(w, r, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 	}
 }
 
+// writeJSON is WriteJSON with an encoding failure logged.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := WriteJSON(w, status, v); err != nil {
 		s.log.Warn("serve: encoding response", "err", err)
 	}
 }
 
-func (s *Server) writeErr(w http.ResponseWriter, r *http.Request, status int, err error) {
-	s.writeJSON(w, status, errorJSON{Error: err.Error(), RequestID: requestIDFrom(r.Context())})
+// WriteJSON writes v as the compact JSON body of a response with the given
+// status. The error is the encoder's; the status is already sent by then,
+// so callers can only log it.
+func WriteJSON(w http.ResponseWriter, status int, v any) error {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	return json.NewEncoder(w).Encode(v)
 }
 
-// parseTuple decodes one JSON tuple ([1.5, "abc", ...]) against the
-// session's schema: numbers for numeric attributes, strings for text.
-func parseTuple(sch *disc.Schema, raw []any) (disc.Tuple, error) {
+// WriteError writes the uniform error body. Its request id is the one the
+// middleware echoed into the X-Request-ID response header.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	// Two strings always encode, so Encode fails only on a client that has
+	// gone away, and then there is no one left to tell.
+	_ = WriteJSON(w, status, ErrorResponse{Error: err.Error(), RequestID: w.Header().Get("X-Request-ID")})
+}
+
+// ParseTuple decodes one JSON tuple ([1.5, "abc", ...]) against a schema:
+// numbers for numeric attributes, strings for text.
+func ParseTuple(sch *disc.Schema, raw []any) (disc.Tuple, error) {
 	if len(raw) != sch.M() {
 		return nil, fmt.Errorf("serve: tuple has %d values, schema has %d attributes", len(raw), sch.M())
 	}
@@ -917,8 +932,8 @@ func parseTuple(sch *disc.Schema, raw []any) (disc.Tuple, error) {
 	return t, nil
 }
 
-// tupleToJSON is parseTuple's inverse.
-func tupleToJSON(sch *disc.Schema, t disc.Tuple) []any {
+// TupleJSON is ParseTuple's inverse.
+func TupleJSON(sch *disc.Schema, t disc.Tuple) []any {
 	out := make([]any, len(t))
 	for i := range t {
 		if sch.Attrs[i].Kind == disc.Text {
@@ -932,8 +947,8 @@ func tupleToJSON(sch *disc.Schema, t disc.Tuple) []any {
 
 // adjustmentToJSON shapes one Adjustment for the wire. Cost is emitted only
 // for saved tuples — an unsaved adjustment's +Inf cost is not a JSON value.
-func adjustmentToJSON(sch *disc.Schema, adj disc.Adjustment) adjustmentJSON {
-	aj := adjustmentJSON{
+func adjustmentToJSON(sch *disc.Schema, adj disc.Adjustment) Adjustment {
+	aj := Adjustment{
 		Saved:     adj.Saved(),
 		Natural:   adj.Natural,
 		Exhausted: adj.Exhausted,
@@ -941,7 +956,7 @@ func adjustmentToJSON(sch *disc.Schema, adj disc.Adjustment) adjustmentJSON {
 	}
 	if adj.Saved() {
 		aj.Cost = adj.Cost
-		aj.Tuple = tupleToJSON(sch, adj.Tuple)
+		aj.Tuple = TupleJSON(sch, adj.Tuple)
 		for _, a := range adj.Adjusted.Attrs(sch.M()) {
 			aj.Adjusted = append(aj.Adjusted, sch.Attrs[a].Name)
 		}

@@ -19,20 +19,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	// A session name containing every escapable label character: the
 	// exporter must round-trip it, not corrupt the exposition format.
 	gnarly := `blob "A"\B` + "\nrest"
-	w := do(t, s, "POST", "/v1/datasets", createRequest{
+	w := do(t, s, "POST", "/v1/datasets", CreateRequest{
 		Name: gnarly, CSV: testCSV(t), Eps: 1, Eta: 3, Kappa: 2,
 	})
 	if w.Code != http.StatusCreated {
 		t.Fatalf("upload: status %d, body %s", w.Code, w.Body.String())
 	}
 	info := decode[SessionInfo](t, w)
-	if w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: []any{25.0, 25.0}}); w.Code != http.StatusOK {
+	if w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{Tuple: []any{25.0, 25.0}}); w.Code != http.StatusOK {
 		t.Fatalf("save: status %d, body %s", w.Code, w.Body.String())
 	}
-	if w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect", detectRequest{Tuples: [][]any{{0.4, 0.4}}}); w.Code != http.StatusOK {
+	if w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect", DetectRequest{Tuples: [][]any{{0.4, 0.4}}}); w.Code != http.StatusOK {
 		t.Fatalf("detect: status %d, body %s", w.Code, w.Body.String())
 	}
-	if w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/tuples", mutateRequest{Tuple: []any{0.2, 0.2}}); w.Code != http.StatusCreated {
+	if w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/tuples", TupleRequest{Tuple: []any{0.2, 0.2}}); w.Code != http.StatusCreated {
 		t.Fatalf("insert: status %d, body %s", w.Code, w.Body.String())
 	}
 
@@ -131,7 +131,7 @@ func TestSlowRequestEmitsSpans(t *testing.T) {
 	log := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelWarn}))
 	s := newTestServer(t, Config{BatchWindow: -1, Workers: 1, SlowRequest: time.Nanosecond, Logger: log})
 	info := uploadSession(t, s)
-	if w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: []any{25.0, 25.0}}); w.Code != http.StatusOK {
+	if w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{Tuple: []any{25.0, 25.0}}); w.Code != http.StatusOK {
 		t.Fatalf("save: status %d, body %s", w.Code, w.Body.String())
 	}
 	out := buf.String()
@@ -157,7 +157,7 @@ func TestSlowRequestDisabledByDefault(t *testing.T) {
 	log := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelWarn}))
 	s := newTestServer(t, Config{BatchWindow: -1, Workers: 1, Logger: log})
 	info := uploadSession(t, s)
-	do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: []any{25.0, 25.0}})
+	do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{Tuple: []any{25.0, 25.0}})
 	if strings.Contains(buf.String(), "slow request") {
 		t.Errorf("slow-request warning fired with the threshold disabled:\n%s", buf.String())
 	}

@@ -1,8 +1,7 @@
 package serve
 
 import (
-	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime/debug"
@@ -11,17 +10,6 @@ import (
 
 	"repro/internal/obs"
 )
-
-// ctxKey keys the values this package stores in request contexts.
-type ctxKey int
-
-const ctxKeyRequestID ctxKey = iota
-
-// requestIDFrom returns the request ID installed by the middleware, or "".
-func requestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKeyRequestID).(string)
-	return id
-}
 
 // statusWriter captures the status code for the request log.
 type statusWriter struct {
@@ -76,7 +64,6 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 			id = obs.NewRequestID()
 		}
 		w.Header().Set("X-Request-ID", id)
-		ctx := context.WithValue(r.Context(), ctxKeyRequestID, id)
 
 		// API requests get a trace; probe and scrape paths do not, so the
 		// ring holds real work, not /metrics polls.
@@ -84,9 +71,8 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 		var tr *obs.Trace
 		if ep != "" {
 			tr = obs.NewTrace(id)
-			ctx = obs.ContextWithTrace(ctx, tr)
+			r = r.WithContext(obs.ContextWithTrace(r.Context(), tr))
 		}
-		r = r.WithContext(ctx)
 
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
@@ -99,12 +85,7 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 				if sw.status == 0 {
 					// Headers not sent yet: answer a proper 500. Otherwise
 					// the response is already on the wire; just cut it off.
-					sw.Header().Set("Content-Type", "application/json")
-					sw.WriteHeader(http.StatusInternalServerError)
-					json.NewEncoder(sw).Encode(errorJSON{
-						Error:     "internal server error",
-						RequestID: id,
-					})
+					WriteError(sw, http.StatusInternalServerError, errors.New("internal server error"))
 				}
 			}
 			dur := time.Since(start)

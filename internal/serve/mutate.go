@@ -26,8 +26,10 @@ type mutation struct {
 	tuple disc.Tuple
 }
 
-// mutationResponse reports the incremental maintenance a mutation did.
-type mutationResponse struct {
+// MutateResponse is the answer to a tuple mutation: the affected logical
+// row handle, the live totals after the mutation, and the incremental
+// maintenance it did.
+type MutateResponse struct {
 	Op string `json:"op"`
 	// Index is the affected logical row: the new row's handle for
 	// insert, the addressed row for update/delete. Handles are stable
@@ -75,9 +77,9 @@ func (s *Session) initMutableState() {
 // saver's inlier set and η-radii, settle the byte ledger, and mark the
 // snapshot dirty. It is called from the batcher's dispatch, so it
 // serializes against queued detect/save work.
-func (s *Session) applyMutation(m *mutation) (mutationResponse, error) {
+func (s *Session) applyMutation(m *mutation) (MutateResponse, error) {
 	s.stateMu.Lock()
-	resp := mutationResponse{Op: m.op, Index: m.index}
+	resp := MutateResponse{Op: m.op, Index: m.index}
 	var bytesDelta int64
 	var refresh []disc.Tuple // δ_η refresh centers, applied after all membership changes
 	var flips []int

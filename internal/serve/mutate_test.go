@@ -103,7 +103,7 @@ func mutateDifferential(t *testing.T, kind, mode string, dims, kappa int) {
 	if err := disc.WriteCSV(&buf, rel); err != nil {
 		t.Fatal(err)
 	}
-	create := createRequest{Name: "mut", CSV: buf.String(), Eps: 0.25, Eta: 3, Kappa: kappa, Index: kind}
+	create := CreateRequest{Name: "mut", CSV: buf.String(), Eps: 0.25, Eta: 3, Kappa: kappa, Index: kind}
 
 	var s *Server
 	if mode == "restart" {
@@ -158,11 +158,11 @@ func mutateDifferential(t *testing.T, kind, mode string, dims, kappa int) {
 			}
 			tp := randTuple(rng, dims, scale)
 			w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/tuples",
-				mutateRequest{Tuple: tupleAny(tp)})
+				TupleRequest{Tuple: tupleAny(tp)})
 			if w.Code != http.StatusCreated {
 				t.Fatalf("insert: status %d, body %s", w.Code, w.Body.String())
 			}
-			mres := decode[mutationResponse](t, w)
+			mres := decode[MutateResponse](t, w)
 			if mres.Index != len(mirror) {
 				t.Fatalf("insert handle = %d, want %d", mres.Index, len(mirror))
 			}
@@ -175,7 +175,7 @@ func mutateDifferential(t *testing.T, kind, mode string, dims, kappa int) {
 			h := randLiveHandle(rng, mirror)
 			tp := randTuple(rng, dims, 1)
 			w := do(t, s, "PUT", fmt.Sprintf("/v1/datasets/%s/tuples/%d", info.ID, h),
-				mutateRequest{Tuple: tupleAny(tp)})
+				TupleRequest{Tuple: tupleAny(tp)})
 			if w.Code != http.StatusOK {
 				t.Fatalf("update %d: status %d, body %s", h, w.Code, w.Body.String())
 			}
@@ -231,10 +231,10 @@ func mutateDifferential(t *testing.T, kind, mode string, dims, kappa int) {
 			probes = append(probes, tupleAny(tp))
 		}
 	}
-	dm := decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect",
-		detectRequest{Tuples: probes, Member: true}))
-	df := decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+fs.ID+"/detect",
-		detectRequest{Tuples: probes, Member: true}))
+	dm := decode[DetectResponse](t, do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect",
+		DetectRequest{Tuples: probes, Member: true}))
+	df := decode[DetectResponse](t, do(t, s, "POST", "/v1/datasets/"+fs.ID+"/detect",
+		DetectRequest{Tuples: probes, Member: true}))
 	if !reflect.DeepEqual(dm.Results, df.Results) {
 		t.Fatalf("member detect diverged from rebuild:\nmutated: %+v\nrebuild: %+v", dm.Results, df.Results)
 	}
@@ -242,10 +242,10 @@ func mutateDifferential(t *testing.T, kind, mode string, dims, kappa int) {
 	for i := 0; i < 8; i++ {
 		probes = append(probes, tupleAny(randTuple(rng, dims, 1.4)))
 	}
-	dm = decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect",
-		detectRequest{Tuples: probes}))
-	df = decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+fs.ID+"/detect",
-		detectRequest{Tuples: probes}))
+	dm = decode[DetectResponse](t, do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect",
+		DetectRequest{Tuples: probes}))
+	df = decode[DetectResponse](t, do(t, s, "POST", "/v1/datasets/"+fs.ID+"/detect",
+		DetectRequest{Tuples: probes}))
 	if !reflect.DeepEqual(dm.Results, df.Results) {
 		t.Fatalf("probe detect diverged from rebuild:\nmutated: %+v\nrebuild: %+v", dm.Results, df.Results)
 	}
@@ -264,13 +264,13 @@ func mutateDifferential(t *testing.T, kind, mode string, dims, kappa int) {
 				probe = append(probe, 0.4+rng.Float64()*0.15)
 			}
 		}
-		am := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: probe})
-		af := do(t, s, "POST", "/v1/datasets/"+fs.ID+"/save", saveRequest{Tuple: probe})
+		am := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{Tuple: probe})
+		af := do(t, s, "POST", "/v1/datasets/"+fs.ID+"/save", TupleRequest{Tuple: probe})
 		if am.Code != http.StatusOK || af.Code != http.StatusOK {
 			t.Fatalf("save probe %d: mutated %d, rebuild %d", i, am.Code, af.Code)
 		}
-		jm := decode[adjustmentJSON](t, am)
-		jf := decode[adjustmentJSON](t, af)
+		jm := decode[Adjustment](t, am)
+		jf := decode[Adjustment](t, af)
 		if !reflect.DeepEqual(jm, jf) {
 			t.Fatalf("save probe %d diverged from rebuild:\nmutated: %+v\nrebuild: %+v", i, jm, jf)
 		}
@@ -413,7 +413,7 @@ func TestSweepSkipsBusySessions(t *testing.T) {
 		go func() {
 			defer reqs.Done()
 			w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save",
-				saveRequest{Tuple: tupleAny(outlierTuple())})
+				TupleRequest{Tuple: tupleAny(outlierTuple())})
 			codes <- w.Code
 		}()
 	}
@@ -509,7 +509,7 @@ func TestByteBoundEvictionAfterGrowth(t *testing.T) {
 	grewPast := false
 	for i := 0; i < 40 && !grewPast; i++ {
 		w := do(t, s, "POST", "/v1/datasets/"+b.ID+"/tuples",
-			mutateRequest{Tuple: tupleAny(randTuple2D(rng, 2))})
+			TupleRequest{Tuple: tupleAny(randTuple2D(rng, 2))})
 		if w.Code != http.StatusCreated {
 			t.Fatalf("insert %d: status %d, body %s", i, w.Code, w.Body.String())
 		}
@@ -560,7 +560,7 @@ func TestCompactionAfterDeleteChurn(t *testing.T) {
 		t.Fatalf("deleted handle resolved after compaction: status %d", w.Code)
 	}
 	w := do(t, s, "PUT", fmt.Sprintf("/v1/datasets/%s/tuples/%d", info.ID, 30),
-		mutateRequest{Tuple: []any{0.55, 0.55}})
+		TupleRequest{Tuple: []any{0.55, 0.55}})
 	if w.Code != http.StatusOK {
 		t.Fatalf("update of surviving handle: status %d, body %s", w.Code, w.Body.String())
 	}
@@ -580,10 +580,10 @@ func TestCompactionAfterDeleteChurn(t *testing.T) {
 		t.Fatalf("fresh rebuild: %v", err)
 	}
 	probes := [][]any{{0.4, 0.4}, {1.9, 1.9}, {25.0, 25.0}, {0.55, 0.55}}
-	dm := decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect",
-		detectRequest{Tuples: probes}))
-	df := decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+fs.ID+"/detect",
-		detectRequest{Tuples: probes}))
+	dm := decode[DetectResponse](t, do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect",
+		DetectRequest{Tuples: probes}))
+	df := decode[DetectResponse](t, do(t, s, "POST", "/v1/datasets/"+fs.ID+"/detect",
+		DetectRequest{Tuples: probes}))
 	if !reflect.DeepEqual(dm.Results, df.Results) {
 		t.Fatalf("post-compaction detect diverged:\ncompacted: %+v\nrebuild:   %+v", dm.Results, df.Results)
 	}
@@ -642,7 +642,7 @@ func TestRestartFromUncappedSnapshot(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("delete b: status %d, body %s", w.Code, w.Body.String())
 	}
-	if res := decode[mutationResponse](t, w); res.Flipped != 0 {
+	if res := decode[MutateResponse](t, w); res.Flipped != 0 {
 		t.Fatalf("deleting b flipped %d tuples, want 0", res.Flipped)
 	}
 	checkCountInvariant(t, sess, "after deleting b")
@@ -652,7 +652,7 @@ func TestRestartFromUncappedSnapshot(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("delete d: status %d, body %s", w.Code, w.Body.String())
 	}
-	if res := decode[mutationResponse](t, w); res.Flipped != 3 {
+	if res := decode[MutateResponse](t, w); res.Flipped != 3 {
 		t.Fatalf("deleting d flipped %d tuples, want 3 (a, c, e)", res.Flipped)
 	}
 	checkCountInvariant(t, sess, "after deleting d")

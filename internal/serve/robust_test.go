@@ -41,7 +41,7 @@ func writeTestCSVFile(t *testing.T, dir string) string {
 
 func openPathSession(t *testing.T, s *Server, path string) SessionInfo {
 	t.Helper()
-	w := do(t, s, "POST", "/v1/datasets", createRequest{Path: path, Eps: 1, Eta: 3, Kappa: 2})
+	w := do(t, s, "POST", "/v1/datasets", CreateRequest{Path: path, Eps: 1, Eta: 3, Kappa: 2})
 	if w.Code != http.StatusCreated {
 		t.Fatalf("open path: status %d, body %s", w.Code, w.Body.String())
 	}
@@ -96,11 +96,11 @@ func TestRestartRecoversWarmSessions(t *testing.T) {
 		}
 	}
 	// The recovered session is warm: a save works without any rebuild.
-	w := do(t, s2, "POST", "/v1/datasets/"+up.ID+"/save", saveRequest{Tuple: []any{25.0, 25.0}})
+	w := do(t, s2, "POST", "/v1/datasets/"+up.ID+"/save", TupleRequest{Tuple: []any{25.0, 25.0}})
 	if w.Code != http.StatusOK {
 		t.Fatalf("save on recovered session: status %d, body %s", w.Code, w.Body.String())
 	}
-	if adj := decode[adjustmentJSON](t, w); !adj.Saved {
+	if adj := decode[Adjustment](t, w); !adj.Saved {
 		t.Fatalf("outlier not saved on recovered session: %+v", adj)
 	}
 	if got := s2.reg.store.Stats(); got.RecoveredSessions != 2 || got.SnapshotLoads != 2 {
@@ -139,7 +139,7 @@ func TestRecoveredSessionKeyDerived(t *testing.T) {
 	if err := os.WriteFile(jsonPath, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	open := func(s *Server, req createRequest) SessionInfo {
+	open := func(s *Server, req CreateRequest) SessionInfo {
 		t.Helper()
 		w := do(t, s, "POST", "/v1/datasets", req)
 		if w.Code != http.StatusCreated {
@@ -147,8 +147,8 @@ func TestRecoveredSessionKeyDerived(t *testing.T) {
 		}
 		return decode[SessionInfo](t, w)
 	}
-	oldReq := createRequest{Path: oldPath, Eps: 0.5, Eta: 4, Kappa: 2}
-	jsonReq := createRequest{Path: jsonPath, Kappa: 2}
+	oldReq := CreateRequest{Path: oldPath, Eps: 0.5, Eta: 4, Kappa: 2}
+	jsonReq := CreateRequest{Path: jsonPath, Kappa: 2}
 
 	s1 := New(cfg)
 	if err := s1.Recover(context.Background()); err != nil {
@@ -208,7 +208,7 @@ func TestRecoveredSessionKeyDerived(t *testing.T) {
 func TestCreateRefusesRetiredKDIndex(t *testing.T) {
 	s := newTestServer(t, Config{BatchWindow: -1, Workers: 2})
 	for _, index := range []string{"kd", "rtree"} {
-		w := do(t, s, "POST", "/v1/datasets", createRequest{
+		w := do(t, s, "POST", "/v1/datasets", CreateRequest{
 			Name: "test", CSV: testCSV(t), Eps: 1, Eta: 3, Kappa: 2, Index: index,
 		})
 		if w.Code != http.StatusUnprocessableEntity {
@@ -298,7 +298,7 @@ func TestRetiredKDSnapshotRecoversAsAuto(t *testing.T) {
 			if info := got.Info(); info.Index != auto.Kind().String() {
 				t.Errorf("index %q, want the automatic choice %q", info.Index, auto.Kind())
 			}
-			w := do(t, s, "POST", "/v1/datasets", createRequest{Path: csvPath, Eps: cons.Eps, Eta: cons.Eta, Kappa: 2})
+			w := do(t, s, "POST", "/v1/datasets", CreateRequest{Path: csvPath, Eps: cons.Eps, Eta: cons.Eta, Kappa: 2})
 			if w.Code != http.StatusCreated {
 				t.Fatalf("open path: status %d, body %s", w.Code, w.Body.String())
 			}
@@ -531,7 +531,7 @@ func uploadSessionSmall(t *testing.T, s *Server) SessionInfo {
 			fmt.Fprintf(&sb, "%g,%g\n", float64(i)*0.4, float64(j)*0.4)
 		}
 	}
-	w := do(t, s, "POST", "/v1/datasets", createRequest{Name: "small", CSV: sb.String(), Eps: 1, Eta: 3, Kappa: 2})
+	w := do(t, s, "POST", "/v1/datasets", CreateRequest{Name: "small", CSV: sb.String(), Eps: 1, Eta: 3, Kappa: 2})
 	if w.Code != http.StatusCreated {
 		t.Fatalf("upload: status %d, body %s", w.Code, w.Body.String())
 	}
@@ -546,7 +546,7 @@ func TestDetectMemberMode(t *testing.T) {
 	// A naive count of E's row includes E itself → 3 → spuriously inlier.
 	csv := "x,y\n0,0\n0.5,0\n0,0.5\n0.25,0.25\n1.2,0\n"
 	s := newTestServer(t, Config{BatchWindow: -1})
-	w := do(t, s, "POST", "/v1/datasets", createRequest{Name: "m", CSV: csv, Eps: 1, Eta: 3, Kappa: 2})
+	w := do(t, s, "POST", "/v1/datasets", CreateRequest{Name: "m", CSV: csv, Eps: 1, Eta: 3, Kappa: 2})
 	if w.Code != http.StatusCreated {
 		t.Fatalf("upload: %d %s", w.Code, w.Body.String())
 	}
@@ -557,13 +557,13 @@ func TestDetectMemberMode(t *testing.T) {
 	e := []any{1.2, 0.0}
 	// Non-member screening of the member row: the self-match hides the
 	// violation.
-	w = do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect", detectRequest{Tuples: [][]any{e}})
-	if got := decode[detectResponse](t, w); got.Results[0].Outlier {
+	w = do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect", DetectRequest{Tuples: [][]any{e}})
+	if got := decode[DetectResponse](t, w); got.Results[0].Outlier {
 		t.Fatalf("non-member screening flagged the row (neighbors=%d); self-match should hide it", got.Results[0].Neighbors)
 	}
 	// Member screening matches the session's own detection split.
-	w = do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect", detectRequest{Tuples: [][]any{e}, Member: true})
-	got := decode[detectResponse](t, w)
+	w = do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect", DetectRequest{Tuples: [][]any{e}, Member: true})
+	got := decode[DetectResponse](t, w)
 	if !got.Results[0].Outlier || got.Results[0].Neighbors != 2 {
 		t.Fatalf("member screening = %+v, want outlier with 2 neighbors", got.Results[0])
 	}
@@ -596,11 +596,11 @@ func TestChaosRegistryRestarts(t *testing.T) {
 		// Every listed session must answer detect and save requests even
 		// with dispatch faults active (errors are clean 5xx, not hangs).
 		for _, info := range s.reg.List() {
-			w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: []any{25.0, 25.0}})
+			w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{Tuple: []any{25.0, 25.0}})
 			if w.Code != http.StatusOK && w.Code != http.StatusGatewayTimeout {
 				t.Fatalf("round %d: save on %s: unexpected status %d: %s", round, info.ID, w.Code, w.Body.String())
 			}
-			if w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect", detectRequest{Tuples: [][]any{{25.0, 25.0}}}); w.Code != http.StatusOK {
+			if w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect", DetectRequest{Tuples: [][]any{{25.0, 25.0}}}); w.Code != http.StatusOK {
 				t.Fatalf("round %d: detect on %s: status %d", round, info.ID, w.Code)
 			}
 		}
@@ -618,7 +618,7 @@ func TestChaosRegistryRestarts(t *testing.T) {
 	// recover or quarantine cleanly, and recovered sessions must serve.
 	s := recoverServer(t, cfg)
 	for _, info := range s.reg.List() {
-		w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: []any{25.0, 25.0}})
+		w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{Tuple: []any{25.0, 25.0}})
 		if w.Code != http.StatusOK {
 			t.Fatalf("final: save on %s: status %d: %s", info.ID, w.Code, w.Body.String())
 		}
@@ -639,12 +639,12 @@ func TestChaosBatchDispatchPanic(t *testing.T) {
 	if err := fault.Configure("batch.dispatch:panic", 1); err != nil {
 		t.Fatal(err)
 	}
-	w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: []any{25.0, 25.0}})
+	w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{Tuple: []any{25.0, 25.0}})
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("save under panic injection: status %d, want 504", w.Code)
 	}
 	fault.Reset()
-	w = do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: []any{25.0, 25.0}})
+	w = do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{Tuple: []any{25.0, 25.0}})
 	if w.Code != http.StatusOK {
 		t.Fatalf("save after panic: status %d, want 200 (server must survive)", w.Code)
 	}

@@ -93,7 +93,7 @@ func decode[T any](t *testing.T, w *httptest.ResponseRecorder) T {
 
 func uploadSession(t *testing.T, s *Server) SessionInfo {
 	t.Helper()
-	w := do(t, s, "POST", "/v1/datasets", createRequest{
+	w := do(t, s, "POST", "/v1/datasets", CreateRequest{
 		Name: "test", CSV: testCSV(t), Eps: 1, Eta: 3, Kappa: 2,
 	})
 	if w.Code != http.StatusCreated {
@@ -117,13 +117,13 @@ func TestWarmSaveNoRebuild(t *testing.T) {
 
 	prevEvals := info.Stats.DistEvals
 	for i := 0; i < 5; i++ {
-		w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{
+		w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{
 			Tuple: []any{25.0, 25.0},
 		})
 		if w.Code != http.StatusOK {
 			t.Fatalf("save %d: status %d, body %s", i, w.Code, w.Body.String())
 		}
-		adj := decode[adjustmentJSON](t, w)
+		adj := decode[Adjustment](t, w)
 		if !adj.Saved {
 			t.Fatalf("save %d: outlier not saved: %+v", i, adj)
 		}
@@ -147,13 +147,13 @@ func TestDetectEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	info := uploadSession(t, s)
 
-	w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect", detectRequest{
+	w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect", DetectRequest{
 		Tuples: [][]any{{0.4, 0.4}, {25.0, 25.0}},
 	})
 	if w.Code != http.StatusOK {
 		t.Fatalf("detect: status %d, body %s", w.Code, w.Body.String())
 	}
-	resp := decode[detectResponse](t, w)
+	resp := decode[DetectResponse](t, w)
 	if len(resp.Results) != 2 {
 		t.Fatalf("detect results = %d, want 2", len(resp.Results))
 	}
@@ -174,6 +174,39 @@ func TestDetectEndpoint(t *testing.T) {
 	if cur.Stats.RangeQueries <= info.Stats.RangeQueries {
 		t.Errorf("detect ran no range queries against the cached index (%d -> %d)",
 			info.Stats.RangeQueries, cur.Stats.RangeQueries)
+	}
+}
+
+// TestDetectCountsTextCache re-screens a text session's own rows through
+// /detect and checks that the session's text-cache counters move: the
+// endpoint folds every index counter of its counting view into the
+// session stats, the kernel-level ones included.
+func TestDetectCountsTextCache(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	ds, err := disc.GenMixed(disc.MixedSpec{
+		Name: "mixed", N: 200, Entities: 160, DirtyFrac: 0.05, Eps: 2.0, Eta: 3, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := s.Registry().Upload(context.Background(), "mixed", ds.Rel,
+		BuildParams{Eps: ds.Eps, Eta: ds.Eta, Kappa: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sess.Info().Stats
+	tuples := make([][]any, ds.Rel.N())
+	for i, tp := range ds.Rel.Tuples {
+		tuples[i] = TupleJSON(ds.Rel.Schema, tp)
+	}
+	w := do(t, s, "POST", "/v1/datasets/"+sess.ID+"/detect", DetectRequest{Tuples: tuples, Member: true})
+	if w.Code != http.StatusOK {
+		t.Fatalf("detect: status %d, body %s", w.Code, w.Body.String())
+	}
+	after := sess.Info().Stats
+	if after.TextCacheHits+after.TextCacheMisses <= before.TextCacheHits+before.TextCacheMisses {
+		t.Errorf("detect left the text-cache counters at hits %d, misses %d",
+			after.TextCacheHits, after.TextCacheMisses)
 	}
 }
 
@@ -210,7 +243,7 @@ func TestQueueOverflow429(t *testing.T) {
 		t.Fatalf("filling queue: %v", err)
 	}
 
-	w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: []any{25.0, 25.0}})
+	w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{Tuple: []any{25.0, 25.0}})
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("overflow status = %d, want 429; body %s", w.Code, w.Body.String())
 	}
@@ -310,7 +343,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	if w := do(t, s, "GET", "/healthz", nil); w.Code != http.StatusServiceUnavailable {
 		t.Errorf("healthz while draining = %d, want 503", w.Code)
 	}
-	w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: []any{25.0, 25.0}})
+	w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{Tuple: []any{25.0, 25.0}})
 	if w.Code != http.StatusServiceUnavailable {
 		t.Errorf("save while draining = %d, want 503; body %s", w.Code, w.Body.String())
 	}
@@ -477,17 +510,17 @@ func TestRequestErrors(t *testing.T) {
 		{"unknown session", "GET", "/v1/datasets/deadbeef", nil, http.StatusNotFound},
 		{"delete unknown", "DELETE", "/v1/datasets/deadbeef", nil, http.StatusNotFound},
 		{"save unknown session", "POST", "/v1/datasets/deadbeef/save",
-			saveRequest{Tuple: []any{1.0, 2.0}}, http.StatusNotFound},
+			TupleRequest{Tuple: []any{1.0, 2.0}}, http.StatusNotFound},
 		{"wrong arity", "POST", "/v1/datasets/" + info.ID + "/save",
-			saveRequest{Tuple: []any{1.0}}, http.StatusBadRequest},
+			TupleRequest{Tuple: []any{1.0}}, http.StatusBadRequest},
 		{"wrong type", "POST", "/v1/datasets/" + info.ID + "/save",
-			saveRequest{Tuple: []any{"abc", 2.0}}, http.StatusBadRequest},
+			TupleRequest{Tuple: []any{"abc", 2.0}}, http.StatusBadRequest},
 		{"empty detect", "POST", "/v1/datasets/" + info.ID + "/detect",
-			detectRequest{}, http.StatusBadRequest},
-		{"no source", "POST", "/v1/datasets", createRequest{Eps: 1, Eta: 3}, http.StatusBadRequest},
+			DetectRequest{}, http.StatusBadRequest},
+		{"no source", "POST", "/v1/datasets", CreateRequest{Eps: 1, Eta: 3}, http.StatusBadRequest},
 		{"two sources", "POST", "/v1/datasets",
-			createRequest{CSV: "x:numeric\n1", Table1: "Letter"}, http.StatusBadRequest},
-		{"bad csv", "POST", "/v1/datasets", createRequest{CSV: "x:numeric\n\"unterminated"},
+			CreateRequest{CSV: "x:numeric\n1", Table1: "Letter"}, http.StatusBadRequest},
+		{"bad csv", "POST", "/v1/datasets", CreateRequest{CSV: "x:numeric\n\"unterminated"},
 			http.StatusBadRequest},
 	}
 	for _, tc := range cases {
@@ -496,7 +529,7 @@ func TestRequestErrors(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d; body %s", tc.name, w.Code, tc.want, w.Body.String())
 		}
 		if tc.want >= 400 {
-			e := decode[errorJSON](t, w)
+			e := decode[ErrorResponse](t, w)
 			if e.Error == "" {
 				t.Errorf("%s: error body missing message: %s", tc.name, w.Body.String())
 			}
@@ -508,13 +541,13 @@ func TestRepairBatch(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	info := uploadSession(t, s)
 
-	w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/repair", repairRequest{
+	w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/repair", RepairRequest{
 		Tuples: [][]any{{25.0, 25.0}, {0.4, 0.4}, {-30.0, 12.0}},
 	})
 	if w.Code != http.StatusOK {
 		t.Fatalf("repair: status %d, body %s", w.Code, w.Body.String())
 	}
-	resp := decode[repairResponse](t, w)
+	resp := decode[RepairResponse](t, w)
 	if len(resp.Adjustments) != 3 {
 		t.Fatalf("adjustments = %d, want 3", len(resp.Adjustments))
 	}
@@ -542,7 +575,7 @@ func TestRepairBatch(t *testing.T) {
 func TestVarz(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	info := uploadSession(t, s)
-	do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: []any{25.0, 25.0}})
+	do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{Tuple: []any{25.0, 25.0}})
 
 	w := do(t, s, "GET", "/varz", nil)
 	if w.Code != http.StatusOK {
@@ -586,7 +619,7 @@ func TestPanicRecovery(t *testing.T) {
 	if w.Code != http.StatusInternalServerError {
 		t.Errorf("panic status = %d, want 500", w.Code)
 	}
-	e := decode[errorJSON](t, w)
+	e := decode[ErrorResponse](t, w)
 	if e.Error == "" || e.RequestID == "" {
 		t.Errorf("panic body = %s, want error + request_id", w.Body.String())
 	}
@@ -624,7 +657,7 @@ func TestConcurrentSaves(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{
+			w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{
 				Tuple: []any{25.0 + float64(i), 25.0},
 			})
 			codes[i] = w.Code
@@ -652,7 +685,7 @@ func TestConcurrentSaves(t *testing.T) {
 
 func TestTable1Source(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
-	w := do(t, s, "POST", "/v1/datasets", createRequest{Table1: "Letter", Scale: 0.05, Seed: 1, Kappa: 2})
+	w := do(t, s, "POST", "/v1/datasets", CreateRequest{Table1: "Letter", Scale: 0.05, Seed: 1, Kappa: 2})
 	if w.Code != http.StatusCreated {
 		t.Fatalf("table1 upload: status %d, body %s", w.Code, w.Body.String())
 	}
@@ -661,7 +694,7 @@ func TestTable1Source(t *testing.T) {
 		t.Errorf("table1 session = %+v, want tuples and constraints filled", info)
 	}
 	// The dataset's own (ε, η) defaults were adopted.
-	w2 := do(t, s, "POST", fmt.Sprintf("/v1/datasets/%s/detect", info.ID), detectRequest{
+	w2 := do(t, s, "POST", fmt.Sprintf("/v1/datasets/%s/detect", info.ID), DetectRequest{
 		Tuples: [][]any{make([]any, 0)},
 	})
 	if w2.Code != http.StatusBadRequest {
