@@ -101,7 +101,7 @@ perfbench:
 drift:
 	$(GO) test -run TestObservabilityDocsDrift -count=1 .
 
-# Chaos suite: fault-injected restart loops, batcher panic recovery, and the
+# Chaos suite: fault-injected restart loops, dispatch panic recovery, and the
 # subprocess SIGKILL harness (kill mid-snapshot-write, restart, assert
 # recovery invariants) under -race, plus the durability-layer unit tests
 # (snapshot format, fault sites, robust client).

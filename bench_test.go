@@ -426,13 +426,13 @@ func serveUpload(b *testing.B, h http.Handler, body []byte) string {
 }
 
 // BenchmarkServeSave measures the end-to-end HTTP handler path of one save
-// against a warm session: JSON decode, admission, dispatch through the
-// batcher, Algorithm 1 against the cached indexes, JSON encode. Against
+// against a warm session: JSON decode, admission through the session's
+// gate, Algorithm 1 against the cached indexes, JSON encode. Against
 // BenchmarkSaveSingle the delta is the serving overhead; against
 // BenchmarkServeSaveCold the delta is what session caching amortizes away.
 func BenchmarkServeSave(b *testing.B) {
 	csv, cons := serveBenchCSV(b)
-	s := serve.New(serve.Config{BatchWindow: -1, Workers: 1, Logger: nil})
+	s := serve.New(serve.Config{Workers: 1, Logger: nil})
 	h := s.Handler()
 	create, err := json.Marshal(map[string]any{
 		"name": "bench", "csv": csv, "eps": cons.Eps, "eta": cons.Eta, "kappa": 2,
@@ -467,7 +467,7 @@ func BenchmarkServeSave(b *testing.B) {
 // profile, measured on the same workload as BenchmarkServeSave.
 func BenchmarkServeSaveCold(b *testing.B) {
 	csv, cons := serveBenchCSV(b)
-	s := serve.New(serve.Config{BatchWindow: -1, Workers: 1, Logger: nil})
+	s := serve.New(serve.Config{Workers: 1, Logger: nil})
 	h := s.Handler()
 	create, err := json.Marshal(map[string]any{
 		"name": "bench", "csv": csv, "eps": cons.Eps, "eta": cons.Eta, "kappa": 2,

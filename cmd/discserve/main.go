@@ -2,8 +2,8 @@
 // load a dataset once, and the server builds its neighbor index and
 // distance-constraint state into a cached session; detection and repair
 // requests then run against the warm session instead of paying index
-// construction per invocation, with concurrent saves coalesced into
-// micro-batches over the shared worker pool.
+// construction per invocation. Each save and mutation runs on its own
+// request, behind a per-session admission gate.
 //
 // API (see docs/SERVING.md for the full reference):
 //
@@ -25,10 +25,11 @@
 //	GET    /metrics                Prometheus text exposition of the same, plus histograms
 //
 // Capacity is bounded everywhere: the session cache by count, bytes and
-// idle TTL (LRU eviction), each session's admission queue by -max-queue
-// (overflow answered 429 + Retry-After), and each save by a deadline
-// (client timeout_ms capped at -request-budget). SIGINT/SIGTERM drain
-// gracefully: admitted work finishes, new work is refused with 503.
+// idle TTL (LRU eviction), each session's admitted, unanswered saves and
+// mutations by -max-queue (overflow answered 429 + Retry-After), and each
+// save by a deadline (client timeout_ms capped at -request-budget).
+// SIGINT/SIGTERM drain gracefully: admitted work finishes, new work is
+// refused with 503.
 //
 // With -data-dir, sessions are durable: each build is snapshotted
 // (versioned, checksummed, written atomically) and a restart replays the
@@ -73,10 +74,8 @@ func main() {
 		maxSessions   = flag.Int("max-sessions", 8, "max cached dataset sessions (LRU eviction)")
 		maxBytes      = flag.Int64("max-bytes", 0, "max approximate resident bytes across sessions (0 = unbounded)")
 		sessionTTL    = flag.Duration("session-ttl", 0, "evict sessions idle longer than this (0 = never)")
-		maxQueue      = flag.Int("max-queue", 256, "admission queue slots per session; overflow is answered 429")
-		batchWindow   = flag.Duration("batch-window", 2*time.Millisecond, "how long a dispatch waits for co-arriving saves to coalesce")
-		maxBatch      = flag.Int("max-batch", 64, "max saves per dispatch")
-		workers       = flag.String("workers", "0", "parallel saves per dispatch (0 = GOMAXPROCS); with -coordinator, the comma-separated worker base URLs instead")
+		maxQueue      = flag.Int("max-queue", 256, "admitted, unanswered saves and mutations per session (waiting or running); overflow is answered 429")
+		workers       = flag.String("workers", "0", "saves and mutations running at once per session (0 = GOMAXPROCS); with -coordinator, the comma-separated worker base URLs instead")
 		coordinator   = flag.Bool("coordinator", false, "run as a coordinator over the worker fleet named by -workers (no local sessions)")
 		replicas      = flag.Int("replicas", 0, "coordinator: workers owning each session (0 = min(2, workers))")
 		requestBudget = flag.Duration("request-budget", 30*time.Second, "per-save deadline cap; client timeout_ms cannot exceed it")
@@ -118,8 +117,6 @@ func main() {
 		MaxBytes:      *maxBytes,
 		TTL:           *sessionTTL,
 		MaxQueue:      *maxQueue,
-		BatchWindow:   *batchWindow,
-		MaxBatch:      *maxBatch,
 		Workers:       saveWorkers,
 		RequestBudget: *requestBudget,
 		MaxBodyBytes:  *maxUpload,

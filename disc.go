@@ -162,7 +162,7 @@ func RehydrateDetection(counts []int, eta int) *Detection {
 // not modified; the repaired copy and the per-outlier adjustments are
 // returned.
 //
-// ctx (plus Options.BatchTimeout) bounds the whole batch and
+// ctx bounds the whole batch (a deadline on it is the batch budget) and
 // Options.MaxNodes/Deadline bound each outlier's search. Instead of
 // aborting on an expired budget the pipeline degrades:
 // completed saves stand, in-flight saves return best-so-far adjustments

@@ -74,7 +74,7 @@ var saveAllHook func(k int)
 // r and outliers s, and save each outlier against r one by one (§2.2), in
 // parallel across outliers. The input relation is not modified.
 //
-// ctx (plus Options.BatchTimeout, when set) bounds the whole batch,
+// ctx bounds the whole batch (a deadline on it is the batch budget), and
 // Options.MaxNodes/Deadline bound each outlier's search. The pipeline
 // degrades instead of aborting — when the batch budget expires mid-run,
 // outliers already saved keep their adjustments, the in-flight ones return
@@ -86,11 +86,6 @@ var saveAllHook func(k int)
 func SaveAllContext(ctx context.Context, rel *data.Relation, cons Constraints, opts Options) (*SaveResult, error) {
 	totalStart := time.Now()
 	log := obs.Logger(opts.Logger)
-	if opts.BatchTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.BatchTimeout)
-		defer cancel()
-	}
 	// Reject NaN/±Inf up front: a non-finite outlier would otherwise sail
 	// through detection (every NaN comparison is false) and poison the
 	// distance aggregates of its own save.

@@ -146,8 +146,9 @@ func TestSaveAllBatchTimeout(t *testing.T) {
 
 	rel := scatteredOutliers(5)
 	cons := Constraints{Eps: 1.5, Eta: 3}
-	res, err := SaveAllContext(context.Background(), rel, cons,
-		Options{Workers: 1, BatchTimeout: 200 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	res, err := SaveAllContext(ctx, rel, cons, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,11 +49,6 @@ type Options struct {
 	// (0: none). Like MaxNodes, tripping it degrades to the best-so-far
 	// answer instead of aborting.
 	Deadline time.Duration
-	// BatchTimeout is the wall-clock allowance for a whole SaveAllContext
-	// run, covering detection and every per-outlier save (0: none). When it
-	// expires, outliers not yet saved are reported in SaveResult.Errs and
-	// the partial result is returned.
-	BatchTimeout time.Duration
 	// Progress, when non-nil, receives batch snapshots from
 	// SaveAllContext: the first completed save, at most one per
 	// ProgressInterval after that, and always a final snapshot. The

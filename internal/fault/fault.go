@@ -47,8 +47,8 @@ const (
 	// IndexBuild fires before a session rehydration rebuilds its indexes,
 	// forcing the full-rebuild fallback path.
 	IndexBuild = "index.build"
-	// BatchDispatch fires inside the batcher's per-request worker, before
-	// the save runs.
+	// BatchDispatch fires once a save or mutation holds its worker slot,
+	// before it runs.
 	BatchDispatch = "batch.dispatch"
 	// ShardDispatch fires before the coordinator dispatches work to its
 	// workers: once per scattered chunk, and once per single-tuple save.

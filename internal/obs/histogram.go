@@ -166,22 +166,23 @@ func (s HistogramSnapshot) MarshalJSON() ([]byte, error) {
 }
 
 // ServeHists bundles the serving layer's latency and size distributions.
-// The server keeps one global instance and one per session, and the batch
-// workers record into both — two Observe calls per request, far off the
+// The server keeps one global instance and one per session, and each
+// request records into both — two Observe calls per request, far off the
 // per-node hot path. Durations are nanoseconds; Nodes, BatchSize and
 // Redetect are dimensionless counts.
 type ServeHists struct {
-	// Save distributes per-save wall time (SaveOne, end to end inside the
-	// dispatch worker); SaveNodes distributes the search nodes each save
-	// expanded — together they answer whether slow saves are big searches
-	// or scheduling artifacts.
+	// Save distributes per-save wall time (SaveOne, end to end, once the
+	// request holds its worker slot); SaveNodes distributes the search
+	// nodes each save expanded — together they answer whether slow saves
+	// are big searches or scheduling artifacts.
 	Save      Histogram
 	SaveNodes Histogram
-	// QueueWait distributes how long admitted requests sat in the
-	// admission queue before their dispatch worker picked them up.
+	// QueueWait distributes how long admitted requests waited for a
+	// worker slot.
 	QueueWait Histogram
-	// BatchSize distributes requests per dispatch — the micro-batching
-	// coalescing actually achieved, not just its hit rate.
+	// BatchSize distributes requests per dispatch. Every request runs on
+	// its own, so each observation is 1; the histogram stays because the
+	// repo benchmark reads it.
 	BatchSize Histogram
 	// Redetect distributes redetect_touched per mutation: the ε-ball
 	// re-detection footprint the incremental maintenance paid.

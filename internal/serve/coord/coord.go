@@ -46,9 +46,6 @@ type Config struct {
 	// min(2, len(Workers))). Uploads fan out to all owners; chunked
 	// requests scatter across them and fail over between them.
 	Replicas int
-	// VNodes is the consistent-hash ring's virtual-node count per worker
-	// (default 64).
-	VNodes int
 	// RequestTimeout bounds each worker call attempt (default 10s).
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps proxied request bodies (default 64 MiB).
@@ -67,9 +64,6 @@ func (c Config) withDefaults() Config {
 	if c.Replicas > len(c.Workers) {
 		c.Replicas = len(c.Workers)
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
@@ -78,6 +72,9 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// vnodes is the consistent-hash ring's virtual-node count per worker.
+const vnodes = 64
 
 // worker is one fleet member: its URL plus a dedicated retrying client
 // whose breaker state and counters are per-worker (a dead worker must not
@@ -131,7 +128,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:        cfg,
 		log:        obs.Logger(cfg.Logger),
-		ring:       NewRing(cfg.Workers, cfg.VNodes),
+		ring:       NewRing(cfg.Workers, vnodes),
 		workers:    make(map[string]*worker, len(cfg.Workers)),
 		start:      time.Now(),
 		placements: make(map[string]*placement),

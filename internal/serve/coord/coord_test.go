@@ -611,6 +611,9 @@ func TestCoordinatorRefusesLikeWorker(t *testing.T) {
 		want                 int
 	}{
 		{"trailing data", "/detect", `{"tuples":[[0,0]]} {"tuples":[]}`, http.StatusBadRequest},
+		{"stray closing brace", "/detect", `{"tuples":[[0,0]]}}`, http.StatusBadRequest},
+		{"stray closing bracket", "/detect", `{"tuples":[[0,0]]}]`, http.StatusBadRequest},
+		{"trailing whitespace", "/detect", "{\"tuples\":[[0,0]]}\n\t ", http.StatusOK},
 		{"unknown field", "/detect", `{"tuples":[[0,0]],"membr":true}`, http.StatusBadRequest},
 		{"no tuples", "/detect", `{"tuples":[]}`, http.StatusBadRequest},
 		{"body over the cap", "/detect",

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,15 +30,12 @@ type Config struct {
 	MaxBytes    int64
 	// TTL evicts sessions idle longer than this (0 = never).
 	TTL time.Duration
-	// MaxQueue bounds each session's admission queue (default 256);
+	// MaxQueue bounds each session's admitted, unanswered saves and
+	// mutations, waiting for a worker slot or running (default 256);
 	// overflow is answered 429 + Retry-After.
 	MaxQueue int
-	// BatchWindow is how long the dispatcher holds an open batch for
-	// co-arriving requests (default 2ms; 0 coalesces only what is already
-	// queued). MaxBatch caps one dispatch (default 64).
-	BatchWindow time.Duration
-	MaxBatch    int
-	// Workers bounds each dispatch's parallelism (0 = GOMAXPROCS).
+	// Workers bounds how many of a session's saves and mutations run at
+	// once (0 = GOMAXPROCS).
 	Workers int
 	// RequestBudget is the per-request save deadline applied when the
 	// client sends none (default 30s). Client-requested budgets are capped
@@ -64,14 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 256
-	}
-	if c.BatchWindow < 0 {
-		c.BatchWindow = 0
-	} else if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -168,9 +159,9 @@ func (s *Server) Handler() http.Handler { return s.handler }
 func (s *Server) Registry() *Registry { return s.reg }
 
 // Shutdown drains gracefully: stop admitting (new mutating requests get
-// 503), finish everything already queued or in flight, and return once the
-// queues are empty. If ctx expires first, Shutdown returns its error with
-// queues possibly non-empty — callers then simply exit.
+// 503), finish every admitted request, and return once all are answered.
+// If ctx expires first, Shutdown returns its error with requests possibly
+// still running — callers then simply exit.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.draining.CompareAndSwap(false, true) {
 		return nil
@@ -201,8 +192,7 @@ func (s *Server) logFinalStats() {
 		}
 		s.log.Info("serve: final endpoint stats", "endpoint", name,
 			"requests", snap.Requests, "admitted", snap.Admitted,
-			"rejected", snap.Rejected, "coalesced", snap.Coalesced,
-			"expired", snap.Expired, "drained", snap.Drained)
+			"rejected", snap.Rejected, "expired", snap.Expired, "drained", snap.Drained)
 	}
 }
 
@@ -492,7 +482,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleSave repairs one tuple through the session's batcher.
+// handleSave repairs one tuple through the session's admission gate.
 func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	hStart := time.Now()
 	tr := obs.TraceFrom(r.Context())
@@ -517,33 +507,28 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
-	sreq := &saveReq{ctx: ctx, tuple: t, res: make(chan saveRes, 1), es: es, ep: "save"}
-	if err := sess.batcher.admit(sreq); err != nil {
-		s.writeAdmitErr(w, err)
+	if err := sess.gate.admit(es, 1); err != nil {
+		writeAdmitErr(w, err)
 		return
 	}
-	// The admit span covers decode, tuple parsing and queue admission —
-	// everything between route match and the request entering the queue.
+	// The admit span covers decode, tuple parsing and admission —
+	// everything between route match and the request entering the gate.
 	tr.Span("admit", hStart)
-	select {
-	case res := <-sreq.res:
-		if res.err != nil {
-			WriteError(w, http.StatusGatewayTimeout, res.err)
-			return
-		}
-		rs := time.Now()
-		s.writeJSON(w, http.StatusOK, adjustmentToJSON(sess.schema, res.adj))
-		tr.Span("respond", rs)
-	case <-ctx.Done():
-		// The dispatcher will still answer the buffered channel; this
-		// request just stops waiting.
-		WriteError(w, http.StatusGatewayTimeout,
-			fmt.Errorf("serve: request deadline exceeded: %w", ctx.Err()))
+	var adj disc.Adjustment
+	if err := sess.gate.run(ctx, es, "save", func(ctx context.Context) error {
+		adj = sess.save(ctx, t)
+		return nil
+	}); err != nil {
+		WriteError(w, http.StatusGatewayTimeout, err)
+		return
 	}
+	rs := time.Now()
+	s.writeJSON(w, http.StatusOK, adjustmentToJSON(sess.schema, adj))
+	tr.Span("respond", rs)
 }
 
-// handleRepair batches many tuples through the same admission path;
-// admission is all-or-nothing so a 429 never splits a batch.
+// handleRepair saves many tuples, one goroutine each, through the same
+// gate; admission is all-or-nothing so a 429 never splits a repair.
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	hStart := time.Now()
 	tr := obs.TraceFrom(r.Context())
@@ -567,57 +552,62 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
-	reqs := make([]*saveReq, len(req.Tuples))
+	tuples := make([]disc.Tuple, len(req.Tuples))
 	for i, raw := range req.Tuples {
 		t, err := ParseTuple(sess.schema, raw)
 		if err != nil {
 			WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: tuple %d: %w", i, err))
 			return
 		}
-		reqs[i] = &saveReq{ctx: ctx, tuple: t, res: make(chan saveRes, 1), es: es, ep: "repair"}
+		tuples[i] = t
 	}
-	if err := sess.batcher.admit(reqs...); err != nil {
-		s.writeAdmitErr(w, err)
+	if err := sess.gate.admit(es, len(tuples)); err != nil {
+		writeAdmitErr(w, err)
 		return
 	}
 	tr.Span("admit", hStart)
+	adjs := make([]disc.Adjustment, len(tuples))
+	errs := make([]error, len(tuples))
+	var wg sync.WaitGroup
+	for i, t := range tuples {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = sess.gate.run(ctx, es, "repair", func(ctx context.Context) error {
+				adjs[i] = sess.save(ctx, t)
+				return nil
+			})
+		}()
+	}
+	wg.Wait()
 	rs := time.Now()
-	resp := RepairResponse{Adjustments: make([]Adjustment, len(reqs))}
-	for i, sr := range reqs {
-		select {
-		case res := <-sr.res:
-			if res.err != nil {
-				WriteError(w, http.StatusGatewayTimeout,
-					fmt.Errorf("serve: tuple %d: %w", i, res.err))
-				return
-			}
-			aj := adjustmentToJSON(sess.schema, res.adj)
-			resp.Adjustments[i] = aj
-			switch {
-			case aj.Saved:
-				resp.Saved++
-			case aj.Natural:
-				resp.Natural++
-			}
-			if aj.Exhausted {
-				resp.Exhausted++
-			}
-		case <-ctx.Done():
-			WriteError(w, http.StatusGatewayTimeout,
-				fmt.Errorf("serve: request deadline exceeded after %d/%d tuples: %w", i, len(reqs), ctx.Err()))
+	resp := RepairResponse{Adjustments: make([]Adjustment, len(tuples))}
+	for i, adj := range adjs {
+		if errs[i] != nil {
+			WriteError(w, http.StatusGatewayTimeout, fmt.Errorf("serve: tuple %d: %w", i, errs[i]))
 			return
+		}
+		aj := adjustmentToJSON(sess.schema, adj)
+		resp.Adjustments[i] = aj
+		switch {
+		case aj.Saved:
+			resp.Saved++
+		case aj.Natural:
+			resp.Natural++
+		}
+		if aj.Exhausted {
+			resp.Exhausted++
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
-	// One respond span for the whole gather: repair answers arrive
-	// per-tuple, so the span covers waiting for and encoding all of them.
 	tr.Span("respond", rs)
 }
 
 // handleTupleInsert appends one tuple to the session's live dataset,
 // maintaining the indexes and detection state incrementally. The mutation
-// rides the session's batcher queue, so it serializes against admitted
-// detect/save work. Answers 201 with the new row's logical handle.
+// passes the session's admission gate like a save, and the state lock
+// orders it against detect and save work. Answers 201 with the new row's
+// logical handle.
 func (s *Server) handleTupleInsert(w http.ResponseWriter, r *http.Request) {
 	es := s.endpoints["tuples"]
 	es.Requests.Add(1)
@@ -692,36 +682,40 @@ func (s *Server) handleTupleDelete(w http.ResponseWriter, r *http.Request) {
 	s.runMutation(w, r, sess, &mutation{op: "delete", index: idx}, 0, http.StatusOK)
 }
 
-// runMutation admits one mutation through the session's batcher and waits
-// for its answer, sharing handleSave's deadline and error mapping.
+// runMutation admits one mutation through the session's gate and runs it,
+// sharing handleSave's deadline and error mapping.
 func (s *Server) runMutation(w http.ResponseWriter, r *http.Request, sess *Session, m *mutation, timeoutMS, okStatus int) {
 	hStart := time.Now()
 	tr := obs.TraceFrom(r.Context())
+	es := s.endpoints["tuples"]
 	ctx, cancel := s.requestCtx(r, timeoutMS)
 	defer cancel()
-	sreq := &saveReq{ctx: ctx, mut: m, res: make(chan saveRes, 1), es: s.endpoints["tuples"], ep: "tuples"}
-	if err := sess.batcher.admit(sreq); err != nil {
-		s.writeAdmitErr(w, err)
+	if err := sess.gate.admit(es, 1); err != nil {
+		writeAdmitErr(w, err)
 		return
 	}
 	tr.Span("admit", hStart)
-	select {
-	case res := <-sreq.res:
-		if res.err != nil {
-			status := http.StatusGatewayTimeout
-			if errors.Is(res.err, errNoSuchRow) {
-				status = http.StatusNotFound
-			}
-			WriteError(w, status, res.err)
-			return
+	var mres MutateResponse
+	if err := sess.gate.run(ctx, es, "tuples", func(context.Context) error {
+		mstart := time.Now()
+		var err error
+		mres, err = sess.applyMutation(m)
+		tr.Span("redetect", mstart)
+		if err == nil {
+			sess.observeRedetect(mres.Touched)
 		}
-		rs := time.Now()
-		s.writeJSON(w, okStatus, res.mres)
-		tr.Span("respond", rs)
-	case <-ctx.Done():
-		WriteError(w, http.StatusGatewayTimeout,
-			fmt.Errorf("serve: request deadline exceeded: %w", ctx.Err()))
+		return err
+	}); err != nil {
+		status := http.StatusGatewayTimeout
+		if errors.Is(err, errNoSuchRow) {
+			status = http.StatusNotFound
+		}
+		WriteError(w, status, err)
+		return
 	}
+	rs := time.Now()
+	s.writeJSON(w, okStatus, mres)
+	tr.Span("respond", rs)
 }
 
 // handleHealthz is the legacy combined probe, kept for existing monitors;
@@ -825,11 +819,15 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) b
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
-	if err == nil && dec.More() {
-		err = errors.New("trailing data after JSON value")
-	}
 	if err == nil {
-		return true
+		// The value must end the body. Token answers io.EOF at a clean end
+		// (trailing whitespace included), and a token or an error after it,
+		// a stray } or ] among them.
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		} else if err == nil {
+			err = errors.New("trailing data after JSON value")
+		}
 	}
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
@@ -864,20 +862,15 @@ func (s *Server) refuseDraining(w http.ResponseWriter) bool {
 	return true
 }
 
-// writeAdmitErr maps admission failures: queue overflow → 429 with a
-// Retry-After hinting one batch window, drain → 503.
-func (s *Server) writeAdmitErr(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, errQueueFull):
-		retry := int(math.Ceil(math.Max(s.cfg.BatchWindow.Seconds(), 1)))
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		WriteError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, errClosed):
-		w.Header().Set("Retry-After", "1")
-		WriteError(w, http.StatusServiceUnavailable, err)
-	default:
-		WriteError(w, http.StatusInternalServerError, err)
+// writeAdmitErr maps admission failures, each with Retry-After: 1: a full
+// session → 429, a draining one → 503.
+func writeAdmitErr(w http.ResponseWriter, err error) {
+	status := http.StatusTooManyRequests
+	if errors.Is(err, errClosed) {
+		status = http.StatusServiceUnavailable
 	}
+	w.Header().Set("Retry-After", "1")
+	WriteError(w, status, err)
 }
 
 // writeJSON is WriteJSON with an encoding failure logged.

@@ -88,10 +88,10 @@ func (s *Server) writeMetrics(p *obs.PromWriter) {
 	// Global serving histograms: monotone across session eviction, the
 	// series an alerting rule should watch.
 	gh := s.reg.hists.Snapshot()
-	p.Histogram("disc_save_seconds", "Per-save wall time inside the dispatch workers.", gh.Save, nsScale)
+	p.Histogram("disc_save_seconds", "Per-save wall time, once the request holds its worker slot.", gh.Save, nsScale)
 	p.Histogram("disc_save_nodes", "Search nodes expanded per save.", gh.SaveNodes, 1)
-	p.Histogram("disc_queue_wait_seconds", "Admission-queue wait per request.", gh.QueueWait, nsScale)
-	p.Histogram("disc_batch_size", "Requests per batch dispatch.", gh.BatchSize, 1)
+	p.Histogram("disc_queue_wait_seconds", "Wait for a worker slot per admitted request.", gh.QueueWait, nsScale)
+	p.Histogram("disc_batch_size", "Requests per dispatch (always 1).", gh.BatchSize, 1)
 	p.Histogram("disc_redetect_touched", "Tuples re-examined per mutation.", gh.Redetect, 1)
 
 	// Per-session series, labeled (session id, human name). Session names
@@ -119,7 +119,7 @@ func (s *Server) writeMetrics(p *obs.PromWriter) {
 			float64(infos[i].Detects), labels(i)...)
 	}
 	for i := range infos {
-		p.Counter("disc_session_batches_total", "Batches dispatched by the session's executor.",
+		p.Counter("disc_session_batches_total", "Requests dispatched by the session's admission gate.",
 			float64(infos[i].Batches), labels(i)...)
 	}
 	for i := range infos {
@@ -127,7 +127,7 @@ func (s *Server) writeMetrics(p *obs.PromWriter) {
 			float64(infos[i].Inserted+infos[i].Updated+infos[i].Deleted), labels(i)...)
 	}
 	for i := range infos {
-		p.Gauge("disc_session_queue_depth", "Requests currently queued for the session.",
+		p.Gauge("disc_session_queue_depth", "Admitted, unanswered requests of the session (waiting or running).",
 			float64(infos[i].QueueDepth), labels(i)...)
 	}
 	for i := range infos {
@@ -143,11 +143,11 @@ func (s *Server) writeMetrics(p *obs.PromWriter) {
 			infos[i].Hists.SaveNodes, 1, labels(i)...)
 	}
 	for i := range infos {
-		p.Histogram("disc_session_queue_wait_seconds", "Queue wait per request, per session.",
+		p.Histogram("disc_session_queue_wait_seconds", "Wait for a worker slot per request, per session.",
 			infos[i].Hists.QueueWait, nsScale, labels(i)...)
 	}
 	for i := range infos {
-		p.Histogram("disc_session_batch_size", "Batch size per dispatch, per session.",
+		p.Histogram("disc_session_batch_size", "Requests per dispatch (always 1), per session.",
 			infos[i].Hists.BatchSize, 1, labels(i)...)
 	}
 	for i := range infos {

@@ -15,7 +15,7 @@ import (
 // GET /metrics, and validates the output with the shared Prometheus
 // parser: the golden-format guarantee the exporter makes to scrapers.
 func TestMetricsEndpoint(t *testing.T) {
-	s := newTestServer(t, Config{BatchWindow: -1, Workers: 1})
+	s := newTestServer(t, Config{Workers: 1})
 	// A session name containing every escapable label character: the
 	// exporter must round-trip it, not corrupt the exposition format.
 	gnarly := `blob "A"\B` + "\nrest"
@@ -129,7 +129,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestSlowRequestEmitsSpans(t *testing.T) {
 	var buf bytes.Buffer
 	log := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelWarn}))
-	s := newTestServer(t, Config{BatchWindow: -1, Workers: 1, SlowRequest: time.Nanosecond, Logger: log})
+	s := newTestServer(t, Config{Workers: 1, SlowRequest: time.Nanosecond, Logger: log})
 	info := uploadSession(t, s)
 	if w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{Tuple: []any{25.0, 25.0}}); w.Code != http.StatusOK {
 		t.Fatalf("save: status %d, body %s", w.Code, w.Body.String())
@@ -155,7 +155,7 @@ func TestSlowRequestEmitsSpans(t *testing.T) {
 func TestSlowRequestDisabledByDefault(t *testing.T) {
 	var buf bytes.Buffer
 	log := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelWarn}))
-	s := newTestServer(t, Config{BatchWindow: -1, Workers: 1, Logger: log})
+	s := newTestServer(t, Config{Workers: 1, Logger: log})
 	info := uploadSession(t, s)
 	do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{Tuple: []any{25.0, 25.0}})
 	if strings.Contains(buf.String(), "slow request") {
@@ -166,7 +166,7 @@ func TestSlowRequestDisabledByDefault(t *testing.T) {
 // TestProbesNotTraced: health and metrics polls must not enter the trace
 // ring — a 1s-interval scraper would evict every real request trace.
 func TestProbesNotTraced(t *testing.T) {
-	s := newTestServer(t, Config{BatchWindow: -1, Workers: 1})
+	s := newTestServer(t, Config{Workers: 1})
 	do(t, s, "GET", "/healthz", nil)
 	do(t, s, "GET", "/metrics", nil)
 	do(t, s, "GET", "/varz", nil)

@@ -18,8 +18,8 @@ var errNoSuchRow = errors.New("serve: no such row")
 // mutations). A var so tests can force compaction on small datasets.
 var compactMinDead = 256
 
-// mutation is one admitted tuple mutation, riding the same batcher queue
-// as saves so it serializes against in-flight detect/save work.
+// mutation is one admitted tuple mutation. It passes the same admission
+// gate as saves; the state lock orders it against detect and save work.
 type mutation struct {
 	op    string // "insert" | "update" | "delete"
 	index int    // logical row for update/delete
@@ -75,8 +75,8 @@ func (s *Session) initMutableState() {
 // lock: update the relation/kernel/indexes incrementally, re-examine
 // only the tuples whose ε-neighborhoods the mutation touched, sync the
 // saver's inlier set and η-radii, settle the byte ledger, and mark the
-// snapshot dirty. It is called from the batcher's dispatch, so it
-// serializes against queued detect/save work.
+// snapshot dirty. The exclusive lock orders it against detect and save
+// work.
 func (s *Session) applyMutation(m *mutation) (MutateResponse, error) {
 	s.stateMu.Lock()
 	resp := MutateResponse{Op: m.op, Index: m.index}

@@ -30,7 +30,7 @@ func benchMutRelation(n int) *disc.Relation {
 
 func benchMutSession(b *testing.B, n int) *Session {
 	b.Helper()
-	r := NewRegistry(Config{BatchWindow: -1}.withDefaults())
+	r := NewRegistry(Config{}.withDefaults())
 	b.Cleanup(r.Close)
 	s, err := r.Upload(context.Background(), "bench", benchMutRelation(n),
 		BuildParams{Eps: benchMutEps, Eta: benchMutEta, Kappa: 2, Index: "grid"})

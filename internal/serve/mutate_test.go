@@ -73,7 +73,7 @@ func TestMutateDifferential(t *testing.T) {
 
 func mutateDifferential(t *testing.T, kind, mode string, dims, kappa int) {
 	rng := rand.New(rand.NewSource(42))
-	cfg := Config{BatchWindow: -1, Workers: 2}
+	cfg := Config{Workers: 2}
 	if mode == "restart" {
 		cfg.DataDir = t.TempDir()
 	}
@@ -334,7 +334,7 @@ func FuzzMutate(f *testing.F) {
 	f.Add([]byte{1, 0, 99, 1, 200, 1, 0, 0, 0, 2, 0, 0})
 	f.Add(bytes.Repeat([]byte{2, 7, 0}, 30)) // delete churn
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		r := NewRegistry(Config{BatchWindow: -1}.withDefaults())
+		r := NewRegistry(Config{}.withDefaults())
 		defer r.Close()
 		s, err := r.Upload(context.Background(), "fuzz", testRelation(), testParams)
 		if err != nil {
@@ -392,19 +392,55 @@ func FuzzMutate(f *testing.F) {
 	})
 }
 
+// TestMutationAnswerMatchesEffect: a mutation's status says what happened
+// to the dataset. A 504 must leave it unchanged and a 201 must add exactly
+// one row; a mutation answered 504 but applied anyway would be applied
+// twice by a client that retries 5xx.
+func TestMutationAnswerMatchesEffect(t *testing.T) {
+	s := newTestServer(t, Config{})
+	info := uploadSession(t, s)
+	sess, _ := s.Registry().Get(info.ID)
+
+	// Stand in for a long save: hold the state read-lock well past the
+	// insert's deadline.
+	sess.stateMu.RLock()
+	released := make(chan struct{})
+	go func() {
+		time.Sleep(200 * time.Millisecond)
+		sess.stateMu.RUnlock()
+		close(released)
+	}()
+	w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/tuples",
+		TupleRequest{Tuple: []any{0.2, 0.2}, TimeoutMS: 50})
+	<-released
+	after := sess.Info().Tuples
+	switch w.Code {
+	case http.StatusGatewayTimeout:
+		if after != info.Tuples {
+			t.Errorf("insert answered 504 but was applied, tuples %d -> %d", info.Tuples, after)
+		}
+	case http.StatusCreated:
+		if after != info.Tuples+1 {
+			t.Errorf("insert answered 201, tuples %d -> %d", info.Tuples, after)
+		}
+	default:
+		t.Fatalf("insert: status %d, body %s", w.Code, w.Body.String())
+	}
+}
+
 // TestSweepSkipsBusySessions is the regression test for TTL eviction
 // racing a saturated queue: a session with admitted-but-unanswered work
 // must never be swept, no matter how stale its lastUsed is.
 func TestSweepSkipsBusySessions(t *testing.T) {
-	s := newTestServer(t, Config{BatchWindow: -1, Workers: 1, TTL: time.Minute, MaxQueue: 8})
+	s := newTestServer(t, Config{Workers: 1, TTL: time.Minute, MaxQueue: 8})
 	info := uploadSession(t, s)
 	sess, ok := s.Registry().Get(info.ID)
 	if !ok {
 		t.Fatal("session vanished")
 	}
 
-	// Hold the state lock so dispatched saves block inside the batch,
-	// keeping the queue saturated while the sweeps run.
+	// Hold the state lock so started saves block inside the save, keeping
+	// the session busy while the sweeps run.
 	sess.stateMu.Lock()
 	var reqs sync.WaitGroup
 	codes := make(chan int, 4)
@@ -418,7 +454,7 @@ func TestSweepSkipsBusySessions(t *testing.T) {
 		}()
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for !sess.batcher.busy() {
+	for !sess.gate.busy() {
 		if time.Now().After(deadline) {
 			sess.stateMu.Unlock()
 			t.Fatal("queue never became busy")
@@ -452,7 +488,7 @@ func TestSweepSkipsBusySessions(t *testing.T) {
 
 	// Drained and idle, the same sweep may now evict it.
 	deadline = time.Now().Add(10 * time.Second)
-	for sess.batcher.busy() {
+	for sess.gate.busy() {
 		if time.Now().After(deadline) {
 			t.Fatal("queue never drained")
 		}
@@ -479,7 +515,7 @@ func TestSessionIDCollisionRegenerated(t *testing.T) {
 		return orig()
 	}
 
-	s := newTestServer(t, Config{BatchWindow: -1})
+	s := newTestServer(t, Config{})
 	a := uploadSession(t, s)
 	b := uploadSession(t, s)
 	if a.ID != "feedfacefeedface" {
@@ -500,7 +536,7 @@ func TestSessionIDCollisionRegenerated(t *testing.T) {
 // evicts the idle session, without any new session registering.
 func TestByteBoundEvictionAfterGrowth(t *testing.T) {
 	base := estimateBytes(testRelation())
-	s := newTestServer(t, Config{BatchWindow: -1, MaxBytes: 2*base + base/2, MaxSessions: 10})
+	s := newTestServer(t, Config{MaxBytes: 2*base + base/2, MaxSessions: 10})
 	a := uploadSession(t, s)
 	b := uploadSession(t, s)
 
@@ -536,7 +572,7 @@ func TestCompactionAfterDeleteChurn(t *testing.T) {
 	compactMinDead = 4
 	defer func() { compactMinDead = origMin }()
 
-	s := newTestServer(t, Config{BatchWindow: -1})
+	s := newTestServer(t, Config{})
 	info := uploadSession(t, s) // 36 tuples, all inliers
 	for h := 0; h < 20; h++ {
 		w := do(t, s, "DELETE", fmt.Sprintf("/v1/datasets/%s/tuples/%d", info.ID, h), nil)
@@ -596,7 +632,7 @@ func TestCompactionAfterDeleteChurn(t *testing.T) {
 // rebuild does.
 func TestRestartFromUncappedSnapshot(t *testing.T) {
 	dataDir := t.TempDir()
-	cfg := Config{DataDir: dataDir, BatchWindow: -1, Workers: 2}
+	cfg := Config{DataDir: dataDir, Workers: 2}
 
 	// The test cluster (every count well above η = 3) plus an isolated
 	// square with a center point: a, b, c, d and e each see 4 neighbors.

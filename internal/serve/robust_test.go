@@ -56,7 +56,7 @@ func openPathSession(t *testing.T, s *Server, path string) SessionInfo {
 func TestRestartRecoversWarmSessions(t *testing.T) {
 	dataDir := t.TempDir()
 	srcDir := t.TempDir()
-	cfg := Config{DataDir: dataDir, BatchWindow: -1, Workers: 2}
+	cfg := Config{DataDir: dataDir, Workers: 2}
 	csvPath := writeTestCSVFile(t, srcDir)
 
 	s1 := New(cfg)
@@ -126,7 +126,7 @@ func TestRecoveredSessionKeyDerived(t *testing.T) {
 		oldID   = "da00d69d3b78d0f4" // the id inside oldSnap
 	)
 	dataDir := t.TempDir()
-	cfg := Config{DataDir: dataDir, BatchWindow: -1, Workers: 2}
+	cfg := Config{DataDir: dataDir, Workers: 2}
 	jsonPath := filepath.Join(t.TempDir(), "iris.json")
 	ds, err := disc.Table1("Iris", 1, 1)
 	if err != nil {
@@ -206,7 +206,7 @@ func TestRecoveredSessionKeyDerived(t *testing.T) {
 // the kind rides in the JSON body or in a raw CSV upload's query string,
 // and the error lists the kinds that remain.
 func TestCreateRefusesRetiredKDIndex(t *testing.T) {
-	s := newTestServer(t, Config{BatchWindow: -1, Workers: 2})
+	s := newTestServer(t, Config{Workers: 2})
 	for _, index := range []string{"kd", "rtree"} {
 		w := do(t, s, "POST", "/v1/datasets", CreateRequest{
 			Name: "test", CSV: testCSV(t), Eps: 1, Eta: 3, Kappa: 2, Index: index,
@@ -284,7 +284,7 @@ func TestRetiredKDSnapshotRecoversAsAuto(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			s := recoverServer(t, Config{DataDir: dataDir, BatchWindow: -1, Workers: 2})
+			s := recoverServer(t, Config{DataDir: dataDir, Workers: 2})
 			got, ok := s.Registry().Get(id)
 			if !ok {
 				t.Fatalf("session %s not recovered", id)
@@ -320,7 +320,7 @@ func TestRetiredKDSnapshotRecoversAsAuto(t *testing.T) {
 func TestCorruptSnapshotQuarantinedAndRebuilt(t *testing.T) {
 	dataDir := t.TempDir()
 	srcDir := t.TempDir()
-	cfg := Config{DataDir: dataDir, BatchWindow: -1, Workers: 2}
+	cfg := Config{DataDir: dataDir, Workers: 2}
 	csvPath := writeTestCSVFile(t, srcDir)
 
 	s1 := New(cfg)
@@ -388,7 +388,7 @@ func TestCorruptSnapshotQuarantinedAndRebuilt(t *testing.T) {
 func TestDrainPersistsDirtySessions(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	dataDir := t.TempDir()
-	cfg := Config{DataDir: dataDir, BatchWindow: -1, Workers: 2}
+	cfg := Config{DataDir: dataDir, Workers: 2}
 
 	fault.SetHook(fault.SnapshotWrite, func() error { return fault.ErrInjected })
 	s1 := New(cfg)
@@ -424,7 +424,7 @@ func TestDrainPersistsDirtySessions(t *testing.T) {
 // next restart.
 func TestDeleteRemovesSnapshot(t *testing.T) {
 	dataDir := t.TempDir()
-	cfg := Config{DataDir: dataDir, BatchWindow: -1, Workers: 2}
+	cfg := Config{DataDir: dataDir, Workers: 2}
 	s1 := New(cfg)
 	if err := s1.Recover(context.Background()); err != nil {
 		t.Fatal(err)
@@ -448,7 +448,7 @@ func TestDeleteRemovesSnapshot(t *testing.T) {
 // startup replay completes, 200 once recovered, and 503 again during the
 // drain.
 func TestReadyzLifecycle(t *testing.T) {
-	cfg := Config{DataDir: t.TempDir(), BatchWindow: -1}
+	cfg := Config{DataDir: t.TempDir()}
 	s := New(cfg)
 	if w := do(t, s, "GET", "/livez", nil); w.Code != http.StatusOK {
 		t.Fatalf("/livez before recovery: %d, want 200", w.Code)
@@ -474,7 +474,7 @@ func TestReadyzLifecycle(t *testing.T) {
 		t.Fatalf("/livez while draining: %d, want 200", w.Code)
 	}
 	// A server without a data dir has no replay to wait for.
-	s2 := newTestServer(t, Config{BatchWindow: -1})
+	s2 := newTestServer(t, Config{})
 	if w := do(t, s2, "GET", "/readyz", nil); w.Code != http.StatusOK {
 		t.Fatalf("/readyz without data dir: %d, want 200 immediately", w.Code)
 	}
@@ -483,7 +483,7 @@ func TestReadyzLifecycle(t *testing.T) {
 // TestJSONHardening: malformed bodies, unknown fields, trailing garbage and
 // oversize payloads are client errors (400/413), never 500s.
 func TestJSONHardening(t *testing.T) {
-	s := newTestServer(t, Config{BatchWindow: -1, MaxBodyBytes: 512})
+	s := newTestServer(t, Config{MaxBodyBytes: 512})
 	raw := func(method, path, body, ct string) int {
 		req := httptest.NewRequest(method, path, strings.NewReader(body))
 		req.Header.Set("Content-Type", ct)
@@ -545,7 +545,7 @@ func TestDetectMemberMode(t *testing.T) {
 	// E has exactly 2 true neighbors (B, D) under (ε=1, η=3): an outlier.
 	// A naive count of E's row includes E itself → 3 → spuriously inlier.
 	csv := "x,y\n0,0\n0.5,0\n0,0.5\n0.25,0.25\n1.2,0\n"
-	s := newTestServer(t, Config{BatchWindow: -1})
+	s := newTestServer(t, Config{})
 	w := do(t, s, "POST", "/v1/datasets", CreateRequest{Name: "m", CSV: csv, Eps: 1, Eta: 3, Kappa: 2})
 	if w.Code != http.StatusCreated {
 		t.Fatalf("upload: %d %s", w.Code, w.Body.String())
@@ -580,7 +580,7 @@ func TestChaosRegistryRestarts(t *testing.T) {
 	dataDir := t.TempDir()
 	srcDir := t.TempDir()
 	csvPath := writeTestCSVFile(t, srcDir)
-	cfg := Config{DataDir: dataDir, BatchWindow: -1, Workers: 2}
+	cfg := Config{DataDir: dataDir, Workers: 2}
 
 	for round := 0; round < 5; round++ {
 		// Faults active while building and persisting...
@@ -634,7 +634,7 @@ func TestChaosRegistryRestarts(t *testing.T) {
 // and the server keeps serving.
 func TestChaosBatchDispatchPanic(t *testing.T) {
 	t.Cleanup(fault.Reset)
-	s := newTestServer(t, Config{BatchWindow: -1, Workers: 2})
+	s := newTestServer(t, Config{Workers: 2})
 	info := uploadSession(t, s)
 	if err := fault.Configure("batch.dispatch:panic", 1); err != nil {
 		t.Fatal(err)

@@ -106,7 +106,7 @@ func uploadSession(t *testing.T, s *Server) SessionInfo {
 // repeated saves against a warm session run queries against the cached
 // indexes and never rebuild them.
 func TestWarmSaveNoRebuild(t *testing.T) {
-	s := newTestServer(t, Config{BatchWindow: -1, Workers: 2})
+	s := newTestServer(t, Config{Workers: 2})
 	info := uploadSession(t, s)
 	if info.IndexBuilds != 2 {
 		t.Fatalf("fresh session index builds = %d, want 2 (detect + saver)", info.IndexBuilds)
@@ -210,36 +210,21 @@ func TestDetectCountsTextCache(t *testing.T) {
 	}
 }
 
-// TestQueueOverflow429 fills a session's admission queue (no dispatcher
-// draining it) and asserts the next request is refused with 429 and a
-// Retry-After hint, without splitting batches.
+// TestQueueOverflow429 fills a session's admission gate with requests
+// that have not run yet and asserts the next request is refused with 429
+// and a Retry-After hint, without splitting a repair.
 func TestQueueOverflow429(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{Workers: 1, MaxQueue: 2})
 	info := uploadSession(t, s)
 	sess, ok := s.reg.Get(info.ID)
 	if !ok {
 		t.Fatal("session vanished")
 	}
 
-	// Swap in a batcher with a tiny queue and no dispatcher: whatever is
-	// admitted stays queued, so overflow is deterministic.
-	sess.batcher.close()
-	nb := &batcher{
-		session: sess,
-		queue:   make(chan *saveReq, 2),
-		max:     64, workers: 1,
-		log:  obs.Logger(nil),
-		done: make(chan struct{}),
-	}
-	sess.batcher = nb
-
+	// Admitted requests hold their places until they run, so overflow is
+	// deterministic.
 	es := &obs.EndpointStats{}
-	fill := make([]*saveReq, 2)
-	for i := range fill {
-		fill[i] = &saveReq{ctx: context.Background(), tuple: outlierTuple(),
-			res: make(chan saveRes, 1), es: es}
-	}
-	if err := nb.admit(fill...); err != nil {
+	if err := sess.gate.admit(es, 2); err != nil {
 		t.Fatalf("filling queue: %v", err)
 	}
 
@@ -256,48 +241,75 @@ func TestQueueOverflow429(t *testing.T) {
 	}
 
 	// A batch repair that does not fit is refused whole: nothing admitted.
-	if err := nb.admit(&saveReq{es: es}, &saveReq{es: es}); err == nil {
+	if err := sess.gate.admit(es, 2); err == nil {
 		t.Error("partial batch admission: want errQueueFull, got nil")
 	}
-	if got := len(nb.queue); got != 2 {
+	if got := sess.gate.depth(); got != 2 {
 		t.Errorf("queue length after refused batch = %d, want 2 (all-or-nothing)", got)
 	}
 
-	// Start the dispatcher and drain; the queued fill requests get answers.
-	go nb.run()
-	nb.close()
-	for i, r := range fill {
-		select {
-		case res := <-r.res:
-			if res.err != nil {
-				t.Errorf("fill %d: drain answered error: %v", i, res.err)
-			}
-		default:
-			t.Errorf("fill %d: never answered", i)
+	// Run the admitted requests and drain; close waits for both, and each
+	// is answered.
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = sess.gate.run(context.Background(), es, "save", func(ctx context.Context) error {
+				sess.save(ctx, outlierTuple())
+				return nil
+			})
+		}()
+	}
+	sess.gate.close()
+	if got := sess.gate.depth(); got != 0 {
+		t.Errorf("queue length after drain = %d, want 0", got)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("fill %d: drain answered error: %v", i, err)
 		}
 	}
 }
 
-// TestDeadlineExpiredInQueue: a request whose deadline passed while queued
-// is answered with the deadline error before any search work runs.
+// TestDeadlineExpiredInQueue: a request whose deadline passed before it got
+// a worker slot is answered with the deadline error and never runs.
 func TestDeadlineExpiredInQueue(t *testing.T) {
-	s := newTestServer(t, Config{BatchWindow: -1, Workers: 1})
+	s := newTestServer(t, Config{Workers: 1})
 	info := uploadSession(t, s)
 	sess, _ := s.reg.Get(info.ID)
-
 	es := &obs.EndpointStats{}
+	save := func(ctx context.Context) error {
+		sess.save(ctx, outlierTuple())
+		return nil
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // expired before admission
-	req := &saveReq{ctx: ctx, tuple: outlierTuple(), res: make(chan saveRes, 1), es: es}
-	if err := sess.batcher.admit(req); err != nil {
+	if err := sess.gate.admit(es, 1); err != nil {
 		t.Fatalf("admit: %v", err)
 	}
-	res := <-req.res
-	if res.err == nil || !strings.Contains(res.err.Error(), "expired") {
-		t.Fatalf("expired request answered %v, want queue-expiry error", res.err)
+	if err := sess.gate.run(ctx, es, "save", save); err == nil || !strings.Contains(err.Error(), "expired") {
+		t.Fatalf("expired request answered %v, want queue-expiry error", err)
 	}
-	if got := es.Expired.Load(); got != 1 {
-		t.Errorf("expired counter = %d, want 1", got)
+
+	// The only slot is taken, so this deadline passes while the request
+	// waits for it.
+	sess.gate.slots <- struct{}{}
+	ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := sess.gate.admit(es, 1); err != nil {
+		t.Fatalf("admit: %v", err)
+	}
+	if err := sess.gate.run(ctx, es, "save", save); err == nil || !strings.Contains(err.Error(), "expired") {
+		t.Fatalf("request that waited past its deadline answered %v, want queue-expiry error", err)
+	}
+	<-sess.gate.slots
+
+	if got := es.Expired.Load(); got != 2 {
+		t.Errorf("expired counter = %d, want 2", got)
 	}
 	cur := decode[SessionInfo](t, do(t, s, "GET", "/v1/datasets/"+info.ID, nil))
 	if cur.Saves != 0 {
@@ -308,18 +320,27 @@ func TestDeadlineExpiredInQueue(t *testing.T) {
 // TestDrainCompletesInFlight: shutdown finishes everything already admitted,
 // then refuses new work with 503.
 func TestDrainCompletesInFlight(t *testing.T) {
-	s := New(Config{BatchWindow: -1, Workers: 2})
+	s := New(Config{Workers: 2})
 	info := uploadSession(t, s)
 	sess, _ := s.reg.Get(info.ID)
 
 	es := &obs.EndpointStats{}
-	reqs := make([]*saveReq, 4)
-	for i := range reqs {
-		reqs[i] = &saveReq{ctx: context.Background(), tuple: outlierTuple(),
-			res: make(chan saveRes, 1), es: es}
-	}
-	if err := sess.batcher.admit(reqs...); err != nil {
+	const n = 4
+	if err := sess.gate.admit(es, n); err != nil {
 		t.Fatalf("admit: %v", err)
+	}
+	adjs := make([]disc.Adjustment, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range adjs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = sess.gate.run(context.Background(), es, "save", func(ctx context.Context) error {
+				adjs[i] = sess.save(ctx, outlierTuple())
+				return nil
+			})
+		}()
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -327,16 +348,16 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	for i, r := range reqs {
-		select {
-		case res := <-r.res:
-			if res.err != nil {
-				t.Errorf("request %d: drained with error: %v", i, res.err)
-			} else if !res.adj.Saved() {
-				t.Errorf("request %d: drained but not saved", i)
-			}
-		default:
-			t.Errorf("request %d admitted before drain was never answered", i)
+	// Shutdown returns only once every admitted request has run.
+	for i, adj := range adjs {
+		if !adj.Saved() {
+			t.Errorf("request %d admitted before drain was not saved when Shutdown returned", i)
+		}
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("request %d: drained with error: %v", i, err)
 		}
 	}
 
@@ -644,10 +665,32 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 }
 
+// TestLoneSaveNotHeld: a save arriving at an idle session starts at once;
+// nothing holds it back for other requests to join it.
+func TestLoneSaveNotHeld(t *testing.T) {
+	s := newTestServer(t, Config{})
+	info := uploadSession(t, s)
+	const n = 20
+	for i := 0; i < n; i++ {
+		w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{Tuple: []any{25.0, 25.0}})
+		if w.Code != http.StatusOK {
+			t.Fatalf("save %d: status %d, body %s", i, w.Code, w.Body.String())
+		}
+	}
+	sess, _ := s.reg.Get(info.ID)
+	qw := sess.Info().Hists.QueueWait
+	if qw.Count != n {
+		t.Fatalf("queue-wait samples = %d, want %d", qw.Count, n)
+	}
+	if p50 := time.Duration(qw.Quantile(0.5)); p50 >= time.Millisecond {
+		t.Errorf("queue wait p50 of %d sequential saves = %v, want under 1ms", n, p50)
+	}
+}
+
 // TestConcurrentSaves hammers one warm session from many goroutines; under
 // -race this doubles as the data-race check on the whole serving path.
 func TestConcurrentSaves(t *testing.T) {
-	s := newTestServer(t, Config{BatchWindow: 2 * time.Millisecond, Workers: 4})
+	s := newTestServer(t, Config{Workers: 4})
 	info := uploadSession(t, s)
 
 	const n = 24
@@ -675,11 +718,6 @@ func TestConcurrentSaves(t *testing.T) {
 	}
 	if cur.Saves != n {
 		t.Errorf("session saves = %d, want %d", cur.Saves, n)
-	}
-	// With a batch window and 24 concurrent arrivals, at least some shared
-	// a dispatch.
-	if got := s.endpoints["save"].Coalesced.Load(); got == 0 {
-		t.Logf("note: no saves coalesced under concurrency (timing-dependent)")
 	}
 }
 

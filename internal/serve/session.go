@@ -1,8 +1,8 @@
 // Package serve is the long-running serving layer over the DISC pipeline: a
 // dataset session registry that builds the neighbor index and
 // distance-constraint state once and serves many requests against it, a
-// micro-batching executor that coalesces concurrent save requests into
-// batches over the shared worker pool, and the JSON-over-HTTP surface of
+// per-session admission gate that bounds the saves and mutations each
+// session holds and runs at once, and the JSON-over-HTTP surface of
 // cmd/discserve.
 //
 // The point of the subsystem is amortization: the paper's complexity
@@ -12,9 +12,9 @@
 // index and η-radius table, then detection is a cheap always-on screen and
 // repair a budgeted per-request search, both against cached state.
 //
-// serve deliberately consumes the public disc API (plus internal/par for
-// the worker pool and internal/obs for counters) rather than internal/core:
-// it is the first out-of-repo-shaped consumer of the library surface.
+// serve deliberately consumes the public disc API (plus internal/obs for
+// counters) rather than internal/core: it is the first out-of-repo-shaped
+// consumer of the library surface.
 package serve
 
 import (
@@ -130,7 +130,7 @@ type Session struct {
 	Timings   obs.PhaseTimings
 	Recovered bool
 
-	batcher *batcher
+	gate *gate
 
 	mu       sync.Mutex
 	lastUsed time.Time
@@ -166,8 +166,8 @@ func (s *Session) observeSave(d time.Duration, nodes int64) {
 	}
 }
 
-// observeQueueWait records how long one admitted request waited in the
-// queue before a dispatch worker picked it up.
+// observeQueueWait records how long one admitted request waited for a
+// worker slot.
 func (s *Session) observeQueueWait(d time.Duration) {
 	s.hists.QueueWait.Observe(int64(d))
 	if s.reg != nil {
@@ -175,11 +175,12 @@ func (s *Session) observeQueueWait(d time.Duration) {
 	}
 }
 
-// observeBatchSize records one dispatch's batch size.
-func (s *Session) observeBatchSize(n int) {
-	s.hists.BatchSize.Observe(int64(n))
+// observeBatchSize records one dispatch's size, always 1: every request
+// runs on its own.
+func (s *Session) observeBatchSize() {
+	s.hists.BatchSize.Observe(1)
 	if s.reg != nil {
-		s.reg.hists.BatchSize.Observe(int64(n))
+		s.reg.hists.BatchSize.Observe(1)
 	}
 }
 
@@ -212,6 +213,20 @@ func (s *Session) touch() {
 	s.mu.Lock()
 	s.lastUsed = time.Now()
 	s.mu.Unlock()
+}
+
+// save runs Algorithm 1 for one tuple and records its span, histograms and
+// counters. It holds the state read-lock throughout, so the save sees one
+// consistent version of the mutable state.
+func (s *Session) save(ctx context.Context, t disc.Tuple) disc.Adjustment {
+	start := time.Now()
+	s.stateMu.RLock()
+	defer s.stateMu.RUnlock()
+	adj := s.Saver.SaveOne(ctx, t)
+	obs.TraceFrom(ctx).Span("save", start)
+	s.observeSave(time.Since(start), adj.Stats.Nodes)
+	s.addStats(&adj.Stats, 1, 0)
+	return adj
 }
 
 // addStats folds one request's search/index traffic into the session.
@@ -270,8 +285,8 @@ func (s *Session) Info() SessionInfo {
 		Bytes:       s.Bytes,
 		IndexBuilds: s.indexBuilds,
 		Saves:       s.saves, Detects: s.detects,
-		Batches:    s.batcher.batches.Load(),
-		QueueDepth: len(s.batcher.queue),
+		Batches:    s.gate.dispatches.Load(),
+		QueueDepth: s.gate.depth(),
 		Recovered:  s.Recovered,
 		Index:      s.relMut.Kind().String(),
 		Inserted:   s.mstats.inserted, Updated: s.mstats.updated, Deleted: s.mstats.deleted,
@@ -377,7 +392,7 @@ func buildSession(ctx context.Context, id, name, source string, rel *disc.Relati
 	s.Timings = timings
 	s.Timings.Validate = validate
 	s.Timings.Total = time.Since(start)
-	s.batcher = newBatcher(s, cfg)
+	s.gate = newGate(s, cfg)
 	obs.Logger(log).Info("serve: session built", "id", id, "name", name,
 		"tuples", rel.N(), "inliers", s.inliers, "outliers", s.outliers,
 		"eps", cons.Eps, "eta", cons.Eta, "bytes", s.Bytes,
@@ -534,10 +549,10 @@ func (r *Registry) Sweep(now time.Time) {
 		s.mu.Lock()
 		idle := now.Sub(s.lastUsed)
 		s.mu.Unlock()
-		// A session with queued or in-flight batcher work is not idle no
-		// matter what lastUsed says — closing its batcher would cut off
-		// admitted requests mid-queue. It will be swept once drained.
-		if idle > r.cfg.TTL && !s.batcher.busy() {
+		// A session with admitted, unanswered work is not idle no matter
+		// what lastUsed says: the server has accepted that work. It will be
+		// swept once drained.
+		if idle > r.cfg.TTL && !s.gate.busy() {
 			drop = append(drop, s)
 		}
 	}
@@ -551,7 +566,7 @@ func (r *Registry) Sweep(now time.Time) {
 		if r.store != nil {
 			r.store.remove(s.ID)
 		}
-		go s.batcher.close()
+		go s.gate.close()
 	}
 }
 
@@ -644,11 +659,9 @@ func (r *Registry) buildFromPath(ctx context.Context, id, path string, p BuildPa
 // carries the building request's trace, so the registration-time snapshot
 // write shows up as a span on dataset-create requests.
 func (r *Registry) register(ctx context.Context, s *Session) (*Session, error) {
-	var drop []*Session
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		go s.batcher.close()
 		return nil, errClosed
 	}
 	// An id collision would silently shadow the existing session — and
@@ -668,24 +681,9 @@ func (r *Registry) register(ctx context.Context, s *Session) (*Session, error) {
 		r.byKey[k] = s
 	}
 	r.bytes += s.Bytes
-	for r.overLocked() {
-		lru := r.lruLocked(s)
-		if lru == nil {
-			break
-		}
-		r.removeLocked(lru)
-		r.evicted++
-		drop = append(drop, lru)
-	}
+	drop := r.evictLocked(s)
 	r.mu.Unlock()
-	for _, old := range drop {
-		r.log.Info("serve: session evicted", "id", old.ID, "name", old.Name,
-			"bytes", old.Bytes, "for", s.ID)
-		if r.store != nil {
-			r.store.remove(old.ID)
-		}
-		go old.batcher.close()
-	}
+	r.dropEvicted(drop, s)
 	r.persist(ctx, s)
 	return s, nil
 }
@@ -705,15 +703,15 @@ func (r *Registry) overLocked() bool {
 }
 
 // lruLocked returns the least-recently-used session other than keep,
-// skipping sessions with queued or in-flight batcher work — evicting one
-// would cut off admitted requests. When every other session is busy it
-// returns nil and the bound stays temporarily exceeded; the next
-// register or mutation retries.
+// skipping sessions with admitted, unanswered work — evicting one would
+// refuse requests the server already accepted. When every other session
+// is busy it returns nil and the bound stays temporarily exceeded; the
+// next register or mutation retries.
 func (r *Registry) lruLocked(keep *Session) *Session {
 	var lru *Session
 	var lruAt time.Time
 	for _, s := range r.sessions {
-		if s == keep || s.batcher.busy() {
+		if s == keep || s.gate.busy() {
 			continue
 		}
 		s.mu.Lock()
@@ -738,29 +736,44 @@ func (r *Registry) noteBytes(s *Session, delta int64) {
 	s.mu.Unlock()
 	if _, live := r.sessions[s.ID]; live {
 		r.bytes += delta
-		for r.overLocked() {
-			lru := r.lruLocked(s)
-			if lru == nil {
-				break
-			}
-			r.removeLocked(lru)
-			r.evicted++
-			drop = append(drop, lru)
-		}
+		drop = r.evictLocked(s)
 	}
 	r.mu.Unlock()
+	r.dropEvicted(drop, s)
+}
+
+// evictLocked removes least-recently-used idle sessions other than keep
+// until the count and byte bounds hold or no idle session is left. The
+// caller passes the removed sessions to dropEvicted once r.mu is released.
+func (r *Registry) evictLocked(keep *Session) []*Session {
+	var drop []*Session
+	for r.overLocked() {
+		lru := r.lruLocked(keep)
+		if lru == nil {
+			break
+		}
+		r.removeLocked(lru)
+		r.evicted++
+		drop = append(drop, lru)
+	}
+	return drop
+}
+
+// dropEvicted finishes the evictions evictLocked made for keep: it logs
+// each one, deletes its snapshot and closes its gate.
+func (r *Registry) dropEvicted(drop []*Session, keep *Session) {
 	for _, old := range drop {
 		r.log.Info("serve: session evicted", "id", old.ID, "name", old.Name,
-			"bytes", old.Bytes, "for", s.ID)
+			"bytes", old.Bytes, "for", keep.ID)
 		if r.store != nil {
 			r.store.remove(old.ID)
 		}
-		go old.batcher.close()
+		go old.gate.close()
 	}
 }
 
 // removeLocked unlinks a session from the maps and the byte ledger; the
-// caller closes its batcher outside the lock.
+// caller closes its gate outside the lock.
 func (r *Registry) removeLocked(s *Session) {
 	delete(r.sessions, s.ID)
 	if k := s.key(); k != "" && r.byKey[k] == s {
@@ -780,8 +793,8 @@ func (r *Registry) Get(id string) (*Session, bool) {
 	return s, ok
 }
 
-// Delete evicts the session; in-flight requests against it still complete
-// (the batcher drains), new ones see 404.
+// Delete evicts the session; admitted requests against it still complete
+// (the gate drains), new ones see 404.
 func (r *Registry) Delete(id string) bool {
 	r.mu.Lock()
 	s, ok := r.sessions[id]
@@ -793,7 +806,7 @@ func (r *Registry) Delete(id string) bool {
 		if r.store != nil {
 			r.store.remove(id)
 		}
-		go s.batcher.close()
+		go s.gate.close()
 	}
 	return ok
 }
@@ -817,9 +830,8 @@ func (r *Registry) Stats() (count int, bytes, evicted, expired int64) {
 	return len(r.sessions), r.bytes, r.evicted, r.expired
 }
 
-// Close stops admission on every session, drains their queues (in-flight
-// and already-queued requests complete), and blocks until every dispatcher
-// has exited. The registry rejects new sessions afterwards.
+// Close stops admission on every session and blocks until every admitted
+// request has been answered. The registry rejects new sessions afterwards.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -846,6 +858,6 @@ func (r *Registry) Close() {
 		r.persist(context.Background(), s)
 	}
 	for _, s := range all {
-		s.batcher.close()
+		s.gate.close()
 	}
 }

@@ -257,7 +257,7 @@ func (r *Registry) rehydrate(ctx context.Context, snap *snapshot.Snapshot) (*Ses
 	s.stats.Add(&setup)
 	s.Timings = timings
 	s.Timings.Total = time.Since(start)
-	s.batcher = newBatcher(s, r.cfg)
+	s.gate = newGate(s, r.cfg)
 	r.log.Info("serve: session recovered", "id", s.ID, "name", s.Name,
 		"tuples", s.Rel.N(), "inliers", s.inliers, "outliers", s.outliers,
 		"rebuild", s.Timings.Total)

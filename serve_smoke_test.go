@@ -27,13 +27,11 @@ import (
 func TestServeSmoke(t *testing.T) {
 	discserve := buildTool(t, "discserve")
 
-	// Tight capacity so the overflow leg is reachable: one worker, a long
-	// batch window holding the dispatcher open, and two queue slots.
+	// Tight capacity so the overflow leg is reachable: one worker and two
+	// queue slots.
 	cmd := exec.Command(discserve,
 		"-addr", "127.0.0.1:0",
 		"-max-queue", "2",
-		"-batch-window", "200ms",
-		"-max-batch", "1",
 		"-workers", "1",
 		"-slow-request", "1ns",
 		"-log-level", "warn",
