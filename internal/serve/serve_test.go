@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -240,28 +241,32 @@ func TestQueueOverflow429(t *testing.T) {
 		t.Errorf("save endpoint rejected = %d, want 1", got)
 	}
 
-	// A batch repair that does not fit is refused whole: nothing admitted.
+	save := func(ctx context.Context) error {
+		sess.save(ctx, outlierTuple())
+		return nil
+	}
+	errs := make([]error, 2)
+	errs[0] = sess.gate.run(context.Background(), es, "save", save)
+
+	// One place is free now. A batch repair that does not fit is refused
+	// whole: nothing admitted.
 	if err := sess.gate.admit(es, 2); err == nil {
 		t.Error("partial batch admission: want errQueueFull, got nil")
+		sess.gate.release() // give the places back, so the drain below ends
+		sess.gate.release()
 	}
-	if got := sess.gate.depth(); got != 2 {
-		t.Errorf("queue length after refused batch = %d, want 2 (all-or-nothing)", got)
+	if got := sess.gate.depth(); got != 1 {
+		t.Errorf("queue length after refused batch = %d, want 1 (all-or-nothing)", got)
 	}
 
-	// Run the admitted requests and drain; close waits for both, and each
-	// is answered.
-	errs := make([]error, 2)
+	// Run the other admitted request and drain; close waits for it, and
+	// each fill is answered.
 	var wg sync.WaitGroup
-	for i := range errs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = sess.gate.run(context.Background(), es, "save", func(ctx context.Context) error {
-				sess.save(ctx, outlierTuple())
-				return nil
-			})
-		}()
-	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		errs[1] = sess.gate.run(context.Background(), es, "save", save)
+	}()
 	sess.gate.close()
 	if got := sess.gate.depth(); got != 0 {
 		t.Errorf("queue length after drain = %d, want 0", got)
@@ -359,6 +364,10 @@ func TestDrainCompletesInFlight(t *testing.T) {
 		if err != nil {
 			t.Errorf("request %d: drained with error: %v", i, err)
 		}
+	}
+	// A handler that looked the session up before the drain is refused too.
+	if err := sess.gate.admit(es, 1); !errors.Is(err, errClosed) {
+		t.Errorf("admission after the drain = %v, want errClosed", err)
 	}
 
 	if w := do(t, s, "GET", "/healthz", nil); w.Code != http.StatusServiceUnavailable {
