@@ -11,7 +11,7 @@ FUZZTIME ?= 10s
 # benchjson folds the repeats into a median with min/max and GOMAXPROCS, so
 # each snapshot carries its spread.
 BENCHKEY ?= after
-BENCHPAT = BenchmarkSaveSingle$$|BenchmarkSaveSingleSaved$$|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkVPTreeCountWithin$$|BenchmarkVPTreeKNN$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkDetectExactLattice|BenchmarkKernelDistNumeric$$|BenchmarkKernelDistTextHit$$|BenchmarkKernelDistTextMiss$$
+BENCHPAT = BenchmarkSaveSingle$$|BenchmarkSaveSingleSaved$$|BenchmarkNewSaver|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkVPTreeCountWithin$$|BenchmarkVPTreeKNN$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkDetectExactLattice|BenchmarkKernelDistNumeric$$|BenchmarkKernelDistTextHit$$|BenchmarkKernelDistTextMiss$$
 
 .PHONY: check build vet test race cover fuzz bench bench-diff bench-check serve-smoke mutate-smoke shard-smoke chaos drift profile perfbench
 

@@ -188,6 +188,44 @@ func BenchmarkSaveSingle(b *testing.B) {
 	b.ReportMetric(float64(st.MemoHits), "memo_hits")
 }
 
+// BenchmarkNewSaver times saver setup over the detected inliers at κ = 2:
+// the saver's own inlier index and its attribute-group indexes. The
+// letter leg is the BenchmarkSaveSingle fixture; the lattice leg is a
+// dense jittered lattice whose isolated noise rows are the only outliers,
+// so its saves read no η-radius at all.
+func BenchmarkNewSaver(b *testing.B) {
+	ds, letterCons := ablationWorkload(b)
+	lattice, err := data.GenLattice(data.LatticeSpec{Side: 4, PerCell: 64, Dims: 3, Noise: 64, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	legs := []struct {
+		name string
+		rel  *disc.Relation
+		cons disc.Constraints
+	}{
+		{"letter", ds.Rel, letterCons},
+		{"lattice", lattice, disc.Constraints{Eps: 1, Eta: 20}},
+	}
+	for _, leg := range legs {
+		b.Run(leg.name, func(b *testing.B) {
+			ctx := context.Background()
+			det, err := core.DetectContext(ctx, leg.rel, leg.cons, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			inliers := leg.rel.Subset(det.Inliers)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.NewSaverContext(ctx, inliers, leg.cons, core.Options{Kappa: 2}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSaveSingleSaved measures one Algorithm 1 invocation on the
 // BenchmarkSaveSingle fixture that runs the search proper: its outlier is
 // the first, in index order, whose κ = 2 save expands nodes and returns a
@@ -463,8 +501,9 @@ func BenchmarkServeSave(b *testing.B) {
 }
 
 // BenchmarkServeSaveCold pays the whole session build (index construction,
-// detection, η-radius precompute) for every save — the one-shot CLI cost
-// profile, measured on the same workload as BenchmarkServeSave.
+// detection) and the save's first reads of the η-radius table for every
+// save — the one-shot CLI cost profile, measured on the same workload as
+// BenchmarkServeSave.
 func BenchmarkServeSaveCold(b *testing.B) {
 	csv, cons := serveBenchCSV(b)
 	s := serve.New(serve.Config{Workers: 1, Logger: nil})

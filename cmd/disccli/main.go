@@ -275,7 +275,6 @@ func writeTrace(w *os.File, t disc.PhaseTimings) {
 	tr.AddSpan("detect_index_build", off, t.DetectIndexBuild)
 	add("detect", t.Detect)
 	add("index_build", t.IndexBuild)
-	add("eta_radius", t.EtaRadius)
 	add("save", t.Save)
 	tr.WriteTimeline(w)
 }

@@ -174,8 +174,9 @@ func SaveContext(ctx context.Context, rel *Relation, cons Constraints, opts Opti
 }
 
 // NewSaverContext prepares a saver for repeated single-tuple saves
-// (Saver.SaveOne) against a fixed outlier-free relation. Cancelling ctx
-// stops the η-radius precompute pass.
+// (Saver.SaveOne) against a fixed outlier-free relation. It builds the
+// saver's indexes and issues no neighbor query; an already cancelled ctx
+// is returned as an error.
 func NewSaverContext(ctx context.Context, r *Relation, cons Constraints, opts Options) (*Saver, error) {
 	return core.NewSaverContext(ctx, r, cons, opts)
 }

@@ -53,6 +53,12 @@ type saveArena struct {
 	cidx  neighbors.Index
 	gidx  []neighbors.Index
 	owner *Saver
+	// ridx is a second counting view of the saver's index, for the
+	// η-radii this arena's saves compute on first read. Its counters rc
+	// move into the saver's radiusWork after each radius, so the per-save
+	// counters never see that work.
+	rc   neighbors.Counters
+	ridx neighbors.Index
 
 	// rows is candidateRows' bitset over the inlier rows; hits receives
 	// one group query's ε-range answer.
@@ -72,6 +78,23 @@ func (ar *saveArena) reset(m int) {
 		ar.visited = make(map[data.AttrMask]struct{})
 	} else {
 		clear(ar.visited)
+	}
+}
+
+// bind points the arena's counting views at s's index and attribute
+// groups. The views are cached on the arena (one per worker) and rebuilt
+// only when the arena moves to another saver, so instrumentation adds no
+// steady-state allocations; their counters are the arena's shards.
+func (ar *saveArena) bind(s *Saver) {
+	if ar.owner == s {
+		return
+	}
+	ar.owner = s
+	ar.cidx = neighbors.Counting(s.idx, &ar.nc)
+	ar.ridx = neighbors.Counting(s.idx, &ar.rc)
+	ar.gidx = ar.gidx[:0]
+	for _, g := range s.groups {
+		ar.gidx = append(ar.gidx, neighbors.Counting(g, &ar.nc))
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/neighbors"
+	"repro/internal/obs"
 )
 
 // denseRelation6D builds a random 6-attribute cluster inside the unit cube:
@@ -82,7 +83,9 @@ func TestSaveMaxNodesReturnsFeasibleExhausted(t *testing.T) {
 	}
 	// No worse than the Lemma 4 initial bound, no better than the full
 	// search's optimum.
-	if _, initCost := capped.initialBound(capped.idx, outlier); adj.Cost > initCost+1e-9 {
+	ar := new(saveArena)
+	ar.bind(capped)
+	if _, initCost := capped.initialBound(ar, outlier); adj.Cost > initCost+1e-9 {
 		t.Errorf("degraded cost %v exceeds the Lemma 4 bound %v", adj.Cost, initCost)
 	}
 	if adj.Cost < unbounded.Cost-1e-9 {
@@ -226,39 +229,45 @@ func (c *cancelAfter) KNN(q data.Tuple, k, skip int) []neighbors.Neighbor {
 	return c.Index.KNN(q, k, skip)
 }
 
-// TestCancelMidPass cancels the detection and η-radius passes after ten
-// queries. The worker pool's per-item context check is their only
-// cancellation point, so each pass must return the cancellation and stop
-// well before it has queried every row.
+// TestCancelMidPass cancels the detection pass after ten queries. The
+// worker pool's per-item context check is its only cancellation point, so
+// the pass must return the cancellation and stop well before it has
+// queried every row. NewSaverContext has no pass left to cancel: it
+// issues no query at all, and its one use of ctx is to refuse an already
+// cancelled one.
 func TestCancelMidPass(t *testing.T) {
 	r := denseRelation6D(400, 7)
 	cons := Constraints{Eps: 1.4, Eta: 4}
-	passes := []struct {
-		name string
-		run  func(ctx context.Context, idx neighbors.Index) error
-	}{
-		{"DetectContext", func(ctx context.Context, idx neighbors.Index) error {
-			_, err := DetectContext(ctx, r, cons, idx)
-			return err
-		}},
-		{"NewSaverContext", func(ctx context.Context, idx neighbors.Index) error {
-			_, err := NewSaverContext(ctx, r, cons, Options{Index: idx})
-			return err
-		}},
-	}
-	for _, pass := range passes {
-		t.Run(pass.name, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			idx := &cancelAfter{Index: neighbors.NewBrute(r), k: 10, cancel: cancel}
-			if err := pass.run(ctx, idx); !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if q := idx.queries.Load(); q >= int64(r.N()) {
-				t.Fatalf("%d queries over %d rows: the pass ran to the end", q, r.N())
-			}
-		})
-	}
+	t.Run("DetectContext", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		idx := &cancelAfter{Index: neighbors.NewBrute(r), k: 10, cancel: cancel}
+		if _, err := DetectContext(ctx, r, cons, idx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if q := idx.queries.Load(); q >= int64(r.N()) {
+			t.Fatalf("%d queries over %d rows: the pass ran to the end", q, r.N())
+		}
+	})
+	t.Run("NewSaverContext", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		idx := &cancelAfter{Index: neighbors.NewBrute(r), k: 1, cancel: cancel}
+		s, err := NewSaverContext(ctx, r, cons, Options{Index: idx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := idx.queries.Load(); q != 0 {
+			t.Fatalf("NewSaverContext issued %d queries, want none", q)
+		}
+		if st, _, eta := s.SetupStats(); st != (obs.SearchStats{}) || eta != 0 {
+			t.Fatalf("SetupStats = %+v, η-radius %v; want zero", st, eta)
+		}
+		cancel()
+		if _, err := NewSaverContext(ctx, r, cons, Options{Index: idx}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled ctx: err = %v, want context.Canceled", err)
+		}
+	})
 }
 
 func TestDeterminePoissonContextCancelled(t *testing.T) {

@@ -53,11 +53,11 @@ type SaveResult struct {
 	// was processed.
 	Errs []SaveError
 	// Stats merges the per-outlier search counters with the detection
-	// pass and the η-radius precompute: the whole pipeline's nodes,
+	// pass and the saver's η-radius work: the whole pipeline's nodes,
 	// prunes, memo hits and index traffic in one place.
 	Stats obs.SearchStats
 	// Timings breaks the run into pipeline phases (validate, detect,
-	// index build, η-radius precompute, save fan-out).
+	// index build, save fan-out).
 	Timings obs.PhaseTimings
 }
 
@@ -152,12 +152,9 @@ func SaveAllContext(ctx context.Context, rel *data.Relation, cons Constraints, o
 	if err != nil {
 		return nil, err
 	}
-	setupStats, indexBuild, etaRadius := saver.SetupStats()
-	res.Stats.Add(&setupStats)
-	res.Timings.IndexBuild = indexBuild
-	res.Timings.EtaRadius = etaRadius
+	res.Timings.IndexBuild = saver.indexBuild
 	log.Info("disc: saver ready", "index", fmt.Sprintf("%T", saver.idx),
-		"index_build", indexBuild, "eta_radius", etaRadius)
+		"index_build", saver.indexBuild)
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -206,6 +203,10 @@ func SaveAllContext(ctx context.Context, rel *data.Relation, cons Constraints, o
 		return nil
 	})
 	res.Timings.Save = time.Since(saveStart)
+	// The η-radii the saves computed are saver-level work, folded in once
+	// the fan-out has joined.
+	radii := saver.TakeRadiusStats()
+	res.Stats.Add(&radii)
 	for _, ie := range errs {
 		oi := det.Outliers[ie.Index]
 		res.Adjustments[ie.Index] = Adjustment{Index: oi, Cost: math.Inf(1)}

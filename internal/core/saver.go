@@ -7,16 +7,15 @@ import (
 	"log/slog"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/data"
 	"repro/internal/metric"
 	"repro/internal/neighbors"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // Options tune Algorithm 1.
@@ -59,9 +58,10 @@ type Options struct {
 	// obs.DefaultProgressInterval (200ms).
 	ProgressInterval time.Duration
 	// Logger, when non-nil, receives structured per-phase and degradation
-	// events from SaveAllContext and NewSaverContext: detection and
-	// precompute done (Info), per-outlier budget trips (Debug), recovered
-	// panics and skipped outliers (Warn), grid→brute fallbacks (Debug).
+	// events from SaveAllContext and NewSaverContext: detection done and
+	// saver ready (Info), index builds and per-outlier budget trips
+	// (Debug), recovered panics and skipped outliers (Warn), grid→brute
+	// fallbacks (Debug).
 	// The hot search path itself never logs.
 	Logger *slog.Logger
 }
@@ -76,20 +76,28 @@ type Saver struct {
 	// the index is kernel-backed so the per-pair text-distance cache is
 	// warmed by both; the per-outlier candidate tables read from it.
 	kern *data.Kernel
-	// etaRadius[i] = δ_η(t_i): distance from t_i to its η-th nearest
-	// neighbor within r. A tuple position with δ_η ≤ ε − d satisfies the
-	// constraints for any adjustment within d of it (Proposition 5).
-	etaRadius []float64
-	m         int
-	sqNorm    bool // L2: accumulate squared per-attribute distances
+	// radii[i] holds the float64 bits of row i's capped δ_η — its
+	// distance to its η-th nearest neighbor within r when that is at most
+	// ε, +Inf otherwise — or radiusUnknown until a save first reads the row
+	// (see radius). A row with δ_η ≤ ε − d satisfies the constraints for
+	// any adjustment within d of it (Proposition 5); d ≥ 0, so the cap
+	// changes no answer. Entries are read and written atomically:
+	// concurrent saves may compute the same row, and the value is
+	// deterministic.
+	radii []uint64
+	// radiusWork is the index traffic of every η-radius computed since
+	// the last TakeRadiusStats, one KNN query per radius. Saves on
+	// different goroutines add to it, so unlike the per-save counters it
+	// sits behind a lock, taken once per radius computed, never per node.
+	radiusMu   sync.Mutex
+	radiusWork neighbors.Counters
+	m          int
+	sqNorm     bool // L2: accumulate squared per-attribute distances
 	// arenas recycles saveArena scratch across SaveOne calls;
 	// SaveAllContext bypasses it with explicit per-worker arenas.
 	arenas sync.Pool
-	// setupStats and setup time the one-off construction work (index
-	// builds, η-radius precompute) so SaveAllContext can report pipeline
-	// phases; setupStats holds the index traffic of the precompute pass.
-	setupStats obs.SearchStats
-	setup      struct{ indexBuild, etaRadius time.Duration }
+	// indexBuild times the builds of the indexes the saver made itself.
+	indexBuild time.Duration
 	// groups index the κ+1 attribute groups of the pigeonhole candidate
 	// filter over r (see attributeGroups and candidateRows); nil off the
 	// κ path.
@@ -97,16 +105,18 @@ type Saver struct {
 	// mut is idx's mutable wrapper when the saver was built over one
 	// (Options.Index of type *neighbors.Mutable). It unlocks the
 	// incremental inlier-set maintenance surface: InsertInlier,
-	// RemoveInlier and RefreshRadii. nil for static savers.
+	// RemoveInlier and InvalidateRadii. nil for static savers.
 	mut *neighbors.Mutable
 }
 
-// NewSaverContext precomputes the η-th-neighbor radii of r. r must be
-// outlier-free under cons (use DetectContext to split first); an empty r
-// cannot save anything and is rejected, as is a relation with NaN/±Inf
-// values (distances over them are undefined and would silently poison
-// every aggregate). The η-radius precompute pass over r stops promptly
-// once ctx is cancelled and the cancellation is returned as an error.
+// NewSaverContext prepares a saver over r: its inlier index (unless
+// Options.Index supplies one) and, on the κ path, its attribute-group
+// indexes. It issues no neighbor query: each η-radius is computed the
+// first time a save reads it. r must be outlier-free under cons (use
+// DetectContext to split first); an empty r cannot save anything and is
+// rejected, as is a relation with NaN/±Inf values (distances over them are
+// undefined and would silently poison every aggregate). An already
+// cancelled ctx is returned as an error before anything is built.
 func NewSaverContext(ctx context.Context, r *data.Relation, cons Constraints, opts Options) (*Saver, error) {
 	if err := cons.Validate(); err != nil {
 		return nil, err
@@ -120,24 +130,29 @@ func NewSaverContext(ctx context.Context, r *data.Relation, cons Constraints, op
 	if err := data.ValidateValues(r); err != nil {
 		return nil, err
 	}
-	log := obs.Logger(opts.Logger)
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: building saver: %w", err)
+	}
 	idx := opts.Index
 	var indexBuild time.Duration
 	if idx == nil {
 		start := time.Now()
 		idx = neighbors.Build(r, cons.Eps)
 		indexBuild = time.Since(start)
-		log.Debug("disc: inlier index built", "index", fmt.Sprintf("%T", idx),
+		obs.Logger(opts.Logger).Debug("disc: inlier index built", "index", fmt.Sprintf("%T", idx),
 			"tuples", r.N(), "duration", indexBuild)
 	}
 	s := &Saver{
-		rel:       r,
-		cons:      cons,
-		opts:      opts,
-		idx:       idx,
-		etaRadius: make([]float64, r.N()),
-		m:         r.Schema.M(),
-		sqNorm:    r.Schema.Norm == metric.L2,
+		rel:    r,
+		cons:   cons,
+		opts:   opts,
+		idx:    idx,
+		radii:  make([]uint64, r.N()),
+		m:      r.Schema.M(),
+		sqNorm: r.Schema.Norm == metric.L2,
+	}
+	for i := range s.radii {
+		s.radii[i] = radiusUnknown
 	}
 	if m, ok := idx.(*neighbors.Mutable); ok {
 		s.mut = m
@@ -153,45 +168,8 @@ func NewSaverContext(ctx context.Context, r *data.Relation, cons Constraints, op
 		s.indexGroups(groups)
 		indexBuild += time.Since(start)
 	}
-	s.setup.indexBuild = indexBuild
+	s.indexBuild = indexBuild
 	s.arenas.New = func() any { return new(saveArena) }
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// One counting view (and counter shard) per worker: the precompute
-	// fans out over r, and the shards merge into setupStats once the pool
-	// joins — plain int64 increments, no atomics.
-	if workers > r.N() {
-		workers = r.N()
-	}
-	shards := make([]neighbors.Counters, workers)
-	views := make([]neighbors.Index, workers)
-	for w := range views {
-		views[w] = neighbors.Counting(idx, &shards[w])
-	}
-	start := time.Now()
-	errs := par.ForEachWorker(ctx, r.N(), workers, func(w, i int) error {
-		nn := views[w].KNN(r.Tuples[i], cons.Eta, i)
-		if len(nn) < cons.Eta {
-			s.etaRadius[i] = math.Inf(1)
-			return nil
-		}
-		s.etaRadius[i] = nn[cons.Eta-1].Dist
-		return nil
-	})
-	s.setup.etaRadius = time.Since(start)
-	var merged neighbors.Counters
-	for w := range shards {
-		merged.Add(shards[w])
-	}
-	merged.AddTo(&s.setupStats)
-	if err := par.FirstErr(errs); err != nil {
-		return nil, fmt.Errorf("core: building saver: %w", err)
-	}
-	log.Debug("disc: η-radius precompute done", "tuples", r.N(),
-		"duration", s.setup.etaRadius, "knn_queries", merged.KNNQueries,
-		"dist_evals", merged.DistEvals)
 	return s, nil
 }
 
@@ -206,12 +184,28 @@ func (s *Saver) Rel() *data.Relation { return s.rel }
 // query traffic.
 func (s *Saver) Index() neighbors.Index { return s.idx }
 
-// SetupStats returns the index traffic of the saver's construction (the
-// η-radius precompute) and the one-off phase durations: the builds of the
+// SetupStats returns the one-off construction work: the builds of the
 // indexes the saver made itself (its inlier index unless Options.Index
-// supplied one, plus its attribute-group indexes) and the precompute.
+// supplied one, plus its attribute-group indexes). Construction issues no
+// neighbor query and computes no η-radius, so stats and etaRadius are
+// always zero; the radius work is TakeRadiusStats'.
 func (s *Saver) SetupStats() (stats obs.SearchStats, indexBuild, etaRadius time.Duration) {
-	return s.setupStats, s.setup.indexBuild, s.setup.etaRadius
+	return obs.SearchStats{}, s.indexBuild, 0
+}
+
+// TakeRadiusStats returns the η-radius work done since the previous call —
+// EtaRadii, plus the KNN queries and distance evaluations that computed
+// them — and starts a new tally. Saves and InvalidateRadii both add to it.
+// No Adjustment carries this work: which save computes a row first
+// depends on scheduling, and per-save counters must not.
+func (s *Saver) TakeRadiusStats() obs.SearchStats {
+	s.radiusMu.Lock()
+	c := s.radiusWork
+	s.radiusWork.Reset()
+	s.radiusMu.Unlock()
+	st := obs.SearchStats{EtaRadii: c.KNNQueries}
+	c.AddTo(&st)
+	return st
 }
 
 // AttributeGroups returns the attribute groups the saver indexes for its
@@ -279,9 +273,10 @@ type saveState struct {
 //
 // The saver's index, η-radius table and arena pool are all reused across
 // calls — repeated SaveOne calls on a warm saver rebuild nothing and
-// allocate at most the composed tuple of a saved answer — and concurrent
-// calls are safe: each draws its own arena from the pool and the shared
-// structures are read-only.
+// allocate at most the composed tuple of a saved answer, once every
+// η-radius they read is known — and concurrent calls are safe: each draws
+// its own arena from the pool, the index is read-only, and η-radius
+// entries are filled atomically.
 func (s *Saver) SaveOne(ctx context.Context, to data.Tuple) Adjustment {
 	ar := s.arenas.Get().(*saveArena)
 	adj := s.save(ctx, to, ar)
@@ -293,18 +288,7 @@ func (s *Saver) SaveOne(ctx context.Context, to data.Tuple) Adjustment {
 // The arena must not be shared with a concurrent save.
 func (s *Saver) save(ctx context.Context, to data.Tuple, ar *saveArena) Adjustment {
 	ar.reset(s.m)
-	// The counting views of the index and the attribute groups are cached
-	// on the arena (one per worker), so instrumentation adds no
-	// steady-state allocations; their counters are the arena's shard,
-	// zeroed by reset above.
-	if ar.owner != s {
-		ar.owner = s
-		ar.cidx = neighbors.Counting(s.idx, &ar.nc)
-		ar.gidx = ar.gidx[:0]
-		for _, g := range s.groups {
-			ar.gidx = append(ar.gidx, neighbors.Counting(g, &ar.nc))
-		}
-	}
+	ar.bind(s)
 	cidx := ar.cidx
 	st := &ar.st
 	*st = saveState{
@@ -328,7 +312,7 @@ func (s *Saver) save(ctx context.Context, to data.Tuple, ar *saveArena) Adjustme
 	// not an admissible answer (it adjusts every attribute), so both the
 	// initialization and the truncation are skipped.
 	if !kappaRestricted {
-		if nn, cost := s.initialBound(cidx, to); nn >= 0 {
+		if nn, cost := s.initialBound(ar, to); nn >= 0 {
 			st.bestT2 = nn
 			st.bestX = 0
 			st.bestCost = cost
@@ -404,58 +388,103 @@ func (s *Saver) save(ctx context.Context, to data.Tuple, ar *saveArena) Adjustme
 func (s *Saver) Mutable() *neighbors.Mutable { return s.mut }
 
 // InsertInlier appends t to the inlier relation through the mutable
-// index, extending the η-radius table with a +Inf placeholder, and
-// returns the new physical row index. The caller must follow up with
-// RefreshRadii(t) — the placeholder makes the new row temporarily
-// useless as a Proposition 5 donor, never unsound. Panics on a static
-// saver. Like all the mutation surface, the call must be serialized
-// against concurrent saves by the caller (the serving layer holds a
-// session-wide write lock).
+// index, extending the η-radius table with an unknown entry, and returns
+// the new physical row index. The caller must follow up with
+// InvalidateRadii. Panics on a static saver. Like all the mutation
+// surface, the call must be serialized against concurrent saves by the
+// caller (the serving layer holds a session-wide write lock).
 func (s *Saver) InsertInlier(t data.Tuple) int {
 	i := s.mut.Insert(t)
-	for len(s.etaRadius) <= i {
-		s.etaRadius = append(s.etaRadius, math.Inf(1))
+	for len(s.radii) <= i {
+		s.radii = append(s.radii, radiusUnknown)
 	}
 	return i
 }
 
-// RemoveInlier tombstones inlier row i. Its η-radius entry goes stale in
-// place; the index never reports tombstoned rows and the all-rows
-// fallback skips them, so the stale value is unreachable.
-func (s *Saver) RemoveInlier(i int) { s.mut.Delete(i) }
+// RemoveInlier tombstones inlier row i and forgets its η-radius; the
+// index never reports tombstoned rows and the all-rows fallback skips
+// them, so the entry is never read again.
+func (s *Saver) RemoveInlier(i int) {
+	s.mut.Delete(i)
+	s.radii[i] = radiusUnknown
+}
 
-// RefreshRadii recomputes the exact η-th-neighbor radius of every live
-// inlier within ε of center (the locality bound: a membership change at
-// distance > ε from a tuple cannot move its δ_η across the only
-// threshold the saver tests, δ_η ≤ ε − d with d ≥ 0, so radii outside
-// the ball may drift above ε without ever changing a feasibility
-// answer). Call it once per mutated value — old value, new value, and
-// each tuple whose inlier/outlier status flipped — after all membership
-// changes of the mutation have been applied. Returns the number of rows
-// refreshed.
-func (s *Saver) RefreshRadii(center data.Tuple) int {
+// InvalidateRadii brings the η-radius table up to date after a mutation.
+// A membership change at c moves the capped δ_η only of rows within ε of
+// c: farther away it can neither enter an η-nearest set that lies within
+// ε nor bring a row's count within ε up to η. So one ε-range query per
+// center finds every row that may have changed. Of those, the rows a save
+// already read are recomputed, once each; rows never read stay unknown.
+// Recomputing rather than forgetting keeps the cost off the next saves,
+// which would otherwise pay it again on their first read. Call it once
+// per mutation, after all of its membership changes, with every changed
+// value — old value, new value, and each tuple whose inlier/outlier
+// status flipped. Returns the summed ball sizes.
+func (s *Saver) InvalidateRadii(centers ...data.Tuple) int {
 	if s.mut == nil {
 		return 0
 	}
-	ball := s.idx.Within(center, s.cons.Eps, -1)
-	for _, nb := range ball {
-		i := nb.Idx
-		nn := s.idx.KNN(s.rel.Tuples[i], s.cons.Eta, i)
-		if len(nn) < s.cons.Eta {
-			s.etaRadius[i] = math.Inf(1)
-		} else {
-			s.etaRadius[i] = nn[s.cons.Eta-1].Dist
+	touched := 0
+	var known []int
+	for _, c := range centers {
+		ball := s.idx.Within(c, s.cons.Eps, -1)
+		touched += len(ball)
+		for _, nb := range ball {
+			if s.radii[nb.Idx] != radiusUnknown {
+				known = append(known, nb.Idx)
+			}
 		}
 	}
-	return len(ball)
+	if len(known) > 0 {
+		var rc neighbors.Counters
+		view := neighbors.Counting(s.idx, &rc)
+		slices.Sort(known)
+		for _, i := range slices.Compact(known) {
+			s.computeRadius(i, view, &rc)
+		}
+	}
+	return touched
+}
+
+// radiusUnknown marks an η-radius entry no save has read since the row
+// was last inserted or invalidated: a NaN pattern, never the bits of a
+// computed radius.
+const radiusUnknown = ^uint64(0)
+
+// radius returns row i's capped δ_η (see Saver.radii), computing it on
+// first read through the arena's radius view. Both δ_η readers —
+// initialBound and the Proposition 5 witness loop — call it.
+func (s *Saver) radius(ar *saveArena, i int) float64 {
+	b := atomic.LoadUint64(&s.radii[i])
+	if b == radiusUnknown {
+		b = s.computeRadius(i, ar.ridx, &ar.rc)
+	}
+	return math.Float64frombits(b)
+}
+
+// computeRadius runs KNN(η) for row i through view, a counting view of
+// the saver's index filling rc, stores the capped δ_η and returns its
+// bits. rc's counts move into s.radiusWork.
+func (s *Saver) computeRadius(i int, view neighbors.Index, rc *neighbors.Counters) uint64 {
+	r := math.Inf(1)
+	if nn := view.KNN(s.rel.Tuples[i], s.cons.Eta, i); len(nn) == s.cons.Eta && nn[s.cons.Eta-1].Dist <= s.cons.Eps {
+		r = nn[s.cons.Eta-1].Dist
+	}
+	b := math.Float64bits(r)
+	atomic.StoreUint64(&s.radii[i], b)
+	s.radiusMu.Lock()
+	s.radiusWork.Add(*rc)
+	s.radiusMu.Unlock()
+	rc.Reset()
+	return b
 }
 
 // initialBound finds the nearest inlier whose η-th-neighbor radius fits
 // inside ε (a feasible whole-tuple substitution, Lemma 4) and returns its
 // tuple index in r and its distance to to; (-1, +Inf) when r has no
-// feasible position at all. idx is the calling save's (counting) index
-// view.
-func (s *Saver) initialBound(idx neighbors.Index, to data.Tuple) (int, float64) {
+// feasible position at all. The search queries the arena's counting view
+// of the index.
+func (s *Saver) initialBound(ar *saveArena, to data.Tuple) (int, float64) {
 	// Grow k geometrically: the nearest feasible inlier is almost always
 	// among the first few nearest neighbors. Each round resumes where the
 	// previous one stopped — KNN(k) is a prefix of KNN(4k) because every
@@ -463,9 +492,9 @@ func (s *Saver) initialBound(idx neighbors.Index, to data.Tuple) (int, float64) 
 	// η-radius check never re-scans positions already rejected.
 	checked := 0
 	for k := 4; ; k *= 4 {
-		nn := idx.KNN(to, k, -1)
+		nn := ar.cidx.KNN(to, k, -1)
 		for _, nb := range nn[min(checked, len(nn)):] {
-			if s.etaRadius[nb.Idx] <= s.cons.Eps {
+			if s.radius(ar, nb.Idx) <= s.cons.Eps {
 				return nb.Idx, nb.Dist
 			}
 		}
@@ -551,7 +580,7 @@ func (s *Saver) recurse(st *saveState, x data.AttrMask, cand []int, subD []float
 	// is feasible and costs Δ(t_o[R\X], t_2[R\X]).
 	for li, c := range cand {
 		dx := s.finish(subD[li])
-		if s.etaRadius[st.ids[c]] > s.cons.Eps-dx {
+		if s.radius(st.ar, st.ids[c]) > s.cons.Eps-dx {
 			continue
 		}
 		st.stats.UBWitnesses++

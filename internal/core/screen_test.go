@@ -222,7 +222,7 @@ func checkScreen(t *testing.T, norm metric.Norm, mixed, mutable bool, kappa int,
 				row = screenRow(sch, to, onGroup[len(groups)-1])
 			}
 			s.InsertInlier(row)
-			s.RefreshRadii(row)
+			s.InvalidateRadii(row)
 		}
 		alive = mut.Alive
 	}

@@ -325,7 +325,7 @@ func BenchmarkVPTreeCountWithin(b *testing.B) {
 	}
 }
 
-// BenchmarkVPTreeKNN is the η-radius precompute's query: KNN(η).
+// BenchmarkVPTreeKNN is the saver's η-radius query: KNN(η).
 func BenchmarkVPTreeKNN(b *testing.B) {
 	vp, r, _, eta := letterVP(b)
 	b.ReportAllocs()

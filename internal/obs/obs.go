@@ -24,7 +24,7 @@ import (
 // SearchStats counts the work of one or more Algorithm 1 searches plus the
 // neighbor-index traffic that fed them. A single save fills one instance
 // (Adjustment.Stats); SaveAllContext merges the per-outlier instances
-// together with the detection pass and the η-radius precompute into
+// together with the detection pass and the saver's η-radius work into
 // SaveResult.Stats.
 type SearchStats struct {
 	// Nodes is the number of recursion nodes expanded — the unit the
@@ -69,6 +69,13 @@ type SearchStats struct {
 	// attribute-group range hits (Candidates − KappaPrefiltered of them
 	// survive into the tables).
 	Candidates int64 `json:"candidates"`
+	// EtaRadii counts the η-radii computed (Proposition 5's δ_η, one
+	// KNN(η) query each): by saves, the first time one reads a row, and by
+	// mutations, recomputing the entries they found known. It is
+	// saver-level work — which save computes a row first depends on
+	// scheduling — so no Adjustment.Stats carries it; SaveResult.Stats and
+	// a serving session's stats do, together with the KNN queries' traffic.
+	EtaRadii int64 `json:"eta_radii"`
 	// KNNQueries and RangeQueries count neighbor-index queries (k-NN, and
 	// Within/CountWithin respectively); DistEvals counts the tuple-pair
 	// distance evaluations the index performed to answer them, the common
@@ -102,6 +109,7 @@ func (s *SearchStats) Add(o *SearchStats) {
 	s.KappaPrefiltered += o.KappaPrefiltered
 	s.BudgetTrips += o.BudgetTrips
 	s.Candidates += o.Candidates
+	s.EtaRadii += o.EtaRadii
 	s.KNNQueries += o.KNNQueries
 	s.RangeQueries += o.RangeQueries
 	s.DistEvals += o.DistEvals
@@ -116,11 +124,11 @@ func (s *SearchStats) Add(o *SearchStats) {
 func (s *SearchStats) String() string {
 	return fmt.Sprintf(
 		"nodes=%d lb_prunes=%d cand_prunes=%d memo_hits=%d ub_witnesses=%d best_updates=%d "+
-			"kappa_masks=%d kappa_prefiltered=%d budget_trips=%d candidates=%d "+
+			"kappa_masks=%d kappa_prefiltered=%d budget_trips=%d candidates=%d eta_radii=%d "+
 			"knn_queries=%d range_queries=%d dist_evals=%d grid_fallbacks=%d "+
 			"dist_early_exits=%d text_cache_hits=%d text_cache_misses=%d",
 		s.Nodes, s.LBPrunes, s.CandPrunes, s.MemoHits, s.UBWitnesses, s.BestUpdates,
-		s.KappaMasks, s.KappaPrefiltered, s.BudgetTrips, s.Candidates,
+		s.KappaMasks, s.KappaPrefiltered, s.BudgetTrips, s.Candidates, s.EtaRadii,
 		s.KNNQueries, s.RangeQueries, s.DistEvals, s.GridFallbacks,
 		s.DistEarlyExits, s.TextCacheHits, s.TextCacheMisses)
 }
@@ -138,9 +146,6 @@ type PhaseTimings struct {
 	DetectIndexBuild time.Duration
 	// IndexBuild is the construction of the inlier index the saves query.
 	IndexBuild time.Duration
-	// EtaRadius is the δ_η precompute over the inliers (Proposition 5's
-	// feasibility table).
-	EtaRadius time.Duration
 	// Save is the per-outlier save fan-out.
 	Save time.Duration
 	// Total is the whole pipeline, ≥ the sum of the phases.
@@ -155,7 +160,6 @@ func (t PhaseTimings) MarshalJSON() ([]byte, error) {
 		"detect_s":             t.Detect.Seconds(),
 		"detect_index_build_s": t.DetectIndexBuild.Seconds(),
 		"index_build_s":        t.IndexBuild.Seconds(),
-		"eta_radius_s":         t.EtaRadius.Seconds(),
 		"save_s":               t.Save.Seconds(),
 		"total_s":              t.Total.Seconds(),
 	})

@@ -458,24 +458,24 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	var qc disc.IndexCounters
 	resp := DetectResponse{Eps: sess.Cons.Eps, Eta: sess.Cons.Eta,
 		Results: make([]DetectResult, len(tuples))}
-	sess.stateMu.RLock()
-	view := disc.CountingIndex(sess.RelIdx, &qc)
-	for i, t := range tuples {
-		// cap at η: the split only needs "≥ η or not", so the count stops
-		// early exactly like the detection pass would. Member tuples match
-		// their own stored copy, so the cap grows by one and the self-match
-		// is subtracted back out.
-		capN := sess.Cons.Eta
-		if req.Member {
-			capN++
+	sess.readState(func() {
+		view := disc.CountingIndex(sess.RelIdx, &qc)
+		for i, t := range tuples {
+			// cap at η: the split only needs "≥ η or not", so the count
+			// stops early exactly like the detection pass would. Member
+			// tuples match their own stored copy, so the cap grows by one
+			// and the self-match is subtracted back out.
+			capN := sess.Cons.Eta
+			if req.Member {
+				capN++
+			}
+			n := view.CountWithin(t, sess.Cons.Eps, -1, capN)
+			if req.Member && n > 0 {
+				n--
+			}
+			resp.Results[i] = DetectResult{Neighbors: n, Outlier: n < sess.Cons.Eta}
 		}
-		n := view.CountWithin(t, sess.Cons.Eps, -1, capN)
-		if req.Member && n > 0 {
-			n--
-		}
-		resp.Results[i] = DetectResult{Neighbors: n, Outlier: n < sess.Cons.Eta}
-	}
-	sess.stateMu.RUnlock()
+	})
 	var st obs.SearchStats
 	qc.AddTo(&st)
 	sess.addStats(&st, 0, int64(len(req.Tuples)))

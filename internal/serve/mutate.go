@@ -57,7 +57,6 @@ type MutateResponse struct {
 // session. Counts and mappings are physical-row-indexed.
 func (s *Session) initMutableState() {
 	n := s.Rel.N()
-	s.schema = s.Rel.Schema
 	s.logical = make([]int, n)
 	s.fullToSaver = make([]int, n)
 	for i := range s.logical {
@@ -71,82 +70,20 @@ func (s *Session) initMutableState() {
 	s.outliers = len(s.Det.Outliers)
 }
 
+// applyHook, when non-nil, runs inside applyMutation while it holds the
+// state lock, before the mutation changes anything. Tests use it to panic
+// mid-apply.
+var applyHook func(op string)
+
 // applyMutation runs one mutation under the session's exclusive state
-// lock: update the relation/kernel/indexes incrementally, re-examine
-// only the tuples whose ε-neighborhoods the mutation touched, sync the
-// saver's inlier set and η-radii, settle the byte ledger, and mark the
-// snapshot dirty. The exclusive lock orders it against detect and save
-// work.
-func (s *Session) applyMutation(m *mutation) (MutateResponse, error) {
-	s.stateMu.Lock()
-	resp := MutateResponse{Op: m.op, Index: m.index}
+// lock (see mutateLocked), then settles the byte ledger, counts the
+// mutation and marks the snapshot dirty.
+func (s *Session) applyMutation(m *mutation) (resp MutateResponse, err error) {
 	var bytesDelta int64
-	var refresh []disc.Tuple // δ_η refresh centers, applied after all membership changes
-	var flips []int
-	touched := 0
-
-	switch m.op {
-	case "insert":
-		phys, nbr, f := s.insertRowLocked(m.tuple)
-		s.logical = append(s.logical, phys)
-		resp.Index = len(s.logical) - 1
-		resp.Neighbors, resp.Outlier = nbr, s.Det.Counts[phys] < s.Cons.Eta
-		flips = f
-		touched = nbr + 1
-		bytesDelta = tupleBytes(m.tuple)
-		refresh = append(refresh, m.tuple)
-
-	case "delete":
-		phys, err := s.resolveRowLocked(m.index)
-		if err != nil {
-			s.stateMu.Unlock()
-			return resp, err
-		}
-		old, ball, f := s.deleteRowLocked(phys)
-		s.logical[m.index] = -1
-		flips = f
-		touched = ball + 1
-		bytesDelta = -tupleBytes(old)
-		refresh = append(refresh, old)
-
-	case "update":
-		phys, err := s.resolveRowLocked(m.index)
-		if err != nil {
-			s.stateMu.Unlock()
-			return resp, err
-		}
-		old, ball, f1 := s.deleteRowLocked(phys)
-		newPhys, nbr, f2 := s.insertRowLocked(m.tuple)
-		s.logical[m.index] = newPhys
-		resp.Neighbors, resp.Outlier = nbr, s.Det.Counts[newPhys] < s.Cons.Eta
-		flips = append(f1, f2...)
-		touched = ball + nbr + 2
-		bytesDelta = tupleBytes(m.tuple) - tupleBytes(old)
-		refresh = append(refresh, old, m.tuple)
-
-	default:
-		s.stateMu.Unlock()
-		return resp, fmt.Errorf("serve: unknown mutation op %q", m.op)
+	s.writeState(func() { resp, bytesDelta, err = s.mutateLocked(m) })
+	if err != nil {
+		return resp, err
 	}
-
-	// Saver η-radius maintenance: every location where inlier membership
-	// changed (the mutated values and each flipped tuple) gets its
-	// ε-ball's radii recomputed exactly. Radii farther than ε from every
-	// change can drift, but never across the only threshold the saver
-	// tests (δ_η ≤ ε − d, d ≥ 0), so save results stay rebuild-exact.
-	for _, i := range flips {
-		refresh = append(refresh, s.Rel.Tuples[i])
-	}
-	for _, c := range refresh {
-		touched += s.Saver.RefreshRadii(c)
-	}
-	resp.Flipped, resp.Touched = len(flips), touched
-	resp.Tuples, resp.Inliers, resp.Outliers = s.relMut.Live(), s.inliers, s.outliers
-
-	if dead := s.relMut.DeadCount(); dead > compactMinDead && dead > s.relMut.Live() {
-		s.compactLocked()
-	}
-	s.stateMu.Unlock()
 
 	// Ledger and dirty marks, after the state lock drops (lock order:
 	// stateMu → registry.mu → session.mu; noteBytes is safe either way
@@ -163,10 +100,85 @@ func (s *Session) applyMutation(m *mutation) (MutateResponse, error) {
 	case "delete":
 		s.mstats.deleted++
 	}
-	s.mstats.redetectTouched += int64(touched)
-	s.persisted = false // the on-disk snapshot no longer matches
+	s.mstats.redetectTouched += int64(resp.Touched)
+	// A mutation only marks the snapshot dirty; it is rewritten at the
+	// SIGTERM drain, so a crash before then loses the mutation.
+	s.persisted = false
 	s.mu.Unlock()
 	return resp, nil
+}
+
+// mutateLocked applies m with the state lock held: update the
+// relation/kernel/indexes incrementally, re-examine only the tuples whose
+// ε-neighborhoods the mutation touched, sync the saver's inlier set and
+// η-radii, and publish the new shape. Returns the answer and the byte
+// ledger's delta.
+func (s *Session) mutateLocked(m *mutation) (resp MutateResponse, bytesDelta int64, err error) {
+	if applyHook != nil {
+		applyHook(m.op)
+	}
+	resp = MutateResponse{Op: m.op, Index: m.index}
+	var changed []disc.Tuple // where inlier membership changed
+	var flips []int
+	touched := 0
+
+	switch m.op {
+	case "insert":
+		phys, nbr, f := s.insertRowLocked(m.tuple)
+		s.logical = append(s.logical, phys)
+		resp.Index = len(s.logical) - 1
+		resp.Neighbors, resp.Outlier = nbr, s.Det.Counts[phys] < s.Cons.Eta
+		flips = f
+		touched = nbr + 1
+		bytesDelta = tupleBytes(m.tuple)
+		changed = append(changed, m.tuple)
+
+	case "delete":
+		phys, err := s.resolveRowLocked(m.index)
+		if err != nil {
+			return resp, 0, err
+		}
+		old, ball, f := s.deleteRowLocked(phys)
+		s.logical[m.index] = -1
+		flips = f
+		touched = ball + 1
+		bytesDelta = -tupleBytes(old)
+		changed = append(changed, old)
+
+	case "update":
+		phys, err := s.resolveRowLocked(m.index)
+		if err != nil {
+			return resp, 0, err
+		}
+		old, ball, f1 := s.deleteRowLocked(phys)
+		newPhys, nbr, f2 := s.insertRowLocked(m.tuple)
+		s.logical[m.index] = newPhys
+		resp.Neighbors, resp.Outlier = nbr, s.Det.Counts[newPhys] < s.Cons.Eta
+		flips = append(f1, f2...)
+		touched = ball + nbr + 2
+		bytesDelta = tupleBytes(m.tuple) - tupleBytes(old)
+		changed = append(changed, old, m.tuple)
+
+	default:
+		return resp, 0, fmt.Errorf("serve: unknown mutation op %q", m.op)
+	}
+
+	// Saver η-radius maintenance: every location where inlier membership
+	// changed (the mutated values and each flipped tuple) bounds the rows
+	// whose radii can have moved; the saver recomputes those it had
+	// cached, so save results stay rebuild-exact.
+	for _, i := range flips {
+		changed = append(changed, s.Rel.Tuples[i])
+	}
+	touched += s.Saver.InvalidateRadii(changed...)
+	resp.Flipped, resp.Touched = len(flips), touched
+	resp.Tuples, resp.Inliers, resp.Outliers = s.relMut.Live(), s.inliers, s.outliers
+	s.publishLocked()
+
+	if dead := s.relMut.DeadCount(); dead > compactMinDead && dead > s.relMut.Live() {
+		s.compactLocked()
+	}
+	return resp, bytesDelta, nil
 }
 
 // resolveRowLocked maps a logical row handle to its live physical row.
@@ -272,7 +284,8 @@ func (s *Session) applyFlipsLocked(flips []int) {
 // compactLocked rebuilds the session over only its live rows, in logical
 // order: tombstoned storage in the relation, kernel and saver is
 // reclaimed, the detection counts are remapped (not recomputed), and
-// both indexes plus the saver's η-radius table are rebuilt from scratch.
+// both indexes plus the saver (its η-radius table starting empty) are
+// rebuilt from scratch.
 // Logical row handles survive (holes stay holes). On any build error the
 // old state is kept — queries keep working, compaction retries on a
 // later mutation.
@@ -307,20 +320,21 @@ func (s *Session) compactLocked() {
 // their storage as-is (appends keep physical order == logical order);
 // after deletes the view reindexes densely, which is also why logical
 // row handles do not survive a restart.
-func (s *Session) snapshotView() (*disc.Relation, []int) {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	if s.relMut.DeadCount() == 0 {
-		return s.Rel, s.Det.Counts
-	}
-	rel := disc.NewRelation(s.Rel.Schema)
-	counts := make([]int, 0, s.relMut.Live())
-	for _, phys := range s.logical {
-		if phys < 0 {
-			continue
+func (s *Session) snapshotView() (rel *disc.Relation, counts []int) {
+	s.readState(func() {
+		if s.relMut.DeadCount() == 0 {
+			rel, counts = s.Rel, s.Det.Counts
+			return
 		}
-		counts = append(counts, s.Det.Counts[phys])
-		rel.Append(s.Rel.Tuples[phys])
-	}
+		rel = disc.NewRelation(s.Rel.Schema)
+		counts = make([]int, 0, s.relMut.Live())
+		for _, phys := range s.logical {
+			if phys < 0 {
+				continue
+			}
+			counts = append(counts, s.Det.Counts[phys])
+			rel.Append(s.Rel.Tuples[phys])
+		}
+	})
 	return rel, counts
 }

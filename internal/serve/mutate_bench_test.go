@@ -42,7 +42,7 @@ func benchMutSession(b *testing.B, n int) *Session {
 
 // BenchmarkMutateInsert measures one incremental insert against a live
 // session: the ε-ball redetect, the index append, and the saver's
-// η-radius refresh. Only the insert is timed — each iteration's follow-up
+// η-radius invalidation. Only the insert is timed — each iteration's follow-up
 // delete (keeping the dataset at size n) runs with the timer stopped.
 // Compare against BenchmarkMutateRebuild at the same n: the gap is what
 // incremental maintenance saves over rebuild-per-mutation, and its growth

@@ -9,8 +9,9 @@
 // analysis (§4) charges O(m^{κ+1}·n) per outlier on top of index
 // construction, and the one-shot CLIs pay the construction on every
 // invocation. A session pays it once — upload or load a dataset, build its
-// index and η-radius table, then detection is a cheap always-on screen and
-// repair a budgeted per-request search, both against cached state.
+// indexes, then detection is a cheap always-on screen and repair a
+// budgeted per-request search, both against cached state (the saver's
+// η-radius table fills as saves read it).
 //
 // serve deliberately consumes the public disc API (plus internal/obs for
 // counters) rather than internal/core: it is the first out-of-repo-shaped
@@ -69,7 +70,8 @@ func (p BuildParams) key(path string) string {
 
 // Session is one cached dataset: the relation, its detection split, the
 // full-relation index answering /detect, and a warm Saver (inlier index +
-// η-radius table + arena pool) answering /save — all built once.
+// η-radius table + arena pool) answering /save — all built once, the
+// radius table filled on first read.
 type Session struct {
 	ID string
 	// Name labels the session for humans (upload name, path, or table1
@@ -99,10 +101,12 @@ type Session struct {
 	// stateMu guards the mutable dataset state: the relation, both
 	// indexes, the detection counts, the saver's inlier set and the
 	// logical row mapping. Detect and save requests hold it for reading,
-	// mutations exclusively. Lock order: stateMu before mu, always.
+	// mutations exclusively. Only readState and writeState touch it.
+	// Lock order: stateMu before mu, always.
 	stateMu sync.RWMutex
-	// schema is the immutable schema pointer, safe to read without
-	// stateMu (compaction swaps Rel but never the schema).
+	// schema is the immutable schema pointer, set at construction and
+	// safe to read without stateMu (compaction swaps Rel but never the
+	// schema).
 	schema *disc.Schema
 	// logical maps API row indices (upload order, then insertion order)
 	// to physical rows of Rel; -1 marks a deleted row. Updates tombstone
@@ -143,7 +147,8 @@ type Session struct {
 	// stats accumulates the index and search traffic of every request
 	// served against the cached state; indexBuilds counts build events and
 	// never moves after construction — the pair is the warm-path proof
-	// that queries flow while nothing is rebuilt.
+	// that queries flow while nothing is rebuilt. stats also holds the
+	// saver's η-radius work, taken by each save and mutation.
 	stats       obs.SearchStats
 	indexBuilds int64
 	saves       int64
@@ -151,6 +156,48 @@ type Session struct {
 	// hists is the per-session half of the serving histograms; every
 	// observation lands here and in the registry's global bundle.
 	hists obs.ServeHists
+	// shape is the live dataset as of the last warmUp or mutation,
+	// published under mu so Info never waits on stateMu.
+	shape liveShape
+}
+
+// liveShape is what Info reports of the state stateMu guards.
+type liveShape struct {
+	tuples, inliers, outliers int
+	// merges counts the delta merges of both Mutable indexes.
+	merges int64
+	kind   disc.IndexKind
+}
+
+// readState runs f holding the state lock for reading, and writeState
+// runs it holding the lock exclusively. They are the only code that locks
+// stateMu, and both unlock with defer, so a panic inside f (recovered by
+// the gate or the HTTP server) can never leave the session locked.
+func (s *Session) readState(f func()) {
+	s.stateMu.RLock()
+	defer s.stateMu.RUnlock()
+	f()
+}
+
+func (s *Session) writeState(f func()) {
+	s.stateMu.Lock()
+	defer s.stateMu.Unlock()
+	f()
+}
+
+// publishLocked copies the live shape into s.shape and moves the saver's
+// η-radius work into s.stats, both under mu. The caller holds stateMu or
+// owns s exclusively.
+func (s *Session) publishLocked() {
+	radii := s.Saver.TakeRadiusStats()
+	s.mu.Lock()
+	s.shape = liveShape{
+		tuples: s.relMut.Live(), inliers: s.inliers, outliers: s.outliers,
+		merges: s.relMut.Merges() + s.Saver.Mutable().Merges(),
+		kind:   s.relMut.Kind(),
+	}
+	s.stats.Add(&radii)
+	s.mu.Unlock()
 }
 
 // observeSave records one save's wall time and node count into the
@@ -216,16 +263,22 @@ func (s *Session) touch() {
 }
 
 // save runs Algorithm 1 for one tuple and records its span, histograms and
-// counters. It holds the state read-lock throughout, so the save sees one
-// consistent version of the mutable state.
+// counters. It holds the state read-lock while it searches, so the save
+// sees one consistent version of the mutable state, and takes the saver's
+// η-radius work under the same lock, before a compaction can swap the
+// saver.
 func (s *Session) save(ctx context.Context, t disc.Tuple) disc.Adjustment {
 	start := time.Now()
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	adj := s.Saver.SaveOne(ctx, t)
+	var adj disc.Adjustment
+	var st obs.SearchStats
+	s.readState(func() {
+		adj = s.Saver.SaveOne(ctx, t)
+		st = s.Saver.TakeRadiusStats()
+	})
 	obs.TraceFrom(ctx).Span("save", start)
 	s.observeSave(time.Since(start), adj.Stats.Nodes)
-	s.addStats(&adj.Stats, 1, 0)
+	st.Add(&adj.Stats)
+	s.addStats(&st, 1, 0)
 	return adj
 }
 
@@ -271,27 +324,26 @@ type SessionInfo struct {
 	Hists       obs.ServeHistsSnapshot `json:"hists"`
 }
 
-// Info snapshots the session.
+// Info snapshots the session. It reads only what is published under mu,
+// so it never waits behind a save or a mutation.
 func (s *Session) Info() SessionInfo {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return SessionInfo{
 		ID: s.ID, Name: s.Name,
-		Tuples: s.relMut.Live(), Attrs: s.Rel.Schema.M(),
+		Tuples: s.shape.tuples, Attrs: s.schema.M(),
 		Eps: s.Cons.Eps, Eta: s.Cons.Eta, Kappa: s.Kappa,
-		Inliers: s.inliers, Outliers: s.outliers,
+		Inliers: s.shape.inliers, Outliers: s.shape.outliers,
 		Bytes:       s.Bytes,
 		IndexBuilds: s.indexBuilds,
 		Saves:       s.saves, Detects: s.detects,
 		Batches:    s.gate.dispatches.Load(),
 		QueueDepth: s.gate.depth(),
 		Recovered:  s.Recovered,
-		Index:      s.relMut.Kind().String(),
+		Index:      s.shape.kind.String(),
 		Inserted:   s.mstats.inserted, Updated: s.mstats.updated, Deleted: s.mstats.deleted,
 		Redetect:    s.mstats.redetectTouched,
-		DeltaMerges: s.relMut.Merges() + s.Saver.Mutable().Merges(),
+		DeltaMerges: s.shape.merges,
 		Compactions: s.mstats.compactions,
 		CreatedAt:   s.Created, LastUsedAt: s.lastUsed,
 		Stats: s.stats, Timings: s.Timings,
@@ -381,7 +433,8 @@ func buildSession(ctx context.Context, id, name, source string, rel *disc.Relati
 		ID: id, Name: name,
 		Source: source, Params: p,
 		Cons: cons, Kappa: p.Kappa,
-		Bytes: estimateBytes(rel),
+		Bytes:  estimateBytes(rel),
+		schema: rel.Schema,
 	}
 	timings, setup, err := s.warmUp(ctx, rel, nil, kind, cfg.Logger)
 	if err != nil {
@@ -403,17 +456,16 @@ func buildSession(ctx context.Context, id, name, source string, rel *disc.Relati
 // warmUp builds everything a warm request reads over rel and installs it
 // on s: the detection index over the full relation, the detection split
 // (det, or a counting pass over that index when det is nil), and the
-// saver over the inliers with its own index, η-radius table and arena
-// pool. A fresh build, a snapshot rehydration and a compaction differ
-// only in where det comes from, so this is the one place a session
+// saver over the inliers with its own index, an empty η-radius table and
+// an arena pool. A fresh build, a snapshot rehydration and a compaction
+// differ only in where det comes from, so this is the one place a session
 // builds indexes, and the one place index_builds moves: by exactly two
 // per call. Warm requests must never move it. On error s is left as it
-// was.
+// was. On success it publishes the new shape.
 //
-// The returned timings fill the detection, index-build and η-radius
-// phases; setup is the index traffic of detection and of the η-radius
-// precompute. Callers decide whether a build reports them: a compaction
-// does not.
+// The returned timings fill the detection and index-build phases; setup
+// is the index traffic of detection. Callers decide whether a build
+// reports them: a compaction does not.
 func (s *Session) warmUp(ctx context.Context, rel *disc.Relation, det *disc.Detection, kind disc.IndexKind, logger *slog.Logger) (timings obs.PhaseTimings, setup obs.SearchStats, err error) {
 	t0 := time.Now()
 	relMut, err := disc.NewMutableIndex(rel, s.Cons.Eps, kind)
@@ -444,12 +496,12 @@ func (s *Session) warmUp(ctx context.Context, rel *disc.Relation, det *disc.Dete
 	if err != nil {
 		return timings, setup, fmt.Errorf("preparing saver: %w", err)
 	}
-	setup, _, timings.EtaRadius = saver.SetupStats()
-	setup.Add(&det.Stats)
+	setup = det.Stats
 	timings.Detect = det.Elapsed
 
 	s.Rel, s.Det, s.RelIdx, s.relMut, s.Saver = rel, det, relMut, relMut, saver
 	s.initMutableState()
+	s.publishLocked()
 	s.mu.Lock()
 	s.indexBuilds += 2
 	s.mu.Unlock()

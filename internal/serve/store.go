@@ -228,8 +228,8 @@ func buildParams(p snapshot.Params) BuildParams {
 // rehydrate reconstructs a warm session from a verified snapshot: the
 // detection split is re-derived from the persisted neighbor counts (no
 // counting pass), and only the in-memory structures — the full-relation
-// index and the saver's inlier index, η-radius table and arena pool — are
-// rebuilt. Timings.Detect stays zero: that, with Recovered, is how a warm
+// index and the saver's inlier index, empty η-radius table and arena pool
+// — are rebuilt. Timings.Detect stays zero: that, with Recovered, is how a warm
 // restart proves it skipped detection.
 func (r *Registry) rehydrate(ctx context.Context, snap *snapshot.Snapshot) (*Session, error) {
 	if err := fault.Inject(fault.IndexBuild); err != nil {
@@ -247,6 +247,7 @@ func (r *Registry) rehydrate(ctx context.Context, snap *snapshot.Snapshot) (*Ses
 		Cons:   disc.Constraints{Eps: snap.Eps, Eta: snap.Eta}, Kappa: p.Kappa,
 		Created: snap.CreatedAt, Bytes: estimateBytes(snap.Rel),
 		Recovered: true,
+		schema:    snap.Rel.Schema,
 	}
 	det := disc.RehydrateDetection(snap.Counts, snap.Eta)
 	timings, setup, err := s.warmUp(ctx, snap.Rel, det, kind, r.cfg.Logger)
