@@ -11,9 +11,10 @@ FUZZTIME ?= 10s
 # benchjson folds the repeats into a median with min/max and GOMAXPROCS, so
 # each snapshot carries its spread.
 BENCHKEY ?= after
+BENCHPKGS = . ./internal/data ./internal/neighbors ./internal/serve
 BENCHPAT = BenchmarkSaveSingle$$|BenchmarkSaveSingleSaved$$|BenchmarkNewSaver|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkVPTreeCountWithin$$|BenchmarkVPTreeKNN$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkDetectExactLattice|BenchmarkKernelDistNumeric$$|BenchmarkKernelDistTextHit$$|BenchmarkKernelDistTextMiss$$
 
-.PHONY: check build vet test race cover fuzz bench bench-diff bench-check serve-smoke mutate-smoke shard-smoke chaos drift profile perfbench
+.PHONY: check build vet test race cover fuzz bench bench-ab bench-diff bench-check serve-smoke mutate-smoke shard-smoke chaos drift profile perfbench
 
 check: build vet race cover bench-check serve-smoke mutate-smoke shard-smoke chaos drift fuzz perfbench
 
@@ -31,9 +32,44 @@ race:
 
 bench:
 	@test -n "$(BENCHOUT)" || { echo "usage: make bench BENCHOUT=BENCH_<pr>.json [BENCHKEY=before|after]" >&2; exit 2; }
-	$(GO) test -run '^$$' -bench '$(BENCHPAT)' -benchmem -count 5 . ./internal/data ./internal/neighbors ./internal/serve > .bench.out.tmp
+	$(GO) test -run '^$$' -bench '$(BENCHPAT)' -benchmem -count 5 $(BENCHPKGS) > .bench.out.tmp
 	$(GO) run ./cmd/benchjson -out $(BENCHOUT) -key $(BENCHKEY) < .bench.out.tmp
 	rm -f .bench.out.tmp
+
+# The same suite as an interleaved A/B pair: the revision BASE (unpacked
+# with git archive into a temp dir) against the working tree. Each side's
+# test binaries are built first with go test -c; then five rounds run
+# every binary once (-test.count 1) from its package directory, side by
+# side, alternating which side goes first, so drift on a shared machine
+# lands on both sides alike instead of on whichever snapshot was taken
+# second. The rounds fold through cmd/benchjson into $(BENCHOUT) under
+# "before" (BASE) and "after" (the working tree), for bench-diff, e.g.
+#   make bench-ab BASE=6366a2e BENCHOUT=BENCH_22.json
+#   make bench-diff OLD=BENCH_22.json:before NEW=BENCH_22.json:after
+bench-ab:
+	@test -n "$(BASE)" -a -n "$(BENCHOUT)" || { echo "usage: make bench-ab BASE=<rev> BENCHOUT=BENCH_<pr>.json" >&2; exit 2; }
+	@git rev-parse -q --verify '$(BASE)^{commit}' > /dev/null || { echo "bench-ab: $(BASE) is not a commit" >&2; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/before"; git archive $(BASE) | tar -x -C "$$tmp/before"; \
+	for pkg in $(BENCHPKGS); do \
+		bin=$$(echo "$$pkg" | tr -c 'a-z\n' _).test; \
+		$(GO) -C "$$tmp/before" test -c -o "$$tmp/before-$$bin" "$$pkg"; \
+		$(GO) test -c -o "$$tmp/after-$$bin" "$$pkg"; \
+	done; \
+	for round in 1 2 3 4 5; do \
+		order="before after"; [ $$((round % 2)) -eq 1 ] || order="after before"; \
+		for side in $$order; do \
+			root="$(CURDIR)"; [ $$side = after ] || root="$$tmp/before"; \
+			echo "bench-ab: round $$round, $$side" >&2; \
+			for pkg in $(BENCHPKGS); do \
+				bin=$$(echo "$$pkg" | tr -c 'a-z\n' _).test; \
+				(cd "$$root/$$pkg" && "$$tmp/$$side-$$bin" -test.run '^$$' -test.bench '$(BENCHPAT)' \
+					-test.benchmem -test.count 1) >> "$$tmp/$$side.out"; \
+			done; \
+		done; \
+	done; \
+	$(GO) run ./cmd/benchjson -out $(BENCHOUT) -key before < "$$tmp/before.out" > /dev/null; \
+	$(GO) run ./cmd/benchjson -out $(BENCHOUT) -key after < "$$tmp/after.out" > /dev/null
 
 # The per-layer regression gate: compare two snapshots, each FILE or
 # FILE:KEY (KEY defaults to after), matching entries by package, name and

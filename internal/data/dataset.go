@@ -54,10 +54,6 @@ func (d *Dataset) NaturalCount() int {
 	return c
 }
 
-// CloneRelation returns a deep copy of the dataset's relation so a cleaning
-// method can modify tuples without disturbing the ground truth.
-func (d *Dataset) CloneRelation() *Relation { return d.Rel.Clone() }
-
 // Validate checks internal consistency of the parallel slices.
 func (d *Dataset) Validate() error {
 	n := d.Rel.N()

@@ -540,10 +540,12 @@ type KernelQuery struct {
 	attrs []kqAttr  // text query state
 	gen   uint32
 
-	// Counters since the last Bind: text metric evaluations avoided
-	// (cache or memo hit, including the identical-ID fast path),
-	// performed, and pair scans aborted by the ε early exit. Harvest
-	// them before Release; hot loops update them without atomics.
+	// Counters since the last Bind: pair evaluations (DistTo and
+	// DistToLE calls), text metric evaluations avoided (cache or memo
+	// hit, including the identical-ID fast path), performed, and pair
+	// scans aborted by the ε early exit. Harvest them before Release;
+	// hot loops update them without atomics.
+	Evals           int64
 	TextCacheHits   int64
 	TextCacheMisses int64
 	EarlyExits      int64
@@ -587,7 +589,7 @@ func (k *Kernel) Bind(t Tuple) *KernelQuery {
 		}
 		q.gen = 1
 	}
-	q.TextCacheHits, q.TextCacheMisses, q.EarlyExits = 0, 0, 0
+	q.Evals, q.TextCacheHits, q.TextCacheMisses, q.EarlyExits = 0, 0, 0, 0
 	for a, ka := range k.attrs {
 		c := a
 		if k.cols != nil {
@@ -653,6 +655,7 @@ func (q *KernelQuery) AttrDist(a, j int) float64 {
 // DistTo returns the full-space distance between the query and row j,
 // bit-identical to Schema.Dist.
 func (q *KernelQuery) DistTo(j int) float64 {
+	q.Evals++
 	k := q.k
 	if row := k.rowOf(j); row != nil {
 		return k.rowDist(q.nums, row)
@@ -702,6 +705,7 @@ func (q *KernelQuery) DistToX(j int, x AttrMask) float64 {
 // exact when within is true and meaningless otherwise (the abort path
 // skips Finish — most pairs abort, so a sqrt there would dominate).
 func (q *KernelQuery) DistToLE(j int, bound float64) (d float64, within bool) {
+	q.Evals++
 	k := q.k
 	if row := k.rowOf(j); row != nil {
 		return k.rowDistLE(q.nums, row, bound, &q.EarlyExits)

@@ -314,6 +314,40 @@ func TestKernelQueryMemo(t *testing.T) {
 	q2.Release()
 }
 
+// TestKernelQueryEvals pins the query's pair-evaluation tally, the
+// currency of every index counter: one per DistTo or DistToLE call on
+// every path (all-numeric rows, text columns, the non-L2 DistToX route,
+// early exits), nothing for DistToX or AttrDist, and zero after Bind.
+func TestKernelQueryEvals(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, norm := range []metric.Norm{metric.L1, metric.L2, metric.LInf} {
+		mixed := kernelTestRelation(rng, norm, 30)
+		numeric := NewRelation(&Schema{Norm: norm, Attrs: mixed.Schema.Attrs[:3]})
+		for _, tp := range mixed.Tuples {
+			numeric.Append(tp[:3])
+		}
+		for _, r := range []*Relation{mixed, numeric} {
+			k := CompileKernel(r)
+			q := k.Bind(r.Tuples[0])
+			bound := LEBound(norm, 1)
+			for j := 0; j < r.N(); j++ {
+				q.DistTo(j)
+				q.DistToLE(j, bound)
+				q.DistToX(j, FullMask(r.Schema.M()))
+				q.AttrDist(0, j)
+			}
+			if want := int64(2 * r.N()); q.Evals != want {
+				t.Errorf("%v, m=%d: Evals = %d, want %d", norm, r.Schema.M(), q.Evals, want)
+			}
+			q.Release()
+			if q = k.Bind(r.Tuples[1]); q.Evals != 0 {
+				t.Errorf("%v, m=%d: Bind left Evals = %d", norm, r.Schema.M(), q.Evals)
+			}
+			q.Release()
+		}
+	}
+}
+
 // TestKernelBindAllocFree checks that steady-state Bind/Release cycles
 // and query evaluation do not allocate — the saver's alloc budget (0 on a
 // natural outlier, 1 on a saved one) depends on it.

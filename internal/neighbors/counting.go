@@ -49,135 +49,100 @@ func (c *Counters) AddTo(s *obs.SearchStats) {
 	s.TextCacheMisses += c.TextCacheMisses
 }
 
-// kernHooks are the per-view destinations for a query's kernel counters;
-// flush harvests a bound query's tallies and releases it to the pool.
-// The zero value discards the counts.
-type kernHooks struct {
-	earlyExits, cacheHits, cacheMisses *int64
-}
-
-func (h kernHooks) flush(q *data.KernelQuery) {
-	if h.earlyExits != nil {
-		*h.earlyExits += q.EarlyExits
+// release folds a bound query's tallies into c — the calling view's
+// counters, nil for a direct call — and returns the query to its pool.
+func release(kq *data.KernelQuery, c *Counters) {
+	if c != nil {
+		c.DistEvals += kq.Evals
+		c.DistEarlyExits += kq.EarlyExits
+		c.TextCacheHits += kq.TextCacheHits
+		c.TextCacheMisses += kq.TextCacheMisses
 	}
-	if h.cacheHits != nil {
-		*h.cacheHits += q.TextCacheHits
-	}
-	if h.cacheMisses != nil {
-		*h.cacheMisses += q.TextCacheMisses
-	}
-	q.Release()
-}
-
-// hooksFor builds the kernel hook set pointing into c.
-func hooksFor(c *Counters) kernHooks {
-	return kernHooks{
-		earlyExits:  &c.DistEarlyExits,
-		cacheHits:   &c.TextCacheHits,
-		cacheMisses: &c.TextCacheMisses,
-	}
+	kq.Release()
 }
 
 // Reset zeroes the counters.
 func (c *Counters) Reset() { *c = Counters{} }
 
 // Counting returns an index view that adds every query against it to c.
-// For the three concrete index types the view is a shallow copy sharing the
-// built structure (tree nodes, grid cells, tuple storage) with hooks
-// attached, so DistEvals counts the distance evaluations performed inside
-// the traversal — not just the query calls. Unknown Index implementations
-// are wrapped at the interface boundary and count queries only. Build-time
-// distance evaluations are never counted: the view is created after the
-// index is built.
+// The view is idx plus c, never a copy of idx: Brute, Grid, VPTree and
+// Mutable answer it through the same query bodies as a direct call, with
+// c passed down, and each body folds its bound kernel query's tallies
+// (pair evaluations, early exits, text cache hits and misses) and the
+// grid's brute fallbacks into c. So DistEvals counts the distance
+// evaluations performed inside the traversal, not just the query calls,
+// and a view made before a mutation reads the live index. Other Index
+// implementations count queries only. Build-time distance evaluations are
+// never counted: they run outside any query.
 //
 // Like Counters itself the view is not synchronized: create one view (and
 // one Counters) per goroutine against the same shared base index.
 func Counting(idx Index, c *Counters) Index {
 	switch t := idx.(type) {
-	case *Brute, *Grid, *VPTree:
-		return &counting{idx: instrumented(t, c), c: c}
-	case *Mutable:
-		// The view re-instruments its base copy whenever the Mutable's
-		// generation moves, so it stays exact across mutations and merges.
-		return &counting{idx: &mutView{m: t, c: c}, c: c}
-	case *mutView:
-		return Counting(t.m, c) // replace the previous counters
 	case *counting:
-		return Counting(t.idx, c) // replace the previous counters
-	default:
-		return &counting{idx: idx, c: c}
+		return &counting{idx: t.idx, c: c} // replace the previous counters
+	case counted:
+		return &counting{idx: t, c: c}
 	}
+	return &counting{idx: uncounted{idx}, c: c}
 }
 
-// instrumented returns a shallow copy of a concrete index with its eval
-// hooks pointed into c; the copy shares the built structure (tree nodes,
-// grid cells, tombstone table) with the original. Unknown types are
-// returned as-is.
-func instrumented(idx Index, c *Counters) Index {
-	switch t := idx.(type) {
-	case *Brute:
-		cp := *t
-		cp.evals = &c.DistEvals
-		cp.ks = hooksFor(c)
-		return &cp
-	case *Grid:
-		cp := *t
-		cp.evals = &c.DistEvals
-		cp.fallbacks = &c.GridFallbacks
-		cp.ks = hooksFor(c)
-		bcp := *t.brute
-		bcp.evals = &c.DistEvals
-		bcp.ks = hooksFor(c)
-		cp.brute = &bcp
-		return &cp
-	case *VPTree:
-		cp := *t
-		cp.evals = &c.DistEvals
-		cp.ks = hooksFor(c)
-		return &cp
-	}
-	return idx
+// counted is implemented by the indexes that count their own work: one
+// body per query kind, taking the calling view's counters (nil for a
+// direct call). The public query methods call these bodies with nil.
+type counted interface {
+	Index
+	within(dst []Neighbor, q data.Tuple, eps float64, skip int, c *Counters) []Neighbor
+	countWithin(q data.Tuple, eps float64, skip, cap int, c *Counters) int
+	knn(q data.Tuple, k, skip int, c *Counters) []Neighbor
 }
 
-// counting counts queries at the interface boundary; the inner index's
-// eval hooks (when attached by Counting) supply the distance counts.
+// uncounted adapts a foreign Index to counted; its work is invisible, so
+// a view over it counts queries only.
+type uncounted struct{ Index }
+
+func (u uncounted) within(dst []Neighbor, q data.Tuple, eps float64, skip int, _ *Counters) []Neighbor {
+	return withinAppend(u.Index, dst, q, eps, skip)
+}
+
+func (u uncounted) countWithin(q data.Tuple, eps float64, skip, cap int, _ *Counters) int {
+	return u.CountWithin(q, eps, skip, cap)
+}
+
+func (u uncounted) knn(q data.Tuple, k, skip int, _ *Counters) []Neighbor {
+	return u.KNN(q, k, skip)
+}
+
+// counting counts queries at the interface boundary and passes c down to
+// the index's query bodies for everything inside them.
 type counting struct {
-	idx Index
+	idx counted
 	c   *Counters
 }
 
 // Within implements Index.
 func (w *counting) Within(q data.Tuple, eps float64, skip int) []Neighbor {
 	w.c.RangeQueries++
-	return w.idx.Within(q, eps, skip)
+	return w.idx.within(nil, q, eps, skip, w.c)
 }
 
 // WithinAppend implements WithinAppender.
 func (w *counting) WithinAppend(dst []Neighbor, q data.Tuple, eps float64, skip int) []Neighbor {
 	w.c.RangeQueries++
-	return withinAppend(w.idx, dst, q, eps, skip)
+	return w.idx.within(dst, q, eps, skip, w.c)
 }
 
 // CountWithin implements Index.
 func (w *counting) CountWithin(q data.Tuple, eps float64, skip, cap int) int {
 	w.c.RangeQueries++
-	return w.idx.CountWithin(q, eps, skip, cap)
+	return w.idx.countWithin(q, eps, skip, cap, w.c)
 }
 
 // KNN implements Index.
 func (w *counting) KNN(q data.Tuple, k, skip int) []Neighbor {
 	w.c.KNNQueries++
-	return w.idx.KNN(q, k, skip)
+	return w.idx.knn(q, k, skip, w.c)
 }
 
 // Rel implements Index.
 func (w *counting) Rel() *data.Relation { return w.idx.Rel() }
-
-// count bumps an optional eval counter; the nil check is one predictable
-// branch next to a multi-attribute distance computation, so uninstrumented
-// indexes pay nothing measurable.
-func count(evals *int64) {
-	if evals != nil {
-		*evals++
-	}
-}

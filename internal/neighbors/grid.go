@@ -44,11 +44,6 @@ type Grid struct {
 	// wrapper (also wired into brute); tombstoned rows stay in their
 	// cells until the next merge and are skipped mid-scan.
 	dead *deadSet
-	// evals and fallbacks, when non-nil, count distance evaluations and
-	// brute-scan degradations (see Counting).
-	evals     *int64
-	fallbacks *int64
-	ks        kernHooks
 }
 
 // gridStackDims bounds the dimensionality for which a query walks the cells
@@ -387,61 +382,80 @@ func (g *Grid) cellAt(c []int, kb []byte) []int {
 
 // Within implements Index.
 func (g *Grid) Within(q data.Tuple, eps float64, skip int) []Neighbor {
-	return g.WithinAppend(nil, q, eps, skip)
+	return g.within(nil, q, eps, skip, nil)
 }
 
 // WithinAppend implements WithinAppender.
 func (g *Grid) WithinAppend(dst []Neighbor, q data.Tuple, eps float64, skip int) []Neighbor {
+	return g.within(dst, q, eps, skip, nil)
+}
+
+// CountWithin implements Index.
+func (g *Grid) CountWithin(q data.Tuple, eps float64, skip, cap int) int {
+	return g.countWithin(q, eps, skip, cap, nil)
+}
+
+// KNN implements Index.
+func (g *Grid) KNN(q data.Tuple, k, skip int) []Neighbor { return g.knn(q, k, skip, nil) }
+
+// fallback counts one query degraded to the brute scan.
+func fallback(c *Counters) {
+	if c != nil {
+		c.GridFallbacks++
+	}
+}
+
+// within is the range walk (see counted for c).
+func (g *Grid) within(dst []Neighbor, q data.Tuple, eps float64, skip int, c *Counters) []Neighbor {
 	kq := g.kern.Bind(q)
-	defer g.ks.flush(kq)
+	defer release(kq, c)
 	bound := g.kern.LEBound(eps)
 	if !g.walk(q, eps, false, func(idx []int, _ float64) bool {
 		for _, i := range idx {
 			if i == skip || g.dead.has(i) {
 				continue
 			}
-			count(g.evals)
 			if d, within := kq.DistToLE(i, bound); within {
 				dst = append(dst, Neighbor{Idx: i, Dist: d})
 			}
 		}
 		return true
 	}) {
-		count(g.fallbacks)
-		return g.brute.WithinAppend(dst, q, eps, skip)
+		fallback(c)
+		return g.brute.within(dst, q, eps, skip, c)
 	}
 	return dst
 }
 
-// CountWithin implements Index. A capped count walks nearest cell first,
-// so a dense neighborhood reaches its cap after about cap evaluations.
-func (g *Grid) CountWithin(q data.Tuple, eps float64, skip, cap int) int {
+// countWithin is the capped counting walk. A capped count walks nearest
+// cell first, so a dense neighborhood reaches its cap after about cap
+// evaluations.
+func (g *Grid) countWithin(q data.Tuple, eps float64, skip, cap int, c *Counters) int {
 	kq := g.kern.Bind(q)
-	defer g.ks.flush(kq)
+	defer release(kq, c)
 	bound := g.kern.LEBound(eps)
-	c := 0
+	n := 0
 	if !g.walk(q, eps, cap > 0, func(idx []int, _ float64) bool {
 		for _, i := range idx {
 			if i == skip || g.dead.has(i) {
 				continue
 			}
-			count(g.evals)
 			if _, within := kq.DistToLE(i, bound); within {
-				c++
-				if cap > 0 && c >= cap {
+				n++
+				if cap > 0 && n >= cap {
 					return false
 				}
 			}
 		}
 		return true
 	}) {
-		count(g.fallbacks)
-		return g.brute.CountWithin(q, eps, skip, cap)
+		fallback(c)
+		return g.brute.countWithin(q, eps, skip, cap, c)
 	}
-	return c
+	return n
 }
 
-// KNN implements Index as a best-first walk. Each round walks the cells
+// knn is the k-NN search, a best-first walk. Each round walks the cells
 // within a radius (starting at one cell, doubling) nearest box first and
 // skips every cell whose bound exceeds the current k-th distance, which
 // shrinks as neighbors are found; cells an earlier round covered are not
@@ -449,7 +463,7 @@ func (g *Grid) CountWithin(q data.Tuple, eps float64, skip, cap int) int {
 // distance fits inside the round's radius: every tuple that could enter or
 // tie it lies in a cell already walked. A round whose cells span a box
 // larger than the relation degrades to the pre-built Brute scan.
-func (g *Grid) KNN(q data.Tuple, k, skip int) []Neighbor {
+func (g *Grid) knn(q data.Tuple, k, skip int, c *Counters) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
@@ -464,7 +478,7 @@ func (g *Grid) KNN(q data.Tuple, k, skip int) []Neighbor {
 		return nil
 	}
 	kq := g.kern.Bind(q)
-	defer g.ks.flush(kq)
+	defer release(kq, c)
 	h := maxHeap{k: k, ns: make([]Neighbor, 0, k)}
 	bound, leb := math.Inf(1), math.Inf(1)
 	walked := -1.0 // cells with lb ≤ walked were covered by an earlier round
@@ -477,7 +491,6 @@ func (g *Grid) KNN(q data.Tuple, k, skip int) []Neighbor {
 				if i == skip || g.dead.has(i) {
 					continue
 				}
-				count(g.evals)
 				d, within := kq.DistToLE(i, leb)
 				if !within {
 					continue
@@ -490,8 +503,8 @@ func (g *Grid) KNN(q data.Tuple, k, skip int) []Neighbor {
 			}
 			return true
 		}) {
-			count(g.fallbacks)
-			return g.brute.KNN(q, k, skip)
+			fallback(c)
+			return g.brute.knn(q, k, skip, c)
 		}
 		if _, full := h.bound(); full && bound <= radius {
 			return h.sorted()

@@ -13,8 +13,7 @@ import (
 // move rows — they tombstone the old physical row, and every index scan
 // skips tombstoned rows next to its skip-index check, so count caps and
 // early exits stay exact. The table is shared by pointer between the
-// Mutable wrapper, its concrete base index, and every counting view, so
-// a view built before a mutation still observes post-mutation state.
+// Mutable wrapper, its concrete base index, and its projections.
 type deadSet struct {
 	bits []bool
 	n    int // count of set bits
@@ -85,10 +84,9 @@ func (k IndexKind) String() string {
 // deterministic (distance, index) k-NN tie-break over physical indices.
 //
 // Concurrency contract: any number of concurrent readers, or one
-// mutator — the serving layer holds a per-session RWMutex. The counting
-// views returned by Counting re-instrument themselves whenever the
-// generation counter moves, so long-lived views (the saver's cached
-// view) stay correct across mutations and merges.
+// mutator — the serving layer holds a per-session RWMutex. A counting
+// view is the Mutable plus the view's counters, so long-lived views (the
+// saver's cached view) read the live index across mutations and merges.
 type Mutable struct {
 	r    *data.Relation
 	kern *data.Kernel
@@ -96,12 +94,11 @@ type Mutable struct {
 	kind IndexKind // resolved concrete kind (never KindAuto)
 
 	ds    *deadSet // shared with every projection
-	base  Index    // one of the three concrete, dead-aware indexes
+	base  counted  // one of the three concrete, dead-aware indexes
 	grid  *Grid    // base as grid, for native cell inserts (nil otherwise)
 	delta []int    // physical rows in neither base structure nor grid cells
 
-	baseRows   int    // physical rows covered at the last (re)build
-	gen        uint64 // bumped by every mutation; views re-sync on change
+	baseRows   int // physical rows covered at the last (re)build
 	merges     int64
 	mergeEvery int // explicit delta threshold; 0 = max(32, baseRows/8)
 
@@ -190,7 +187,6 @@ func (m *Mutable) Insert(t data.Tuple) int {
 // absorb makes physical row i, already appended to the relation and the
 // kernel, visible to m's queries.
 func (m *Mutable) absorb(i int) {
-	m.gen++
 	if m.grid != nil && m.grid.insert(i) {
 		m.baseRows = i + 1
 		return
@@ -213,7 +209,6 @@ func (m *Mutable) Delete(i int) {
 	}
 	m.ds.bits[i] = true
 	m.ds.n++
-	m.gen++
 }
 
 // Merge folds the delta buffer into a freshly built base over all
@@ -227,7 +222,6 @@ func (m *Mutable) Merge() {
 	m.rebuildBase()
 	m.delta = m.delta[:0]
 	m.merges++
-	m.gen++
 }
 
 func (m *Mutable) mergeThreshold() int {
@@ -275,30 +269,26 @@ func (m *Mutable) Kernel() *data.Kernel { return m.kern }
 
 // Within implements Index.
 func (m *Mutable) Within(q data.Tuple, eps float64, skip int) []Neighbor {
-	return m.withinApp(m.base, nil, kernHooks{}, nil, q, eps, skip)
+	return m.within(nil, q, eps, skip, nil)
 }
 
 // WithinAppend implements WithinAppender.
 func (m *Mutable) WithinAppend(dst []Neighbor, q data.Tuple, eps float64, skip int) []Neighbor {
-	return m.withinApp(m.base, nil, kernHooks{}, dst, q, eps, skip)
+	return m.within(dst, q, eps, skip, nil)
 }
 
 // CountWithin implements Index.
 func (m *Mutable) CountWithin(q data.Tuple, eps float64, skip, cap int) int {
-	return m.countW(m.base, nil, kernHooks{}, q, eps, skip, cap)
+	return m.countWithin(q, eps, skip, cap, nil)
 }
 
 // KNN implements Index.
-func (m *Mutable) KNN(q data.Tuple, k, skip int) []Neighbor {
-	return m.knn(m.base, nil, kernHooks{}, q, k, skip)
-}
+func (m *Mutable) KNN(q data.Tuple, k, skip int) []Neighbor { return m.knn(q, k, skip, nil) }
 
-// withinApp is the shared range-query implementation: the base answers
+// within is the range query (see counted for c): the base answers
 // first, then the delta buffer is scanned with the same ε early exit.
-// base is either m.base or a counting view's instrumented copy of it;
-// evals/ks route the delta scan's work into that view's counters.
-func (m *Mutable) withinApp(base Index, evals *int64, ks kernHooks, dst []Neighbor, q data.Tuple, eps float64, skip int) []Neighbor {
-	dst = withinAppend(base, dst, q, eps, skip)
+func (m *Mutable) within(dst []Neighbor, q data.Tuple, eps float64, skip int, c *Counters) []Neighbor {
+	dst = m.base.within(dst, q, eps, skip, c)
 	if len(m.delta) == 0 {
 		return dst
 	}
@@ -308,21 +298,20 @@ func (m *Mutable) withinApp(base Index, evals *int64, ks kernHooks, dst []Neighb
 		if i == skip || m.ds.bits[i] {
 			continue
 		}
-		count(evals)
 		if d, within := kq.DistToLE(i, bound); within {
 			dst = append(dst, Neighbor{Idx: i, Dist: d})
 		}
 	}
-	ks.flush(kq)
+	release(kq, c)
 	return dst
 }
 
-// countW is the shared counting implementation; the cap early-exit
-// carries across the base/delta boundary.
-func (m *Mutable) countW(base Index, evals *int64, ks kernHooks, q data.Tuple, eps float64, skip, cap int) int {
-	c := base.CountWithin(q, eps, skip, cap)
-	if len(m.delta) == 0 || (cap > 0 && c >= cap) {
-		return c
+// countWithin is the capped count; the cap early-exit carries across the
+// base/delta boundary.
+func (m *Mutable) countWithin(q data.Tuple, eps float64, skip, cap int, c *Counters) int {
+	n := m.base.countWithin(q, eps, skip, cap, c)
+	if len(m.delta) == 0 || (cap > 0 && n >= cap) {
+		return n
 	}
 	kq := m.kern.Bind(q)
 	bound := m.kern.LEBound(eps)
@@ -330,25 +319,24 @@ func (m *Mutable) countW(base Index, evals *int64, ks kernHooks, q data.Tuple, e
 		if i == skip || m.ds.bits[i] {
 			continue
 		}
-		count(evals)
 		if _, within := kq.DistToLE(i, bound); within {
-			c++
-			if cap > 0 && c >= cap {
+			n++
+			if cap > 0 && n >= cap {
 				break
 			}
 		}
 	}
-	ks.flush(kq)
-	return c
+	release(kq, c)
+	return n
 }
 
-// knn is the shared k-NN implementation. The base returns its k best
-// live rows; merging them with the delta candidates under the same
-// (distance, index) total order yields the global k best, because any
-// base row outside the base's top k is worse than k rows already in the
-// heap. The heap's bound doubles as the delta scan's early-exit radius.
-func (m *Mutable) knn(base Index, evals *int64, ks kernHooks, q data.Tuple, k, skip int) []Neighbor {
-	res := base.KNN(q, k, skip)
+// knn is the k-NN query. The base returns its k best live rows; merging
+// them with the delta candidates under the same (distance, index) total
+// order yields the global k best, because any base row outside the
+// base's top k is worse than k rows already in the heap. The heap's
+// bound doubles as the delta scan's early-exit radius.
+func (m *Mutable) knn(q data.Tuple, k, skip int, c *Counters) []Neighbor {
+	res := m.base.knn(q, k, skip, c)
 	if len(m.delta) == 0 || k <= 0 {
 		return res
 	}
@@ -366,7 +354,6 @@ func (m *Mutable) knn(base Index, evals *int64, ks kernHooks, q data.Tuple, k, s
 		if i == skip || m.ds.bits[i] {
 			continue
 		}
-		count(evals)
 		d, within := kq.DistToLE(i, leb)
 		if !within {
 			continue
@@ -377,53 +364,6 @@ func (m *Mutable) knn(base Index, evals *int64, ks kernHooks, q data.Tuple, k, s
 			leb = m.kern.LEBound(bd)
 		}
 	}
-	ks.flush(kq)
+	release(kq, c)
 	return h.sorted()
-}
-
-// mutView is the counting view over a Mutable: it keeps an instrumented
-// shallow copy of the concrete base, rebuilt lazily whenever the
-// Mutable's generation moves (any mutation or merge), and routes the
-// delta scan's distance evaluations into the same Counters. This keeps
-// long-lived views — the saver caches one per arena — exact across
-// mutations without re-wrapping.
-type mutView struct {
-	m    *Mutable
-	c    *Counters
-	gen  uint64
-	base Index
-}
-
-func (v *mutView) sync() Index {
-	if v.base == nil || v.gen != v.m.gen {
-		v.base = instrumented(v.m.base, v.c)
-		v.gen = v.m.gen
-	}
-	return v.base
-}
-
-// Rel implements Index.
-func (v *mutView) Rel() *data.Relation { return v.m.r }
-
-// Kernel implements Kerneled.
-func (v *mutView) Kernel() *data.Kernel { return v.m.kern }
-
-// Within implements Index.
-func (v *mutView) Within(q data.Tuple, eps float64, skip int) []Neighbor {
-	return v.m.withinApp(v.sync(), &v.c.DistEvals, hooksFor(v.c), nil, q, eps, skip)
-}
-
-// WithinAppend implements WithinAppender.
-func (v *mutView) WithinAppend(dst []Neighbor, q data.Tuple, eps float64, skip int) []Neighbor {
-	return v.m.withinApp(v.sync(), &v.c.DistEvals, hooksFor(v.c), dst, q, eps, skip)
-}
-
-// CountWithin implements Index.
-func (v *mutView) CountWithin(q data.Tuple, eps float64, skip, cap int) int {
-	return v.m.countW(v.sync(), &v.c.DistEvals, hooksFor(v.c), q, eps, skip, cap)
-}
-
-// KNN implements Index.
-func (v *mutView) KNN(q data.Tuple, k, skip int) []Neighbor {
-	return v.m.knn(v.sync(), &v.c.DistEvals, hooksFor(v.c), q, k, skip)
 }

@@ -251,39 +251,94 @@ func TestMutableGridNativeInsert(t *testing.T) {
 	checkMutableAgainstRebuild(t, m, rng, 20)
 }
 
-// TestMutableCountingView checks that a Counting view created before
-// mutations re-syncs afterwards: results stay exact and DistEvals keeps
-// advancing (the serving layer's warm-save accounting depends on it).
+// TestMutableCountingView pins a counting view made before mutations.
+// After 40 inserts (enough to merge the delta; the first lies outside the
+// grid's packed key range, so the grid merges too) and a delete, the view
+// answers like the index and adds exactly what a freshly made view adds,
+// in all seven Counters fields, for every query kind, on every index kind
+// and on a projection. Brute and VP relations carry a text attribute, so
+// the text cache counters move too; the wide range query sends the
+// projection's grid to its brute fallback.
 func TestMutableCountingView(t *testing.T) {
-	r := randomRelation(100, 2, 13)
-	m, err := NewMutable(r, 1.0, KindVP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c Counters
-	view := Counting(m, &c)
-	rng := rand.New(rand.NewSource(5))
-	q := randomTuple(rng, 2, 10)
-	view.Within(q, 1.5, -1)
-	if c.DistEvals == 0 || c.RangeQueries != 1 {
-		t.Fatalf("pre-mutation counters: %+v", c)
-	}
-	prev := c.DistEvals
-	for i := 0; i < 40; i++ {
-		m.Insert(randomTuple(rng, 2, 10))
-	}
-	m.Delete(0)
-	ref, phys := liveReference(m)
-	want := ref.Within(q, 1.5, -1)
-	for i := range want {
-		want[i].Idx = phys[want[i].Idx]
-	}
-	sameNeighborSet(t, "view.Within", view.Within(q, 1.5, -1), want)
-	if c.DistEvals <= prev {
-		t.Fatalf("DistEvals did not advance: %d -> %d", prev, c.DistEvals)
-	}
-	if KernelOf(view) != m.Kernel() {
-		t.Fatal("KernelOf(view) should reach the Mutable's kernel")
+	words := []string{"cat", "cart", "car", "dog", "dot", "cot"}
+	for _, kind := range mutableKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			sch := data.NewNumericSchema("a", "b", "c")
+			if kind != KindGrid {
+				sch.Attrs[2] = data.Attribute{Name: "c", Kind: data.Text, Scale: 2}
+			}
+			tuple := func(scale float64) data.Tuple {
+				tp := randomTuple(rng, 3, scale)
+				if kind != KindGrid {
+					tp[2] = data.Str(words[rng.Intn(len(words))])
+				}
+				return tp
+			}
+			r := data.NewRelation(sch)
+			for i := 0; i < 100; i++ {
+				r.Append(tuple(10))
+			}
+			m, err := NewMutable(r, 1.0, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := m.Project([]int{0, 1})
+			var c, pc Counters
+			view, pview := Counting(m, &c), Counting(p, &pc)
+			qs, skips := []data.Tuple{tuple(10), tuple(10), tuple(10), r.Tuples[5]}, []int{-1, -1, -1, 5}
+			view.Within(qs[0], 1.5, -1)
+			pview.Within(qs[0], 1.5, -1)
+			m.Insert(tuple(100))
+			for i := 1; i < 40; i++ {
+				m.Insert(tuple(10))
+			}
+			m.Delete(0)
+			if m.Merges() == 0 || p.Merges() == 0 {
+				t.Fatalf("40 inserts merged %d and %d times, want both > 0", m.Merges(), p.Merges())
+			}
+
+			run := func(idx Index) {
+				for i, q := range qs {
+					skip := skips[i]
+					idx.Within(q, 1.5, skip)
+					idx.(WithinAppender).WithinAppend(nil, q, 1.5, skip)
+					idx.CountWithin(q, 1.5, skip, 0)
+					idx.CountWithin(q, 1.5, skip, 3)
+					idx.KNN(q, 5, skip)
+					idx.Within(q, 40, skip)
+				}
+			}
+			for _, v := range []struct {
+				name string
+				idx  *Mutable
+				view Index
+				c    *Counters
+			}{{"full", m, view, &c}, {"projection", p, pview, &pc}} {
+				sameNeighborSet(t, v.name+" view.Within", v.view.Within(qs[0], 1.5, -1), v.idx.Within(qs[0], 1.5, -1))
+
+				run(v.idx) // warm the shared text pair cache, so both views see the same hits
+				v.c.Reset()
+				run(v.view)
+				var fresh Counters
+				run(Counting(v.idx, &fresh))
+				if *v.c != fresh {
+					t.Errorf("%s: a view made before the mutations added %+v, a fresh view %+v", v.name, *v.c, fresh)
+				}
+				if n := int64(len(qs)); v.c.RangeQueries != 5*n || v.c.KNNQueries != n || v.c.DistEvals == 0 || v.c.DistEarlyExits == 0 {
+					t.Errorf("%s: counters %+v miss query kinds or evaluations", v.name, *v.c)
+				}
+			}
+			if kind != KindGrid && c.TextCacheHits == 0 {
+				t.Errorf("text relation counted no cache hits: %+v", c)
+			}
+			if pc.GridFallbacks == 0 {
+				t.Errorf("wide queries on the projection's grid counted no fallback: %+v", pc)
+			}
+			if KernelOf(view) != m.Kernel() {
+				t.Fatal("KernelOf(view) should reach the Mutable's kernel")
+			}
+		})
 	}
 }
 

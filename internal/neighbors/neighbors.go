@@ -66,8 +66,8 @@ func WithinBuf(idx Index, dst []Neighbor, q data.Tuple, eps float64, skip int) [
 }
 
 // withinAppend appends idx's ε-neighbors to dst, using the index's own
-// WithinAppend when available (the counting view forwards through here
-// so buffers survive the wrapping).
+// WithinAppend when available (a counting view over a foreign index
+// forwards through here, so buffers survive the wrapping).
 func withinAppend(idx Index, dst []Neighbor, q data.Tuple, eps float64, skip int) []Neighbor {
 	if wa, ok := idx.(WithinAppender); ok {
 		return wa.WithinAppend(dst, q, eps, skip)
@@ -92,6 +92,8 @@ func KernelOf(idx Index) *data.Kernel {
 			return t.Kernel()
 		case *counting:
 			idx = t.idx
+		case uncounted:
+			idx = t.Index
 		default:
 			return nil
 		}
@@ -137,7 +139,7 @@ func autoKind(kern *data.Kernel, eps float64) IndexKind {
 // build constructs the concrete index of kind (never KindAuto) over r,
 // sharing the compiled kernel kern and wiring in dead, the tombstone table
 // of a Mutable wrapper (nil outside one).
-func build(r *data.Relation, kern *data.Kernel, eps float64, kind IndexKind, dead *deadSet) Index {
+func build(r *data.Relation, kern *data.Kernel, eps float64, kind IndexKind, dead *deadSet) counted {
 	switch kind {
 	case KindGrid:
 		g := newGridKernel(r, kern, eps)
@@ -169,10 +171,6 @@ type Brute struct {
 	// wrapper; tombstoned rows are skipped mid-scan so counts, ranges
 	// and k-NN results never see deleted tuples.
 	dead *deadSet
-	// evals, when non-nil, counts distance evaluations (see Counting):
-	// one per pair considered, whether or not the pair early-exited.
-	evals *int64
-	ks    kernHooks
 }
 
 // NewBrute indexes r, compiling a distance kernel over it.
@@ -193,19 +191,31 @@ func (b *Brute) Kernel() *data.Kernel { return b.kern }
 
 // Within implements Index.
 func (b *Brute) Within(q data.Tuple, eps float64, skip int) []Neighbor {
-	return b.WithinAppend(nil, q, eps, skip)
+	return b.within(nil, q, eps, skip, nil)
 }
 
 // WithinAppend implements WithinAppender.
 func (b *Brute) WithinAppend(dst []Neighbor, q data.Tuple, eps float64, skip int) []Neighbor {
+	return b.within(dst, q, eps, skip, nil)
+}
+
+// CountWithin implements Index.
+func (b *Brute) CountWithin(q data.Tuple, eps float64, skip, cap int) int {
+	return b.countWithin(q, eps, skip, cap, nil)
+}
+
+// KNN implements Index.
+func (b *Brute) KNN(q data.Tuple, k, skip int) []Neighbor { return b.knn(q, k, skip, nil) }
+
+// within is the range scan (see counted for c).
+func (b *Brute) within(dst []Neighbor, q data.Tuple, eps float64, skip int, c *Counters) []Neighbor {
 	kq := b.kern.Bind(q)
-	defer b.ks.flush(kq)
+	defer release(kq, c)
 	bound := b.kern.LEBound(eps)
 	for i := 0; i < b.n; i++ {
 		if i == skip || b.dead.has(i) {
 			continue
 		}
-		count(b.evals)
 		if d, within := kq.DistToLE(i, bound); within {
 			dst = append(dst, Neighbor{Idx: i, Dist: d})
 		}
@@ -213,45 +223,43 @@ func (b *Brute) WithinAppend(dst []Neighbor, q data.Tuple, eps float64, skip int
 	return dst
 }
 
-// CountWithin implements Index.
-func (b *Brute) CountWithin(q data.Tuple, eps float64, skip, cap int) int {
+// countWithin is the capped counting scan.
+func (b *Brute) countWithin(q data.Tuple, eps float64, skip, cap int, c *Counters) int {
 	kq := b.kern.Bind(q)
-	defer b.ks.flush(kq)
+	defer release(kq, c)
 	bound := b.kern.LEBound(eps)
-	c := 0
+	n := 0
 	for i := 0; i < b.n; i++ {
 		if i == skip || b.dead.has(i) {
 			continue
 		}
-		count(b.evals)
 		if _, within := kq.DistToLE(i, bound); within {
-			c++
-			if cap > 0 && c >= cap {
-				return c
+			n++
+			if cap > 0 && n >= cap {
+				return n
 			}
 		}
 	}
-	return c
+	return n
 }
 
-// KNN implements Index. Once the heap is full, its (distance, index)
+// knn is the k-NN scan. Once the heap is full, its (distance, index)
 // bound doubles as an early-exit radius: a pair whose partial aggregate
 // exceeds the current k-th distance cannot enter the heap, so the scan
 // abandons it. The inclusive DistToLE test keeps exact ties, which the
 // heap then resolves by the index tie-break.
-func (b *Brute) KNN(q data.Tuple, k, skip int) []Neighbor {
+func (b *Brute) knn(q data.Tuple, k, skip int, c *Counters) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
 	kq := b.kern.Bind(q)
-	defer b.ks.flush(kq)
+	defer release(kq, c)
 	h := newMaxHeap(k)
 	bound, leb := math.Inf(1), math.Inf(1)
 	for i := 0; i < b.n; i++ {
 		if i == skip || b.dead.has(i) {
 			continue
 		}
-		count(b.evals)
 		d, within := kq.DistToLE(i, leb)
 		if !within {
 			continue

@@ -30,10 +30,6 @@ type VPTree struct {
 	// pruning bounds — its distance is always computed — but it is never
 	// reported as a result.
 	dead *deadSet
-	// evals, when non-nil, counts query-time distance evaluations (see
-	// Counting); build-time distances are not counted.
-	evals *int64
-	ks    kernHooks
 }
 
 // vpNode is one vantage point. The median distance that splits its
@@ -134,37 +130,49 @@ func (t *VPTree) build(idx []int, rng *rand.Rand) int {
 
 // Within implements Index.
 func (t *VPTree) Within(q data.Tuple, eps float64, skip int) []Neighbor {
-	return t.WithinAppend(nil, q, eps, skip)
+	return t.within(nil, q, eps, skip, nil)
 }
 
 // WithinAppend implements WithinAppender. The traversal is closure-free —
 // the result buffer threads through the recursion — so a caller-reused dst
 // keeps the whole query allocation-free.
 func (t *VPTree) WithinAppend(dst []Neighbor, q data.Tuple, eps float64, skip int) []Neighbor {
-	if t.root < 0 {
-		return dst
-	}
-	kq := t.kern.Bind(q)
-	defer t.ks.flush(kq)
-	return t.rangeAppend(t.root, kq, eps, skip, dst)
+	return t.within(dst, q, eps, skip, nil)
 }
 
 // CountWithin implements Index.
 func (t *VPTree) CountWithin(q data.Tuple, eps float64, skip, cap int) int {
+	return t.countWithin(q, eps, skip, cap, nil)
+}
+
+// KNN implements Index.
+func (t *VPTree) KNN(q data.Tuple, k, skip int) []Neighbor { return t.knn(q, k, skip, nil) }
+
+// within is the range search (see counted for c).
+func (t *VPTree) within(dst []Neighbor, q data.Tuple, eps float64, skip int, c *Counters) []Neighbor {
+	if t.root < 0 {
+		return dst
+	}
+	kq := t.kern.Bind(q)
+	defer release(kq, c)
+	return t.rangeAppend(t.root, kq, eps, skip, dst)
+}
+
+// countWithin is the capped counting search.
+func (t *VPTree) countWithin(q data.Tuple, eps float64, skip, cap int, c *Counters) int {
 	if t.root < 0 {
 		return 0
 	}
 	kq := t.kern.Bind(q)
-	defer t.ks.flush(kq)
-	c, _ := t.rangeCount(t.root, kq, eps, skip, cap, 0)
-	return c
+	defer release(kq, c)
+	n, _ := t.rangeCount(t.root, kq, eps, skip, cap, 0)
+	return n
 }
 
 // rangeAppend appends every tuple within eps of the bound query to dst.
 func (t *VPTree) rangeAppend(id int, kq *data.KernelQuery, eps float64, skip int, dst []Neighbor) []Neighbor {
 	n := &t.nodes[id]
 	vp := int(n.idx)
-	count(t.evals)
 	d := kq.DistTo(vp)
 	if d <= eps && vp != skip && !t.dead.has(vp) {
 		dst = append(dst, Neighbor{Idx: vp, Dist: d})
@@ -188,7 +196,6 @@ func (t *VPTree) rangeAppend(id int, kq *data.KernelQuery, eps float64, skip int
 func (t *VPTree) rangeCount(id int, kq *data.KernelQuery, eps float64, skip, cap, c int) (int, bool) {
 	n := &t.nodes[id]
 	vp := int(n.idx)
-	count(t.evals)
 	d := kq.DistTo(vp)
 	if d <= eps && vp != skip && !t.dead.has(vp) {
 		c++
@@ -210,13 +217,13 @@ func (t *VPTree) rangeCount(id int, kq *data.KernelQuery, eps float64, skip, cap
 	return c, true
 }
 
-// KNN implements Index.
-func (t *VPTree) KNN(q data.Tuple, k, skip int) []Neighbor {
+// knn is the k-NN search.
+func (t *VPTree) knn(q data.Tuple, k, skip int, c *Counters) []Neighbor {
 	if k <= 0 || t.root < 0 {
 		return nil
 	}
 	kq := t.kern.Bind(q)
-	defer t.ks.flush(kq)
+	defer release(kq, c)
 	h := newMaxHeap(k)
 	t.knnSearch(t.root, kq, skip, h)
 	return h.sorted()
@@ -228,7 +235,6 @@ func (t *VPTree) knnSearch(id int, kq *data.KernelQuery, skip int, h *maxHeap) {
 	}
 	n := &t.nodes[id]
 	vp := int(n.idx)
-	count(t.evals)
 	d := kq.DistTo(vp)
 	if vp != skip && !t.dead.has(vp) {
 		h.offer(Neighbor{Idx: vp, Dist: d})

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"expvar"
-	"sync"
-)
+import "sync"
 
 // Collector accumulates SearchStats from many runs under a mutex. It sits
 // strictly at aggregation points — an experiment harness summing the
@@ -35,19 +32,4 @@ func (c *Collector) Snapshot() (SearchStats, int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats, c.runs
-}
-
-// Publish registers the collector's live totals in the process-wide expvar
-// registry under name, so an embedding process that serves /debug/vars
-// exposes the DISC counters with every other expvar. Publishing the same
-// name twice panics (expvar's contract); guard with sync.Once when in
-// doubt.
-func (c *Collector) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any {
-		s, runs := c.Snapshot()
-		return struct {
-			Runs  int64       `json:"runs"`
-			Stats SearchStats `json:"stats"`
-		}{runs, s}
-	}))
 }

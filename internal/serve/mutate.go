@@ -71,16 +71,40 @@ func (s *Session) initMutableState() {
 }
 
 // applyHook, when non-nil, runs inside applyMutation while it holds the
-// state lock, before the mutation changes anything. Tests use it to panic
-// mid-apply.
-var applyHook func(op string)
+// state lock, before the mutation changes anything; changeHook runs right
+// after the mutation's first structural change (the index insert or
+// tombstone). Tests use them to panic mid-apply.
+var (
+	applyHook  func(op string)
+	changeHook func()
+)
 
 // applyMutation runs one mutation under the session's exclusive state
 // lock (see mutateLocked), then settles the byte ledger, counts the
-// mutation and marks the snapshot dirty.
+// mutation and marks the snapshot dirty. A panic in the middle of the
+// mutation is rolled back (see rollbackLocked) before it reaches the
+// gate, which answers it 504: a 504 mutation was not applied.
 func (s *Session) applyMutation(m *mutation) (resp MutateResponse, err error) {
 	var bytesDelta int64
-	s.writeState(func() { resp, bytesDelta, err = s.mutateLocked(m) })
+	s.writeState(func() {
+		// A mutation changes the logical row map in place only at
+		// m.index; insert appends past len(logical), and a compaction
+		// installs a new map. So the header and one slot restore it.
+		rel, logical, prev := s.Rel, s.logical, -1
+		if m.index >= 0 && m.index < len(logical) {
+			prev = logical[m.index]
+		}
+		defer func() {
+			if rec := recover(); rec != nil {
+				if prev >= 0 {
+					logical[m.index] = prev
+				}
+				s.rollbackLocked(rel, logical)
+				panic(rec)
+			}
+		}()
+		resp, bytesDelta, err = s.mutateLocked(m)
+	})
 	if err != nil {
 		return resp, err
 	}
@@ -207,6 +231,9 @@ func (s *Session) insertRowLocked(t disc.Tuple) (phys, nbr int, flips []int) {
 	// excludes itself — exactly the |r_ε(t)| detection uses.
 	ball := s.relMut.Within(t, s.Cons.Eps, -1)
 	phys = s.relMut.Insert(t)
+	if changeHook != nil {
+		changeHook()
+	}
 	s.Det.Counts = append(s.Det.Counts, min(len(ball), eta))
 	s.fullToSaver = append(s.fullToSaver, -1)
 	for _, nb := range ball {
@@ -241,6 +268,9 @@ func (s *Session) deleteRowLocked(phys int) (old disc.Tuple, ball int, flips []i
 	old = s.Rel.Tuples[phys]
 	nbs := s.relMut.Within(old, s.Cons.Eps, phys)
 	s.relMut.Delete(phys)
+	if changeHook != nil {
+		changeHook()
+	}
 	for _, nb := range nbs {
 		j := nb.Idx
 		if s.Det.Counts[j] < eta {
@@ -285,34 +315,67 @@ func (s *Session) applyFlipsLocked(flips []int) {
 // order: tombstoned storage in the relation, kernel and saver is
 // reclaimed, the detection counts are remapped (not recomputed), and
 // both indexes plus the saver (its η-radius table starting empty) are
-// rebuilt from scratch.
-// Logical row handles survive (holes stay holes). On any build error the
-// old state is kept — queries keep working, compaction retries on a
-// later mutation.
+// rebuilt from scratch. On any build error (nothing left to save
+// against, or a failed build) the old state keeps serving, and
+// compaction retries on a later mutation.
 func (s *Session) compactLocked() {
-	rel := disc.NewRelation(s.Rel.Schema)
-	logical := make([]int, len(s.logical))
-	counts := make([]int, 0, s.relMut.Live())
-	for li, phys := range s.logical {
+	s.rebuildLocked(s.Rel, s.logical, s.Det.Counts)
+}
+
+// rollbackLocked answers a panic in the middle of a mutation. rel and
+// logical are the relation and the logical row map as the mutation found
+// them; the session is rebuilt over those rows with a fresh detection
+// pass, so nothing half-applied survives. If even that fails, the session
+// is deleted (later requests get 404) rather than left half-applied.
+func (s *Session) rollbackLocked(rel *disc.Relation, logical []int) {
+	err := func() (err error) {
+		defer func() {
+			if rec := recover(); rec != nil {
+				err = fmt.Errorf("panic: %v", rec)
+			}
+		}()
+		return s.rebuildLocked(rel, logical, nil)
+	}()
+	if err != nil {
+		s.reg.log.Error("serve: rolling back a failed mutation; deleting the session", "id", s.ID, "err", err)
+		s.reg.Delete(s.ID)
+	}
+}
+
+// rebuildLocked rebuilds the session over the rows logical maps into rel,
+// in logical order, through warmUp; logical row handles survive (holes
+// stay holes). counts are the detection counts of rel's physical rows,
+// remapped onto the new rows; nil runs a fresh detection pass. Either way
+// it counts as a compaction, so index_builds = 2 + 2·compactions. On
+// error the old state is kept. A rebuild reports neither timings nor
+// setup traffic.
+func (s *Session) rebuildLocked(rel *disc.Relation, logical, counts []int) error {
+	live := disc.NewRelation(rel.Schema)
+	remap := make([]int, len(logical))
+	var kept []int
+	for li, phys := range logical {
 		if phys < 0 {
-			logical[li] = -1
+			remap[li] = -1
 			continue
 		}
-		logical[li] = rel.N()
-		counts = append(counts, s.Det.Counts[phys])
-		rel.Append(s.Rel.Tuples[phys])
+		remap[li] = live.N()
+		if counts != nil {
+			kept = append(kept, counts[phys])
+		}
+		live.Append(rel.Tuples[phys])
 	}
-	det := disc.RehydrateDetection(counts, s.Cons.Eta)
-	// On error (nothing left to save against, or a failed build) the old
-	// state keeps serving. A compaction reports neither timings nor setup
-	// traffic; only its two index builds count.
-	if _, _, err := s.warmUp(context.Background(), rel, det, s.relMut.Kind(), s.reg.cfg.Logger); err != nil {
-		return
+	var det *disc.Detection
+	if counts != nil {
+		det = disc.RehydrateDetection(kept, s.Cons.Eta)
 	}
-	s.logical = logical
+	if _, _, err := s.warmUp(context.Background(), live, det, s.relMut.Kind(), s.reg.cfg.Logger); err != nil {
+		return err
+	}
+	s.logical = remap
 	s.mu.Lock()
 	s.mstats.compactions++
 	s.mu.Unlock()
+	return nil
 }
 
 // snapshotView returns the relation and neighbor counts to persist: the

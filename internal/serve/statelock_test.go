@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -108,6 +109,91 @@ func TestMutationPanicDoesNotWedge(t *testing.T) {
 	}
 	if got := decode[SessionInfo](t, do(t, s, "GET", "/v1/datasets/"+info.ID, nil)).Tuples; got != info.Tuples {
 		t.Errorf("a mutation that panicked before applying changed tuples %d -> %d", info.Tuples, got)
+	}
+}
+
+// TestMutationPanicRollsBack panics an insert, an update and a delete
+// right after their first structural change. Each is answered 504 and
+// rolled back: the tuple count is unchanged, the rollback counts as one
+// compaction (two index builds), the next insert answers 201, and /detect
+// of every live row equals a from-scratch detection over the live rows.
+func TestMutationPanicRollsBack(t *testing.T) {
+	s := newTestServer(t, Config{})
+	info := uploadSession(t, s)
+	sess, _ := s.Registry().Get(info.ID)
+	t.Cleanup(func() { changeHook = nil })
+	path := "/v1/datasets/" + info.ID
+	for i, m := range []struct {
+		method, path string
+		body         any
+	}{
+		{"POST", path + "/tuples", TupleRequest{Tuple: []any{0.2, 0.2}}},
+		{"PUT", path + "/tuples/3", TupleRequest{Tuple: []any{9, 9}}},
+		{"DELETE", path + "/tuples/5", nil},
+	} {
+		before := decode[SessionInfo](t, do(t, s, "GET", path, nil))
+		changeHook = func() { panic("injected mid-mutation panic") }
+		w := do(t, s, m.method, m.path, m.body)
+		changeHook = nil
+		if w.Code != http.StatusGatewayTimeout {
+			t.Fatalf("%s %s: status %d, want 504; body %s", m.method, m.path, w.Code, w.Body.String())
+		}
+		after := decode[SessionInfo](t, do(t, s, "GET", path, nil))
+		if after.Tuples != before.Tuples {
+			t.Errorf("%s: tuples %d -> %d after a rolled-back mutation", m.method, before.Tuples, after.Tuples)
+		}
+		if after.Compactions != before.Compactions+1 || after.IndexBuilds != 2+2*after.Compactions {
+			t.Errorf("%s: compactions %d -> %d, index_builds %d; want one more compaction and 2 + 2·compactions builds",
+				m.method, before.Compactions, after.Compactions, after.IndexBuilds)
+		}
+		if w := do(t, s, "POST", path+"/tuples", TupleRequest{Tuple: []any{0.3, 0.1 * float64(i)}}); w.Code != http.StatusCreated {
+			t.Fatalf("%s: next insert: status %d, body %s", m.method, w.Code, w.Body.String())
+		}
+
+		var live *disc.Relation
+		sess.readState(func() {
+			live = disc.NewRelation(sess.Rel.Schema)
+			for _, phys := range sess.logical {
+				if phys >= 0 {
+					live.Append(sess.Rel.Tuples[phys])
+				}
+			}
+		})
+		ref, err := disc.DetectContext(context.Background(), live, sess.Cons, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes := make([][]any, live.N())
+		for r, tp := range live.Tuples {
+			probes[r] = tupleAny(tp)
+		}
+		got := decode[DetectResponse](t, do(t, s, "POST", path+"/detect", DetectRequest{Tuples: probes, Member: true}))
+		for r, res := range got.Results {
+			if res.Neighbors != ref.Counts[r] || res.Outlier != (ref.Counts[r] < sess.Cons.Eta) {
+				t.Fatalf("%s: live row %d detects %+v, a from-scratch detection counts %d", m.method, r, res, ref.Counts[r])
+			}
+		}
+	}
+}
+
+// TestMutationRollbackFailureDeletesSession makes the rollback's rebuild
+// fail: the mutation is still answered 504, and the session is deleted
+// rather than left half-applied.
+func TestMutationRollbackFailureDeletesSession(t *testing.T) {
+	s := newTestServer(t, Config{})
+	info := uploadSession(t, s)
+	sess, _ := s.Registry().Get(info.ID)
+	t.Cleanup(func() { changeHook = nil })
+	changeHook = func() {
+		sess.Cons.Eta = 1 << 20 // every row an outlier: the rebuild finds nothing to save against
+		panic("injected mid-mutation panic")
+	}
+	w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/tuples", TupleRequest{Tuple: []any{0.2, 0.2}})
+	if w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504; body %s", w.Code, w.Body.String())
+	}
+	if w := do(t, s, "GET", "/v1/datasets/"+info.ID, nil); w.Code != http.StatusNotFound {
+		t.Fatalf("session after a failed rollback: status %d, want 404", w.Code)
 	}
 }
 
