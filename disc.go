@@ -263,13 +263,6 @@ type IndexCounters = neighbors.Counters
 // counters move while build counters stay put.
 var CountingIndex = neighbors.Counting
 
-// BuildIndex picks a neighbor index for the relation: a grid for numeric
-// data with at most six attributes when eps > 0, else a vantage-point tree
-// from 64 tuples, else a brute scan. eps hints the grid cell size.
-func BuildIndex(rel *Relation, eps float64) NeighborIndex {
-	return neighbors.Build(rel, eps)
-}
-
 // MutableIndex is a neighbor index supporting single-tuple inserts and
 // deletes: the grid absorbs churn natively via its cell map, the other
 // index kinds buffer inserts in a delta scanned alongside the frozen
@@ -281,8 +274,10 @@ type MutableIndex = neighbors.Mutable
 // parse wire names with ParseIndexKind.
 type IndexKind = neighbors.IndexKind
 
-// Index kinds: automatic selection (BuildIndex's rule), brute scan, grid,
-// vantage-point tree.
+// Index kinds: automatic selection, brute scan, grid, vantage-point tree.
+// KindAuto picks a grid for numeric data with at most six attributes when
+// eps > 0 (eps hints the grid cell size), else a vantage-point tree from
+// 64 tuples, else a brute scan.
 const (
 	KindAuto  = neighbors.KindAuto
 	KindBrute = neighbors.KindBrute
@@ -295,7 +290,7 @@ const (
 var ParseIndexKind = neighbors.ParseIndexKind
 
 // NewMutableIndex builds a mutable neighbor index over rel; kind selects
-// the concrete base (KindAuto applies BuildIndex's rule). The grid
+// the concrete base (KindAuto applies the rule above). The grid
 // requires an all-numeric schema.
 func NewMutableIndex(rel *Relation, eps float64, kind IndexKind) (*MutableIndex, error) {
 	return neighbors.NewMutable(rel, eps, kind)

@@ -119,10 +119,10 @@ func TestPublicCleanersAndMetrics(t *testing.T) {
 	for _, c := range cleaners {
 		out, err := c.Clean(ds.Rel)
 		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
+			t.Fatalf("%T: %v", c, err)
 		}
 		if out.N() != ds.N() {
-			t.Fatalf("%s changed the tuple count", c.Name())
+			t.Fatalf("%T changed the tuple count", c)
 		}
 	}
 	if math.Abs(disc.NMI(ds.Labels, ds.Labels)-1) > 1e-9 || math.Abs(disc.ARI(ds.Labels, ds.Labels)-1) > 1e-9 {
@@ -197,7 +197,10 @@ func TestPublicExplainAndExact(t *testing.T) {
 
 func TestPublicIndex(t *testing.T) {
 	rel := noisyBlobs()
-	idx := disc.BuildIndex(rel, 1.5)
+	idx, err := disc.NewMutableIndex(rel, 1.5, disc.KindAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nn := idx.KNN(rel.Tuples[0], 3, 0)
 	if len(nn) != 3 {
 		t.Fatalf("KNN returned %d", len(nn))

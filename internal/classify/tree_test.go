@@ -7,6 +7,26 @@ import (
 	"repro/internal/data"
 )
 
+// Depth returns the maximum depth of the tree (a single leaf has depth 0).
+func (tr *Tree) Depth() int {
+	var walk func(id int) int
+	walk = func(id int) int {
+		n := &tr.nodes[id]
+		if n.attr < 0 {
+			return 0
+		}
+		l, r := walk(n.left), walk(n.right)
+		if r > l {
+			l = r
+		}
+		return l + 1
+	}
+	if len(tr.nodes) == 0 {
+		return 0
+	}
+	return walk(0)
+}
+
 func separable(n int, seed int64) (*data.Relation, []int) {
 	rng := rand.New(rand.NewSource(seed))
 	rel := data.NewRelation(data.NewNumericSchema("x", "y"))

@@ -11,8 +11,6 @@ import "repro/internal/data"
 // Cleaner repairs a relation and returns a cleaned copy; the input is
 // never modified.
 type Cleaner interface {
-	// Name identifies the method in experiment tables.
-	Name() string
 	// Clean returns a repaired copy of rel.
 	Clean(rel *data.Relation) (*data.Relation, error)
 }

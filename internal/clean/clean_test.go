@@ -45,9 +45,6 @@ func TestDORCSubstitutesWholeTuple(t *testing.T) {
 	if out.Tuples[0][0].Num != rel.Tuples[0][0].Num {
 		t.Error("DORC modified an inlier")
 	}
-	if d.Name() != "DORC" {
-		t.Error("name")
-	}
 }
 
 func TestDORCNoCoreTuples(t *testing.T) {
@@ -89,9 +86,6 @@ func TestERACERRepairsLinearOutlier(t *testing.T) {
 	// Clean cells of other tuples should stay (regression is exact there).
 	if math.Abs(out.Tuples[10][1].Num-20) > 1e-6 {
 		t.Errorf("ERACER disturbed a clean cell: %v", out.Tuples[10][1].Num)
-	}
-	if e.Name() != "ERACER" {
-		t.Error("name")
 	}
 }
 
@@ -143,9 +137,6 @@ func TestHolisticClampsRangeViolations(t *testing.T) {
 	if out2.Tuples[50][1].Num != 10 {
 		t.Error("Holistic should miss in-range errors (weak constraints)")
 	}
-	if h.Name() != "Holistic" {
-		t.Error("name")
-	}
 }
 
 func TestHolisticLeavesTextAlone(t *testing.T) {
@@ -187,9 +178,6 @@ func TestHoloCleanRepairsConditionalError(t *testing.T) {
 	last := out.Tuples[rel.N()-1]
 	if math.Abs(last[0].Num-last[1].Num) > 5 {
 		t.Errorf("HoloClean left the tuple inconsistent: %v", last)
-	}
-	if h.Name() != "HoloClean" {
-		t.Error("name")
 	}
 }
 
@@ -247,12 +235,12 @@ func TestCleanersDoNotMutateInput(t *testing.T) {
 		rel := mk()
 		snapshot := rel.Clone()
 		if _, err := c.Clean(rel); err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
+			t.Fatalf("%T: %v", c, err)
 		}
 		for i := range rel.Tuples {
 			for a := range rel.Tuples[i] {
 				if rel.Tuples[i][a].Num != snapshot.Tuples[i][a].Num {
-					t.Fatalf("%s mutated input tuple %d", c.Name(), i)
+					t.Fatalf("%T mutated input tuple %d", c, i)
 				}
 			}
 		}
@@ -275,9 +263,6 @@ func TestSCARERepairsLowLikelihoodCells(t *testing.T) {
 	}
 	if out.Tuples[rel.N()-1][1].Num > 10 {
 		t.Errorf("SCARE left y = %v", out.Tuples[rel.N()-1][1].Num)
-	}
-	if s.Name() != "SCARE" {
-		t.Error("name")
 	}
 	// Input untouched.
 	if rel.Tuples[rel.N()-1][1].Num != 80 {

@@ -19,9 +19,6 @@ type DORC struct {
 	Eta int
 }
 
-// Name implements Cleaner.
-func (d *DORC) Name() string { return "DORC" }
-
 // Clean implements Cleaner.
 func (d *DORC) Clean(rel *data.Relation) (*data.Relation, error) {
 	out := rel.Clone()

@@ -23,9 +23,6 @@ type ERACER struct {
 	ResidualZ float64
 }
 
-// Name implements Cleaner.
-func (e *ERACER) Name() string { return "ERACER" }
-
 // Clean implements Cleaner.
 func (e *ERACER) Clean(rel *data.Relation) (*data.Relation, error) {
 	for _, a := range rel.Schema.Attrs {

@@ -22,9 +22,6 @@ type Holistic struct {
 	Slopes bool
 }
 
-// Name implements Cleaner.
-func (h *Holistic) Name() string { return "Holistic" }
-
 // Clean implements Cleaner.
 func (h *Holistic) Clean(rel *data.Relation) (*data.Relation, error) {
 	trim := h.TrimFrac

@@ -25,9 +25,6 @@ type HoloClean struct {
 	Gain float64
 }
 
-// Name implements Cleaner.
-func (h *HoloClean) Name() string { return "HoloClean" }
-
 type hcModel struct {
 	bins  int
 	m     int

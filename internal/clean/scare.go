@@ -32,9 +32,6 @@ type SCARE struct {
 	MaxCandidates int
 }
 
-// Name implements Cleaner.
-func (s *SCARE) Name() string { return "SCARE" }
-
 // Clean implements Cleaner.
 func (s *SCARE) Clean(rel *data.Relation) (*data.Relation, error) {
 	for _, a := range rel.Schema.Attrs {

@@ -19,7 +19,7 @@ func bruteOptimal(r *data.Relation, cons Constraints, to data.Tuple, x data.Attr
 	m := sch.M()
 	doms := data.Domain(r)
 	idx := neighbors.NewBrute(r)
-	adj := x.Complement(m).Attrs(m)
+	adj := (data.FullMask(m) &^ x).Attrs(m)
 	best := math.Inf(1)
 	var bestT data.Tuple
 	cur := to.Clone()
@@ -109,7 +109,7 @@ func computeBounds(r *data.Relation, cons Constraints, to data.Tuple, x data.Att
 	}
 
 	// Proposition 5: best donor with δ_η(t_2) ≤ ε − Δ_X.
-	compl := x.Complement(sch.M())
+	compl := data.FullMask(sch.M()) &^ x
 	for _, c := range cands {
 		t2 := r.Tuples[c.i]
 		etaRadius := math.Inf(1)

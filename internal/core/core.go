@@ -64,13 +64,6 @@ type Detection struct {
 	// IndexBuild is the portion of Elapsed spent building the index; zero
 	// when the caller supplied one, so reuse across phases is visible.
 	IndexBuild time.Duration
-
-	eta int // retained so IsOutlier can answer without re-deriving the split
-}
-
-// IsOutlier reports whether tuple i violated the constraints.
-func (d *Detection) IsOutlier(i int) bool {
-	return d.Counts[i] < d.eta
 }
 
 // RehydrateDetection reconstructs a Detection from persisted neighbor
@@ -83,7 +76,7 @@ func (d *Detection) IsOutlier(i int) bool {
 // Elapsed and IndexBuild stay zero — no index traffic happened — which is
 // exactly how callers tell a rehydrated detection from a computed one.
 func RehydrateDetection(counts []int, eta int) *Detection {
-	det := &Detection{Counts: counts, eta: eta}
+	det := &Detection{Counts: counts}
 	for i, c := range counts {
 		if c >= eta {
 			counts[i] = eta
@@ -113,7 +106,7 @@ func DetectContext(ctx context.Context, rel *data.Relation, cons Constraints, id
 		indexBuild = time.Since(start)
 	}
 	n := rel.N()
-	det := &Detection{Counts: make([]int, n), eta: cons.Eta, IndexBuild: indexBuild}
+	det := &Detection{Counts: make([]int, n), IndexBuild: indexBuild}
 	// Counting stops at η (the Counts invariant): the split needs only
 	// the side of η. Counting is read-only per tuple, so it fans out
 	// across cores — each worker counts index traffic in its own shard,

@@ -49,12 +49,6 @@ func TestDetectSplitsInliersAndOutliers(t *testing.T) {
 	if len(det.Inliers) != 49 {
 		t.Fatalf("inliers = %d", len(det.Inliers))
 	}
-	if !det.IsOutlier(r.N() - 1) {
-		t.Error("IsOutlier disagrees with split")
-	}
-	if det.IsOutlier(0) {
-		t.Error("cluster point flagged as outlier")
-	}
 	// Counts exclude the tuple itself.
 	if det.Counts[r.N()-1] != 0 {
 		t.Errorf("isolated point has count %d", det.Counts[r.N()-1])

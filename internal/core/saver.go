@@ -173,17 +173,6 @@ func NewSaverContext(ctx context.Context, r *data.Relation, cons Constraints, op
 	return s, nil
 }
 
-// Rel returns the inlier relation r.
-func (s *Saver) Rel() *data.Relation { return s.rel }
-
-// Index returns the neighbor index over r the saver queries. It is the
-// structure a session-caching layer amortizes: built once (by
-// NewSaverContext or supplied via Options.Index), it serves every
-// subsequent SaveOne call without rebuilding. The index is safe for
-// concurrent readers; wrap it with neighbors.Counting to meter per-caller
-// query traffic.
-func (s *Saver) Index() neighbors.Index { return s.idx }
-
 // SetupStats returns the one-off construction work: the builds of the
 // indexes the saver made itself (its inlier index unless Options.Index
 // supplied one, plus its attribute-group indexes). Construction issues no
@@ -207,24 +196,6 @@ func (s *Saver) TakeRadiusStats() obs.SearchStats {
 	c.AddTo(&st)
 	return st
 }
-
-// AttributeGroups returns the attribute groups the saver indexes for its
-// pigeonhole candidate filter, or nil off the κ path (see
-// attributeGroups). The slices belong to the group indexes: callers must
-// not modify them.
-func (s *Saver) AttributeGroups() [][]int {
-	if s.groups == nil {
-		return nil
-	}
-	groups := make([][]int, len(s.groups))
-	for g, idx := range s.groups {
-		groups[g] = neighbors.KernelOf(idx).Cols()
-	}
-	return groups
-}
-
-// Constraints returns the saver's (ε, η).
-func (s *Saver) Constraints() Constraints { return s.cons }
 
 // saveState is the per-outlier working set of Algorithm 1. Candidates are
 // compacted: position c stands for inlier ids[c], so the distance tables

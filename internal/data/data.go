@@ -208,9 +208,6 @@ func (x AttrMask) Without(a int) AttrMask { return x &^ (1 << uint(a)) }
 // Count returns |X|.
 func (x AttrMask) Count() int { return bits.OnesCount64(uint64(x)) }
 
-// Complement returns R \ X for a schema of m attributes.
-func (x AttrMask) Complement(m int) AttrMask { return FullMask(m) &^ x }
-
 // Attrs expands the mask into a sorted slice of attribute indexes.
 func (x AttrMask) Attrs(m int) []int {
 	out := make([]int, 0, x.Count())

@@ -179,46 +179,6 @@ func discoverSlopes(rel *data.Relation, trim float64) []Slope {
 	return out
 }
 
-// Violations returns, for each tuple, the indexes (into Ranges) of the
-// unary constraints it breaks.
-func (s *Set) Violations(rel *data.Relation) [][]int {
-	out := make([][]int, rel.N())
-	for i, t := range rel.Tuples {
-		for ci, c := range s.Ranges {
-			if c.Violates(t) {
-				out[i] = append(out[i], ci)
-			}
-		}
-	}
-	return out
-}
-
-// SlopeViolations returns, for each tuple, the number of consecutive-pair
-// slope violations it participates in (tuples ordered by each slope's B
-// attribute; a dirty value shows up in the pairs with both sequence
-// neighbors).
-func (s *Set) SlopeViolations(rel *data.Relation) []int {
-	counts := make([]int, rel.N())
-	n := rel.N()
-	for _, c := range s.Slopes {
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(x, y int) bool {
-			return rel.Tuples[order[x]][c.B].Num < rel.Tuples[order[y]][c.B].Num
-		})
-		for k := 0; k+1 < n; k++ {
-			i, j := order[k], order[k+1]
-			if c.ViolatesPair(rel.Tuples[i], rel.Tuples[j]) {
-				counts[i]++
-				counts[j]++
-			}
-		}
-	}
-	return counts
-}
-
 // Repair returns a copy of rel with minimal-change repairs: range
 // violations project to the nearest bound; tuples violating a slope
 // constraint against both sequence neighbors have the A value replaced by

@@ -243,20 +243,3 @@ func MacroF1(pred, truth []int) float64 {
 	}
 	return sum / float64(len(classes))
 }
-
-// Accuracy returns the fraction of exact label matches.
-func Accuracy(pred, truth []int) float64 {
-	if len(pred) != len(truth) {
-		panic("eval: label vectors of different length")
-	}
-	if len(pred) == 0 {
-		return 0
-	}
-	hit := 0
-	for i := range pred {
-		if pred[i] == truth[i] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(pred))
-}

@@ -182,15 +182,6 @@ func TestMacroF1(t *testing.T) {
 	}
 }
 
-func TestAccuracy(t *testing.T) {
-	if got := Accuracy([]int{1, 2, 3}, []int{1, 2, 4}); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("accuracy = %v", got)
-	}
-	if got := Accuracy(nil, nil); got != 0 {
-		t.Errorf("empty accuracy = %v", got)
-	}
-}
-
 func TestLengthMismatchPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"Pairs":   func() { Pairs([]int{1}, []int{1, 2}) },

@@ -73,29 +73,6 @@ type Table struct {
 	Rows   [][]string
 }
 
-// Cell returns the cell at (row, named column), or "" when absent.
-func (t *Table) Cell(row int, col string) string {
-	for i, h := range t.Header {
-		if h == col {
-			if row < len(t.Rows) && i < len(t.Rows[row]) {
-				return t.Rows[row][i]
-			}
-		}
-	}
-	return ""
-}
-
-// FindRow returns the index of the first row whose first column equals
-// key, or -1.
-func (t *Table) FindRow(key string) int {
-	for i, r := range t.Rows {
-		if len(r) > 0 && r[0] == key {
-			return i
-		}
-	}
-	return -1
-}
-
 // Fprint renders the table with aligned columns.
 func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "%s\n", t.Title)
@@ -118,16 +95,6 @@ func (r *Result) Fprint(w io.Writer) {
 	for i := range r.Tables {
 		r.Tables[i].Fprint(w)
 	}
-}
-
-// Table returns the result table with the given title, or nil.
-func (r *Result) Table(title string) *Table {
-	for i := range r.Tables {
-		if r.Tables[i].Title == title {
-			return &r.Tables[i]
-		}
-	}
-	return nil
 }
 
 // Experiment binds a paper artifact to its runner.

@@ -11,25 +11,6 @@ import (
 	"unicode/utf8"
 )
 
-// AbsDiff is the absolute-difference distance for numeric values.
-func AbsDiff(a, b float64) float64 {
-	return math.Abs(a - b)
-}
-
-// ScaledAbsDiff returns a numeric distance function that divides the
-// absolute difference by scale. A scale ≤ 0 is treated as 1. Scaling keeps
-// heterogeneous attributes (e.g. timestamps vs. coordinates) comparable
-// inside one Lp aggregate, as in the GPS example of the paper (Figure 2).
-func ScaledAbsDiff(scale float64) func(a, b float64) float64 {
-	if scale <= 0 {
-		scale = 1
-	}
-	inv := 1 / scale
-	return func(a, b float64) float64 {
-		return math.Abs(a-b) * inv
-	}
-}
-
 // StringDistance is a distance function over text attribute values.
 type StringDistance func(a, b string) float64
 
@@ -236,12 +217,6 @@ func NGramSimilarity(a, b string, n int) float64 {
 		}
 	}
 	return 2 * float64(common) / float64(len(ga)+len(gb))
-}
-
-// NGramDistance is 1 − NGramSimilarity; it is symmetric and non-negative
-// (a pseudo-metric used only by the matcher, never by the DISC bounds).
-func NGramDistance(a, b string, n int) float64 {
-	return 1 - NGramSimilarity(a, b, n)
 }
 
 func ngrams(s string, n int) []string {

@@ -30,34 +30,6 @@ func (n Norm) String() string {
 	}
 }
 
-// Aggregate folds the per-attribute distances ds into a single distance.
-// All three norms preserve the metric axioms of the inputs and are monotone
-// in the attribute set, as required by the bounds in §3 of the paper.
-func (n Norm) Aggregate(ds []float64) float64 {
-	switch n {
-	case L1:
-		s := 0.0
-		for _, d := range ds {
-			s += d
-		}
-		return s
-	case LInf:
-		m := 0.0
-		for _, d := range ds {
-			if d > m {
-				m = d
-			}
-		}
-		return m
-	default:
-		s := 0.0
-		for _, d := range ds {
-			s += d * d
-		}
-		return math.Sqrt(s)
-	}
-}
-
 // Accumulate adds one per-attribute distance d into a running accumulator
 // acc and returns the new accumulator. Finish converts the accumulator to
 // the final distance. Splitting the fold this way lets hot loops aggregate

@@ -98,9 +98,8 @@ type Mutable struct {
 	grid  *Grid    // base as grid, for native cell inserts (nil otherwise)
 	delta []int    // physical rows in neither base structure nor grid cells
 
-	baseRows   int // physical rows covered at the last (re)build
-	merges     int64
-	mergeEvery int // explicit delta threshold; 0 = max(32, baseRows/8)
+	baseRows int // physical rows covered at the last (re)build
+	merges   int64
 
 	// projections are the attribute-subset indexes Project built over the
 	// same rows, each absorbing every Insert; projected marks m as one of
@@ -224,21 +223,7 @@ func (m *Mutable) Merge() {
 	m.merges++
 }
 
-func (m *Mutable) mergeThreshold() int {
-	if m.mergeEvery > 0 {
-		return m.mergeEvery
-	}
-	th := m.baseRows / 8
-	if th < 32 {
-		th = 32
-	}
-	return th
-}
-
-// SetMergeEvery overrides the delta-merge threshold (0 restores the
-// default max(32, baseRows/8)); the smoke tests use it to force a
-// mid-stream merge on small datasets.
-func (m *Mutable) SetMergeEvery(n int) { m.mergeEvery = n }
+func (m *Mutable) mergeThreshold() int { return max(32, m.baseRows/8) }
 
 // Alive reports whether physical row i exists and is not tombstoned.
 func (m *Mutable) Alive(i int) bool { return i >= 0 && i < len(m.ds.bits) && !m.ds.bits[i] }
@@ -249,17 +234,11 @@ func (m *Mutable) Live() int { return m.r.N() - m.ds.n }
 // DeadCount returns the number of tombstoned physical rows.
 func (m *Mutable) DeadCount() int { return m.ds.n }
 
-// Pending returns the delta-buffer length (rows awaiting a merge).
-func (m *Mutable) Pending() int { return len(m.delta) }
-
 // Merges returns how many delta merges have run.
 func (m *Mutable) Merges() int64 { return m.merges }
 
 // Kind returns the resolved concrete index kind.
 func (m *Mutable) Kind() IndexKind { return m.kind }
-
-// Eps returns the radius hint the index was built with.
-func (m *Mutable) Eps() float64 { return m.eps }
 
 // Rel returns the indexed relation.
 func (m *Mutable) Rel() *data.Relation { return m.r }

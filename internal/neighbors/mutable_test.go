@@ -142,7 +142,6 @@ func TestMutableProjectionDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.SetMergeEvery(16)
 			projs := []*Mutable{m.Project([]int{0, 2}), m.Project([]int{1}), m.Project([]int{1, 2, 3})}
 			if m.Project([]int{1}) != projs[1] {
 				t.Fatal("Project with equal columns built a second projection")
@@ -168,6 +167,9 @@ func TestMutableProjectionDifferential(t *testing.T) {
 					checkMutableAgainstRebuild(t, p, rng, 10)
 				}
 			}
+			if m.Merges() == 0 {
+				t.Fatal("no delta merge ran")
+			}
 			for name, mutate := range map[string]func(){
 				"Insert": func() { projs[0].Insert(randomTuple(rng, 4, 10)) },
 				"Delete": func() { projs[0].Delete(0) },
@@ -185,8 +187,9 @@ func TestMutableProjectionDifferential(t *testing.T) {
 	}
 }
 
-// TestMutableForcedMerges drives the delta through many tiny merges and
-// checks results stay exact; also verifies Merges() advances.
+// TestMutableForcedMerges drives the delta through several merges at the
+// default threshold, max(32, baseRows/8), and checks results stay exact;
+// also verifies Merges() advances.
 func TestMutableForcedMerges(t *testing.T) {
 	for _, kind := range []IndexKind{KindVP} {
 		kind := kind
@@ -196,19 +199,18 @@ func TestMutableForcedMerges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.SetMergeEvery(4)
 			rng := rand.New(rand.NewSource(21))
-			for i := 0; i < 30; i++ {
+			for i := 0; i < 100; i++ {
 				m.Insert(randomTuple(rng, 2, 10))
 				if i%5 == 0 {
 					m.Delete(rng.Intn(m.Rel().N()))
 				}
 			}
-			if m.Merges() == 0 {
-				t.Fatal("expected at least one delta merge")
+			if m.Merges() < 3 {
+				t.Fatalf("100 inserts over 80 rows ran %d delta merges, want 3", m.Merges())
 			}
-			if m.Pending() >= 4 {
-				t.Fatalf("pending delta %d should have merged", m.Pending())
+			if len(m.delta) >= m.mergeThreshold() {
+				t.Fatalf("pending delta %d should have merged", len(m.delta))
 			}
 			checkMutableAgainstRebuild(t, m, rng, 15)
 		})
@@ -228,24 +230,24 @@ func TestMutableGridNativeInsert(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		m.Insert(randomTuple(rng, 2, 10))
 	}
-	if m.Pending() != 0 {
-		t.Fatalf("in-range grid inserts left %d rows in delta", m.Pending())
+	if len(m.delta) != 0 {
+		t.Fatalf("in-range grid inserts left %d rows in delta", len(m.delta))
 	}
 	// A coordinate far outside the packed key range must be refused by
 	// the cell map and absorbed by the delta buffer instead.
 	m.Insert(data.Tuple{data.Num(1e9), data.Num(1e9)})
-	if m.Pending() != 1 {
-		t.Fatalf("out-of-range insert: delta = %d, want 1", m.Pending())
+	if len(m.delta) != 1 {
+		t.Fatalf("out-of-range insert: delta = %d, want 1", len(m.delta))
 	}
 	// Once one row is in the delta, later in-range rows must also be
 	// refused (contiguity rule) or the fallback scan would double count.
 	m.Insert(randomTuple(rng, 2, 10))
-	if m.Pending() != 2 {
-		t.Fatalf("post-delta insert: delta = %d, want 2", m.Pending())
+	if len(m.delta) != 2 {
+		t.Fatalf("post-delta insert: delta = %d, want 2", len(m.delta))
 	}
 	checkMutableAgainstRebuild(t, m, rng, 20)
 	m.Merge()
-	if m.Pending() != 0 {
+	if len(m.delta) != 0 {
 		t.Fatal("merge left delta rows")
 	}
 	checkMutableAgainstRebuild(t, m, rng, 20)

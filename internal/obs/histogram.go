@@ -93,16 +93,6 @@ type HistogramSnapshot struct {
 	Buckets [HistBuckets]int64
 }
 
-// Add folds o into s bucket by bucket, the same merge discipline as
-// SearchStats.Add: per-session snapshots sum into global ones.
-func (s *HistogramSnapshot) Add(o HistogramSnapshot) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-}
-
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
 // inside the bucket where the target rank falls. The estimate is exact to
 // within the bucket's width — a factor of 2 — which is what log-bucketed

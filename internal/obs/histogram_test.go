@@ -68,32 +68,6 @@ func TestNilHistogramIsSafe(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeProperty: merging snapshots must equal observing the
-// union — count, sum, and every bucket — for random observation sets.
-func TestHistogramMergeProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		var a, b, both Histogram
-		n := 1 + rng.Intn(200)
-		for i := 0; i < n; i++ {
-			v := rng.Int63n(1 << uint(rng.Intn(40)))
-			if rng.Intn(2) == 0 {
-				a.Observe(v)
-			} else {
-				b.Observe(v)
-			}
-			both.Observe(v)
-		}
-		merged := a.Snapshot()
-		merged.Add(b.Snapshot())
-		want := both.Snapshot()
-		if merged != want {
-			t.Fatalf("trial %d: merged snapshot differs from union:\n  merged %+v\n  union  %+v",
-				trial, merged, want)
-		}
-	}
-}
-
 // TestHistogramQuantile checks the estimation error stays within the
 // log-bucket resolution: the estimate for q must sit within a factor of 2
 // of the true order statistic (one bucket's width).

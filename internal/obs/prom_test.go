@@ -3,6 +3,8 @@ package obs
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs/promtest"
 )
 
 func TestCountersReflectsJSONTags(t *testing.T) {
@@ -77,9 +79,9 @@ func TestPromLabelEscapingRoundTrip(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := ParseProm(strings.NewReader(sb.String()))
+	fams, err := promtest.Parse(strings.NewReader(sb.String()))
 	if err != nil {
-		t.Fatalf("ParseProm on escaped output: %v\n%s", err, sb.String())
+		t.Fatalf("Parse on escaped output: %v\n%s", err, sb.String())
 	}
 	f := fams["disc_x_total"]
 	if f == nil || len(f.Samples) != 1 {
@@ -109,7 +111,7 @@ func TestPromHistogramTriples(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	fams, err := ParseProm(strings.NewReader(out))
+	fams, err := promtest.Parse(strings.NewReader(out))
 	if err != nil {
 		t.Fatalf("histogram output failed validation: %v\n%s", err, out)
 	}
@@ -152,7 +154,7 @@ func TestParsePromRejectsMalformed(t *testing.T) {
 			"disc_h_bucket{le=\"+Inf\"} 4\ndisc_h_sum 1\ndisc_h_count 5\n",
 	}
 	for name, in := range cases {
-		if _, err := ParseProm(strings.NewReader(in)); err == nil {
+		if _, err := promtest.Parse(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: parsed without error:\n%s", name, in)
 		}
 	}

@@ -129,9 +129,3 @@ func (c *Client) DeleteTuple(ctx context.Context, id string, index int) (*serve.
 func (c *Client) Delete(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/datasets/"+url.PathEscape(id), nil, nil)
 }
-
-// Ready asks /readyz whether the server should receive traffic. A 503
-// (recovering or draining) surfaces as an *APIError.
-func (c *Client) Ready(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/readyz", nil, nil)
-}

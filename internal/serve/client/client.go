@@ -127,9 +127,6 @@ func New(cfg Config) *Client {
 	return &Client{cfg: cfg, http: hc, log: obs.Logger(cfg.Logger)}
 }
 
-// Stats snapshots the retry/breaker counters.
-func (c *Client) Stats() obs.ClientSnapshot { return c.cfg.Stats.Snapshot() }
-
 // --- circuit breaker ---
 
 // breakerAllow reports whether a request may proceed. While the breaker is

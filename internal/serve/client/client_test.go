@@ -40,7 +40,7 @@ func TestRetryThenSuccess(t *testing.T) {
 
 	stats := &obs.ClientStats{}
 	cl := New(fastCfg(ts.URL, stats))
-	if err := cl.Ready(context.Background()); err != nil {
+	if err := cl.do(context.Background(), http.MethodGet, "/readyz", nil, nil); err != nil {
 		t.Fatalf("Ready after transient failures: %v", err)
 	}
 	if got := hits.Load(); got != 3 {
@@ -62,7 +62,7 @@ func TestRetriesExhaustedIsUnavailable(t *testing.T) {
 	cfg := fastCfg(ts.URL, nil)
 	cfg.MaxRetries = 2
 	cl := New(cfg)
-	err := cl.Ready(context.Background())
+	err := cl.do(context.Background(), http.MethodGet, "/readyz", nil, nil)
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("exhausted retries returned %v, want ErrUnavailable", err)
 	}
@@ -90,7 +90,7 @@ func TestRetryAfterHonored(t *testing.T) {
 	cfg.MaxBackoff = 50 * time.Millisecond // caps the 1s Retry-After
 	cl := New(cfg)
 	start := time.Now()
-	if err := cl.Ready(context.Background()); err != nil {
+	if err := cl.do(context.Background(), http.MethodGet, "/readyz", nil, nil); err != nil {
 		t.Fatalf("Ready: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed < 45*time.Millisecond {
@@ -151,7 +151,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	cl := New(cfg)
 
 	for i := 0; i < 2; i++ {
-		if err := cl.Ready(context.Background()); !errors.Is(err, ErrUnavailable) {
+		if err := cl.do(context.Background(), http.MethodGet, "/readyz", nil, nil); !errors.Is(err, ErrUnavailable) {
 			t.Fatalf("request %d: %v, want ErrUnavailable", i, err)
 		}
 	}
@@ -159,7 +159,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		t.Fatalf("breaker trips = %d, want 1 after %d consecutive failures", snap.BreakerTrips, 2)
 	}
 	before := hits.Load()
-	if err := cl.Ready(context.Background()); !errors.Is(err, ErrUnavailable) {
+	if err := cl.do(context.Background(), http.MethodGet, "/readyz", nil, nil); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("open-breaker request: %v, want ErrUnavailable", err)
 	}
 	if got := hits.Load(); got != before {
@@ -171,10 +171,10 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 
 	healthy.Store(true)
 	time.Sleep(150 * time.Millisecond) // past the cooldown
-	if err := cl.Ready(context.Background()); err != nil {
+	if err := cl.do(context.Background(), http.MethodGet, "/readyz", nil, nil); err != nil {
 		t.Fatalf("half-open probe against healed server: %v", err)
 	}
-	if err := cl.Ready(context.Background()); err != nil {
+	if err := cl.do(context.Background(), http.MethodGet, "/readyz", nil, nil); err != nil {
 		t.Fatalf("breaker did not close after successful probe: %v", err)
 	}
 }
@@ -208,7 +208,7 @@ func TestRequestIDAcrossRetries(t *testing.T) {
 		}
 	}
 	cl := New(cfg)
-	if err := cl.Ready(context.Background()); err != nil {
+	if err := cl.do(context.Background(), http.MethodGet, "/readyz", nil, nil); err != nil {
 		t.Fatalf("Ready: %v", err)
 	}
 	mu.Lock()
@@ -241,7 +241,7 @@ func TestRequestIDUniquePerCall(t *testing.T) {
 
 	cl := New(fastCfg(ts.URL, nil))
 	for i := 0; i < 2; i++ {
-		if err := cl.Ready(context.Background()); err != nil {
+		if err := cl.do(context.Background(), http.MethodGet, "/readyz", nil, nil); err != nil {
 			t.Fatalf("Ready %d: %v", i, err)
 		}
 	}
@@ -256,7 +256,7 @@ func TestUnreachableServer(t *testing.T) {
 	cfg := fastCfg("http://127.0.0.1:1", nil)
 	cfg.MaxRetries = -1
 	cl := New(cfg)
-	if err := cl.Ready(context.Background()); !errors.Is(err, ErrUnavailable) {
+	if err := cl.do(context.Background(), http.MethodGet, "/readyz", nil, nil); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("unreachable server returned %v, want ErrUnavailable", err)
 	}
 }
@@ -277,7 +277,7 @@ func TestEndToEnd(t *testing.T) {
 	cl := New(fastCfg(ts.URL, nil))
 	ctx := context.Background()
 
-	if err := cl.Ready(ctx); err != nil {
+	if err := cl.do(ctx, http.MethodGet, "/readyz", nil, nil); err != nil {
 		t.Fatalf("Ready: %v", err)
 	}
 	// A tight cluster plus one far outlier.

@@ -197,7 +197,7 @@ func (c *Coordinator) wrap(next http.Handler) http.Handler {
 			id = obs.NewRequestID()
 		}
 		w.Header().Set("X-Request-ID", id)
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &serve.StatusWriter{ResponseWriter: w}
 		start := time.Now()
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -205,35 +205,16 @@ func (c *Coordinator) wrap(next http.Handler) http.Handler {
 				c.log.Error("coord: panic in handler", "request_id", id,
 					"method", r.Method, "path", r.URL.Path,
 					"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
-				if sw.status == 0 {
+				if sw.Status == 0 {
 					serve.WriteError(sw, http.StatusInternalServerError, errors.New("internal server error"))
 				}
 			}
 			c.log.Info("coord: request", "request_id", id,
 				"method", r.Method, "path", r.URL.Path,
-				"status", sw.status, "dur", time.Since(start).Round(time.Microsecond))
+				"status", sw.Status, "dur", time.Since(start).Round(time.Microsecond))
 		}()
 		next.ServeHTTP(sw, r)
 	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
 }
 
 // --- placement ---

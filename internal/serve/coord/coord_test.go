@@ -18,6 +18,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/obs/promtest"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
 )
@@ -353,7 +354,7 @@ func TestCoordinatorFailoverAfterWorkerLoss(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("/metrics status %d", status)
 	}
-	if _, err := obs.ParseProm(bytes.NewReader(body)); err != nil {
+	if _, err := promtest.Parse(bytes.NewReader(body)); err != nil {
 		t.Fatalf("/metrics is not valid exposition text: %v", err)
 	}
 	for _, want := range []string{

@@ -45,9 +45,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	return r
 }
 
-// Nodes returns the ring's node names in registration order.
-func (r *Ring) Nodes() []string { return r.nodes }
-
 // Owners returns the first count distinct nodes clockwise from key's hash —
 // the key's primary owner first, then its failover replicas. count is
 // clamped to the node count.

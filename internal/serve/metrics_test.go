@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/promtest"
 )
 
 // TestMetricsEndpoint drives real traffic through the stack, scrapes
@@ -43,7 +44,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if ct := mw.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("Content-Type = %q, want text exposition format", ct)
 	}
-	fams, err := obs.ParseProm(bytes.NewReader(mw.Body.Bytes()))
+	fams, err := promtest.Parse(bytes.NewReader(mw.Body.Bytes()))
 	if err != nil {
 		t.Fatalf("/metrics is not valid exposition format: %v\n%s", err, mw.Body.String())
 	}

@@ -11,22 +11,24 @@ import (
 	"repro/internal/obs"
 )
 
-// statusWriter captures the status code for the request log.
-type statusWriter struct {
+// StatusWriter captures the status code for the request log. Both the
+// worker's and the coordinator's middleware wrap their ResponseWriter in
+// one; Status stays 0 until the handler writes a header or a body.
+type StatusWriter struct {
 	http.ResponseWriter
-	status int
+	Status int
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
+func (w *StatusWriter) WriteHeader(code int) {
+	if w.Status == 0 {
+		w.Status = code
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
+func (w *StatusWriter) Write(p []byte) (int, error) {
+	if w.Status == 0 {
+		w.Status = http.StatusOK
 	}
 	return w.ResponseWriter.Write(p)
 }
@@ -74,7 +76,7 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 			r = r.WithContext(obs.ContextWithTrace(r.Context(), tr))
 		}
 
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &StatusWriter{ResponseWriter: w}
 		start := time.Now()
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -82,7 +84,7 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 				s.log.Error("serve: panic in handler", "request_id", id,
 					"method", r.Method, "path", r.URL.Path,
 					"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
-				if sw.status == 0 {
+				if sw.Status == 0 {
 					// Headers not sent yet: answer a proper 500. Otherwise
 					// the response is already on the wire; just cut it off.
 					WriteError(sw, http.StatusInternalServerError, errors.New("internal server error"))
@@ -97,13 +99,13 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 				if thr := s.cfg.SlowRequest; thr > 0 && dur >= thr {
 					s.log.Warn("serve: slow request", "request_id", id,
 						"method", r.Method, "path", r.URL.Path,
-						"status", sw.status, "dur", dur.Round(time.Microsecond),
+						"status", sw.Status, "dur", dur.Round(time.Microsecond),
 						"spans", tr.Breakdown())
 				}
 			}
 			s.log.Info("serve: request", "request_id", id,
 				"method", r.Method, "path", r.URL.Path,
-				"status", sw.status, "dur", dur.Round(time.Microsecond))
+				"status", sw.Status, "dur", dur.Round(time.Microsecond))
 		}()
 		next.ServeHTTP(sw, r)
 	})

@@ -137,8 +137,17 @@ func mutateDifferential(t *testing.T, kind, mode string, dims, kappa int) {
 		}
 		checkCountInvariant(t, sess, "after restart")
 	}
-	if groups := sess.Saver.AttributeGroups(); (kappa < dims) != (len(groups) > 0) {
-		t.Fatalf("κ=%d over %d attributes: saver groups %v", kappa, dims, groups)
+	// A κ-path save queries each of the saver's κ+1 attribute-group
+	// indexes exactly once; off the κ path there are no groups, and a save
+	// issues at most the one range query of its truncated candidate ball.
+	groupProbe := make(disc.Tuple, dims)
+	groupProbe[0] = disc.Num(1.5)
+	for a := 1; a < dims; a++ {
+		groupProbe[a] = disc.Num(0.45)
+	}
+	st := sess.save(context.Background(), groupProbe).Stats
+	if kappa < dims && st.RangeQueries != int64(kappa+1) || kappa >= dims && (st.RangeQueries > 1 || st.KappaMasks != 0) {
+		t.Fatalf("κ=%d over %d attributes: save issued %d range queries, %d κ masks", kappa, dims, st.RangeQueries, st.KappaMasks)
 	}
 
 	// mirror tracks the logical row handles client-side: nil = hole.

@@ -1,7 +1,7 @@
-// Package stats provides the probability distributions, histograms and
-// sampling utilities behind the DISC distance-constraint model: the Poisson
-// process of ε-neighbor appearance (paper §2.1.2, Formulas 2–3), the Normal
-// model of the DB baseline (Table 4), and the sampled parameter
+// Package stats provides the Poisson distribution, its Kolmogorov–Smirnov
+// goodness of fit, online moments, quantiles and sampling utilities behind
+// the DISC distance-constraint model: the Poisson process of ε-neighbor
+// appearance (paper §2.1.2, Formulas 2–3) and the sampled parameter
 // determination of §4.2.2 (Figure 5).
 package stats
 
@@ -55,84 +55,6 @@ func (p Poisson) TailGE(k int) float64 {
 	return 1 - p.CDF(k-1)
 }
 
-// MaxEtaWithConfidence returns the largest η ≥ 1 such that
-// p(N ≥ η) ≥ conf, i.e. the neighbor threshold that still leaves cluster
-// membership highly probable (the paper selects conf = 0.99). Returns 1 if
-// even η = 1 fails the confidence bar.
-func (p Poisson) MaxEtaWithConfidence(conf float64) int {
-	if conf <= 0 {
-		conf = 0.99
-	}
-	eta := 1
-	// p(N ≥ η) is non-increasing in η, so walk upward until it drops.
-	for k := 1; float64(k) <= p.Lambda+12*math.Sqrt(p.Lambda+1)+4; k++ {
-		if p.TailGE(k) >= conf {
-			eta = k
-		} else {
-			break
-		}
-	}
-	return eta
-}
-
-// Mean returns λ.
-func (p Poisson) Mean() float64 { return p.Lambda }
-
-// Variance returns λ.
-func (p Poisson) Variance() float64 { return p.Lambda }
-
-// Normal is a Gaussian distribution with mean Mu and standard deviation
-// Sigma, used by the DB parameter-determination baseline (Table 4).
-type Normal struct {
-	Mu, Sigma float64
-}
-
-// PDF returns the density at x.
-func (n Normal) PDF(x float64) float64 {
-	if n.Sigma <= 0 {
-		if x == n.Mu {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	z := (x - n.Mu) / n.Sigma
-	return math.Exp(-0.5*z*z) / (n.Sigma * math.Sqrt(2*math.Pi))
-}
-
-// CDF returns P(X ≤ x).
-func (n Normal) CDF(x float64) float64 {
-	if n.Sigma <= 0 {
-		if x < n.Mu {
-			return 0
-		}
-		return 1
-	}
-	return 0.5 * math.Erfc(-(x-n.Mu)/(n.Sigma*math.Sqrt2))
-}
-
-// Quantile returns the x with CDF(x) = q, via bisection on the CDF.
-func (n Normal) Quantile(q float64) float64 {
-	if q <= 0 {
-		return math.Inf(-1)
-	}
-	if q >= 1 {
-		return math.Inf(1)
-	}
-	if n.Sigma <= 0 {
-		return n.Mu
-	}
-	lo, hi := n.Mu-12*n.Sigma, n.Mu+12*n.Sigma
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if n.CDF(mid) < q {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // lgamma returns log Γ(x) for x > 0.
 func lgamma(x float64) float64 {
 	v, _ := math.Lgamma(x)
@@ -150,17 +72,4 @@ func FitPoisson(counts []int) (Poisson, error) {
 		s += float64(c)
 	}
 	return Poisson{Lambda: s / float64(len(counts))}, nil
-}
-
-// FitNormal estimates μ and σ from the sample (population σ; σ = 0 for
-// fewer than two observations).
-func FitNormal(xs []float64) (Normal, error) {
-	if len(xs) == 0 {
-		return Normal{}, fmt.Errorf("stats: FitNormal needs at least one observation")
-	}
-	var m Moments
-	for _, x := range xs {
-		m.Add(x)
-	}
-	return Normal{Mu: m.Mean(), Sigma: m.StdDev()}, nil
 }

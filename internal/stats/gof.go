@@ -33,57 +33,3 @@ func KSPoisson(counts []int, p Poisson) (float64, error) {
 	}
 	return ks, nil
 }
-
-// ChiSquarePoisson returns the χ² statistic of the observed counts against
-// the fitted Poisson, pooling the tail so every expected bin holds ≥ 5
-// observations (the classic validity rule), plus the degrees of freedom
-// (bins − 2: one for the total, one for the fitted λ).
-func ChiSquarePoisson(counts []int, p Poisson) (chi2 float64, dof int, err error) {
-	if len(counts) == 0 {
-		return 0, 0, fmt.Errorf("stats: ChiSquarePoisson needs at least one observation")
-	}
-	maxC := 0
-	for _, c := range counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	obs := make([]float64, maxC+1)
-	for _, c := range counts {
-		if c >= 0 {
-			obs[c]++
-		}
-	}
-	n := float64(len(counts))
-	type bin struct{ o, e float64 }
-	var bins []bin
-	var curO, curE float64
-	for k := 0; k <= maxC; k++ {
-		curO += obs[k]
-		curE += n * p.PMF(k)
-		if curE >= 5 {
-			bins = append(bins, bin{o: curO, e: curE})
-			curO, curE = 0, 0
-		}
-	}
-	// Tail mass beyond maxC joins the last open bin.
-	curE += n * p.TailGE(maxC+1)
-	if curO > 0 || curE > 0 {
-		if len(bins) > 0 && curE < 5 {
-			bins[len(bins)-1].o += curO
-			bins[len(bins)-1].e += curE
-		} else {
-			bins = append(bins, bin{o: curO, e: curE})
-		}
-	}
-	if len(bins) < 3 {
-		return 0, 0, fmt.Errorf("stats: too few populated bins (%d) for a χ² test", len(bins))
-	}
-	for _, b := range bins {
-		if b.e > 0 {
-			d := b.o - b.e
-			chi2 += d * d / b.e
-		}
-	}
-	return chi2, len(bins) - 2, nil
-}

@@ -69,36 +69,3 @@ func TestKSPoissonErrors(t *testing.T) {
 		t.Error("empty input accepted")
 	}
 }
-
-func TestChiSquarePoisson(t *testing.T) {
-	counts := poissonSample(4000, 8, 5)
-	fit, _ := FitPoisson(counts)
-	chi2, dof, err := ChiSquarePoisson(counts, fit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dof < 3 {
-		t.Fatalf("dof = %d", dof)
-	}
-	// For a correct model, χ² ≈ dof; allow generous slack.
-	if chi2 > float64(dof)*3 {
-		t.Errorf("χ² = %v with %d dof for genuine samples", chi2, dof)
-	}
-	// A wrong model inflates the statistic.
-	chiBad, dofBad, err := ChiSquarePoisson(counts, Poisson{Lambda: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chiBad < float64(dofBad)*10 {
-		t.Errorf("χ² = %v (dof %d) for a wrong model, want large", chiBad, dofBad)
-	}
-}
-
-func TestChiSquarePoissonErrors(t *testing.T) {
-	if _, _, err := ChiSquarePoisson(nil, Poisson{Lambda: 1}); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, _, err := ChiSquarePoisson([]int{3, 3}, Poisson{Lambda: 3}); err == nil {
-		t.Error("too-few-bins input accepted")
-	}
-}

@@ -22,9 +22,6 @@ func (m *Moments) Add(x float64) {
 	m.m2 += d * (x - m.mean)
 }
 
-// Count returns the number of observations.
-func (m *Moments) Count() int { return m.n }
-
 // Mean returns the sample mean (0 with no observations).
 func (m *Moments) Mean() float64 { return m.mean }
 
@@ -62,48 +59,6 @@ func SampleIndices(n int, rate float64, seed int64) []int {
 	perm := rng.Perm(n)[:k]
 	sort.Ints(perm)
 	return perm
-}
-
-// Histogram is a fixed-width histogram over integer counts, used to report
-// the #ε-neighbors distributions of Figure 5.
-type Histogram struct {
-	// BinWidth is the width of every bin (≥ 1).
-	BinWidth int
-	// Counts[i] tallies observations in [i·BinWidth, (i+1)·BinWidth).
-	Counts []int
-	total  int
-}
-
-// NewHistogram returns a histogram with the given bin width (clamped ≥ 1).
-func NewHistogram(binWidth int) *Histogram {
-	if binWidth < 1 {
-		binWidth = 1
-	}
-	return &Histogram{BinWidth: binWidth}
-}
-
-// Add tallies one observation (negative values clamp to bin 0).
-func (h *Histogram) Add(v int) {
-	if v < 0 {
-		v = 0
-	}
-	b := v / h.BinWidth
-	for len(h.Counts) <= b {
-		h.Counts = append(h.Counts, 0)
-	}
-	h.Counts[b]++
-	h.total++
-}
-
-// Total returns the number of observations tallied.
-func (h *Histogram) Total() int { return h.total }
-
-// Frequency returns the fraction of observations in bin b.
-func (h *Histogram) Frequency(b int) float64 {
-	if h.total == 0 || b < 0 || b >= len(h.Counts) {
-		return 0
-	}
-	return float64(h.Counts[b]) / float64(h.total)
 }
 
 // Quantile returns the smallest value v such that at least fraction q of the

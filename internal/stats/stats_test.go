@@ -60,60 +60,6 @@ func TestPoissonTailGE(t *testing.T) {
 	}
 }
 
-func TestMaxEtaWithConfidence(t *testing.T) {
-	p := Poisson{Lambda: 51.36}
-	eta := p.MaxEtaWithConfidence(0.99)
-	// The paper picks η = 18 for λε = 51.36 "with p(N≥η) = 0.99"; the
-	// maximal such η is actually larger (the tail at 18 is ≈ 1). We assert
-	// the defining invariants: the selected η meets the confidence bar and
-	// is maximal, and the paper's η = 18 indeed satisfies the bar.
-	if eta <= 18 {
-		t.Errorf("η = %d, want > 18 (tail at 18 is ≈ 1 for λ=51.36)", eta)
-	}
-	if p.TailGE(eta) < 0.99 {
-		t.Errorf("selected η=%d has confidence %v < 0.99", eta, p.TailGE(eta))
-	}
-	if p.TailGE(eta+1) >= 0.99 {
-		t.Errorf("η=%d is not maximal", eta)
-	}
-	// Degenerate inputs.
-	if got := (Poisson{Lambda: 0.001}).MaxEtaWithConfidence(0.99); got != 1 {
-		t.Errorf("tiny λ should give η=1, got %d", got)
-	}
-	if got := p.MaxEtaWithConfidence(0); got != p.MaxEtaWithConfidence(0.99) {
-		t.Errorf("conf ≤ 0 should default to 0.99, got %d", got)
-	}
-}
-
-func TestNormalCDFQuantileRoundTrip(t *testing.T) {
-	n := Normal{Mu: 3, Sigma: 2}
-	for _, q := range []float64{0.01, 0.1, 0.5, 0.9, 0.99} {
-		x := n.Quantile(q)
-		if math.Abs(n.CDF(x)-q) > 1e-6 {
-			t.Errorf("CDF(Quantile(%v)) = %v", q, n.CDF(x))
-		}
-	}
-	if n.Quantile(0.5) != 3 && math.Abs(n.Quantile(0.5)-3) > 1e-9 {
-		t.Errorf("median should be μ, got %v", n.Quantile(0.5))
-	}
-	if !math.IsInf(n.Quantile(0), -1) || !math.IsInf(n.Quantile(1), 1) {
-		t.Error("extreme quantiles should be ±Inf")
-	}
-}
-
-func TestNormalDegenerate(t *testing.T) {
-	n := Normal{Mu: 5, Sigma: 0}
-	if n.CDF(4.9) != 0 || n.CDF(5) != 1 {
-		t.Error("σ=0 CDF should be a step at μ")
-	}
-	if n.Quantile(0.3) != 5 {
-		t.Error("σ=0 quantile should be μ")
-	}
-	if n.PDF(4) != 0 {
-		t.Error("σ=0 PDF off the mean should be 0")
-	}
-}
-
 func TestFitPoisson(t *testing.T) {
 	p, err := FitPoisson([]int{2, 4, 6})
 	if err != nil {
@@ -123,22 +69,6 @@ func TestFitPoisson(t *testing.T) {
 		t.Errorf("λ = %v, want 4", p.Lambda)
 	}
 	if _, err := FitPoisson(nil); err == nil {
-		t.Error("empty input should error")
-	}
-}
-
-func TestFitNormal(t *testing.T) {
-	n, err := FitNormal([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Mu != 3 {
-		t.Errorf("μ = %v, want 3", n.Mu)
-	}
-	if math.Abs(n.Sigma-math.Sqrt(2)) > 1e-12 {
-		t.Errorf("σ = %v, want √2", n.Sigma)
-	}
-	if _, err := FitNormal(nil); err == nil {
 		t.Error("empty input should error")
 	}
 }
@@ -164,8 +94,8 @@ func TestMomentsMatchesDirect(t *testing.T) {
 	if math.Abs(m.Variance()-varSum/float64(len(xs))) > 1e-6 {
 		t.Errorf("variance %v vs %v", m.Variance(), varSum/float64(len(xs)))
 	}
-	if m.Count() != 1000 {
-		t.Errorf("count %d", m.Count())
+	if m.n != 1000 {
+		t.Errorf("count %d", m.n)
 	}
 	var empty Moments
 	if empty.Variance() != 0 || empty.Mean() != 0 {
@@ -209,30 +139,6 @@ func TestSampleIndices(t *testing.T) {
 	}
 	if got := SampleIndices(10, 0, 0); len(got) != 1 {
 		t.Errorf("rate 0 should return one index, got %v", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(5)
-	for _, v := range []int{0, 3, 4, 5, 9, 10, 22, -1} {
-		h.Add(v)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	// Bins: [0,5)x4 (0,3,4,-1), [5,10)x2, [10,15)x1, [20,25)x1.
-	if h.Counts[0] != 4 || h.Counts[1] != 2 || h.Counts[2] != 1 || h.Counts[4] != 1 {
-		t.Errorf("bin counts = %v", h.Counts)
-	}
-	if got := h.Frequency(0); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("freq(0) = %v", got)
-	}
-	if h.Frequency(99) != 0 || h.Frequency(-1) != 0 {
-		t.Error("out-of-range frequency should be 0")
-	}
-	// Bin width clamping.
-	if NewHistogram(0).BinWidth != 1 {
-		t.Error("bin width should clamp to 1")
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 	"time"
 
 	disc "repro"
-	"repro/internal/obs"
+	"repro/internal/obs/promtest"
 )
 
 // TestServeSmoke drives a real discserve process through the whole session
@@ -264,7 +264,7 @@ func TestServeSmoke(t *testing.T) {
 	if mresp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /metrics: status %d", mresp.StatusCode)
 	}
-	fams, err := obs.ParseProm(bytes.NewReader(mbody))
+	fams, err := promtest.Parse(bytes.NewReader(mbody))
 	if err != nil {
 		t.Fatalf("/metrics is not valid Prometheus text: %v\n%s", err, mbody)
 	}

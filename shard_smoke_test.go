@@ -13,7 +13,7 @@ import (
 	"time"
 
 	disc "repro"
-	"repro/internal/obs"
+	"repro/internal/obs/promtest"
 )
 
 // smokeProc is one discserve process under test: its command, announced
@@ -322,7 +322,7 @@ func TestShardSmoke(t *testing.T) {
 	if mresp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /metrics: status %d", mresp.StatusCode)
 	}
-	fams, err := obs.ParseProm(bytes.NewReader(mbody))
+	fams, err := promtest.Parse(bytes.NewReader(mbody))
 	if err != nil {
 		t.Fatalf("/metrics is not valid Prometheus text: %v\n%s", err, mbody)
 	}
