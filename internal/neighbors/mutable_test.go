@@ -207,7 +207,7 @@ func TestMutableForcedMerges(t *testing.T) {
 				}
 			}
 			if m.Merges() < 3 {
-				t.Fatalf("100 inserts over 80 rows ran %d delta merges, want 3", m.Merges())
+				t.Fatalf("100 inserts over 80 rows ran %d delta merges, want at least 3", m.Merges())
 			}
 			if len(m.delta) >= m.mergeThreshold() {
 				t.Fatalf("pending delta %d should have merged", len(m.delta))
