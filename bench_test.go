@@ -296,6 +296,21 @@ func BenchmarkClusterDBSCAN(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterDBSCANLattice is BenchmarkClusterDBSCAN on the grid
+// index: the jittered lattice of perfbench's lattice-detect workload, where
+// every lattice tuple has about 268 ε-neighbors.
+func BenchmarkClusterDBSCANLattice(b *testing.B) {
+	rel, err := data.GenLattice(data.LatticeSpec{Side: 4, PerCell: 64, Dims: 3, Noise: 64, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		disc.DBSCAN(rel, disc.DBSCANConfig{Eps: 1, MinPts: 20})
+	}
+}
+
 // mixedWorkload builds the mixed numeric+text fixture once per bench: the
 // distance-layer worst case (per-value kind branches, O(len²) string
 // metrics, repeated identical string pairs) that the compiled kernels

@@ -227,8 +227,10 @@ var (
 	DBSCAN = cluster.DBSCAN
 	// DBSCANContext, KMeansContext and SREMContext are the cancellable
 	// variants: they stop promptly once the context is cancelled and
-	// return the partial (DBSCAN) or best-so-far (restarted) clustering
-	// alongside the context's error.
+	// return the context's error, with every tuple labelled noise
+	// (DBSCAN) or with the best-so-far clustering (the restarted ones).
+	// DBSCAN and DBSCANContext query DBSCANConfig.Index from GOMAXPROCS
+	// goroutines at once, as DetectContext queries its index.
 	DBSCANContext = cluster.DBSCANContext
 	KMeansContext = cluster.KMeansContext
 	SREMContext   = cluster.SREMContext

@@ -1,15 +1,12 @@
 package cluster
 
-import (
-	"sort"
-
-	"repro/internal/data"
-)
+import "repro/internal/data"
 
 // AggloConfig parameterizes single-link agglomerative clustering: merge
 // the closest pair of clusters until the merge distance exceeds CutDist
 // (equivalently, cut the minimum spanning tree at CutDist). With
-// CutDist = ε this is DBSCAN with minPts = 1 — another member of the
+// CutDist = ε this is DBSCAN with minPts = 1 counting the point itself
+// (DBSCANConfig.MinPts = 0, which excludes it) — another member of the
 // density family §5 surveys — and its sensitivity to single noisy points
 // is exactly the failure mode outlier saving removes.
 type AggloConfig struct {
@@ -20,70 +17,26 @@ type AggloConfig struct {
 	MinClusterSize int
 }
 
-// SingleLink clusters the relation by MST cutting (Kruskal over all
-// pairs, O(n² log n) distance computations).
+// SingleLink clusters the relation by cutting the single-link dendrogram
+// at CutDist. The clusters of that cut are the connected components of the
+// graph joining tuples at distance ≤ CutDist, which is DBSCAN with
+// MinPts = 0, where every tuple is core; its labels number the components
+// by first appearance. Clusters smaller than MinClusterSize then become
+// noise, and the surviving ids keep their gaps.
 func SingleLink(rel *data.Relation, cfg AggloConfig) Result {
-	n := rel.N()
-	labels := make([]int, n)
-	if n == 0 {
-		return Result{Labels: labels}
+	res := DBSCAN(rel, DBSCANConfig{Eps: cfg.CutDist, MinPts: 0})
+	if cfg.MinClusterSize <= 1 {
+		return res
 	}
-	if cfg.MinClusterSize < 1 {
-		cfg.MinClusterSize = 1
+	sizes := make([]int, res.K)
+	for _, l := range res.Labels {
+		sizes[l]++
 	}
-	type edge struct {
-		i, j int
-		d    float64
-	}
-	edges := make([]edge, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := rel.Schema.Dist(rel.Tuples[i], rel.Tuples[j])
-			if d <= cfg.CutDist {
-				edges = append(edges, edge{i: i, j: j, d: d})
-			}
+	for i, l := range res.Labels {
+		if sizes[l] < cfg.MinClusterSize {
+			res.Labels[i] = -1
 		}
 	}
-	sort.Slice(edges, func(a, b int) bool { return edges[a].d < edges[b].d })
-
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range edges {
-		ri, rj := find(e.i), find(e.j)
-		if ri != rj {
-			parent[ri] = rj
-		}
-	}
-
-	// Canonical labels in first-appearance order.
-	next := 0
-	canon := map[int]int{}
-	sizes := map[int]int{}
-	for i := 0; i < n; i++ {
-		r := find(i)
-		if _, ok := canon[r]; !ok {
-			canon[r] = next
-			next++
-		}
-		labels[i] = canon[r]
-		sizes[labels[i]]++
-	}
-	if cfg.MinClusterSize > 1 {
-		for i, l := range labels {
-			if sizes[l] < cfg.MinClusterSize {
-				labels[i] = -1
-			}
-		}
-	}
-	return Result{Labels: labels, K: countClusters(labels)}
+	res.K = countClusters(res.Labels)
+	return res
 }

@@ -28,16 +28,19 @@ func TestDBSCANContextCancelledReturnsPartial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := DBSCANContext(ctx, rel, DBSCANConfig{Eps: 2, MinPts: 4})
-	if err == nil {
-		t.Fatal("cancelled DBSCANContext returned no error")
+	if err != context.Canceled {
+		t.Fatalf("cancelled DBSCANContext returned %v, want the context's error", err)
 	}
 	if len(res.Labels) != rel.N() {
 		t.Fatalf("partial result has %d labels, want %d", len(res.Labels), rel.N())
 	}
 	for i, l := range res.Labels {
-		if l < -1 {
-			t.Fatalf("label[%d] = %d: internal sentinel leaked", i, l)
+		if l != -1 {
+			t.Fatalf("label[%d] = %d, want every tuple noise in a cancelled run", i, l)
 		}
+	}
+	if res.K != 0 {
+		t.Errorf("cancelled run reports K = %d, want 0", res.K)
 	}
 }
 

@@ -8,13 +8,15 @@ import (
 	"repro/internal/neighbors"
 )
 
-// TestDBSCANScratchReuse pins the allocation contract of the expansion
-// loop: every range query drains into one reused scratch buffer via
-// WithinBuf, so a whole clustering pass costs a small constant number of
-// allocations (labels, queue, scratch growth) instead of one result slice
-// per visited point. Before the scratch buffer, a pass over n=600 cost
-// well over 600 allocations; the budget below fails if per-point
-// allocation ever sneaks back in.
+// TestDBSCANScratchReuse pins the allocation contract of the clustering
+// pass: each worker's range queries reuse one scratch buffer via
+// WithinBuf, and the neighbor ids of tuples that are not core go into one
+// buffer per worker, so a whole pass costs a small constant number of
+// allocations (labels, the disjoint set, the worker buffers and their
+// growth) instead of one slice per point. A pass that allocated per point
+// over n=600 would cost well over 600 allocations; the budget below fails
+// if per-point allocation ever sneaks back in. testing.AllocsPerRun runs
+// at GOMAXPROCS 1, so the pass has one worker here.
 func TestDBSCANScratchReuse(t *testing.T) {
 	rel := data.NewRelation(data.NewNumericSchema("x", "y", "z"))
 	rng := rand.New(rand.NewSource(29))
@@ -38,8 +40,8 @@ func TestDBSCANScratchReuse(t *testing.T) {
 		allocs := testing.AllocsPerRun(10, func() {
 			DBSCAN(rel, cfg)
 		})
-		// Per run: labels + queue + scratch/queue growth. 32 leaves
-		// headroom without ever re-admitting per-point result slices. The
+		// Per run: labels, disjoint set, worker buffers and their growth.
+		// 32 leaves headroom without ever re-admitting per-point slices. The
 		// race detector's sync.Pool drops ~25% of released kernel queries,
 		// so each run re-allocates a fraction of its n queries; the wider
 		// budget still catches the old one-result-slice-per-point regime

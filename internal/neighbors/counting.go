@@ -87,6 +87,31 @@ func Counting(idx Index, c *Counters) Index {
 	return &counting{idx: uncounted{idx}, c: c}
 }
 
+// Fork splits idx into n views for a pass that queries it from n
+// goroutines at once, one view per goroutine. When idx is a counting
+// view, each of the n views counts into its own shard, and join folds
+// every shard into idx's counters; call it once, after the last query.
+// Any other index is shared as it is, since a direct query counts nothing.
+func Fork(idx Index, n int) (views []Index, join func()) {
+	views = make([]Index, n)
+	cv, ok := idx.(*counting)
+	if !ok {
+		for w := range views {
+			views[w] = idx
+		}
+		return views, func() {}
+	}
+	shards := make([]Counters, n)
+	for w := range views {
+		views[w] = &counting{idx: cv.idx, c: &shards[w]}
+	}
+	return views, func() {
+		for w := range shards {
+			cv.c.Add(shards[w])
+		}
+	}
+}
+
 // counted is implemented by the indexes that count their own work: one
 // body per query kind, taking the calling view's counters (nil for a
 // direct call). The public query methods call these bodies with nil.

@@ -1,6 +1,7 @@
 package neighbors
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/data"
@@ -131,6 +132,55 @@ func TestCountingReplacesPreviousCounters(t *testing.T) {
 	}
 	if c2.RangeQueries != 1 || c2.DistEvals == 0 {
 		t.Errorf("new counters not incremented: %+v", c2)
+	}
+}
+
+// TestForkFoldsShards: the views Fork makes from a counting view are
+// queried from one goroutine each, and join folds into the caller's
+// counters exactly the work one view counts for the same queries, on top
+// of what the counters held before. A plain index is handed to every
+// worker as it is.
+func TestForkFoldsShards(t *testing.T) {
+	r := randomRelation(300, 3, 17)
+	eps := 1.5
+	for name, base := range map[string]Index{
+		"brute":  NewBrute(r),
+		"grid":   NewGrid(r, eps),
+		"vptree": NewVPTree(r, 1),
+	} {
+		want := Counters{RangeQueries: 5}
+		serial := Counting(base, &want)
+		for q := range r.Tuples {
+			serial.Within(r.Tuples[q], eps, q)
+		}
+		got := Counters{RangeQueries: 5}
+		views, join := Fork(Counting(base, &got), 4)
+		var wg sync.WaitGroup
+		for w, v := range views {
+			wg.Add(1)
+			go func(w int, v Index) {
+				defer wg.Done()
+				for q := w; q < r.N(); q += len(views) {
+					v.Within(r.Tuples[q], eps, q)
+				}
+			}(w, v)
+		}
+		wg.Wait()
+		if got.RangeQueries != 5 {
+			t.Errorf("%s: the caller's counters moved before join: %+v", name, got)
+		}
+		join()
+		if got != want {
+			t.Errorf("%s: after join %+v, one view counted %+v", name, got, want)
+		}
+	}
+	plain := NewBrute(r)
+	views, join := Fork(plain, 3)
+	join()
+	for w, v := range views {
+		if v != Index(plain) {
+			t.Errorf("view %d of a plain index is %T, want the index itself", w, v)
+		}
 	}
 }
 
