@@ -8,8 +8,8 @@ FUZZTIME ?= 10s
 # rather than overwrites so both snapshots survive in the committed file.
 # BENCHOUT has no default: a bare `make bench` would otherwise overwrite an
 # earlier change's committed snapshot. Every benchmark runs five times and
-# benchjson folds the repeats into a median with min/max and GOMAXPROCS, so
-# each snapshot carries its spread.
+# benchjson folds the repeats into a median with min, quartiles, max and
+# GOMAXPROCS, so each snapshot carries its spread.
 BENCHKEY ?= after
 BENCHPKGS = . ./internal/data ./internal/neighbors ./internal/serve
 BENCHPAT = BenchmarkSaveSingle$$|BenchmarkSaveSingleSaved$$|BenchmarkNewSaver|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkVPTreeCountWithin$$|BenchmarkVPTreeKNN$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkDetectExactLattice|BenchmarkKernelDistNumeric$$|BenchmarkKernelDistTextHit$$|BenchmarkKernelDistTextMiss$$
@@ -38,9 +38,10 @@ bench:
 
 # The same suite as an interleaved A/B pair: the revision BASE (unpacked
 # with git archive into a temp dir) against the working tree. Each side's
-# test binaries are built first with go test -c; then five rounds run
-# every binary once (-test.count 1) from its package directory, side by
-# side, alternating which side goes first, so drift on a shared machine
+# test binaries are built first with go test -c; then ten rounds, ten pairs
+# being the fewest that separate a shift from run-to-run noise on a shared
+# machine, run every binary once (-test.count 1) from its package
+# directory, side by side, alternating which side goes first, so drift
 # lands on both sides alike instead of on whichever snapshot was taken
 # second. The rounds fold through cmd/benchjson into $(BENCHOUT) under
 # "before" (BASE) and "after" (the working tree), for bench-diff, e.g.
@@ -56,7 +57,7 @@ bench-ab:
 		$(GO) -C "$$tmp/before" test -c -o "$$tmp/before-$$bin" "$$pkg"; \
 		$(GO) test -c -o "$$tmp/after-$$bin" "$$pkg"; \
 	done; \
-	for round in 1 2 3 4 5; do \
+	for round in 1 2 3 4 5 6 7 8 9 10; do \
 		order="before after"; [ $$((round % 2)) -eq 1 ] || order="after before"; \
 		for side in $$order; do \
 			root="$(CURDIR)"; [ $$side = after ] || root="$$tmp/before"; \
@@ -74,7 +75,8 @@ bench-ab:
 # The per-layer regression gate: compare two snapshots, each FILE or
 # FILE:KEY (KEY defaults to after), matching entries by package, name and
 # GOMAXPROCS. Prints old and new median ns/op and allocs/op and fails when
-# a new median is above the old snapshot's recorded max, e.g.
+# a benchmark's new lower ns/op quartile is above the old upper quartile
+# (snapshots without quartiles: a new median above the old max), e.g.
 #   make bench-diff OLD=BENCH_17.json:before NEW=BENCH_17.json:after
 bench-diff:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-diff OLD=BENCH_<a>.json[:key] NEW=BENCH_<b>.json[:key]" >&2; exit 2; }

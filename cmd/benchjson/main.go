@@ -10,9 +10,9 @@
 // "after"); an existing file is merged, not overwritten, so the before
 // numbers captured at the start of a change survive the final run. Repeats
 // of one benchmark (go test -count N) fold into one entry: the median of
-// every column, the min and max of ns/op, and the repeat count. Stdin is
-// echoed to stdout, keeping the human-readable table visible when the
-// command is used in a pipe.
+// every column, the min, quartiles and max of ns/op, and the repeat count.
+// Stdin is echoed to stdout, keeping the human-readable table visible when
+// the command is used in a pipe.
 //
 // With -diff it compares two committed snapshots instead, each named
 // FILE or FILE:KEY (KEY defaults to "after"):
@@ -20,9 +20,14 @@
 //	benchjson -diff BENCH_14.json BENCH_17.json:after
 //
 // Entries match by (package, name, GOMAXPROCS). The table shows the old
-// and new median ns/op and allocs/op; the command exits 1 when any new
-// median lies above the old snapshot's recorded ns/op max (its slowest
-// repeat), so a move inside the old spread is not a regression.
+// and new median ns/op and allocs/op. When both entries carry ns/op
+// quartiles, a benchmark is SLOWER when the new lower quartile lies above
+// the old upper quartile, and faster in the mirror case, so overlapping
+// middle halves give no verdict and one slow repeat cannot hide a shift of
+// the whole run. Entries without quartiles, as in snapshots written before
+// they were recorded, keep the older rule: SLOWER when the new median lies
+// above the old max, faster when it lies below the old min. The command
+// exits 1 when any benchmark is SLOWER.
 package main
 
 import (
@@ -54,10 +59,12 @@ type Bench struct {
 	Count int `json:"count,omitempty"`
 	// Iters is the total b.N over the repeats.
 	Iters int64 `json:"iters"`
-	// NsPerOp is the median ns/op over the repeats, NsPerOpMin and
-	// NsPerOpMax its spread.
+	// NsPerOp is the median ns/op over the repeats; NsPerOpMin,
+	// NsPerOpQ1, NsPerOpQ3 and NsPerOpMax are its spread.
 	NsPerOp    float64 `json:"ns_per_op"`
 	NsPerOpMin float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpQ1  float64 `json:"ns_per_op_q1,omitempty"`
+	NsPerOpQ3  float64 `json:"ns_per_op_q3,omitempty"`
 	NsPerOpMax float64 `json:"ns_per_op_max,omitempty"`
 	// BytesPerOp and AllocsPerOp are the medians of the standard columns;
 	// present only under -benchmem.
@@ -234,8 +241,8 @@ func parseSample(iters, tail string) (sample, error) {
 	return smp, nil
 }
 
-// fold reduces the repeats of one benchmark to medians, with the min and
-// max of ns/op.
+// fold reduces the repeats of one benchmark to medians, with the min,
+// quartiles and max of ns/op.
 func fold(ss []sample) Bench {
 	b := Bench{Count: len(ss)}
 	var ns, bytes, allocs []float64
@@ -254,6 +261,7 @@ func fold(ss []sample) Bench {
 		}
 	}
 	b.NsPerOp, b.NsPerOpMin, b.NsPerOpMax = median(ns), slices.Min(ns), slices.Max(ns)
+	b.NsPerOpQ1, b.NsPerOpQ3 = quantile(ns, 0.25), quantile(ns, 0.75)
 	if len(bytes) > 0 {
 		v := median(bytes)
 		b.BytesPerOp = &v
@@ -282,6 +290,18 @@ func median(vs []float64) float64 {
 	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
+// quantile returns the p-quantile of vs, interpolating linearly between
+// the two nearest ranks, sorting vs in place.
+func quantile(vs []float64, p float64) float64 {
+	slices.Sort(vs)
+	pos := p * float64(len(vs)-1)
+	i := int(pos)
+	if i+1 >= len(vs) {
+		return vs[len(vs)-1]
+	}
+	return vs[i] + (pos-float64(i))*(vs[i+1]-vs[i])
+}
+
 // diffMain runs -diff over its two FILE[:KEY] arguments and returns the
 // exit status: 0 clean, 1 regression or unreadable input, 2 usage.
 func diffMain(args []string, w io.Writer) int {
@@ -299,7 +319,7 @@ func diffMain(args []string, w io.Writer) int {
 		runs[i] = run
 	}
 	if n := diff(runs[0], runs[1], w); n > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) slower than the old snapshot's max\n", n)
+		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) slower than the old snapshot\n", n)
 		return 1
 	}
 	return 0
@@ -334,9 +354,9 @@ type benchKey struct {
 }
 
 // diff writes the comparison table of the before snapshot against the
-// after one and returns the number of regressions: matched entries whose
-// new median ns/op exceeds the old entry's recorded max. Entries present
-// on one side only are listed and never counted.
+// after one and returns the number of regressions: matched entries that
+// verdict marks SLOWER. Entries present on one side only are listed and
+// never counted.
 func diff(before, after *Run, w io.Writer) int {
 	olds := map[benchKey]Bench{}
 	for _, b := range before.Benchmarks {
@@ -354,16 +374,12 @@ func diff(before, after *Run, w io.Writer) int {
 			fmt.Fprintf(tw, "%s\t%d\t-\t%.0f\t\t-\t%s\tnew\t\n", label(b), b.Procs, b.NsPerOp, allocs(b))
 			continue
 		}
-		verdict := ""
-		switch {
-		case o.NsPerOpMax > 0 && b.NsPerOp > o.NsPerOpMax:
-			verdict = "SLOWER"
+		v := verdict(o, b)
+		if v == "SLOWER" {
 			regressions++
-		case o.NsPerOpMin > 0 && b.NsPerOp < o.NsPerOpMin:
-			verdict = "faster"
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.0f\t%+.1f%%\t%s\t%s\t%s\t\n", label(b), b.Procs, o.NsPerOp, b.NsPerOp,
-			100*(b.NsPerOp-o.NsPerOp)/o.NsPerOp, allocs(o), allocs(b), verdict)
+			100*(b.NsPerOp-o.NsPerOp)/o.NsPerOp, allocs(o), allocs(b), v)
 	}
 	for _, o := range before.Benchmarks {
 		if !seen[benchKey{o.Pkg, o.Name, o.Procs}] {
@@ -372,6 +388,28 @@ func diff(before, after *Run, w io.Writer) int {
 	}
 	tw.Flush()
 	return regressions
+}
+
+// verdict compares one benchmark's old and new entries: "SLOWER",
+// "faster" or "". With quartiles on both sides the middle halves must not
+// overlap; otherwise the new median is held against the old min and max.
+func verdict(o, b Bench) string {
+	if o.NsPerOpQ3 > 0 && b.NsPerOpQ1 > 0 {
+		switch {
+		case b.NsPerOpQ1 > o.NsPerOpQ3:
+			return "SLOWER"
+		case b.NsPerOpQ3 < o.NsPerOpQ1:
+			return "faster"
+		}
+		return ""
+	}
+	switch {
+	case o.NsPerOpMax > 0 && b.NsPerOp > o.NsPerOpMax:
+		return "SLOWER"
+	case o.NsPerOpMin > 0 && b.NsPerOp < o.NsPerOpMin:
+		return "faster"
+	}
+	return ""
 }
 
 // label names a benchmark by package-relative path and name.

@@ -52,6 +52,11 @@ func TestParseFoldsRepeats(t *testing.T) {
 	if b.NsPerOp != 881605 || b.NsPerOpMin != 858372 || b.NsPerOpMax != 929056 {
 		t.Errorf("ns/op median/min/max = %v/%v/%v", b.NsPerOp, b.NsPerOpMin, b.NsPerOpMax)
 	}
+	// Quartiles interpolate between the nearest ranks: halfway between the
+	// first and second repeat, and between the second and third.
+	if b.NsPerOpQ1 != 869988.5 || b.NsPerOpQ3 != 905330.5 {
+		t.Errorf("ns/op quartiles = %v/%v, want 869988.5/905330.5", b.NsPerOpQ1, b.NsPerOpQ3)
+	}
 	if b.BytesPerOp == nil || *b.BytesPerOp != 359 || b.AllocsPerOp == nil || *b.AllocsPerOp != 1 {
 		t.Errorf("B/op, allocs/op medians = %v, %v", b.BytesPerOp, b.AllocsPerOp)
 	}
@@ -63,7 +68,8 @@ func TestParseFoldsRepeats(t *testing.T) {
 	if g.Name != "BenchmarkGridWithin" || g.Pkg != "repro/internal/neighbors" || g.Procs != 8 || g.Count != 1 {
 		t.Errorf("second entry = %+v", g)
 	}
-	if g.NsPerOp != 23000 || g.NsPerOpMin != 23000 || g.NsPerOpMax != 23000 || g.BytesPerOp != nil {
+	if g.NsPerOp != 23000 || g.NsPerOpMin != 23000 || g.NsPerOpQ1 != 23000 || g.NsPerOpQ3 != 23000 ||
+		g.NsPerOpMax != 23000 || g.BytesPerOp != nil {
 		t.Errorf("single run = %+v", g)
 	}
 	if w := run.Benchmarks[2]; w.Name != "BenchmarkBruteWithin" || w.Procs != 1 {
@@ -95,11 +101,14 @@ func TestOldSnapshotKeepsShape(t *testing.T) {
 	}
 }
 
-// TestDiff covers -diff's verdicts: a median above the old max is a
-// regression and fails the gate; one below the old min is reported as
-// faster; a move inside the old spread is neither; entries on one side
-// only, and entries whose GOMAXPROCS differ, are listed but never
-// compared.
+// TestDiff covers -diff's verdicts. Without quartiles, a median above the
+// old max is a regression and fails the gate; one below the old min is
+// reported as faster; a move inside the old spread is neither. With
+// quartiles on both sides, overlapping middle halves get no verdict even
+// when the new median passes the old max; separated ones are SLOWER or
+// faster; and one slow repeat that stretches the old max no longer hides
+// a shift of the whole new run. Entries on one side only, and entries
+// whose GOMAXPROCS differ, are listed but never compared.
 func TestDiff(t *testing.T) {
 	allocs := func(v float64) *float64 { return &v }
 	before := &Run{Benchmarks: []Bench{
@@ -108,6 +117,10 @@ func TestDiff(t *testing.T) {
 		{Pkg: "repro", Name: "BenchmarkSteady", Procs: 2, NsPerOp: 100, NsPerOpMin: 95, NsPerOpMax: 105},
 		{Pkg: "repro", Name: "BenchmarkGone", Procs: 2, NsPerOp: 100, NsPerOpMin: 95, NsPerOpMax: 105},
 		{Pkg: "repro/internal/neighbors", Name: "BenchmarkProcs", Procs: 1, NsPerOp: 100, NsPerOpMin: 95, NsPerOpMax: 105},
+		{Pkg: "repro", Name: "BenchmarkQOverlap", Procs: 2, NsPerOp: 100, NsPerOpMin: 96, NsPerOpQ1: 98, NsPerOpQ3: 104, NsPerOpMax: 106},
+		{Pkg: "repro", Name: "BenchmarkQSlower", Procs: 2, NsPerOp: 100, NsPerOpMin: 96, NsPerOpQ1: 98, NsPerOpQ3: 102, NsPerOpMax: 106},
+		{Pkg: "repro", Name: "BenchmarkQFaster", Procs: 2, NsPerOp: 100, NsPerOpMin: 96, NsPerOpQ1: 98, NsPerOpQ3: 102, NsPerOpMax: 106},
+		{Pkg: "repro", Name: "BenchmarkQOldOutlier", Procs: 2, NsPerOp: 100, NsPerOpMin: 96, NsPerOpQ1: 98, NsPerOpQ3: 102, NsPerOpMax: 300},
 	}}
 	after := &Run{Benchmarks: []Bench{
 		{Pkg: "repro", Name: "BenchmarkSlower", Procs: 2, NsPerOp: 130, AllocsPerOp: allocs(0)},
@@ -115,10 +128,14 @@ func TestDiff(t *testing.T) {
 		{Pkg: "repro", Name: "BenchmarkSteady", Procs: 2, NsPerOp: 104},
 		{Pkg: "repro", Name: "BenchmarkNew", Procs: 2, NsPerOp: 100},
 		{Pkg: "repro/internal/neighbors", Name: "BenchmarkProcs", Procs: 2, NsPerOp: 900},
+		{Pkg: "repro", Name: "BenchmarkQOverlap", Procs: 2, NsPerOp: 108, NsPerOpMin: 97, NsPerOpQ1: 103, NsPerOpQ3: 110, NsPerOpMax: 112},
+		{Pkg: "repro", Name: "BenchmarkQSlower", Procs: 2, NsPerOp: 105, NsPerOpMin: 97, NsPerOpQ1: 103, NsPerOpQ3: 107, NsPerOpMax: 112},
+		{Pkg: "repro", Name: "BenchmarkQFaster", Procs: 2, NsPerOp: 93, NsPerOpMin: 90, NsPerOpQ1: 92, NsPerOpQ3: 97, NsPerOpMax: 99},
+		{Pkg: "repro", Name: "BenchmarkQOldOutlier", Procs: 2, NsPerOp: 125, NsPerOpMin: 118, NsPerOpQ1: 120, NsPerOpQ3: 130, NsPerOpMax: 140},
 	}}
 	var out bytes.Buffer
-	if n := diff(before, after, &out); n != 1 {
-		t.Fatalf("diff counted %d regressions, want 1 (BenchmarkSlower only):\n%s", n, out.String())
+	if n := diff(before, after, &out); n != 3 {
+		t.Fatalf("diff counted %d regressions, want 3 (BenchmarkSlower, BenchmarkQSlower, BenchmarkQOldOutlier):\n%s", n, out.String())
 	}
 	rows := map[string]string{}
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n")[1:] {
@@ -132,13 +149,18 @@ func TestDiff(t *testing.T) {
 		"BenchmarkNew/2":                      "new",
 		"internal/neighbors.BenchmarkProcs/1": "gone",
 		"internal/neighbors.BenchmarkProcs/2": "new",
+		"BenchmarkQSlower/2":                  "SLOWER",
+		"BenchmarkQFaster/2":                  "faster",
+		"BenchmarkQOldOutlier/2":              "SLOWER",
 	} {
 		if !strings.HasSuffix(strings.TrimSpace(rows[name]), want) {
 			t.Errorf("row %s = %q, want verdict %q", name, rows[name], want)
 		}
 	}
-	if f := strings.Fields(rows["BenchmarkSteady/2"]); f[len(f)-1] != "0" && f[len(f)-1] != "-" {
-		t.Errorf("steady row %q carries a verdict", rows["BenchmarkSteady/2"])
+	for _, name := range []string{"BenchmarkSteady/2", "BenchmarkQOverlap/2"} {
+		if f := strings.Fields(rows[name]); f[len(f)-1] != "0" && f[len(f)-1] != "-" {
+			t.Errorf("row %q carries a verdict", rows[name])
+		}
 	}
 	if f := strings.Fields(rows["BenchmarkSlower/2"]); f[2] != "100" || f[3] != "130" || f[5] != "3" || f[6] != "0" {
 		t.Errorf("slower row %q: want old/new ns/op 100/130 and allocs 3/0", rows["BenchmarkSlower/2"])
