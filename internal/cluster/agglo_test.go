@@ -11,8 +11,8 @@ import (
 // singleLinkKruskal is single-link clustering as a Kruskal pass over all
 // pairs (O(n² log n) distance computations), cut at CutDist: the reference
 // the DBSCAN-based SingleLink must reproduce label for label. Its edge
-// list grows from empty: production SingleLink used to reserve n(n−1)/2
-// edges up front, 432 MB at n = 6,000.
+// list grows from empty rather than reserving all n(n−1)/2 edges, so its
+// memory follows the edges within the cut.
 func singleLinkKruskal(rel *data.Relation, cfg AggloConfig) Result {
 	n := rel.N()
 	labels := make([]int, n)
