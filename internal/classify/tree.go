@@ -7,6 +7,7 @@ package classify
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/data"
@@ -25,6 +26,10 @@ type TreeConfig struct {
 type Tree struct {
 	nodes []treeNode
 	m     int
+	// k is the number of classes. Training relabels them densely, so
+	// class counts are slices and every impurity sum runs in class order;
+	// leaves hold the caller's labels again once the tree is built.
+	k int
 }
 
 type treeNode struct {
@@ -62,25 +67,44 @@ func TrainTree(rel *data.Relation, labels []int, cfg TreeConfig) (*Tree, error) 
 		}
 		X[i] = row
 	}
-	tr := &Tree{m: m}
+	classes, y := denseLabels(labels)
+	tr := &Tree{m: m, k: len(classes)}
 	idx := make([]int, len(X))
 	for i := range idx {
 		idx[i] = i
 	}
-	tr.build(X, labels, idx, cfg, 0)
+	tr.build(X, y, idx, cfg, 0)
+	for i := range tr.nodes {
+		if tr.nodes[i].attr < 0 {
+			tr.nodes[i].label = classes[tr.nodes[i].label]
+		}
+	}
 	return tr, nil
+}
+
+// denseLabels relabels labels as 0..k-1 in ascending order of the original
+// label, returning the k originals and the relabelled vector.
+func denseLabels(labels []int) (classes, y []int) {
+	classes = slices.Clone(labels)
+	slices.Sort(classes)
+	classes = slices.Compact(classes)
+	y = make([]int, len(labels))
+	for i, l := range labels {
+		y[i], _ = slices.BinarySearch(classes, l)
+	}
+	return classes, y
 }
 
 // build grows the subtree over the samples idx and returns its node id.
 func (tr *Tree) build(X [][]float64, y, idx []int, cfg TreeConfig, depth int) int {
 	id := len(tr.nodes)
-	tr.nodes = append(tr.nodes, treeNode{attr: -1, label: majority(y, idx)})
+	tr.nodes = append(tr.nodes, treeNode{attr: -1, label: majority(y, idx, tr.k)})
 
 	if len(idx) < cfg.MinSamplesSplit || pure(y, idx) ||
 		(cfg.MaxDepth > 0 && depth >= cfg.MaxDepth) {
 		return id
 	}
-	attr, thr, ok := bestSplit(X, y, idx, tr.m)
+	attr, thr, ok := bestSplit(X, y, idx, tr.m, tr.k)
 	if !ok {
 		return id
 	}
@@ -101,8 +125,10 @@ func (tr *Tree) build(X [][]float64, y, idx []int, cfg TreeConfig, depth int) in
 	return id
 }
 
-func majority(y, idx []int) int {
-	counts := map[int]int{}
+// majority returns the class (of k) most frequent among idx, the first to
+// reach that count on a tie.
+func majority(y, idx []int, k int) int {
+	counts := make([]int, k)
 	best, bestC := 0, -1
 	for _, i := range idx {
 		counts[y[i]]++
@@ -123,15 +149,17 @@ func pure(y, idx []int) bool {
 }
 
 // bestSplit finds the (attribute, threshold) with the lowest weighted Gini
-// impurity, scanning sorted values with incremental class counts.
-func bestSplit(X [][]float64, y, idx []int, m int) (int, float64, bool) {
+// impurity, scanning sorted values with incremental counts of the k
+// classes.
+func bestSplit(X [][]float64, y, idx []int, m, k int) (int, float64, bool) {
 	bestAttr, bestThr, bestGini := -1, 0.0, math.Inf(1)
 	order := make([]int, len(idx))
+	leftCounts, rightCounts := make([]int, k), make([]int, k)
 	for a := 0; a < m; a++ {
 		copy(order, idx)
 		sort.Slice(order, func(p, q int) bool { return X[order[p]][a] < X[order[q]][a] })
-		leftCounts := map[int]int{}
-		rightCounts := map[int]int{}
+		clear(leftCounts)
+		clear(rightCounts)
 		for _, i := range order {
 			rightCounts[y[i]]++
 		}
@@ -156,11 +184,13 @@ func bestSplit(X [][]float64, y, idx []int, m int) (int, float64, bool) {
 	return bestAttr, bestThr, bestAttr >= 0
 }
 
-func weightedGini(lc map[int]int, nl int, rc map[int]int, nr int) float64 {
+func weightedGini(lc []int, nl int, rc []int, nr int) float64 {
 	return float64(nl)*gini(lc, nl) + float64(nr)*gini(rc, nr)
 }
 
-func gini(counts map[int]int, n int) float64 {
+// gini sums over the classes in index order, so a near-tie between two
+// splits resolves the same way on every run.
+func gini(counts []int, n int) float64 {
 	if n == 0 {
 		return 0
 	}

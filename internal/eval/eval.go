@@ -7,6 +7,7 @@ package eval
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/data"
 )
@@ -45,8 +46,8 @@ func (p PairCounts) F1() float64 {
 
 // canonicalize maps labels to 0..k-1, giving every negative label (noise /
 // natural outlier) its own singleton cluster — the convention documented in
-// DESIGN.md for scoring DBSCAN noise.
-func canonicalize(labels []int) []int {
+// DESIGN.md for scoring DBSCAN noise. It returns k too.
+func canonicalize(labels []int) ([]int, int) {
 	out := make([]int, len(labels))
 	next := 0
 	seen := map[int]int{}
@@ -64,19 +65,36 @@ func canonicalize(labels []int) []int {
 		}
 		out[i] = c
 	}
-	return out
+	return out, next
 }
 
-// contingency builds the contingency table of two canonical label vectors,
-// plus the cluster sizes of each.
-func contingency(pred, truth []int) (table map[[2]int]float64, aSizes, bSizes map[int]float64) {
-	table = map[[2]int]float64{}
-	aSizes = map[int]float64{}
-	bSizes = map[int]float64{}
-	for i := range pred {
-		table[[2]int{pred[i], truth[i]}]++
-		aSizes[pred[i]]++
-		bSizes[truth[i]]++
+// cell is one nonzero entry of a contingency table: n tuples sit in
+// cluster a of the first labelling and b of the second.
+type cell struct {
+	a, b int
+	n    float64
+}
+
+// contingency builds the contingency table of two labellings, as its
+// nonzero cells in (a, b) order, plus the cluster sizes of each, indexed by
+// the dense labels canonicalize assigns. Every sum over them therefore
+// runs in one fixed order, so a score is the same float on every run.
+func contingency(pred, truth []int) (table []cell, aSizes, bSizes []float64) {
+	p, ka := canonicalize(pred)
+	g, kb := canonicalize(truth)
+	aSizes, bSizes = make([]float64, ka), make([]float64, kb)
+	keys := make([]int, len(p))
+	for i := range p {
+		aSizes[p[i]]++
+		bSizes[g[i]]++
+		keys[i] = p[i]*kb + g[i]
+	}
+	slices.Sort(keys)
+	for i, key := range keys {
+		if i == 0 || key != keys[i-1] {
+			table = append(table, cell{a: key / kb, b: key % kb})
+		}
+		table[len(table)-1].n++
 	}
 	return table, aSizes, bSizes
 }
@@ -90,12 +108,10 @@ func Pairs(pred, truth []int) PairCounts {
 	if len(pred) != len(truth) {
 		panic("eval: label vectors of different length")
 	}
-	p := canonicalize(pred)
-	g := canonicalize(truth)
-	table, aSizes, bSizes := contingency(p, g)
+	table, aSizes, bSizes := contingency(pred, truth)
 	var tp, predPairs, truthPairs float64
 	for _, c := range table {
-		tp += choose2(c)
+		tp += choose2(c.n)
 	}
 	for _, c := range aSizes {
 		predPairs += choose2(c)
@@ -120,9 +136,7 @@ func NMI(pred, truth []int) float64 {
 	if len(pred) == 0 {
 		return 1
 	}
-	p := canonicalize(pred)
-	g := canonicalize(truth)
-	table, aSizes, bSizes := contingency(p, g)
+	table, aSizes, bSizes := contingency(pred, truth)
 	n := float64(len(pred))
 	hu := entropy(aSizes, n)
 	hv := entropy(bSizes, n)
@@ -133,10 +147,10 @@ func NMI(pred, truth []int) float64 {
 		return 0
 	}
 	mi := 0.0
-	for key, c := range table {
-		pa := aSizes[key[0]] / n
-		pb := bSizes[key[1]] / n
-		pab := c / n
+	for _, c := range table {
+		pa := aSizes[c.a] / n
+		pb := bSizes[c.b] / n
+		pab := c.n / n
 		if pab > 0 {
 			mi += pab * math.Log(pab/(pa*pb))
 		}
@@ -147,7 +161,7 @@ func NMI(pred, truth []int) float64 {
 	return mi / ((hu + hv) / 2)
 }
 
-func entropy(sizes map[int]float64, n float64) float64 {
+func entropy(sizes []float64, n float64) float64 {
 	h := 0.0
 	for _, c := range sizes {
 		p := c / n
@@ -169,13 +183,11 @@ func ARI(pred, truth []int) float64 {
 	if len(pred) == 0 {
 		return 1
 	}
-	p := canonicalize(pred)
-	g := canonicalize(truth)
-	table, aSizes, bSizes := contingency(p, g)
+	table, aSizes, bSizes := contingency(pred, truth)
 	n := float64(len(pred))
 	var sumIJ, sumA, sumB float64
 	for _, c := range table {
-		sumIJ += choose2(c)
+		sumIJ += choose2(c.n)
 	}
 	for _, c := range aSizes {
 		sumA += choose2(c)
@@ -218,12 +230,11 @@ func MacroF1(pred, truth []int) float64 {
 	if len(pred) == 0 {
 		return 0
 	}
-	classes := map[int]bool{}
-	for _, c := range truth {
-		classes[c] = true
-	}
+	classes := slices.Clone(truth)
+	slices.Sort(classes)
+	classes = slices.Compact(classes)
 	sum := 0.0
-	for c := range classes {
+	for _, c := range classes {
 		var tp, fp, fn float64
 		for i := range pred {
 			switch {

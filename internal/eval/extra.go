@@ -14,18 +14,14 @@ func Purity(pred, truth []int) float64 {
 	if len(pred) == 0 {
 		return 0
 	}
-	p := canonicalize(pred)
-	g := canonicalize(truth)
-	table, aSizes, _ := contingency(p, g)
-	majority := map[int]float64{}
-	for key, c := range table {
-		if c > majority[key[0]] {
-			majority[key[0]] = c
-		}
+	table, aSizes, _ := contingency(pred, truth)
+	majority := make([]float64, len(aSizes))
+	for _, c := range table {
+		majority[c.a] = max(majority[c.a], c.n)
 	}
 	correct := 0.0
-	for cl := range aSizes {
-		correct += majority[cl]
+	for _, c := range majority {
+		correct += c
 	}
 	return correct / float64(len(pred))
 }
@@ -61,20 +57,17 @@ func conditionalScore(target, given []int) float64 {
 	if len(target) == 0 {
 		return 1
 	}
-	tg := canonicalize(target)
-	gv := canonicalize(given)
 	n := float64(len(target))
-	_, tSizes, _ := contingency(tg, gv)
+	table, tSizes, gSizes := contingency(target, given)
 	ht := entropy(tSizes, n)
 	if ht == 0 {
 		return 1
 	}
 	// H(target | given) = Σ_g p(g) H(target | given=g).
-	table, _, gSizes := contingency(tg, gv)
 	hc := 0.0
-	for key, c := range table {
-		pg := gSizes[key[1]] / n
-		pt := c / gSizes[key[1]]
+	for _, c := range table {
+		pg := gSizes[c.b] / n
+		pt := c.n / gSizes[c.b]
 		if pt > 0 {
 			hc -= pg * pt * math.Log(pt)
 		}

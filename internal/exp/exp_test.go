@@ -114,6 +114,7 @@ func TestTable2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "table2", res)
 	f1 := res.Table("F1-score (DBSCAN)")
 	if f1 == nil {
 		t.Fatal("missing F1 table")
@@ -181,6 +182,7 @@ func TestTable3Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "table3", res)
 	tb := res.Table("F1-score by clustering algorithm (Raw vs DISC)")
 	if tb == nil {
 		t.Fatal("missing table")
@@ -212,6 +214,7 @@ func TestTable4Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "table4", res)
 	tb := res.Tables[0]
 	if len(tb.Rows) != 6 {
 		t.Fatalf("table4 rows = %d", len(tb.Rows))
@@ -253,6 +256,7 @@ func TestTable5Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "table5", res)
 	tb := res.Tables[0]
 	if len(tb.Rows) != 7 {
 		t.Fatalf("table5 rows = %d", len(tb.Rows))
@@ -276,6 +280,7 @@ func TestFig4Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig4", res)
 	a := res.Table("Fig 4(a): sweep of distance threshold ε (η=4)")
 	if a == nil {
 		t.Fatal("missing fig4a")
@@ -308,6 +313,7 @@ func TestFig5Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig5", res)
 	if len(res.Tables) != 2 {
 		t.Fatalf("fig5 tables = %d", len(res.Tables))
 	}
@@ -347,6 +353,7 @@ func TestFig6Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig6", res)
 	f1 := res.Tables[0]
 	tc := res.Tables[1]
 	for i := range f1.Rows {
@@ -372,6 +379,7 @@ func TestFig7Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig7", res)
 	f1 := res.Tables[0]
 	tc := res.Tables[1]
 	// DISC runs at every m including 57; Exact is capped beyond small m.
@@ -397,6 +405,7 @@ func TestFig8Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig8", res)
 	a := res.Table("Fig 8(a): record-matching F1 vs ε (η=3)")
 	if a == nil {
 		t.Fatal("missing fig8a")
@@ -420,6 +429,7 @@ func TestFig9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig9", res)
 	a := res.Table("Fig 9(a): dirty / natural outlier rates (GPS)")
 	if a == nil {
 		t.Fatal("missing fig9a")
@@ -454,6 +464,7 @@ func TestFig10Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig10", res)
 	jac := res.Table("Fig 10(a): Jaccard vs η (ε=3)")
 	att := res.Table("Fig 10(c): #modified attributes vs η (ε=3)")
 	if jac == nil || att == nil {
@@ -507,6 +518,7 @@ func TestAblationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "ablation", res)
 	algo := res.Tables[0]
 	get := func(row, col string) float64 {
 		return cell(t, &algo, row, col)
@@ -576,6 +588,15 @@ func TestMixedShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The kernel counters are work, not answers. The pair cache is shared
+	// by the goroutines of a run, and each η-radius is computed by
+	// whichever save reads it first, so how many evaluations and cache
+	// lookups a run pays differs between runs (at full scale, four runs at
+	// seed 1 read four dist_evals between 76,547 and 76,759); the answers
+	// do not.
+	const counters = "Mixed pipeline: compiled-kernel counters/"
+	checkGolden(t, "mixed", res, counters+"dist_evals", counters+"dist_early_exits",
+		counters+"text_cache_hits", counters+"text_cache_misses", counters+"text cache hit rate")
 	if len(res.Tables) != 3 {
 		t.Fatalf("mixed produced %d tables, want 3", len(res.Tables))
 	}
