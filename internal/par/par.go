@@ -10,14 +10,15 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
 // ItemError records one item of a ForEach that did not complete: its index
-// and what happened (a recovered panic, fn's error, or the context's error
-// for items skipped after cancellation).
+// and what happened (a recovered panic as a *PanicError, fn's error, or the
+// context's error for items skipped after cancellation).
 type ItemError struct {
 	Index int
 	Err   error
@@ -28,6 +29,24 @@ func (e ItemError) Error() string { return fmt.Sprintf("item %d: %v", e.Index, e
 
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e ItemError) Unwrap() error { return e.Err }
+
+// PanicError is a recovered panic: the value passed to panic and the stack
+// of the goroutine that panicked, taken inside the deferred recover, so it
+// still names the faulting frame. Its message is the value's alone, as
+// "panic: <value>"; a caller that logs the failure reaches the stack with
+// errors.As through ItemError and any wraps above it.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+// Recovered returns the PanicError of r, a value recover just returned;
+// call it in the deferred function that recovered, so the stack is the
+// panicking one.
+func Recovered(r any) *PanicError { return &PanicError{Value: r, Stack: debug.Stack()} }
+
+// Error implements error.
+func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
 // FirstErr returns the error of the lowest-indexed failed item, or nil.
 func FirstErr(errs []ItemError) error {
@@ -85,7 +104,7 @@ func ForEachWorker(ctx context.Context, n, workers int, fn func(worker, i int) e
 	runOne := func(w, i int) {
 		defer func() {
 			if r := recover(); r != nil {
-				record(i, fmt.Errorf("panic: %v", r))
+				record(i, Recovered(r))
 			}
 		}()
 		if err := fn(w, i); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -74,6 +75,35 @@ func TestForEachRecoversPanics(t *testing.T) {
 	}
 	if errs[0].Err == nil {
 		t.Fatal("panic not converted to an error")
+	}
+}
+
+// poisonItem panics from a frame of its own, for the stack to name.
+func poisonItem(i int) error { panic(fmt.Sprintf("poisoned item %d", i)) }
+
+// TestForEachPanicKeepsStack: a recovered panic reads as before, and the
+// error, wrapped once more as a caller would, still carries the value and
+// the stack of the frame that panicked.
+func TestForEachPanicKeepsStack(t *testing.T) {
+	errs := ForEach(context.Background(), 4, 2, func(i int) error {
+		if i == 2 {
+			return poisonItem(i)
+		}
+		return nil
+	})
+	err := fmt.Errorf("caller: %w", FirstErr(errs))
+	if got, want := err.Error(), "caller: item 2: panic: poisoned item 2"; got != want {
+		t.Errorf("error = %q, want %q", got, want)
+	}
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("%v: no *PanicError behind it", err)
+	}
+	if pe.Value != "poisoned item 2" {
+		t.Errorf("panic value %v", pe.Value)
+	}
+	if !strings.Contains(string(pe.Stack), "par.poisonItem") {
+		t.Errorf("stack does not name the panicking frame:\n%s", pe.Stack)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // Admission errors, mapped to HTTP statuses by the handlers.
@@ -100,7 +101,8 @@ func (g *gate) close() {
 // never starts and is answered with the expiry error. Once started, fn
 // runs to its end, so the answer is what happened: a save cut short by
 // its deadline returns its best-so-far adjustment, and an applied
-// mutation is reported as applied. A panic in fn is answered as an error.
+// mutation is reported as applied. A panic in fn is answered as an error
+// that keeps the panic's stack (a *par.PanicError) for the server's log.
 func (g *gate) run(ctx context.Context, es *obs.EndpointStats, ep string, fn func(context.Context) error) (err error) {
 	defer g.release()
 	tr := obs.TraceFrom(ctx)
@@ -128,7 +130,7 @@ func (g *gate) run(ctx context.Context, es *obs.EndpointStats, ep string, fn fun
 	defer tr.Span("dispatch", start)
 	defer func() {
 		if rec := recover(); rec != nil {
-			err = fmt.Errorf("serve: %s request failed: panic: %v", ep, rec)
+			err = fmt.Errorf("serve: %s request failed: %w", ep, par.Recovered(rec))
 		}
 	}()
 	pprof.Do(ctx, pprof.Labels("session", g.session.ID, "endpoint", ep), func(ctx context.Context) {

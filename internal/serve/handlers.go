@@ -18,6 +18,7 @@ import (
 
 	disc "repro"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // Config tunes the server's capacity knobs. The zero value is usable;
@@ -392,7 +393,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		} else if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			status = http.StatusGatewayTimeout
 		}
-		WriteError(w, status, err)
+		s.writeFailure(w, status, err)
 		return
 	}
 	s.writeJSON(w, http.StatusCreated, sess.Info())
@@ -519,7 +520,7 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 		adj = sess.save(ctx, t)
 		return nil
 	}); err != nil {
-		WriteError(w, http.StatusGatewayTimeout, err)
+		s.writeFailure(w, http.StatusGatewayTimeout, err)
 		return
 	}
 	rs := time.Now()
@@ -584,7 +585,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	resp := RepairResponse{Adjustments: make([]Adjustment, len(tuples))}
 	for i, adj := range adjs {
 		if errs[i] != nil {
-			WriteError(w, http.StatusGatewayTimeout, fmt.Errorf("serve: tuple %d: %w", i, errs[i]))
+			s.writeFailure(w, http.StatusGatewayTimeout, fmt.Errorf("serve: tuple %d: %w", i, errs[i]))
 			return
 		}
 		aj := adjustmentToJSON(sess.schema, adj)
@@ -710,7 +711,7 @@ func (s *Server) runMutation(w http.ResponseWriter, r *http.Request, sess *Sessi
 		if errors.Is(err, errNoSuchRow) {
 			status = http.StatusNotFound
 		}
-		WriteError(w, status, err)
+		s.writeFailure(w, status, err)
 		return
 	}
 	rs := time.Now()
@@ -887,6 +888,19 @@ func WriteJSON(w http.ResponseWriter, status int, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	return json.NewEncoder(w).Encode(v)
+}
+
+// writeFailure answers a request whose work failed. A panic recovered on
+// the way, in the gate or in a worker pool, is logged here once, with the
+// request id and the panicking goroutine's stack; the client's body is
+// WriteError's and carries no stack.
+func (s *Server) writeFailure(w http.ResponseWriter, status int, err error) {
+	var pe *par.PanicError
+	if errors.As(err, &pe) {
+		s.log.Error("serve: request panicked", "request_id", w.Header().Get("X-Request-ID"),
+			"err", err, "stack", string(pe.Stack))
+	}
+	WriteError(w, status, err)
 }
 
 // WriteError writes the uniform error body. Its request id is the one the

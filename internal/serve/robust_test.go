@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -631,10 +633,14 @@ func TestChaosRegistryRestarts(t *testing.T) {
 
 // TestChaosBatchDispatchPanic: an injected panic inside a save worker is
 // recovered by the pool and answered as an error — the caller never hangs
-// and the server keeps serving.
+// and the server keeps serving. The server logs the panic once, with the
+// request id and the stack of the panicking frame; the 504 body names the
+// panic but carries no stack.
 func TestChaosBatchDispatchPanic(t *testing.T) {
 	t.Cleanup(fault.Reset)
-	s := newTestServer(t, Config{Workers: 2})
+	var logBuf bytes.Buffer
+	log := slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelError}))
+	s := newTestServer(t, Config{Workers: 2, Logger: log})
 	info := uploadSession(t, s)
 	if err := fault.Configure("batch.dispatch:panic", 1); err != nil {
 		t.Fatal(err)
@@ -642,6 +648,26 @@ func TestChaosBatchDispatchPanic(t *testing.T) {
 	w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{Tuple: []any{25.0, 25.0}})
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("save under panic injection: status %d, want 504", w.Code)
+	}
+	var body ErrorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if want := "serve: save request failed: panic: fault: injected panic at batch.dispatch"; body.Error != want {
+		t.Errorf("504 body error %q, want %q", body.Error, want)
+	}
+	if strings.Contains(w.Body.String(), "goroutine") {
+		t.Errorf("504 body carries a stack: %s", w.Body.String())
+	}
+	logged := logBuf.String()
+	if n := strings.Count(logged, "request panicked"); n != 1 {
+		t.Errorf("panic logged %d times, want once:\n%s", n, logged)
+	}
+	if !strings.Contains(logged, "request_id="+body.RequestID) || body.RequestID == "" {
+		t.Errorf("panic log lacks the request id %q:\n%s", body.RequestID, logged)
+	}
+	if !strings.Contains(logged, "fault.Inject") {
+		t.Errorf("panic log's stack does not name the panicking frame:\n%s", logged)
 	}
 	fault.Reset()
 	w = do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", TupleRequest{Tuple: []any{25.0, 25.0}})
