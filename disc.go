@@ -230,7 +230,15 @@ var (
 	// return the context's error, with every tuple labelled noise
 	// (DBSCAN) or with the best-so-far clustering (the restarted ones).
 	// DBSCAN and DBSCANContext query DBSCANConfig.Index from GOMAXPROCS
-	// goroutines at once, as DetectContext queries its index.
+	// goroutines at once, as DetectContext queries its index. Over an
+	// index that shows each candidate before evaluating it (the grid and
+	// brute indexes, see neighbors.VisitingOf) they run two passes:
+	// detection's capped core test, then a join from each core tuple to
+	// the later core tuples not yet in its cluster. Over any other index
+	// (the VP-tree, a mutable index) they run one full range query per
+	// tuple. A cancellation or a panic in either pass labels every tuple
+	// noise and returns the error; DBSCAN re-raises it. Both paths give
+	// the labels of the serial seed expansion.
 	DBSCANContext = cluster.DBSCANContext
 	KMeansContext = cluster.KMeansContext
 	SREMContext   = cluster.SREMContext

@@ -2,14 +2,17 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/metric"
 	"repro/internal/neighbors"
+	"repro/internal/par"
 )
 
 // serialDBSCAN is the seed expansion of Ester et al., the reference the
@@ -175,9 +178,66 @@ func labelDiff(got, want Result) string {
 	return ""
 }
 
-// TestDBSCANCountingExact: a counting view handed to DBSCAN sees exactly
-// the serial pass's work, though its queries run on several goroutines —
-// one range query per tuple and the same distance evaluations.
+// twoPassCounts replays the two-pass path serially over idx and returns
+// its core count and its distance evaluations: at one worker, which the
+// path must spend exactly (core), and at any worker count, between which
+// it must fall (lo, hi). Pass 1 is detection's capped count, whose
+// evaluations are deterministic. Pass 2 visits, from each core tuple in
+// index order, the later core tuples not yet in its set; with several
+// workers, when the other workers' unions land decides which visits are
+// skipped, so its evaluations lie between none and those of a join that
+// skips no core tuple.
+func twoPassCounts(rel *data.Relation, eps float64, minPts int, idx neighbors.Index) (cores int, core, lo, hi int64) {
+	var c neighbors.Counters
+	view := neighbors.Counting(idx, &c)
+	n := rel.N()
+	isCore := make([]bool, n)
+	for i, tp := range rel.Tuples {
+		isCore[i] = minPts <= 0 || view.CountWithin(tp, eps, i, minPts) >= minPts
+		if isCore[i] {
+			cores++
+		}
+	}
+	lo = c.DistEvals
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = i
+	}
+	root := func(x int) int {
+		for parent[x] != x {
+			x = parent[x]
+		}
+		return x
+	}
+	visit := neighbors.VisitingOf(view)
+	join := func(skipJoined bool) int64 {
+		before := c.DistEvals
+		for i, tp := range rel.Tuples {
+			if !isCore[i] {
+				continue
+			}
+			visit.VisitWithin(tp, eps, i+1, -1, func(j int) bool {
+				return isCore[j] && !(skipJoined && root(j) == root(i))
+			}, func(j int) bool {
+				a, b := root(i), root(j)
+				parent[max(a, b)] = min(a, b)
+				return true
+			})
+		}
+		return c.DistEvals - before
+	}
+	core = lo + join(true)
+	hi = lo + join(false)
+	return cores, core, lo, hi
+}
+
+// TestDBSCANCountingExact: a counting view handed to DBSCAN sees the work
+// of the path its index selects, though the queries run on several
+// goroutines. Over the VP-tree (the fused pass) that is exactly the serial
+// pass's: one range query per tuple and the same distance evaluations.
+// Over the grid and brute indexes (the two-pass path) it is n + #core range
+// queries at every worker count, the replayed evaluations at one worker,
+// and evaluations within the replay's bounds at two and four.
 func TestDBSCANCountingExact(t *testing.T) {
 	ds, err := data.Table1("Letter", 0.02, 1)
 	if err != nil {
@@ -192,23 +252,86 @@ func TestDBSCANCountingExact(t *testing.T) {
 		{name: "lattice", rel: lat, eps: 1, eta: 20},
 	} {
 		for kind, idx := range fixtureIndexes(fx.rel, fx.eps) {
-			var serial, par neighbors.Counters
+			var serial neighbors.Counters
 			want := serialDBSCAN(fx.rel, DBSCANConfig{Eps: fx.eps, MinPts: fx.eta, Index: neighbors.Counting(idx, &serial)})
-			var got Result
-			withProcs(4, func() {
-				got = DBSCAN(fx.rel, DBSCANConfig{Eps: fx.eps, MinPts: fx.eta, Index: neighbors.Counting(idx, &par)})
-			})
-			if diff := labelDiff(got, want); diff != "" {
-				t.Errorf("%s/%s: %s", fx.name, kind, diff)
+			if kind == "vptree" {
+				var par neighbors.Counters
+				var got Result
+				withProcs(4, func() {
+					got = DBSCAN(fx.rel, DBSCANConfig{Eps: fx.eps, MinPts: fx.eta, Index: neighbors.Counting(idx, &par)})
+				})
+				if diff := labelDiff(got, want); diff != "" {
+					t.Errorf("%s/%s: %s", fx.name, kind, diff)
+				}
+				if par.RangeQueries != int64(fx.rel.N()) {
+					t.Errorf("%s/%s: %d range queries, want one per tuple (%d)", fx.name, kind, par.RangeQueries, fx.rel.N())
+				}
+				if par.DistEvals != serial.DistEvals || par.DistEvals == 0 {
+					t.Errorf("%s/%s: %d distance evaluations, serial pass %d", fx.name, kind, par.DistEvals, serial.DistEvals)
+				}
+				continue
 			}
-			if par.RangeQueries != int64(fx.rel.N()) {
-				t.Errorf("%s/%s: %d range queries, want one per tuple (%d)", fx.name, kind, par.RangeQueries, fx.rel.N())
+			cores, one, lo, hi := twoPassCounts(fx.rel, fx.eps, fx.eta, idx)
+			if cores == 0 || one == 0 {
+				t.Fatalf("%s/%s: the replay found %d core tuples and %d evaluations", fx.name, kind, cores, one)
 			}
-			if par.DistEvals != serial.DistEvals || par.DistEvals == 0 {
-				t.Errorf("%s/%s: %d distance evaluations, serial pass %d", fx.name, kind, par.DistEvals, serial.DistEvals)
+			for _, procs := range []int{1, 2, 4} {
+				var par neighbors.Counters
+				var got Result
+				withProcs(procs, func() {
+					got = DBSCAN(fx.rel, DBSCANConfig{Eps: fx.eps, MinPts: fx.eta, Index: neighbors.Counting(idx, &par)})
+				})
+				if diff := labelDiff(got, want); diff != "" {
+					t.Errorf("%s/%s/procs=%d: %s", fx.name, kind, procs, diff)
+				}
+				if want := int64(fx.rel.N() + cores); par.RangeQueries != want {
+					t.Errorf("%s/%s/procs=%d: %d range queries, want n + #core = %d", fx.name, kind, procs, par.RangeQueries, want)
+				}
+				switch {
+				case procs == 1 && par.DistEvals != one:
+					t.Errorf("%s/%s/procs=1: %d distance evaluations, the replay %d", fx.name, kind, par.DistEvals, one)
+				case par.DistEvals < lo || par.DistEvals > hi:
+					t.Errorf("%s/%s/procs=%d: %d distance evaluations, outside the replay's [%d, %d]", fx.name, kind, procs, par.DistEvals, lo, hi)
+				}
 			}
 		}
 	}
+}
+
+// TestDBSCANTwoPassNoMoreEvals: at one worker the two-pass path never
+// evaluates more pairs than the serial seed expansion, over every
+// fixture, norm and MinPts of TestDBSCANMatchesSerial, on the grid and
+// brute indexes. A core tuple's capped count and its one-sided join are
+// each a part of the full query the serial pass runs for it, and a tuple
+// that ends below MinPts is never queried again.
+func TestDBSCANTwoPassNoMoreEvals(t *testing.T) {
+	worst, worstAt, runs := 0.0, "", 0
+	for _, fx := range dbscanFixtures(t) {
+		for _, norm := range []metric.Norm{metric.L1, metric.L2, metric.LInf} {
+			fx.rel.Schema.Norm = norm
+			for kind, idx := range fixtureIndexes(fx.rel, fx.eps) {
+				if kind == "vptree" {
+					continue
+				}
+				for _, minPts := range []int{0, 1, fx.eta} {
+					var serial, two neighbors.Counters
+					serialDBSCAN(fx.rel, DBSCANConfig{Eps: fx.eps, MinPts: minPts, Index: neighbors.Counting(idx, &serial)})
+					withProcs(1, func() {
+						DBSCAN(fx.rel, DBSCANConfig{Eps: fx.eps, MinPts: minPts, Index: neighbors.Counting(idx, &two)})
+					})
+					runs++
+					at := fmt.Sprintf("%s/%v/MinPts=%d/%s", fx.name, norm, minPts, kind)
+					if two.DistEvals > serial.DistEvals {
+						t.Errorf("%s: %d distance evaluations, serial pass %d", at, two.DistEvals, serial.DistEvals)
+					}
+					if r := float64(two.DistEvals) / float64(max(1, serial.DistEvals)); r > worst {
+						worst, worstAt = r, at
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d runs; highest two-pass/serial evaluation ratio %.3f, at %s", runs, worst, worstAt)
 }
 
 // panicIndex panics on the range query of one tuple.
@@ -242,10 +365,184 @@ func TestDBSCANPanicIsReturned(t *testing.T) {
 			t.Fatalf("label[%d] = %d after a panic, want -1", i, l)
 		}
 	}
+	var pe *par.PanicError
+	if !errors.As(err, &pe) || !strings.Contains(string(pe.Stack), "panicIndex.Within") {
+		t.Errorf("%v: the error does not carry the stack of panicIndex.Within", err)
+	}
 	defer func() {
 		if r := recover(); r == nil {
 			t.Error("DBSCAN returned normally after a query panicked")
 		}
 	}()
 	DBSCAN(rel, cfg)
+}
+
+// visitGrid is a grid seen through a type of another package: it keeps
+// the grid's Visiting capability, and its hook runs before every visit,
+// with from = 0 in the core test and from = i+1 in tuple i's join.
+type visitGrid struct {
+	*neighbors.Grid
+	hook func(from, skip int)
+}
+
+func (v visitGrid) VisitWithin(q data.Tuple, eps float64, from, skip int, keep, hit func(int) bool) {
+	v.hook(from, skip)
+	v.Grid.VisitWithin(q, eps, from, skip, keep, hit)
+}
+
+// foreignIndex hides an index behind the bare Index interface, so it has
+// no Visiting capability, and counts its range queries.
+type foreignIndex struct {
+	neighbors.Index
+	queries *atomic.Int64
+}
+
+func (f foreignIndex) Within(q data.Tuple, eps float64, skip int) []neighbors.Neighbor {
+	f.queries.Add(1)
+	return f.Index.Within(q, eps, skip)
+}
+
+// TestDBSCANPathByCapability: the index's Visiting capability selects the
+// path, never its kind. Grid, brute, counting views over them and a
+// foreign type that keeps a grid's VisitWithin run the two passes, n +
+// #core range queries; the VP-tree, a Mutable and a foreign Index over a
+// grid run the fused pass, one query per tuple. Every path gives the
+// serial expansion's labels.
+func TestDBSCANPathByCapability(t *testing.T) {
+	rel, err := data.GenLattice(data.LatticeSpec{Side: 2, PerCell: 24, Dims: 3, Noise: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eps, minPts = 1.0, 20
+	grid := neighbors.NewGrid(rel, eps)
+	mut, err := neighbors.NewMutable(rel, eps, neighbors.KindGrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serialDBSCAN(rel, DBSCANConfig{Eps: eps, MinPts: minPts, Index: grid})
+	cores := 0
+	for i, tp := range rel.Tuples {
+		if grid.CountWithin(tp, eps, i, minPts) >= minPts {
+			cores++
+		}
+	}
+	if cores == 0 || cores == rel.N() {
+		t.Fatalf("%d of %d tuples core; the fixture cannot tell the paths apart", cores, rel.N())
+	}
+	n, twoPass := int64(rel.N()), int64(rel.N()+cores)
+	var visits, foreign atomic.Int64
+	for _, tc := range []struct {
+		name    string
+		idx     neighbors.Index
+		queries *atomic.Int64 // counted by the index itself, else by a counting view
+		want    int64
+	}{
+		{"grid", grid, nil, twoPass},
+		{"brute", neighbors.NewBrute(rel), nil, twoPass},
+		{"vptree", neighbors.NewVPTree(rel, 1), nil, n},
+		{"mutable", mut, nil, n},
+		{"visiting foreign type", visitGrid{Grid: grid, hook: func(int, int) { visits.Add(1) }}, &visits, twoPass},
+		{"foreign Index", foreignIndex{Index: grid, queries: &foreign}, &foreign, n},
+	} {
+		for _, procs := range []int{1, 2} {
+			var c neighbors.Counters
+			idx, read := tc.idx, func() int64 { return c.RangeQueries }
+			if tc.queries != nil {
+				tc.queries.Store(0)
+				read = tc.queries.Load
+			} else {
+				idx = neighbors.Counting(idx, &c)
+			}
+			var got Result
+			withProcs(procs, func() {
+				got = DBSCAN(rel, DBSCANConfig{Eps: eps, MinPts: minPts, Index: idx})
+			})
+			if diff := labelDiff(got, want); diff != "" {
+				t.Errorf("%s/procs=%d: %s", tc.name, procs, diff)
+			}
+			if q := read(); q != tc.want {
+				t.Errorf("%s/procs=%d: %d range queries, want %d", tc.name, procs, q, tc.want)
+			}
+		}
+	}
+}
+
+// TestDBSCANTwoPassFailures: on the two-pass path a panic in either pass
+// is returned with every tuple noise and K = 0, DBSCAN re-raises it, and
+// its stack names the panicking visit; a context cancelled between the
+// passes gives the same labels with the context's error, and no join
+// runs.
+func TestDBSCANTwoPassFailures(t *testing.T) {
+	rel, _ := blobs(t, 3, 60, 8)
+	const eps, minPts, at = 2.0, 4, 17
+	grid := neighbors.NewGrid(rel, eps)
+	if grid.CountWithin(rel.Tuples[at], eps, at, minPts) < minPts {
+		t.Fatalf("tuple %d is not core, so it runs no join", at)
+	}
+	allNoise := func(name string, res Result) {
+		t.Helper()
+		if res.K != 0 || len(res.Labels) != rel.N() {
+			t.Fatalf("%s: K = %d with %d labels, want 0 and %d", name, res.K, len(res.Labels), rel.N())
+		}
+		for i, l := range res.Labels {
+			if l != -1 {
+				t.Fatalf("%s: label[%d] = %d, want -1", name, i, l)
+			}
+		}
+	}
+	for pass, poisoned := range map[string]func(from, skip int) bool{
+		"core test": func(from, skip int) bool { return from == 0 && skip == at },
+		"join":      func(from, _ int) bool { return from == at+1 },
+	} {
+		cfg := DBSCANConfig{Eps: eps, MinPts: minPts, Index: visitGrid{Grid: grid, hook: func(from, skip int) {
+			if poisoned(from, skip) {
+				panic("poisoned visit")
+			}
+		}}}
+		for _, procs := range []int{1, 2} {
+			var res Result
+			var err error
+			withProcs(procs, func() { res, err = DBSCANContext(context.Background(), rel, cfg) })
+			if err == nil || !strings.Contains(err.Error(), "poisoned visit") {
+				t.Fatalf("%s/procs=%d: err = %v, want the visit's panic", pass, procs, err)
+			}
+			var pe *par.PanicError
+			if !errors.As(err, &pe) || !strings.Contains(string(pe.Stack), "visitGrid.VisitWithin") {
+				t.Errorf("%s/procs=%d: %v: the error does not carry the visit's stack", pass, procs, err)
+			}
+			allNoise(pass, res)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("%s: DBSCAN returned normally after a visit panicked", pass)
+				}
+			}()
+			DBSCAN(rel, cfg)
+		}()
+	}
+
+	// At one worker the last tuple's core test is the last item of pass 1,
+	// so cancelling there cancels between the passes.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var joins atomic.Int64
+	cfg := DBSCANConfig{Eps: eps, MinPts: minPts, Index: visitGrid{Grid: grid, hook: func(from, skip int) {
+		if from > 0 {
+			joins.Add(1)
+		}
+		if from == 0 && skip == rel.N()-1 {
+			cancel()
+		}
+	}}}
+	var res Result
+	var err error
+	withProcs(1, func() { res, err = DBSCANContext(ctx, rel, cfg) })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the context's", err)
+	}
+	if joins.Load() != 0 {
+		t.Errorf("%d joins ran after the cancellation", joins.Load())
+	}
+	allNoise("cancelled", res)
 }

@@ -2,6 +2,7 @@ package neighbors
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/data"
 )
@@ -453,6 +454,43 @@ func (g *Grid) countWithin(q data.Tuple, eps float64, skip, cap int, c *Counters
 		return g.brute.countWithin(q, eps, skip, cap, c)
 	}
 	return n
+}
+
+// VisitWithin implements Visiting.
+func (g *Grid) VisitWithin(q data.Tuple, eps float64, from, skip int, keep, hit func(int) bool) {
+	g.visitWithin(q, eps, from, skip, keep, hit, nil)
+}
+
+// visitWithin is the visiting walk, nearest cell first like a capped
+// count. A cell lists its tuples in ascending order (rows are added in
+// index order, and Grid.insert only appends the next row), so a cell that
+// ends before from is passed over whole, and one that straddles it is
+// entered at from by binary search.
+func (g *Grid) visitWithin(q data.Tuple, eps float64, from, skip int, keep, hit func(int) bool, c *Counters) {
+	kq := g.kern.Bind(q)
+	defer release(kq, c)
+	bound := g.kern.LEBound(eps)
+	if !g.walk(q, eps, true, func(idx []int, _ float64) bool {
+		if idx[len(idx)-1] < from {
+			return true
+		}
+		if idx[0] < from {
+			at, _ := slices.BinarySearch(idx, from)
+			idx = idx[at:]
+		}
+		for _, i := range idx {
+			if i == skip || g.dead.has(i) || keep != nil && !keep(i) {
+				continue
+			}
+			if _, within := kq.DistToLE(i, bound); within && !hit(i) {
+				return false
+			}
+		}
+		return true
+	}) {
+		fallback(c)
+		g.brute.visitWithin(q, eps, from, skip, keep, hit, c)
+	}
 }
 
 // knn is the k-NN search, a best-first walk. Each round walks the cells

@@ -51,8 +51,9 @@ func CountWithinAtLeast(idx Index, q data.Tuple, eps float64, skip, k int) bool 
 // sensitive callers: WithinAppend appends the ε-neighbors to dst (which
 // may be nil or a reused buffer truncated by the caller) instead of
 // allocating a fresh result slice per query. All three concrete indexes
-// and the counting view implement it; DBSCAN's seed expansion depends on
-// it for its near-zero steady-state allocation budget.
+// and the counting view implement it; DBSCAN's fused pass, the path it
+// takes over an index without Visiting, reuses one buffer per worker
+// through it.
 type WithinAppender interface {
 	WithinAppend(dst []Neighbor, q data.Tuple, eps float64, skip int) []Neighbor
 }
@@ -73,6 +74,56 @@ func withinAppend(idx Index, dst []Neighbor, q data.Tuple, eps float64, skip int
 		return wa.WithinAppend(dst, q, eps, skip)
 	}
 	return append(dst, idx.Within(q, eps, skip)...)
+}
+
+// Visiting is the optional capability of an index that shows its caller
+// each candidate of a range query before evaluating the candidate's
+// distance, so the caller can pass over candidates it has no use for at no
+// evaluation: Brute and Grid, whose scans visit tuple ids directly. A
+// VP-tree must evaluate each vantage point to navigate, and a Mutable
+// also scans its delta buffer, so neither offers it. Look it up with
+// VisitingOf, which sees through counting views.
+type Visiting interface {
+	// VisitWithin calls hit(j) for each tuple j ≥ from, other than skip,
+	// that keep accepts and that lies within eps of q, until hit returns
+	// false. keep(j) runs before j's distance is evaluated, so a candidate
+	// it rejects costs no evaluation; a nil keep accepts every candidate.
+	// Candidates come nearest grid cell first, so a visit that stops
+	// early after k hits costs what a count capped at k costs.
+	VisitWithin(q data.Tuple, eps float64, from, skip int, keep, hit func(j int) bool)
+}
+
+// visiting is Visiting's body with the calling view's counters (nil for
+// a direct call), as counted is for the Index queries.
+type visiting interface {
+	visitWithin(q data.Tuple, eps float64, from, skip int, keep, hit func(j int) bool, c *Counters)
+}
+
+// VisitingOf returns idx's Visiting capability, or nil when idx lacks it.
+// Through a counting view over Brute or Grid it returns a Visiting that
+// counts each visit as a range query, and its evaluations, into the
+// view's counters; a counting view over any other index has none.
+func VisitingOf(idx Index) Visiting {
+	if cv, ok := idx.(*counting); ok {
+		if v, ok := cv.idx.(visiting); ok {
+			return &countedVisit{v: v, c: cv.c}
+		}
+		return nil
+	}
+	v, _ := idx.(Visiting)
+	return v
+}
+
+// countedVisit is the Visiting of a counting view.
+type countedVisit struct {
+	v visiting
+	c *Counters
+}
+
+// VisitWithin implements Visiting.
+func (cv *countedVisit) VisitWithin(q data.Tuple, eps float64, from, skip int, keep, hit func(int) bool) {
+	cv.c.RangeQueries++
+	cv.v.visitWithin(q, eps, from, skip, keep, hit, cv.c)
 }
 
 // Kerneled is implemented by indexes backed by a compiled distance
@@ -221,6 +272,26 @@ func (b *Brute) within(dst []Neighbor, q data.Tuple, eps float64, skip int, c *C
 		}
 	}
 	return dst
+}
+
+// VisitWithin implements Visiting.
+func (b *Brute) VisitWithin(q data.Tuple, eps float64, from, skip int, keep, hit func(int) bool) {
+	b.visitWithin(q, eps, from, skip, keep, hit, nil)
+}
+
+// visitWithin is the visiting scan, in index order from from.
+func (b *Brute) visitWithin(q data.Tuple, eps float64, from, skip int, keep, hit func(int) bool, c *Counters) {
+	kq := b.kern.Bind(q)
+	defer release(kq, c)
+	bound := b.kern.LEBound(eps)
+	for i := max(from, 0); i < b.n; i++ {
+		if i == skip || b.dead.has(i) || keep != nil && !keep(i) {
+			continue
+		}
+		if _, within := kq.DistToLE(i, bound); within && !hit(i) {
+			return
+		}
+	}
 }
 
 // countWithin is the capped counting scan.
