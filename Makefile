@@ -14,7 +14,7 @@ BENCHKEY ?= after
 BENCHPKGS = . ./internal/data ./internal/neighbors ./internal/serve
 BENCHPAT = BenchmarkSaveSingle$$|BenchmarkSaveSingleSaved$$|BenchmarkNewSaver|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkVPTreeCountWithin$$|BenchmarkVPTreeKNN$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkDetectExactLattice|BenchmarkKernelDistNumeric$$|BenchmarkKernelDistTextHit$$|BenchmarkKernelDistTextMiss$$
 
-.PHONY: check build vet test race cover fuzz bench bench-ab bench-diff bench-check serve-smoke mutate-smoke shard-smoke chaos drift profile perfbench
+.PHONY: check build vet test race cover fuzz bench bench-ab bench-diff perfbench-ab bench-check serve-smoke mutate-smoke shard-smoke chaos drift profile perfbench
 
 check: build vet race cover bench-check serve-smoke mutate-smoke shard-smoke chaos drift fuzz perfbench
 
@@ -81,6 +81,41 @@ bench-ab:
 bench-diff:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-diff OLD=BENCH_<a>.json[:key] NEW=BENCH_<b>.json[:key]" >&2; exit 2; }
 	$(GO) run ./cmd/benchjson -diff $(OLD) $(NEW)
+
+# The repository benchmark as interleaved pairs: the revision BASE
+# (unpacked with git archive into a temp dir) against the working tree,
+# PAIRS pairs of one WORKLOAD at SEED, each run for BENCHMARK.json's
+# run_seconds with tracing off, alternating which side runs first. Each
+# run's last line, its JSON summary (a run that exits non-zero records an
+# empty one), folds through cmd/benchjson -perf into one row per
+# end-to-end metric of BENCHMARK.json: both sides' medians and quartiles,
+# change/parent, and the pairs the change won by the metric's direction;
+# then every run's correct flag and failed/attempted counts. It fails when
+# a run is not correct. Each side builds perfbench into its own
+# .bench_build; set TMPDIR to keep the parent's checkout off /tmp, e.g.
+#   make perfbench-ab BASE=fcb5ecf WORKLOAD=lattice-detect
+SEED ?= 1
+PAIRS ?= 10
+perfbench-ab:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make perfbench-ab BASE=<rev> WORKLOAD=<name> [SEED=1] [PAIRS=10]" >&2; exit 2; }
+	@git rev-parse -q --verify '$(BASE)^{commit}' > /dev/null || { echo "perfbench-ab: $(BASE) is not a commit" >&2; exit 2; }
+	@set -e; secs=$$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json); \
+	test -n "$$secs" || { echo "perfbench-ab: BENCHMARK.json has no run_seconds" >&2; exit 2; }; \
+	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/before"; git archive $(BASE) | tar -x -C "$$tmp/before"; \
+	for pair in $$(seq 1 $(PAIRS)); do \
+		order="before after"; [ $$((pair % 2)) -eq 1 ] || order="after before"; \
+		for side in $$order; do \
+			root="$(CURDIR)"; [ $$side = after ] || root="$$tmp/before"; \
+			echo "perfbench-ab: pair $$pair, $$side" >&2; \
+			if (cd "$$root" && bash perfbench/run.sh --workload '$(WORKLOAD)' --seed '$(SEED)' --seconds $$secs --trace 0) > "$$tmp/run.out"; then \
+				tail -n 1 "$$tmp/run.out" >> "$$tmp/$$side.jsonl"; \
+			else \
+				echo '{"correct": false, "attempted": 0, "failed": 0, "metrics": {}}' >> "$$tmp/$$side.jsonl"; \
+			fi; \
+		done; \
+	done; \
+	$(GO) run ./cmd/benchjson -perf BENCHMARK.json "$$tmp/before.jsonl" "$$tmp/after.jsonl"
 
 # Coverage summary: per-function percentages plus the total line, so a PR
 # that drops a package's coverage shows up in the diff of `make cover`.

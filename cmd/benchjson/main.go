@@ -28,6 +28,11 @@
 // they were recorded, keep the older rule: SLOWER when the new median lies
 // above the old max, faster when it lies below the old min. The command
 // exits 1 when any benchmark is SLOWER.
+//
+// With -perf it folds paired runs of the repository benchmark instead (see
+// perf.go and `make perfbench-ab`):
+//
+//	benchjson -perf BENCHMARK.json PARENT.jsonl CHANGE.jsonl
 package main
 
 import (
@@ -98,10 +103,14 @@ func main() {
 		key   = flag.String("key", "after", "snapshot label inside the file (e.g. before, after)")
 		note  = flag.String("note", "", "optional note stored at the top level of the file")
 		isDif = flag.Bool("diff", false, "compare two snapshots given as arguments (OLD NEW, each FILE or FILE:KEY)")
+		isPrf = flag.Bool("perf", false, "fold paired perfbench runs given as arguments (BENCHMARK.json PARENT.jsonl CHANGE.jsonl)")
 	)
 	flag.Parse()
 	if *isDif {
 		os.Exit(diffMain(flag.Args(), os.Stdout))
+	}
+	if *isPrf {
+		os.Exit(perfMain(flag.Args(), os.Stdout))
 	}
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "benchjson: -out is required")
