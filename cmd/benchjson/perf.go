@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 )
@@ -162,7 +163,14 @@ func quartiles(q [3]float64) string {
 	return fmt.Sprintf("%s [%s, %s]", num(q[1]), num(q[0]), num(q[2]))
 }
 
-func num(v float64) string { return strconv.FormatFloat(v, 'g', 4, 64) }
+// num prints v to four significant digits, and from 10,000 up as a whole
+// number rather than in exponent form.
+func num(v float64) string {
+	if math.Abs(v) >= 1e4 {
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	}
+	return strconv.FormatFloat(v, 'g', 4, 64)
+}
 
 func runStatus(s perfSummary) string {
 	return fmt.Sprintf("correct %t, failed %d of %d", s.Correct, s.Failed, s.Attempted)

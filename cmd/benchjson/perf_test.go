@@ -78,6 +78,9 @@ func TestFoldPerf(t *testing.T) {
 			t.Errorf("output lacks %q:\n%s", want, text)
 		}
 	}
+	if got := num(72719.6); got != "72720" {
+		t.Errorf("num(72719.6) = %q, want a whole number", got)
+	}
 	if code := perfMain([]string{bench, parent, write("short.jsonl", run(true, 0, "1", "1"))}, &out); code != 1 {
 		t.Errorf("exit status %d for unpaired runs, want 1", code)
 	}
