@@ -179,15 +179,15 @@ func labelDiff(got, want Result) string {
 }
 
 // twoPassCounts replays the two-pass path serially over idx and returns
-// its core count and its distance evaluations: at one worker, which the
-// path must spend exactly (core), and at any worker count, between which
-// it must fall (lo, hi). Pass 1 is detection's capped count, whose
+// its core count and its distance evaluations: those the path must spend
+// exactly at one worker (one), and the bounds it must fall within at any
+// worker count (lo, hi). Pass 1 is detection's capped count, whose
 // evaluations are deterministic. Pass 2 visits, from each core tuple in
 // index order, the later core tuples not yet in its set; with several
 // workers, when the other workers' unions land decides which visits are
 // skipped, so its evaluations lie between none and those of a join that
 // skips no core tuple.
-func twoPassCounts(rel *data.Relation, eps float64, minPts int, idx neighbors.Index) (cores int, core, lo, hi int64) {
+func twoPassCounts(rel *data.Relation, eps float64, minPts int, idx neighbors.Index) (cores int, one, lo, hi int64) {
 	var c neighbors.Counters
 	view := neighbors.Counting(idx, &c)
 	n := rel.N()
@@ -226,9 +226,9 @@ func twoPassCounts(rel *data.Relation, eps float64, minPts int, idx neighbors.In
 		}
 		return c.DistEvals - before
 	}
-	core = lo + join(true)
+	one = lo + join(true)
 	hi = lo + join(false)
-	return cores, core, lo, hi
+	return cores, one, lo, hi
 }
 
 // TestDBSCANCountingExact: a counting view handed to DBSCAN sees the work
