@@ -84,26 +84,26 @@ bench-diff:
 
 # The repository benchmark as interleaved pairs: the revision BASE
 # (unpacked with git archive into a temp dir) against the working tree,
-# PAIRS pairs of one WORKLOAD at SEED, each run for BENCHMARK.json's
+# 10 pairs of one WORKLOAD at SEED, each run for BENCHMARK.json's
 # run_seconds with tracing off, alternating which side runs first. Each
 # run's last line, its JSON summary (a run that exits non-zero records an
 # empty one), folds through cmd/benchjson -perf into one row per
 # end-to-end metric of BENCHMARK.json: both sides' medians and quartiles,
-# change/parent, and the pairs the change won by the metric's direction;
-# then every run's correct flag and failed/attempted counts. It fails when
-# a run is not correct. Each side builds perfbench into its own
+# change/parent, and the pairs the change won by the metric's direction,
+# out of all 10 (a pair in which either side printed no result is not
+# won); then every run's correct flag and failed/attempted counts. It
+# fails when a run is not correct. Each side builds perfbench into its own
 # .bench_build; set TMPDIR to keep the parent's checkout off /tmp, e.g.
 #   make perfbench-ab BASE=fcb5ecf WORKLOAD=lattice-detect
 SEED ?= 1
-PAIRS ?= 10
 perfbench-ab:
-	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make perfbench-ab BASE=<rev> WORKLOAD=<name> [SEED=1] [PAIRS=10]" >&2; exit 2; }
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make perfbench-ab BASE=<rev> WORKLOAD=<name> [SEED=1]" >&2; exit 2; }
 	@git rev-parse -q --verify '$(BASE)^{commit}' > /dev/null || { echo "perfbench-ab: $(BASE) is not a commit" >&2; exit 2; }
 	@set -e; secs=$$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json); \
 	test -n "$$secs" || { echo "perfbench-ab: BENCHMARK.json has no run_seconds" >&2; exit 2; }; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/before"; git archive $(BASE) | tar -x -C "$$tmp/before"; \
-	for pair in $$(seq 1 $(PAIRS)); do \
+	for pair in $$(seq 1 10); do \
 		order="before after"; [ $$((pair % 2)) -eq 1 ] || order="after before"; \
 		for side in $$order; do \
 			root="$(CURDIR)"; [ $$side = after ] || root="$$tmp/before"; \

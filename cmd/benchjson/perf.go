@@ -36,18 +36,23 @@ type e2eMetric struct {
 	Better string `json:"better"`
 }
 
-// perfRow is one metric folded over the pairs that measured it on both
-// sides: each side's quartiles and median, the ratio of the medians, and
-// the pairs the change won by the metric's direction (a tie wins neither).
+// perfRow is one metric folded over the pairs: each side's quartiles and
+// median and the ratio of the medians, over the Measured pairs that have
+// the metric on both sides, and the pairs the change won by the metric's
+// direction out of every pair run. A tie wins for neither side, and so
+// does a pair in which either side printed no result: a crashed change run
+// is a pair the change did not win.
 type perfRow struct {
 	Metric         e2eMetric
 	Parent, Change [3]float64 // q1, median, q3
 	Ratio          float64
 	Wins, Pairs    int
+	Measured       int
 }
 
 // foldPerf folds the runs, pair by pair. A run without a metric (one that
-// failed before printing a result) leaves its pair out of that metric's row.
+// failed before printing a result) leaves its pair out of that metric's
+// quartiles but not out of the pairs it is won over.
 func foldPerf(metrics []e2eMetric, parent, change []perfSummary) ([]perfRow, error) {
 	if len(parent) != len(change) {
 		return nil, fmt.Errorf("%d parent runs but %d change runs", len(parent), len(change))
@@ -57,7 +62,7 @@ func foldPerf(metrics []e2eMetric, parent, change []perfSummary) ([]perfRow, err
 		if m.Better != "lower" && m.Better != "higher" {
 			return nil, fmt.Errorf("metric %s: better is %q, want lower or higher", m.Name, m.Better)
 		}
-		row := perfRow{Metric: m}
+		row := perfRow{Metric: m, Pairs: len(parent)}
 		var ps, cs []float64
 		for i := range parent {
 			p, okP := parent[i].Metrics[m.Name]
@@ -66,12 +71,13 @@ func foldPerf(metrics []e2eMetric, parent, change []perfSummary) ([]perfRow, err
 				continue
 			}
 			ps, cs = append(ps, p.Value), append(cs, c.Value)
-			row.Pairs++
+			row.Measured++
 			if m.Better == "lower" && c.Value < p.Value || m.Better == "higher" && c.Value > p.Value {
 				row.Wins++
 			}
 		}
-		if row.Pairs == 0 {
+		if row.Measured == 0 {
+			rows = append(rows, row)
 			continue
 		}
 		row.Parent = [3]float64{quantile(ps, 0.25), median(ps), quantile(ps, 0.75)}
@@ -150,8 +156,16 @@ func writePerf(w io.Writer, rows []perfRow, parent, change []perfSummary) {
 	fmt.Fprintln(w, "| metric | parent median [q1, q3] | change median [q1, q3] | change/parent | change better |")
 	fmt.Fprintln(w, "|---|---|---|---|---|")
 	for _, r := range rows {
-		fmt.Fprintf(w, "| %s (%s, %s is better) | %s | %s | %.3f | %d/%d |\n", r.Metric.Name, r.Metric.Unit, r.Metric.Better,
-			quartiles(r.Parent), quartiles(r.Change), r.Ratio, r.Wins, r.Pairs)
+		pq, cq, ratio := "-", "-", "-"
+		if r.Measured > 0 {
+			pq, cq, ratio = quartiles(r.Parent), quartiles(r.Change), fmt.Sprintf("%.3f", r.Ratio)
+		}
+		won := fmt.Sprintf("%d/%d", r.Wins, r.Pairs)
+		if r.Measured < r.Pairs {
+			won += fmt.Sprintf(" (%d measured on both sides)", r.Measured)
+		}
+		fmt.Fprintf(w, "| %s (%s, %s is better) | %s | %s | %s | %s |\n", r.Metric.Name, r.Metric.Unit, r.Metric.Better,
+			pq, cq, ratio, won)
 	}
 	fmt.Fprintln(w)
 	for i := range parent {
