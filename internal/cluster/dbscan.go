@@ -59,7 +59,9 @@ func DBSCAN(rel *data.Relation, cfg DBSCANConfig) Result {
 //     distance unless j is core and in another set than i (sets only
 //     merge, so a pair found joined stays joined), and joins the two sets
 //     on a hit. That is n + #core range queries, with MinPts ≤ 0 skipping
-//     pass 1's n.
+//     pass 1's n. The passes save evaluations, not walks: a core tuple
+//     walks its cells twice, so where balls hold a few tuples and the walk
+//     is the cost (a sparse grid) they take longer than the fused pass.
 //   - One fused pass over any other index (the VP-tree, which must
 //     evaluate each vantage point to navigate, a Mutable, a foreign
 //     Index): each tuple runs one full ε-range query, and a core tuple
