@@ -311,6 +311,22 @@ func BenchmarkClusterDBSCANLattice(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterDBSCANGPS is BenchmarkClusterDBSCANLattice's sparse
+// counterpart on the grid index: Table 1 GPS at its Tables 2–3 scale
+// (4,063 tuples, about 6.9 per core ball, MinPts = η = 3), where a ball
+// holds a few tuples and the walks, not the evaluations, are the cost.
+func BenchmarkClusterDBSCANGPS(b *testing.B) {
+	ds, err := data.Table1("GPS", 0.5, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		disc.DBSCAN(ds.Rel, disc.DBSCANConfig{Eps: ds.Eps, MinPts: ds.Eta})
+	}
+}
+
 // mixedWorkload builds the mixed numeric+text fixture once per bench: the
 // distance-layer worst case (per-value kind branches, O(len²) string
 // metrics, repeated identical string pairs) that the compiled kernels

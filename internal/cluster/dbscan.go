@@ -47,21 +47,26 @@ func DBSCAN(rel *data.Relation, cfg DBSCANConfig) Result {
 // either of two paths, whatever order the queries run in. Which path runs
 // is chosen by what the index can do, never by its kind:
 //
-//   - Two passes, over an index that shows each candidate before
-//     evaluating it (neighbors.VisitingOf: Brute, Grid and counting views
-//     over them). Pass 1 is detection's core test: each tuple collects
-//     neighbor ids until it has MinPts, so a core tuple costs about MinPts
-//     evaluations, and a tuple left below MinPts has seen its whole ball
-//     and keeps those ids for the border rule. MinPts ≤ 0 marks every
-//     tuple core without a query. Pass 2 runs from core tuples only. Every
-//     core flag is final by then, so each core pair needs checking from
-//     one end: tuple i visits only the j > i, passes over j before its
-//     distance unless j is core and in another set than i (sets only
-//     merge, so a pair found joined stays joined), and joins the two sets
-//     on a hit. That is n + #core range queries, with MinPts ≤ 0 skipping
-//     pass 1's n. The passes save evaluations, not walks: a core tuple
-//     walks its cells twice, so where balls hold a few tuples and the walk
-//     is the cost (a sparse grid) they take longer than the fused pass.
+//   - Two passes, over an index that lists its tuples by cell
+//     (neighbors.JoinerOf: Brute, which is one cell, Grid, and counting
+//     views over them). Pass 1 is detection's core test: each tuple visits
+//     its neighbors, own cell first, until it has MinPts, so a core tuple
+//     costs about MinPts evaluations, and a tuple left below MinPts has
+//     seen its whole ball and keeps those ids for the border rule. MinPts
+//     ≤ 0 marks every tuple core without a query. Every core flag is final
+//     by then, so pass 2 joins cells, not tuples, in one parallel loop
+//     whose items come phase by phase. First each core tuple probes the
+//     later core tuples of its own cell. Then each cell joins each listed
+//     later cell whose box can hold a tuple within Eps of one of its own:
+//     the pair is passed over whole when both cells' core tuples are
+//     already one set, a tuple whose box test fails probes nothing, and the
+//     pair stops once a hit makes both cells one set. A probe passes over a
+//     candidate before its distance unless the candidate is core and in
+//     another set (sets only merge, so a pair found joined stays joined),
+//     and joins the two sets on a hit. That is n visits, one probe per core
+//     tuple and one per box test passed between cells, with MinPts ≤ 0
+//     skipping the visits. On brute, one cell, the join is the one-sided
+//     join from each core tuple to the later ones in index order.
 //   - One fused pass over any other index (the VP-tree, which must
 //     evaluate each vantage point to navigate, a Mutable, a foreign
 //     Index): each tuple runs one full ε-range query, and a core tuple
@@ -69,9 +74,9 @@ func DBSCAN(rel *data.Relation, cfg DBSCANConfig) Result {
 //     of two neighboring core tuples at least one sees the other and joins
 //     their sets. That is n range queries.
 //
-// Once ctx is cancelled no further query starts, in either pass or between
+// Once ctx is cancelled no further query starts, in any phase or between
 // them, and the run returns every tuple as noise with K = 0 and the
-// context's error. A panic in a query, in either pass, is returned as an
+// context's error. A panic in a query, in any phase, is returned as an
 // error, again with every tuple as noise; errors.As reaches its value and
 // stack as a *par.PanicError. A nil error means the clustering is
 // complete.
@@ -91,8 +96,8 @@ func DBSCANContext(ctx context.Context, rel *data.Relation, cfg DBSCANConfig) (R
 		d.parent[i].Store(-1)
 	}
 	var errs []par.ItemError
-	if vs := visitors(views); vs != nil {
-		errs = d.twoPass(ctx, vs)
+	if js := joiners(views); js != nil {
+		errs = d.twoPass(ctx, js)
 	} else {
 		errs = d.fusedPass(ctx, views)
 	}
@@ -135,39 +140,49 @@ func DBSCANContext(ctx context.Context, rel *data.Relation, cfg DBSCANConfig) (R
 }
 
 // dbscan is one DBSCANContext run: the disjoint set of core tuples and one
-// scratch per worker.
+// scratch per worker, and on the two-pass path the index's cell listing
+// and the state of each cell.
 type dbscan struct {
 	rel    *data.Relation
 	cfg    DBSCANConfig
 	parent []atomic.Int32
 	ws     []dbscanWorker
+	cs     neighbors.Cells
+	cells  []cellState
+}
+
+// cellState is one cell of the join: its smallest core tuple (-1 for
+// none), and whether its core tuples have been found to be one set, which
+// they then stay, since sets only merge.
+type cellState struct {
+	rep int32
+	one atomic.Bool
 }
 
 // dbscanWorker is one goroutine's scratch: the buffer its fused range
-// queries fill, and the tuples it found not core as (i, count, ids...)
-// records, whose neighbors' status is known only after the join.
+// queries fill, the tuples it found not core as (i, count, ids...)
+// records, whose neighbors' status is known only after the join, and the
+// buffer its cells' near lists fill. start is the offset of the visited
+// tuple's ids in border, which collect, the core test's visit callback
+// made once per run, reads.
 type dbscanWorker struct {
-	nbs    []neighbors.Neighbor
-	border []int32
-	// i is the tuple being visited in the two-pass path, root the last
-	// root of its set seen by the join, and start the offset of its ids in
-	// border; the three callbacks read them, so they are made once per
-	// run instead of once per visit.
-	i, root                 int32
-	start                   int
-	collect, joinable, link func(j int) bool
+	nbs     []neighbors.Neighbor
+	border  []int32
+	near    []int32
+	start   int
+	collect func(j int) bool
 }
 
-// visitors returns the views' Visiting capabilities, or nil when the index
+// joiners returns the views' Joiner capabilities, or nil when the index
 // behind them has none.
-func visitors(views []neighbors.Index) []neighbors.Visiting {
-	vs := make([]neighbors.Visiting, len(views))
+func joiners(views []neighbors.Index) []neighbors.Joiner {
+	js := make([]neighbors.Joiner, len(views))
 	for w, v := range views {
-		if vs[w] = neighbors.VisitingOf(v); vs[w] == nil {
+		if js[w] = neighbors.JoinerOf(v); js[w] == nil {
 			return nil
 		}
 	}
-	return vs
+	return js
 }
 
 // fusedPass runs one full range query per tuple and joins each core tuple
@@ -194,30 +209,19 @@ func (d *dbscan) fusedPass(ctx context.Context, views []neighbors.Index) []par.I
 	})
 }
 
-// twoPass runs the core test, then the one-sided join from core tuples. A
-// failed or cancelled core test skips the join.
-func (d *dbscan) twoPass(ctx context.Context, vs []neighbors.Visiting) []par.ItemError {
+// twoPass runs the core test, then joins the core tuples of each cell,
+// then those of each listed pair of cells. A failed or cancelled core test
+// skips the join.
+func (d *dbscan) twoPass(ctx context.Context, js []neighbors.Joiner) []par.ItemError {
 	parent, minPts, eps := d.parent, d.cfg.MinPts, d.cfg.Eps
 	for w := range d.ws {
 		wk := &d.ws[w]
+		// At radius = cell, a cell of a three-attribute grid lists at most
+		// 13 near cells unless its tuples sit within a rounding of a side.
+		wk.near = make([]int32, 0, 32)
 		wk.collect = func(j int) bool {
 			wk.border = append(wk.border, int32(j))
 			return len(wk.border)-wk.start < minPts
-		}
-		// wk.root is a root i's set had; while it is still a root, j
-		// finding it is in i's set. Only a mismatch pays for a fresh
-		// find(i), so each candidate costs one find, not two.
-		wk.joinable = func(j int) bool {
-			rj := find(parent, int32(j))
-			if rj < 0 || rj == wk.root {
-				return false
-			}
-			wk.root = find(parent, wk.i)
-			return rj != wk.root
-		}
-		wk.link = func(j int) bool {
-			union(parent, wk.i, int32(j))
-			return true
 		}
 	}
 	n := d.rel.N()
@@ -225,11 +229,11 @@ func (d *dbscan) twoPass(ctx context.Context, vs []neighbors.Visiting) []par.Ite
 		for i := range parent {
 			parent[i].Store(int32(i))
 		}
-	} else if errs := par.ForEachWorker(ctx, n, len(vs), func(w, i int) error {
+	} else if errs := par.ForEachWorker(ctx, n, len(js), func(w, i int) error {
 		wk := &d.ws[w]
 		wk.border = append(wk.border, int32(i), 0)
 		wk.start = len(wk.border)
-		vs[w].VisitWithin(d.rel.Tuples[i], eps, 0, i, nil, wk.collect)
+		js[w].VisitWithin(d.rel.Tuples[i], eps, i, wk.collect)
 		if m := len(wk.border) - wk.start; m < minPts {
 			wk.border[wk.start-1] = int32(m)
 		} else {
@@ -240,16 +244,110 @@ func (d *dbscan) twoPass(ctx context.Context, vs []neighbors.Visiting) []par.Ite
 	}); errs != nil {
 		return errs
 	}
-	return par.ForEachWorker(ctx, n, len(vs), func(w, i int) error {
-		if parent[i].Load() < 0 {
+	d.cs = js[0].Cells(eps)
+	cs := &d.cs
+	d.cells = make([]cellState, cs.Len())
+	for c := range d.cells {
+		d.cells[c].rep = -1
+		for _, i := range cs.Ids(c) {
+			if parent[i].Load() >= 0 {
+				d.cells[c].rep = int32(i)
+				break
+			}
+		}
+	}
+	// The join runs its two phases as one parallel loop whose items come
+	// in phase order: each core tuple's join inside its cell, then each
+	// cell's join with its listed later cells.
+	return par.ForEachWorker(ctx, n+cs.Len(), len(js), func(w, k int) error {
+		if k < n {
+			if i, later := cs.At(k); parent[i].Load() >= 0 {
+				d.join(js[w], i, later, -1, -1)
+			}
 			return nil
 		}
-		wk := &d.ws[w]
-		wk.i = int32(i)
-		wk.root = find(parent, wk.i)
-		vs[w].VisitWithin(d.rel.Tuples[i], eps, i+1, -1, wk.joinable, wk.link)
+		c, wk := k-n, &d.ws[w]
+		if d.cells[c].rep < 0 {
+			return nil // no core tuple to join from
+		}
+		wk.near = cs.Near(c, wk.near[:0])
+		for _, b := range wk.near {
+			d.joinCells(js[w], c, int(b))
+		}
 		return nil
 	})
+}
+
+// join probes core tuple i against the core tuples ids and joins their
+// sets on each hit. It passes over a candidate before its distance unless
+// the candidate is core and in another set than i: root is a root i's set
+// had, and while it is still a root, j finding it is in i's set, so only a
+// mismatch pays for a fresh find(i). Between cells c and b (both -1 inside
+// one cell) it stops, reporting true, once a hit leaves the core tuples of
+// both cells one set.
+func (d *dbscan) join(j neighbors.Joiner, i int, ids []int, c, b int) (done bool) {
+	parent := d.parent
+	pr := j.Probe(i, d.cfg.Eps)
+	root := find(parent, int32(i))
+	for _, x := range ids {
+		rx := find(parent, int32(x))
+		if rx < 0 || rx == root {
+			continue
+		}
+		if root = find(parent, int32(i)); rx == root || !pr.Within(x) {
+			continue
+		}
+		union(parent, int32(i), int32(x))
+		if c >= 0 && d.joined(c, b) {
+			done = true
+			break
+		}
+	}
+	pr.Release()
+	return done
+}
+
+// joinCells joins the core tuples of cells c and b, the later one: each
+// core tuple of c whose walk would visit b probes b's core tuples, until
+// the two cells' core tuples are one set. A pair already one set is passed
+// over whole.
+func (d *dbscan) joinCells(j neighbors.Joiner, c, b int) {
+	if d.joined(c, b) {
+		return
+	}
+	ids := d.cs.Ids(b)
+	for _, i := range d.cs.Ids(c) {
+		if d.parent[i].Load() >= 0 && d.cs.Reach(i, b) && d.join(j, i, ids, c, b) {
+			return
+		}
+	}
+}
+
+// joined reports whether the core tuples of cells c and b are one set, or
+// either cell has none.
+func (d *dbscan) joined(c, b int) bool {
+	if d.cells[c].rep < 0 || d.cells[b].rep < 0 {
+		return true
+	}
+	r := find(d.parent, d.cells[c].rep)
+	return d.oneSet(c, r) && d.oneSet(b, r)
+}
+
+// oneSet reports whether every core tuple of cell c is in the set whose
+// root is r. A set found at a root another goroutine has since linked
+// reads as a mismatch, so a false answer is only ever a missed skip.
+func (d *dbscan) oneSet(c int, r int32) bool {
+	cell := &d.cells[c]
+	if cell.one.Load() {
+		return find(d.parent, cell.rep) == r
+	}
+	for _, i := range d.cs.Ids(c) {
+		if d.parent[i].Load() >= 0 && find(d.parent, int32(i)) != r {
+			return false
+		}
+	}
+	cell.one.Store(true)
+	return true
 }
 
 // find returns the root of x's set, or -1 when x is not core, halving the

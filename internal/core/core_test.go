@@ -379,3 +379,48 @@ func TestQuickselect(t *testing.T) {
 		}
 	}
 }
+
+// TestDetectLatticeOwnCellFirst pins the ordered grid walk's visiting order
+// on perfbench's lattice (4,160 tuples, ε = 1, η = 20), where most capped
+// counts fill up inside the query's own cell. The walk visits that cell
+// before it enumerates and sorts the others, in the order it had when the
+// cell was sorted with them, so detection's counts equal the brute scan's
+// and its evaluations are those of that order, 90,601; and k-NN(η) from
+// every 37th tuple returns the brute scan's neighbors in 36,559
+// evaluations.
+func TestDetectLatticeOwnCellFirst(t *testing.T) {
+	rel, err := data.GenLattice(data.LatticeSpec{Side: 4, PerCell: 64, Dims: 3, Noise: 64, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eps, eta = 1.0, 20
+	det, err := DetectContext(context.Background(), rel, Constraints{Eps: eps, Eta: eta}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	brute := neighbors.NewBrute(rel)
+	for i, tp := range rel.Tuples {
+		if want := brute.CountWithin(tp, eps, i, eta); det.Counts[i] != want {
+			t.Fatalf("Counts[%d] = %d, brute %d", i, det.Counts[i], want)
+		}
+	}
+	if det.Stats.DistEvals != 90601 || det.Stats.GridFallbacks != 0 {
+		t.Errorf("detection evaluated %d pairs with %d fallbacks, want 90601 and 0", det.Stats.DistEvals, det.Stats.GridFallbacks)
+	}
+	var c neighbors.Counters
+	view := neighbors.Counting(neighbors.NewGrid(rel, eps), &c)
+	for i := 0; i < rel.N(); i += 37 {
+		got, want := view.KNN(rel.Tuples[i], eta, i), brute.KNN(rel.Tuples[i], eta, i)
+		if len(got) != len(want) {
+			t.Fatalf("KNN from %d: %d neighbors, brute %d", i, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("KNN from %d: [%d] = %+v, brute %+v", i, k, got[k], want[k])
+			}
+		}
+	}
+	if c.DistEvals != 36559 {
+		t.Errorf("%d k-NN queries evaluated %d pairs, want 36559", c.KNNQueries, c.DistEvals)
+	}
+}

@@ -320,6 +320,108 @@ func TestGridWalkMatchesBrute(t *testing.T) {
 	}
 }
 
+// TestGridCellsCoverPairs pins the cell listing a join reads to the brute
+// scan on TestGridWalkMatchesBrute's fixtures: every pair of tuples within
+// ε lies in one cell, or in cells c and d with d listed near c and the box
+// test of its tuple in c passing against d, the only pairs a cell join
+// probes. The cells partition the relation, are numbered by their smallest
+// tuple id and hold their ids ascending, and a near list names only later
+// cells, each pair of cells at most once. Every m = 3 layout is listed
+// cell by cell; at m = 9 the walk would fall back, so the grid is one cell.
+// Each relation also holds an edge pair: two tuples exactly 1 apart on
+// attribute 0 (unscaled), the second on a cell edge of the 1.5-cell grid
+// 2^20 cells out, where the first's position rounds down, so that without
+// the gaps' slack neither the listing nor the box test would pass it.
+func TestGridCellsCoverPairs(t *testing.T) {
+	layouts := []struct {
+		name   string
+		m, dup int
+		far    bool
+		offset float64
+	}{
+		{"packed", 3, 2, false, 0},
+		{"packed-offset", 3, 2, false, 1e6},
+		{"string-m9", 9, 10, false, 0},
+		{"string-wide", 3, 2, true, 0},
+	}
+	for _, lay := range layouts {
+		for _, norm := range []metric.Norm{metric.L2, metric.L1, metric.LInf} {
+			r := walkRelation(lay.m, lay.dup, lay.far, lay.offset, norm, int64(23+int(norm)))
+			for _, v := range []float64{1.5*(1<<20+1) - 1, 1.5 * (1<<20 + 1)} {
+				t := make(data.Tuple, lay.m)
+				for a := range t {
+					t[a] = data.Num(0)
+				}
+				t[0] = data.Num(v)
+				r.Append(t)
+			}
+			brute := NewBrute(r)
+			for _, cellF := range []float64{0.5, 1, 1.5} {
+				g := NewGrid(r, cellF)
+				for _, eps := range []float64{1, math.Sqrt2} {
+					name := fmt.Sprintf("%s/%v/cell=%gε/eps=%g", lay.name, norm, cellF, eps)
+					cs := g.Cells(eps)
+					if lay.m == 3 && cs.Len() < 2 || lay.m == 9 && cs.Len() != 1 {
+						t.Fatalf("%s: %d cells", name, cs.Len())
+					}
+					cellOf := make([]int, r.N())
+					for i := range cellOf {
+						cellOf[i] = -1
+					}
+					k := 0
+					for c := 0; c < cs.Len(); c++ {
+						ids := cs.Ids(c)
+						if c > 0 && ids[0] <= cs.Ids(c - 1)[0] {
+							t.Fatalf("%s: cell %d starts at tuple %d, cell %d at %d", name, c, ids[0], c-1, cs.Ids(c - 1)[0])
+						}
+						for x, i := range ids {
+							if x > 0 && i <= ids[x-1] || cellOf[i] >= 0 {
+								t.Fatalf("%s: cell %d lists tuple %d out of order or twice", name, c, i)
+							}
+							cellOf[i] = c
+							if at, later := cs.At(k); at != i || len(later) != len(ids)-x-1 {
+								t.Fatalf("%s: At(%d) = %d with %d later, want %d with %d", name, k, at, len(later), i, len(ids)-x-1)
+							}
+							k++
+						}
+					}
+					if k != r.N() {
+						t.Fatalf("%s: the cells hold %d tuples, want %d", name, k, r.N())
+					}
+					near := map[[2]int]bool{}
+					for c := 0; c < cs.Len(); c++ {
+						for _, d := range cs.Near(c, nil) {
+							p := [2]int{c, int(d)}
+							if int(d) == c || near[p] || near[[2]int{int(d), c}] {
+								t.Fatalf("%s: cell %d lists cell %d again", name, c, d)
+							}
+							near[p] = true
+						}
+					}
+					pairs, between := 0, 0
+					for i, q := range r.Tuples {
+						for _, nb := range brute.Within(q, eps, i) {
+							j, ci, cj := nb.Idx, cellOf[i], cellOf[nb.Idx]
+							pairs++
+							switch {
+							case ci == cj:
+							case near[[2]int{ci, cj}] && cs.Reach(i, cj), near[[2]int{cj, ci}] && cs.Reach(j, ci):
+								between++
+							default:
+								t.Fatalf("%s: tuples %d and %d lie within %g (%v), but no listed pair of cells %d and %d covers them",
+									name, i, j, eps, nb.Dist, ci, cj)
+							}
+						}
+					}
+					if lay.m == 3 && between == 0 {
+						t.Fatalf("%s: none of %d pairs lies between two cells", name, pairs)
+					}
+				}
+			}
+		}
+	}
+}
+
 // walkQuery returns trial's query and skip: a relation tuple (skipped,
 // the detection shape), a lattice point on cell edges, a point at half
 // steps, or a random point inside the lattice shifted by offset.

@@ -2,7 +2,6 @@ package neighbors
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/data"
 )
@@ -220,14 +219,34 @@ func (ax *walkAxis) gap(o int) float64 {
 	return math.Max(0, d-ax.slack-0x1p-51*math.Abs(float64(o)))
 }
 
+// axis returns axis a of a walk from q: the query's cell coordinate, its
+// position inside that cell, and the slack taken off every gap.
+func (g *Grid) axis(q data.Tuple, a int) walkAxis {
+	y := g.key.pos(q, a)
+	b := math.Floor(y)
+	return walkAxis{base: int(b), frac: y - b, slack: 0x1p-51 * (2*math.Abs(y) + 4)}
+}
+
+// relSlack is the relative shrink of an aggregated bound: (4m+16) unit
+// roundoffs, covering the kernel's per-attribute and aggregate roundings.
+func (g *Grid) relSlack() float64 { return float64(4*g.m+16) * 0x1p-53 }
+
+// lowerBound turns p, per-axis gaps in cell units aggregated under the
+// schema norm, into a lower bound on the distance itself.
+func (g *Grid) lowerBound(p float64) float64 {
+	return g.r.Schema.Norm.Finish(p) * g.cell * (1 - g.relSlack())
+}
+
 // walk calls fn with the tuples of every occupied cell whose box lies
 // within radius of q, together with a lower bound lb on the distance from
 // q to any tuple of that cell. fn returns false to stop the walk. Ordered
 // walks visit cells nearest box first, so capped counts and k-NN bounds
-// settle early; unordered walks visit them in enumeration order. walk
-// reports false, having called fn for nothing, when the cells in range
-// span a box larger than the relation; the caller then degrades to its
-// brute scan.
+// settle early; the query's own cell, always the first cell enumerated
+// and with bound 0, is visited before the rest are enumerated and sorted,
+// so a walk that stops inside it pays for no other cell. Unordered walks
+// visit cells in enumeration order. walk reports false, having called fn
+// for nothing, when the cells in range span a box larger than the
+// relation; the caller then degrades to its brute scan.
 //
 // A cell's bound is the per-axis gap from the query's position to the
 // cell's box, in cell units, aggregated under the schema norm. Two slacks
@@ -266,16 +285,12 @@ func (g *Grid) walk(q data.Tuple, radius float64, ordered bool, fn func(idx []in
 	axes, js, cc, dc, acc = axes[:m], js[:m], cc[:m], dc[:m], acc[:m+1]
 
 	norm := g.r.Schema.Norm
-	relSlack := float64(4*m+16) * 0x1p-53
-	lim := r * (1 + 4*relSlack) // generous: the exact test is lb ≤ radius below
+	lim := r * (1 + 4*g.relSlack()) // generous: the exact test is lb ≤ radius below
 	limAcc := norm.Accumulate(0, lim)
 	vol := 1
 	for a := range axes {
 		ax := &axes[a]
-		y := g.key.pos(q, a)
-		b := math.Floor(y)
-		ax.base, ax.frac = int(b), y-b
-		ax.slack = 0x1p-51 * (2*math.Abs(y) + 4)
+		*ax = g.axis(q, a)
 		ext := ax.slack + 0x1p-51*(lim+2) // the slack of the farthest offset in range
 		ax.hi = int(lim + ax.frac + ext)
 		ax.lo = -int(lim + 1 - ax.frac + ext)
@@ -292,6 +307,11 @@ func (g *Grid) walk(q data.Tuple, radius float64, ordered bool, fn func(idx []in
 
 	var nearA [nearCap]nearCell
 	near := nearA[:0]
+	// own is -1 until the query's own cell is visited, then 1 while that
+	// cell still counts towards the first chunk, so chunks end where they
+	// would if it were sorted with them: it sorts first in any case, and
+	// visiting order stays the same.
+	own := -1
 	// Depth-first over the axes, each axis's offsets nearest first, so
 	// the query's own cell comes first and a partial aggregate already
 	// past the radius prunes the whole subtree.
@@ -319,11 +339,14 @@ func (g *Grid) walk(q data.Tuple, radius float64, ordered bool, fn func(idx []in
 			js[a] = -1
 			continue
 		}
-		lb := norm.Finish(p) * g.cell * (1 - relSlack)
+		lb := g.lowerBound(p)
 		if lb > radius {
 			continue
 		}
-		if !ordered {
+		if !ordered || own < 0 {
+			if ordered {
+				own = 1 // the query's own cell, bound 0
+			}
 			if idx := g.cellAt(cc, kb); len(idx) > 0 && !fn(idx, lb) {
 				return true
 			}
@@ -334,11 +357,11 @@ func (g *Grid) walk(q data.Tuple, radius float64, ordered bool, fn func(idx []in
 			code += (cc[b] - axes[b].base - axes[b].lo) * axes[b].stride
 		}
 		near = append(near, nearCell{lb: lb, code: code})
-		if len(near) == nearCap {
+		if len(near)+own == nearCap {
 			if !g.visitNear(near, axes, dc, kb, fn) {
 				return true
 			}
-			near = near[:0]
+			near, own = near[:0], 0
 		}
 	}
 	g.visitNear(near, axes, dc, kb, fn)
@@ -456,30 +479,20 @@ func (g *Grid) countWithin(q data.Tuple, eps float64, skip, cap int, c *Counters
 	return n
 }
 
-// VisitWithin implements Visiting.
-func (g *Grid) VisitWithin(q data.Tuple, eps float64, from, skip int, keep, hit func(int) bool) {
-	g.visitWithin(q, eps, from, skip, keep, hit, nil)
+// VisitWithin implements Joiner.
+func (g *Grid) VisitWithin(q data.Tuple, eps float64, skip int, hit func(int) bool) {
+	g.visitWithin(q, eps, skip, hit, nil)
 }
 
 // visitWithin is the visiting walk, nearest cell first like a capped
-// count. A cell lists its tuples in ascending order (rows are added in
-// index order, and Grid.insert only appends the next row), so a cell that
-// ends before from is passed over whole, and one that straddles it is
-// entered at from by binary search.
-func (g *Grid) visitWithin(q data.Tuple, eps float64, from, skip int, keep, hit func(int) bool, c *Counters) {
+// count.
+func (g *Grid) visitWithin(q data.Tuple, eps float64, skip int, hit func(int) bool, c *Counters) {
 	kq := g.kern.Bind(q)
 	defer release(kq, c)
 	bound := g.kern.LEBound(eps)
 	if !g.walk(q, eps, true, func(idx []int, _ float64) bool {
-		if idx[len(idx)-1] < from {
-			return true
-		}
-		if idx[0] < from {
-			at, _ := slices.BinarySearch(idx, from)
-			idx = idx[at:]
-		}
 		for _, i := range idx {
-			if i == skip || g.dead.has(i) || keep != nil && !keep(i) {
+			if i == skip || g.dead.has(i) {
 				continue
 			}
 			if _, within := kq.DistToLE(i, bound); within && !hit(i) {
@@ -489,9 +502,16 @@ func (g *Grid) visitWithin(q data.Tuple, eps float64, from, skip int, keep, hit 
 		return true
 	}) {
 		fallback(c)
-		g.brute.visitWithin(q, eps, from, skip, keep, hit, c)
+		g.brute.visitWithin(q, eps, skip, hit, c)
 	}
 }
+
+// Probe implements Joiner.
+func (g *Grid) Probe(i int, eps float64) Probe { return g.probe(i, eps, nil) }
+
+// probe binds tuple i through the brute fallback, which shares the
+// grid's relation, kernel and tombstones.
+func (g *Grid) probe(i int, eps float64, c *Counters) Probe { return g.brute.probe(i, eps, c) }
 
 // knn is the k-NN search, a best-first walk. Each round walks the cells
 // within a radius (starting at one cell, doubling) nearest box first and

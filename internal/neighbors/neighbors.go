@@ -52,7 +52,7 @@ func CountWithinAtLeast(idx Index, q data.Tuple, eps float64, skip, k int) bool 
 // may be nil or a reused buffer truncated by the caller) instead of
 // allocating a fresh result slice per query. All three concrete indexes
 // and the counting view implement it; DBSCAN's fused pass, the path it
-// takes over an index without Visiting, reuses one buffer per worker
+// takes over an index without a Joiner, reuses one buffer per worker
 // through it.
 type WithinAppender interface {
 	WithinAppend(dst []Neighbor, q data.Tuple, eps float64, skip int) []Neighbor
@@ -76,55 +76,98 @@ func withinAppend(idx Index, dst []Neighbor, q data.Tuple, eps float64, skip int
 	return append(dst, idx.Within(q, eps, skip)...)
 }
 
-// Visiting is the optional capability of an index that shows its caller
-// each candidate of a range query before evaluating the candidate's
-// distance, so the caller can pass over candidates it has no use for at no
-// evaluation: Brute and Grid, whose scans visit tuple ids directly. A
-// VP-tree must evaluate each vantage point to navigate, and a Mutable
-// also scans its delta buffer, so neither offers it. Look it up with
-// VisitingOf, which sees through counting views.
-type Visiting interface {
-	// VisitWithin calls hit(j) for each tuple j ≥ from, other than skip,
-	// that keep accepts and that lies within eps of q, until hit returns
-	// false. keep(j) runs before j's distance is evaluated, so a candidate
-	// it rejects costs no evaluation; a nil keep accepts every candidate.
-	// Candidates come nearest grid cell first, so a visit that stops
-	// early after k hits costs what a count capped at k costs.
-	VisitWithin(q data.Tuple, eps float64, from, skip int, keep, hit func(j int) bool)
+// Joiner is the optional capability of an index whose tuples sit in cells
+// it can list, so a caller can join tuples cell by cell instead of running
+// a range query per tuple: Brute, which is one cell, and Grid, whose walk
+// visits tuple ids directly. A grid whose walk at the join's radius would
+// fall back to its brute scan is one cell too. A VP-tree must evaluate
+// each vantage point to navigate, and a Mutable also scans its delta
+// buffer, so neither offers it. Look it up with JoinerOf, which sees
+// through counting views; DBSCAN's two-pass path is its caller.
+type Joiner interface {
+	// VisitWithin calls hit(j) for each tuple j other than skip that lies
+	// within eps of q, until hit returns false. Candidates come nearest
+	// grid cell first, the query's own cell before the rest, so a visit
+	// that stops after k hits costs what a count capped at k costs.
+	VisitWithin(q data.Tuple, eps float64, skip int, hit func(j int) bool)
+	// Cells lists the index's occupied cells for a join at radius eps:
+	// every pair of tuples within eps of each other lies in one cell, or
+	// in cells c and d with d in Near(c) and Reach(i, d) true for the
+	// pair's tuple i in c.
+	Cells(eps float64) Cells
+	// Probe binds tuple i for pair tests at radius eps.
+	Probe(i int, eps float64) Probe
 }
 
-// visiting is Visiting's body with the calling view's counters (nil for
-// a direct call), as counted is for the Index queries.
-type visiting interface {
-	visitWithin(q data.Tuple, eps float64, from, skip int, keep, hit func(j int) bool, c *Counters)
+// joiner is Joiner's body with the calling view's counters (nil for a
+// direct call), as counted is for the Index queries.
+type joiner interface {
+	Cells(eps float64) Cells
+	visitWithin(q data.Tuple, eps float64, skip int, hit func(j int) bool, c *Counters)
+	probe(i int, eps float64, c *Counters) Probe
 }
 
-// VisitingOf returns idx's Visiting capability, or nil when idx lacks it.
-// Through a counting view over Brute or Grid it returns a Visiting that
-// counts each visit as a range query, and its evaluations, into the
-// view's counters; a counting view over any other index has none.
-func VisitingOf(idx Index) Visiting {
+// JoinerOf returns idx's Joiner capability, or nil when idx lacks it.
+// Through a counting view over Brute or Grid it returns a Joiner that
+// counts each visit and each probe as a range query, and their
+// evaluations, into the view's counters; a counting view over any other
+// index has none.
+func JoinerOf(idx Index) Joiner {
 	if cv, ok := idx.(*counting); ok {
-		if v, ok := cv.idx.(visiting); ok {
-			return &countedVisit{v: v, c: cv.c}
+		if j, ok := cv.idx.(joiner); ok {
+			return &countedJoin{j: j, c: cv.c}
 		}
 		return nil
 	}
-	v, _ := idx.(Visiting)
-	return v
+	j, _ := idx.(Joiner)
+	return j
 }
 
-// countedVisit is the Visiting of a counting view.
-type countedVisit struct {
-	v visiting
+// countedJoin is the Joiner of a counting view.
+type countedJoin struct {
+	j joiner
 	c *Counters
 }
 
-// VisitWithin implements Visiting.
-func (cv *countedVisit) VisitWithin(q data.Tuple, eps float64, from, skip int, keep, hit func(int) bool) {
-	cv.c.RangeQueries++
-	cv.v.visitWithin(q, eps, from, skip, keep, hit, cv.c)
+// VisitWithin implements Joiner.
+func (cj *countedJoin) VisitWithin(q data.Tuple, eps float64, skip int, hit func(int) bool) {
+	cj.c.RangeQueries++
+	cj.j.visitWithin(q, eps, skip, hit, cj.c)
 }
+
+// Cells implements Joiner. Listing cells evaluates no distance.
+func (cj *countedJoin) Cells(eps float64) Cells { return cj.j.Cells(eps) }
+
+// Probe implements Joiner.
+func (cj *countedJoin) Probe(i int, eps float64) Probe {
+	cj.c.RangeQueries++
+	return cj.j.probe(i, eps, cj.c)
+}
+
+// Probe is one tuple bound for pair tests against the other tuples of its
+// index: a range query whose candidates the caller names one at a time,
+// so it can pass over a candidate before its distance is evaluated.
+type Probe struct {
+	kq    *data.KernelQuery
+	bound float64
+	dead  *deadSet
+	c     *Counters
+}
+
+// Within reports whether tuple j lies within the probe's radius of its
+// tuple, deciding exactly as a range query does.
+func (p Probe) Within(j int) bool {
+	if p.dead.has(j) {
+		return false
+	}
+	_, within := p.kq.DistToLE(j, p.bound)
+	return within
+}
+
+// Release folds the probe's evaluations into the counters of the view
+// that bound it and returns its query to the kernel's pool; the probe is
+// spent afterwards.
+func (p Probe) Release() { release(p.kq, p.c) }
 
 // Kerneled is implemented by indexes backed by a compiled distance
 // kernel (see data.Kernel). KernelOf unwraps views to reach it.
@@ -274,24 +317,35 @@ func (b *Brute) within(dst []Neighbor, q data.Tuple, eps float64, skip int, c *C
 	return dst
 }
 
-// VisitWithin implements Visiting.
-func (b *Brute) VisitWithin(q data.Tuple, eps float64, from, skip int, keep, hit func(int) bool) {
-	b.visitWithin(q, eps, from, skip, keep, hit, nil)
+// VisitWithin implements Joiner.
+func (b *Brute) VisitWithin(q data.Tuple, eps float64, skip int, hit func(int) bool) {
+	b.visitWithin(q, eps, skip, hit, nil)
 }
 
-// visitWithin is the visiting scan, in index order from from.
-func (b *Brute) visitWithin(q data.Tuple, eps float64, from, skip int, keep, hit func(int) bool, c *Counters) {
+// visitWithin is the visiting scan, in index order.
+func (b *Brute) visitWithin(q data.Tuple, eps float64, skip int, hit func(int) bool, c *Counters) {
 	kq := b.kern.Bind(q)
 	defer release(kq, c)
 	bound := b.kern.LEBound(eps)
-	for i := max(from, 0); i < b.n; i++ {
-		if i == skip || b.dead.has(i) || keep != nil && !keep(i) {
+	for i := 0; i < b.n; i++ {
+		if i == skip || b.dead.has(i) {
 			continue
 		}
 		if _, within := kq.DistToLE(i, bound); within && !hit(i) {
 			return
 		}
 	}
+}
+
+// Cells implements Joiner: a brute scan is one cell, its tuples in index
+// order.
+func (b *Brute) Cells(float64) Cells { return oneCell(b.n) }
+
+// Probe implements Joiner.
+func (b *Brute) Probe(i int, eps float64) Probe { return b.probe(i, eps, nil) }
+
+func (b *Brute) probe(i int, eps float64, c *Counters) Probe {
+	return Probe{kq: b.kern.Bind(b.r.Tuples[i]), bound: b.kern.LEBound(eps), dead: b.dead, c: c}
 }
 
 // countWithin is the capped counting scan.
