@@ -25,7 +25,6 @@ var keptWithoutCaller = map[string]string{
 
 	"client.Client.InsertTuple": "ROADMAP item 3: the coordinator's /tuples routes will call it",
 	"client.Client.DeleteTuple": "ROADMAP item 3: the coordinator's /tuples routes will call it",
-	"data.Kernel.DistLE":        "ROADMAP item 8: DORC's quadratic pass will run on the kernel through it",
 	"data.GenLattice":           "perfbench/README.md names it; only a change to the benchmark may edit that file",
 }
 

@@ -231,12 +231,13 @@ var (
 	// (DBSCAN) or with the best-so-far clustering (the restarted ones).
 	// DBSCAN and DBSCANContext query DBSCANConfig.Index from GOMAXPROCS
 	// goroutines at once, as DetectContext queries its index. Over an
-	// index that lists its tuples by cell (the grid, and the brute scan as
-	// one cell, see neighbors.JoinerOf) they run two passes: detection's
-	// capped core test, then a join of cells, first each cell's core
-	// tuples among themselves, then each pair of nearby cells whose core
-	// tuples are not yet one cluster. Over any other index (the VP-tree, a
-	// mutable index) they run one full range query per tuple. A
+	// index that lists its tuples by cell (the grid, the VP-tree, whose
+	// cells are subtrees, and the brute scan as one cell, see
+	// neighbors.JoinerOf) they run two passes: detection's capped core
+	// test, then a join of cells, first each cell's core tuples among
+	// themselves, then each pair of nearby cells whose core tuples are not
+	// yet one cluster. Over any other index (a mutable index, a foreign
+	// one) they run one full range query per tuple. A
 	// cancellation or a panic in any phase labels every tuple noise and
 	// returns the error; DBSCAN re-raises it. Both paths give the labels
 	// of the serial seed expansion.

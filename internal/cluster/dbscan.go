@@ -48,31 +48,43 @@ func DBSCAN(rel *data.Relation, cfg DBSCANConfig) Result {
 // is chosen by what the index can do, never by its kind:
 //
 //   - Two passes, over an index that lists its tuples by cell
-//     (neighbors.JoinerOf: Brute, which is one cell, Grid, and counting
-//     views over them). Pass 1 is detection's core test: each tuple visits
-//     its neighbors, own cell first, until it has MinPts, so a core tuple
-//     costs about MinPts evaluations, and a tuple left below MinPts has
-//     seen its whole ball and keeps those ids for the border rule. MinPts
-//     ≤ 0 marks every tuple core without a query. Every core flag is final
-//     by then, so pass 2 joins cells, not tuples, in one parallel loop
-//     whose items come phase by phase. First each core tuple probes the
-//     later core tuples of its own cell. Then each cell joins each listed
-//     later cell whose box can hold a tuple within Eps of one of its own:
-//     the pair is passed over whole when both cells' core tuples are
-//     already one set, a tuple whose box test fails probes nothing, and the
-//     pair stops once a hit makes both cells one set. A probe passes over a
-//     candidate before its distance unless the candidate is core and in
-//     another set (sets only merge, so a pair found joined stays joined),
-//     and joins the two sets on a hit. That is n visits, one probe per core
-//     tuple and one per box test passed between cells, with MinPts ≤ 0
-//     skipping the visits. On brute, one cell, the join is the one-sided
-//     join from each core tuple to the later ones in index order.
-//   - One fused pass over any other index (the VP-tree, which must
-//     evaluate each vantage point to navigate, a Mutable, a foreign
-//     Index): each tuple runs one full ε-range query, and a core tuple
-//     publishes that it is core before it reads its neighbors' status, so
-//     of two neighboring core tuples at least one sees the other and joins
-//     their sets. That is n range queries.
+//     (neighbors.JoinerOf: Brute, which is one cell, Grid, VPTree, and
+//     counting views over them). The index's cells are listed first.
+//     Pass 1 is detection's core test, in the listing's order: each tuple
+//     visits its neighbors in the order of a capped count (the grid's own
+//     cell first, the VP-tree's nearer side first) until it has MinPts, so
+//     a core tuple costs about a count capped at MinPts, and a tuple left
+//     below MinPts has seen its whole ball and keeps those ids for the
+//     border rule. A tuple found core joins the tuples its visit found
+//     that are already core. A tuple alone in its cell visits through
+//     VisitCell, which on a VP-tree also lists the cell's near cells in
+//     the same walk, at most the cost of the tuple's range query, where a
+//     separate near walk would retrace the visit's path. MinPts ≤ 0 marks
+//     every tuple core without a query. Every core flag is final by then;
+//     the listing is told which tuples are core, and pass 2 joins cells,
+//     not tuples, in one parallel loop whose items come phase by phase.
+//     First each core tuple probes the later core tuples of its own cell.
+//     Then each cell joins each later cell its index lists near it, or its
+//     pass-1 visit listed (a grid cell whose box, a VP-tree cell whose
+//     cover, can hold a tuple within Eps of one of its own; a VP-tree lists
+//     only cells that hold a core tuple): the pair is passed over whole
+//     when both cells' core tuples are already one set, a tuple whose
+//     reach test fails probes nothing (a visit's listing has applied it),
+//     and the pair stops once a hit makes both cells one set. A probe
+//     passes over a candidate before its distance unless the candidate is
+//     core and in another set (sets only merge, so a pair found joined
+//     stays joined), and joins the two sets on a hit. That is n visits,
+//     one probe per core tuple and one per reach test passed between
+//     cells, with MinPts ≤ 0 skipping the visits; a VP-tree's near walks
+//     and reach tests evaluate distances too, a grid's do not. On brute,
+//     one cell, the join is the one-sided join from each core tuple to the
+//     later ones in index order.
+//   - One fused pass over any other index (a Mutable, which also scans
+//     its delta buffer, or a foreign Index): each tuple runs one full
+//     ε-range query, and a core tuple publishes that it is core before it
+//     reads its neighbors' status, so of two neighboring core tuples at
+//     least one sees the other and joins their sets. That is n range
+//     queries.
 //
 // Once ctx is cancelled no further query starts, in any phase or between
 // them, and the run returns every tuple as noise with K = 0 and the
@@ -152,22 +164,26 @@ type dbscan struct {
 }
 
 // cellState is one cell of the join: its smallest core tuple (-1 for
-// none), and whether its core tuples have been found to be one set, which
-// they then stay, since sets only merge.
+// none), whether its core tuples have been found to be one set, which
+// they then stay, since sets only merge, and, for a cell of one tuple
+// whose pass-1 visit listed its near cells, that listing (nil otherwise).
 type cellState struct {
-	rep int32
-	one atomic.Bool
+	rep  int32
+	one  atomic.Bool
+	near []int32
 }
 
 // dbscanWorker is one goroutine's scratch: the buffer its fused range
 // queries fill, the tuples it found not core as (i, count, ids...)
-// records, whose neighbors' status is known only after the join, and the
-// buffer its cells' near lists fill. start is the offset of the visited
-// tuple's ids in border, which collect, the core test's visit callback
-// made once per run, reads.
+// records, whose neighbors' status is known only after the join, the
+// near lists its core test's visits made, one after another, and the
+// buffer its cells' near lists fill in the join. start is the offset of
+// the visited tuple's ids in border, which collect, the core test's visit
+// callback made once per run, reads.
 type dbscanWorker struct {
 	nbs     []neighbors.Neighbor
 	border  []int32
+	listed  []int32
 	near    []int32
 	start   int
 	collect func(j int) bool
@@ -214,39 +230,65 @@ func (d *dbscan) fusedPass(ctx context.Context, views []neighbors.Index) []par.I
 // skips the join.
 func (d *dbscan) twoPass(ctx context.Context, js []neighbors.Joiner) []par.ItemError {
 	parent, minPts, eps := d.parent, d.cfg.MinPts, d.cfg.Eps
+	n := d.rel.N()
+	d.cs = js[0].Cells(eps)
+	cs := &d.cs
+	d.cells = make([]cellState, cs.Len())
+	lone := 0
+	for c := range d.cells {
+		if minPts > 0 && len(cs.Ids(c)) == 1 {
+			lone++
+		}
+	}
 	for w := range d.ws {
 		wk := &d.ws[w]
 		// At radius = cell, a cell of a three-attribute grid lists at most
-		// 13 near cells unless its tuples sit within a rounding of a side.
-		wk.near = make([]int32, 0, 32)
+		// 13 near cells unless its tuples sit within a rounding of a side;
+		// a one-tuple cell of a VP-tree lists about 6 on Table 1 Letter.
+		// Both buffers grow as needed.
+		size := 8 * lone / len(d.ws)
+		buf := make([]int32, 0, size+32)
+		wk.listed, wk.near = buf[:0:size], buf[size:size]
 		wk.collect = func(j int) bool {
 			wk.border = append(wk.border, int32(j))
 			return len(wk.border)-wk.start < minPts
 		}
 	}
-	n := d.rel.N()
 	if minPts <= 0 {
 		for i := range parent {
 			parent[i].Store(int32(i))
 		}
-	} else if errs := par.ForEachWorker(ctx, n, len(js), func(w, i int) error {
+	} else if errs := par.ForEachWorker(ctx, n, len(js), func(w, k int) error {
 		wk := &d.ws[w]
+		i, _ := cs.At(k)
 		wk.border = append(wk.border, int32(i), 0)
 		wk.start = len(wk.border)
-		js[w].VisitWithin(d.rel.Tuples[i], eps, i, wk.collect)
-		if m := len(wk.border) - wk.start; m < minPts {
-			wk.border[wk.start-1] = int32(m)
+		if c := cs.Cell(k); len(cs.Ids(c)) == 1 {
+			// A listing stays valid where a later append moves the buffer.
+			at := len(wk.listed)
+			if near, ok := js[w].VisitCell(cs, c, wk.collect, wk.listed); ok {
+				wk.listed, d.cells[c].near = near, near[at:len(near):len(near)]
+			}
 		} else {
-			wk.border = wk.border[:wk.start-2]
-			parent[i].Store(int32(i))
+			js[w].VisitWithin(d.rel.Tuples[i], eps, i, wk.collect)
 		}
+		hits := wk.border[wk.start:]
+		if len(hits) < minPts {
+			wk.border[wk.start-1] = int32(len(hits))
+			return nil
+		}
+		parent[i].Store(int32(i))
+		for _, j := range hits {
+			if parent[j].Load() >= 0 {
+				union(parent, int32(i), j)
+			}
+		}
+		wk.border = wk.border[:wk.start-2]
 		return nil
 	}); errs != nil {
 		return errs
 	}
-	d.cs = js[0].Cells(eps)
-	cs := &d.cs
-	d.cells = make([]cellState, cs.Len())
+	cs.Keep(func(i int) bool { return parent[i].Load() >= 0 })
 	for c := range d.cells {
 		d.cells[c].rep = -1
 		for _, i := range cs.Ids(c) {
@@ -270,9 +312,15 @@ func (d *dbscan) twoPass(ctx context.Context, js []neighbors.Joiner) []par.ItemE
 		if d.cells[c].rep < 0 {
 			return nil // no core tuple to join from
 		}
-		wk.near = cs.Near(c, wk.near[:0])
+		if near := d.cells[c].near; near != nil {
+			for _, b := range near {
+				d.joinCells(js[w], c, int(b), true)
+			}
+			return nil
+		}
+		wk.near = js[w].Near(cs, c, wk.near[:0])
 		for _, b := range wk.near {
-			d.joinCells(js[w], c, int(b))
+			d.joinCells(js[w], c, int(b), false)
 		}
 		return nil
 	})
@@ -308,16 +356,17 @@ func (d *dbscan) join(j neighbors.Joiner, i int, ids []int, c, b int) (done bool
 }
 
 // joinCells joins the core tuples of cells c and b, the later one: each
-// core tuple of c whose walk would visit b probes b's core tuples, until
-// the two cells' core tuples are one set. A pair already one set is passed
-// over whole.
-func (d *dbscan) joinCells(j neighbors.Joiner, c, b int) {
+// core tuple of c whose reach test passes against b (each of them when
+// reached, since VisitCell's listing applied it) probes b's core tuples,
+// until the two cells' core tuples are one set. A pair already one set is
+// passed over whole.
+func (d *dbscan) joinCells(j neighbors.Joiner, c, b int, reached bool) {
 	if d.joined(c, b) {
 		return
 	}
 	ids := d.cs.Ids(b)
 	for _, i := range d.cs.Ids(c) {
-		if d.parent[i].Load() >= 0 && d.cs.Reach(i, b) && d.join(j, i, ids, c, b) {
+		if d.parent[i].Load() >= 0 && (reached || j.Reach(&d.cs, i, b)) && d.join(j, i, ids, c, b) {
 			return
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -186,27 +187,28 @@ type joinCounts struct{ queries, evals int64 }
 // its core count and its range queries and distance evaluations: those
 // the path must spend exactly at one worker (one), and the bounds it must
 // fall within at any worker count (lo, hi). Pass 1 is detection's capped
-// count, whose evaluations are deterministic. The join probes each core
-// tuple against the later core tuples of its cell, then, for each listed
-// pair of cells not yet one set, each core tuple of the earlier cell whose
-// box test passes against the later cell's core tuples, until the two
-// cells are one set; a candidate already in the probing tuple's set costs
-// no evaluation. With several workers, when the other workers' unions land
-// decides which probes and candidates are skipped, so the counts lie
+// count, in the listing's order, whose evaluations are deterministic: a
+// tuple alone in its cell visits through VisitCell, whose listing, when
+// the index makes one, stands in for the cell's near walk and its reach
+// tests, and a tuple found core joins the tuples of its visit already
+// found core. The join probes each core tuple against the later core
+// tuples of its cell, then, from each cell that holds a core tuple, takes
+// its listing or walks near it and, for each listed cell that holds one
+// too and whose core tuples are not yet one set with its own, probes from
+// each of its core tuples whose reach test passes against the listed
+// cell's core tuples, until the two cells are one set; a candidate already
+// in the probing tuple's set costs no evaluation. Near walks and reach
+// tests evaluate distances on a VP-tree only. With several workers, when
+// the other workers' unions land decides which unions pass 1 makes and
+// which probes, reach tests and candidates are skipped, so the counts lie
 // between pass 1 plus one probe per core tuple and a join that skips
 // nothing.
 func twoPassCounts(rel *data.Relation, eps float64, minPts int, idx neighbors.Index) (cores int, one, lo, hi joinCounts) {
 	var c neighbors.Counters
 	view := neighbors.Counting(idx, &c)
+	j := neighbors.JoinerOf(view)
+	cs := j.Cells(eps)
 	n := rel.N()
-	isCore := make([]bool, n)
-	for i, tp := range rel.Tuples {
-		isCore[i] = minPts <= 0 || view.CountWithin(tp, eps, i, minPts) >= minPts
-		if isCore[i] {
-			cores++
-		}
-	}
-	lo = joinCounts{c.RangeQueries + int64(cores), c.DistEvals}
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
@@ -217,10 +219,52 @@ func twoPassCounts(rel *data.Relation, eps float64, minPts int, idx neighbors.In
 		}
 		return x
 	}
-	j := neighbors.JoinerOf(view)
-	cs := j.Cells(eps)
-	// oneSet reports whether the core tuples of cells a and b are one set.
+	union := func(x, y int) {
+		rx, ry := root(x), root(y)
+		parent[max(rx, ry)] = min(rx, ry)
+	}
+	isCore := make([]bool, n)
+	listed := map[int][]int32{}
+	for k := 0; k < n; k++ {
+		i, _ := cs.At(k)
+		if minPts <= 0 {
+			isCore[i] = true
+			cores++
+			continue
+		}
+		var hits []int
+		hit := func(x int) bool {
+			hits = append(hits, x)
+			return len(hits) < minPts
+		}
+		if a := cs.Cell(k); len(cs.Ids(a)) == 1 {
+			if near, ok := j.VisitCell(&cs, a, hit, nil); ok {
+				listed[a] = near
+			}
+		} else {
+			j.VisitWithin(rel.Tuples[i], eps, i, hit)
+		}
+		if isCore[i] = len(hits) >= minPts; isCore[i] {
+			cores++
+			for _, x := range hits {
+				if isCore[x] {
+					union(i, x)
+				}
+			}
+		}
+	}
+	lo = joinCounts{c.RangeQueries + int64(cores), c.DistEvals}
+	cs.Keep(func(i int) bool { return isCore[i] })
+	hasCore := make([]bool, cs.Len())
+	for a := range hasCore {
+		hasCore[a] = slices.ContainsFunc(cs.Ids(a), func(x int) bool { return isCore[x] })
+	}
+	// oneSet reports whether the core tuples of cells a and b are one set,
+	// or either cell has none.
 	oneSet := func(a, b int) bool {
+		if !hasCore[a] || !hasCore[b] {
+			return true
+		}
 		r := -1
 		for _, ids := range [][]int{cs.Ids(a), cs.Ids(b)} {
 			for _, x := range ids {
@@ -245,8 +289,7 @@ func twoPassCounts(rel *data.Relation, eps float64, minPts int, idx neighbors.In
 			if !isCore[x] || skipJoined && root(x) == root(i) || !pr.Within(x) {
 				continue
 			}
-			ri, rx := root(i), root(x)
-			parent[max(ri, rx)] = min(ri, rx)
+			union(i, x)
 			if skipJoined && a >= 0 && oneSet(a, b) {
 				return true
 			}
@@ -261,12 +304,19 @@ func twoPassCounts(rel *data.Relation, eps float64, minPts int, idx neighbors.In
 			}
 		}
 		for a := 0; a < cs.Len(); a++ {
-			for _, b := range cs.Near(a, nil) {
-				if skipJoined && oneSet(a, int(b)) {
+			if !hasCore[a] {
+				continue
+			}
+			near, reached := listed[a]
+			if !reached {
+				near = j.Near(&cs, a, nil)
+			}
+			for _, b := range near {
+				if !hasCore[b] || skipJoined && oneSet(a, int(b)) {
 					continue
 				}
 				for _, i := range cs.Ids(a) {
-					if isCore[i] && cs.Reach(i, int(b)) && probe(i, cs.Ids(int(b)), a, int(b), skipJoined) {
+					if isCore[i] && (reached || j.Reach(&cs, i, int(b))) && probe(i, cs.Ids(int(b)), a, int(b), skipJoined) {
 						break
 					}
 				}
@@ -285,17 +335,22 @@ func twoPassCounts(rel *data.Relation, eps float64, minPts int, idx neighbors.In
 // onesidedJoinEvals counts the evaluations of a join that probes each core
 // tuple against every later core tuple in index order, passing over those
 // already in its set: the join the brute index's single cell must
-// reproduce, replayed from brute range queries instead of a probe.
+// reproduce, replayed from brute range queries instead of a probe. Its
+// sets start from pass 1's unions: each core tuple with the earlier core
+// tuples among its first minPts neighbors in index order.
 func onesidedJoinEvals(rel *data.Relation, eps float64, minPts int) int64 {
 	brute := neighbors.NewBrute(rel)
 	n := rel.N()
 	isCore := make([]bool, n)
 	within := make([]map[int]bool, n)
+	first := make([][]int, n)
 	for i, tp := range rel.Tuples {
 		within[i] = map[int]bool{}
 		for _, nb := range brute.Within(tp, eps, i) {
 			within[i][nb.Idx] = true
+			first[i] = append(first[i], nb.Idx)
 		}
+		slices.Sort(first[i])
 		isCore[i] = len(within[i]) >= minPts
 	}
 	parent := make([]int, n)
@@ -307,6 +362,14 @@ func onesidedJoinEvals(rel *data.Relation, eps float64, minPts int) int64 {
 			x = parent[x]
 		}
 		return x
+	}
+	for i := range first {
+		for _, x := range first[i][:min(len(first[i]), max(minPts, 0))] {
+			if isCore[i] && x < i && isCore[x] {
+				ri, rx := root(i), root(x)
+				parent[max(ri, rx)] = min(ri, rx)
+			}
+		}
 	}
 	var evals int64
 	for i := 0; i < n; i++ {
@@ -326,14 +389,15 @@ func onesidedJoinEvals(rel *data.Relation, eps float64, minPts int) int64 {
 
 // TestDBSCANCountingExact: a counting view handed to DBSCAN sees the work
 // of the path its index selects, though the queries run on several
-// goroutines. Over the VP-tree (the fused pass) that is exactly the serial
-// pass's: one range query per tuple and the same distance evaluations.
-// Over the grid and brute indexes (the two-pass path) it is the replay's
-// range queries and evaluations at one worker, and counts within the
+// goroutines. Over the grid, brute and VP-tree indexes (the two-pass path)
+// it is the replay's range queries and evaluations at one worker, a
+// VP-tree's near walks and reach tests included, and counts within the
 // replay's bounds at two and four. On brute, a single cell, the join is
 // the one-sided join from each core tuple to the later ones in index
 // order: n + #core range queries at every worker count, and that join's
-// evaluations at one worker.
+// evaluations at one worker. Over a Mutable (the fused pass) it is exactly
+// the serial pass's at four workers: one range query per tuple and the
+// same distance evaluations.
 func TestDBSCANCountingExact(t *testing.T) {
 	ds, err := data.Table1("Letter", 0.02, 1)
 	if err != nil {
@@ -348,25 +412,7 @@ func TestDBSCANCountingExact(t *testing.T) {
 		{name: "lattice", rel: lat, eps: 1, eta: 20},
 	} {
 		for kind, idx := range fixtureIndexes(fx.rel, fx.eps) {
-			var serial neighbors.Counters
-			want := serialDBSCAN(fx.rel, DBSCANConfig{Eps: fx.eps, MinPts: fx.eta, Index: neighbors.Counting(idx, &serial)})
-			if kind == "vptree" {
-				var par neighbors.Counters
-				var got Result
-				withProcs(4, func() {
-					got = DBSCAN(fx.rel, DBSCANConfig{Eps: fx.eps, MinPts: fx.eta, Index: neighbors.Counting(idx, &par)})
-				})
-				if diff := labelDiff(got, want); diff != "" {
-					t.Errorf("%s/%s: %s", fx.name, kind, diff)
-				}
-				if par.RangeQueries != int64(fx.rel.N()) {
-					t.Errorf("%s/%s: %d range queries, want one per tuple (%d)", fx.name, kind, par.RangeQueries, fx.rel.N())
-				}
-				if par.DistEvals != serial.DistEvals || par.DistEvals == 0 {
-					t.Errorf("%s/%s: %d distance evaluations, serial pass %d", fx.name, kind, par.DistEvals, serial.DistEvals)
-				}
-				continue
-			}
+			want := serialDBSCAN(fx.rel, DBSCANConfig{Eps: fx.eps, MinPts: fx.eta, Index: idx})
 			cores, one, lo, hi := twoPassCounts(fx.rel, fx.eps, fx.eta, idx)
 			if cores == 0 || one.evals == 0 {
 				t.Fatalf("%s/%s: the replay found %d core tuples and %d evaluations", fx.name, kind, cores, one.evals)
@@ -401,24 +447,42 @@ func TestDBSCANCountingExact(t *testing.T) {
 				}
 			}
 		}
+		mut, err := neighbors.NewMutable(fx.rel, fx.eps, neighbors.KindVP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var serial, par neighbors.Counters
+		want := serialDBSCAN(fx.rel, DBSCANConfig{Eps: fx.eps, MinPts: fx.eta, Index: neighbors.Counting(mut, &serial)})
+		var got Result
+		withProcs(4, func() {
+			got = DBSCAN(fx.rel, DBSCANConfig{Eps: fx.eps, MinPts: fx.eta, Index: neighbors.Counting(mut, &par)})
+		})
+		if diff := labelDiff(got, want); diff != "" {
+			t.Errorf("%s/mutable: %s", fx.name, diff)
+		}
+		if par.RangeQueries != int64(fx.rel.N()) || par.DistEvals != serial.DistEvals || par.DistEvals == 0 {
+			t.Errorf("%s/mutable: %d range queries and %d distance evaluations, want one per tuple (%d) and the serial pass's %d",
+				fx.name, par.RangeQueries, par.DistEvals, fx.rel.N(), serial.DistEvals)
+		}
 	}
 }
 
 // TestDBSCANTwoPassNoMoreEvals: at one worker the two-pass path never
-// evaluates more pairs than the serial seed expansion, over every
-// fixture, norm and MinPts of TestDBSCANMatchesSerial, on the grid and
-// brute indexes. A core tuple's capped count and its one-sided join are
-// each a part of the full query the serial pass runs for it, and a tuple
-// that ends below MinPts is never queried again.
+// evaluates more pairs than the serial seed expansion, which makes the
+// fused pass's n full range queries, over every fixture, norm and MinPts
+// of TestDBSCANMatchesSerial, on every index kind, every evaluation
+// counted: visits, probes, and a VP-tree's near walks and reach tests. A
+// core tuple's capped count and its one-sided join are each a part of the
+// full query the serial pass runs for it, and a tuple that ends below
+// MinPts is never queried again. On a VP-tree, a tuple alone in its cell
+// runs its visit and its cell's near walk as one walk, which costs at most
+// its range query, and a core tuple joins the core tuples its visit found.
 func TestDBSCANTwoPassNoMoreEvals(t *testing.T) {
 	worst, worstAt, runs := 0.0, "", 0
 	for _, fx := range dbscanFixtures(t) {
 		for _, norm := range []metric.Norm{metric.L1, metric.L2, metric.LInf} {
 			fx.rel.Schema.Norm = norm
 			for kind, idx := range fixtureIndexes(fx.rel, fx.eps) {
-				if kind == "vptree" {
-					continue
-				}
 				for _, minPts := range []int{0, 1, fx.eta} {
 					var serial, two neighbors.Counters
 					serialDBSCAN(fx.rel, DBSCANConfig{Eps: fx.eps, MinPts: minPts, Index: neighbors.Counting(idx, &serial)})
@@ -497,9 +561,27 @@ func (g joinGrid) VisitWithin(q data.Tuple, eps float64, skip int, hit func(int)
 	g.Grid.VisitWithin(q, eps, skip, hit)
 }
 
+func (g joinGrid) VisitCell(cs *neighbors.Cells, c int, hit func(int) bool, dst []int32) ([]int32, bool) {
+	g.visit(cs.Ids(c)[0])
+	return g.Grid.VisitCell(cs, c, hit, dst)
+}
+
 func (g joinGrid) Probe(i int, eps float64) neighbors.Probe {
 	g.probe(i)
 	return g.Grid.Probe(i, eps)
+}
+
+// joinVP is a VP-tree seen through a type of another package: it keeps
+// the tree's Joiner capability, and its hook runs as every near walk
+// starts.
+type joinVP struct {
+	*neighbors.VPTree
+	near func(c int)
+}
+
+func (v joinVP) Near(cs *neighbors.Cells, c int, dst []int32) []int32 {
+	v.near(c)
+	return v.VPTree.Near(cs, c, dst)
 }
 
 // visitOnly offers a grid's visit and nothing else of its Joiner.
@@ -525,13 +607,14 @@ func (f foreignIndex) Within(q data.Tuple, eps float64, skip int) []neighbors.Ne
 }
 
 // TestDBSCANPathByCapability: the index's Joiner capability selects the
-// path, never its kind. Grid, brute, counting views over them and a
-// foreign type that keeps a grid's Joiner run the two passes: n visits,
-// one probe per core tuple inside its cell, and on a grid the probes
-// between cells, so n + #core range queries on brute and at least that on
-// a grid. The VP-tree, a Mutable, a foreign type that offers only a
-// grid's visit and a foreign Index over a grid run the fused pass, one
-// query per tuple. Every path gives the serial expansion's labels.
+// path, never its kind. Grid, brute, VP-tree, counting views over them and
+// a foreign type that keeps a grid's Joiner run the two passes: n visits,
+// one probe per core tuple inside its cell, and on a grid or VP-tree the
+// probes between cells, so n + #core range queries on brute and at least
+// that on the others. A Mutable over a grid or a VP-tree, a foreign type
+// that offers only a grid's visit and a foreign Index over a grid or a
+// VP-tree run the fused pass, one query per tuple. Every path gives the
+// serial expansion's labels.
 func TestDBSCANPathByCapability(t *testing.T) {
 	rel, err := data.GenLattice(data.LatticeSpec{Side: 2, PerCell: 24, Dims: 3, Noise: 8, Seed: 1})
 	if err != nil {
@@ -543,6 +626,11 @@ func TestDBSCANPathByCapability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mutVP, err := neighbors.NewMutable(rel, eps, neighbors.KindVP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp := neighbors.NewVPTree(rel, 1)
 	want := serialDBSCAN(rel, DBSCANConfig{Eps: eps, MinPts: minPts, Index: grid})
 	cores := 0
 	for i, tp := range rel.Tuples {
@@ -554,7 +642,7 @@ func TestDBSCANPathByCapability(t *testing.T) {
 		t.Fatalf("%d of %d tuples core; the fixture cannot tell the paths apart", cores, rel.N())
 	}
 	n, twoPass := int64(rel.N()), int64(rel.N()+cores)
-	var joins, foreign atomic.Int64
+	var joins, foreign, foreignVP atomic.Int64
 	count := func(int) { joins.Add(1) }
 	for _, tc := range []struct {
 		name    string
@@ -565,11 +653,13 @@ func TestDBSCANPathByCapability(t *testing.T) {
 	}{
 		{"grid", grid, nil, twoPass, true},
 		{"brute", neighbors.NewBrute(rel), nil, twoPass, false},
-		{"vptree", neighbors.NewVPTree(rel, 1), nil, n, false},
+		{"vptree", vp, nil, twoPass, true},
 		{"mutable", mut, nil, n, false},
+		{"mutable vptree", mutVP, nil, n, false},
 		{"joining foreign type", joinGrid{Grid: grid, visit: count, probe: count}, &joins, twoPass, true},
 		{"visiting foreign type", visitOnly{Index: grid, g: grid}, nil, n, false},
 		{"foreign Index", foreignIndex{Index: grid, queries: &foreign}, &foreign, n, false},
+		{"foreign Index over a VP-tree", foreignIndex{Index: vp, queries: &foreignVP}, &foreignVP, n, false},
 	} {
 		for _, procs := range []int{1, 2} {
 			var c neighbors.Counters
@@ -595,9 +685,9 @@ func TestDBSCANPathByCapability(t *testing.T) {
 }
 
 // TestDBSCANTwoPassFailures: on the two-pass path a panic in the core
-// test, in the join inside cells or in the join between cells is returned
-// with every tuple noise and K = 0, DBSCAN re-raises it, and its stack
-// names the panicking visit or probe. A context cancelled between the
+// test, in the join inside cells, in the join between cells or in a
+// VP-tree's near walk is returned with every tuple noise and K = 0, DBSCAN
+// re-raises it, and its stack names the panicking visit, probe or walk. A context cancelled between the
 // core test and the join, inside the join within cells, or inside the
 // join between cells gives the same labels with the context's error, and
 // no later phase runs.
@@ -650,6 +740,9 @@ func TestDBSCANTwoPassFailures(t *testing.T) {
 		}},
 		{"join between cells", "joinGrid.Probe", func() neighbors.Index {
 			return hooked(func(int) {}, func(_ int, k int64) { poison(k == between) })
+		}},
+		{"near walk", "joinVP.Near", func() neighbors.Index {
+			return joinVP{VPTree: neighbors.NewVPTree(rel, 1), near: func(int) { poison(true) }}
 		}},
 	} {
 		for _, procs := range []int{1, 2} {

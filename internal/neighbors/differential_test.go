@@ -326,8 +326,10 @@ func TestGridWalkMatchesBrute(t *testing.T) {
 // test of its tuple in c passing against d, the only pairs a cell join
 // probes. The cells partition the relation, are numbered by their smallest
 // tuple id and hold their ids ascending, and a near list names only later
-// cells, each pair of cells at most once. Every m = 3 layout is listed
-// cell by cell; at m = 9 the walk would fall back, so the grid is one cell.
+// cells, each pair of cells at most once. The listing and the box tests
+// evaluate no distance, read through a counting view. Every m = 3 layout
+// is listed cell by cell; at m = 9 the walk would fall back, so the grid
+// is one cell.
 // Each relation also holds an edge pair: two tuples exactly 1 apart on
 // attribute 0 (unscaled), the second on a cell edge of the 1.5-cell grid
 // 2^20 cells out, where the first's position rounds down, so that without
@@ -360,66 +362,91 @@ func TestGridCellsCoverPairs(t *testing.T) {
 				g := NewGrid(r, cellF)
 				for _, eps := range []float64{1, math.Sqrt2} {
 					name := fmt.Sprintf("%s/%v/cell=%gε/eps=%g", lay.name, norm, cellF, eps)
-					cs := g.Cells(eps)
-					if lay.m == 3 && cs.Len() < 2 || lay.m == 9 && cs.Len() != 1 {
-						t.Fatalf("%s: %d cells", name, cs.Len())
+					var ct Counters
+					cells, _, between := checkCellsCover(t, name, JoinerOf(Counting(g, &ct)), brute, eps, nil)
+					if ct.DistEvals != 0 {
+						t.Fatalf("%s: the near lists and reach tests evaluated %d distances, want none", name, ct.DistEvals)
 					}
-					cellOf := make([]int, r.N())
-					for i := range cellOf {
-						cellOf[i] = -1
-					}
-					k := 0
-					for c := 0; c < cs.Len(); c++ {
-						ids := cs.Ids(c)
-						if c > 0 && ids[0] <= cs.Ids(c - 1)[0] {
-							t.Fatalf("%s: cell %d starts at tuple %d, cell %d at %d", name, c, ids[0], c-1, cs.Ids(c - 1)[0])
-						}
-						for x, i := range ids {
-							if x > 0 && i <= ids[x-1] || cellOf[i] >= 0 {
-								t.Fatalf("%s: cell %d lists tuple %d out of order or twice", name, c, i)
-							}
-							cellOf[i] = c
-							if at, later := cs.At(k); at != i || len(later) != len(ids)-x-1 {
-								t.Fatalf("%s: At(%d) = %d with %d later, want %d with %d", name, k, at, len(later), i, len(ids)-x-1)
-							}
-							k++
-						}
-					}
-					if k != r.N() {
-						t.Fatalf("%s: the cells hold %d tuples, want %d", name, k, r.N())
-					}
-					near := map[[2]int]bool{}
-					for c := 0; c < cs.Len(); c++ {
-						for _, d := range cs.Near(c, nil) {
-							p := [2]int{c, int(d)}
-							if int(d) == c || near[p] || near[[2]int{int(d), c}] {
-								t.Fatalf("%s: cell %d lists cell %d again", name, c, d)
-							}
-							near[p] = true
-						}
-					}
-					pairs, between := 0, 0
-					for i, q := range r.Tuples {
-						for _, nb := range brute.Within(q, eps, i) {
-							j, ci, cj := nb.Idx, cellOf[i], cellOf[nb.Idx]
-							pairs++
-							switch {
-							case ci == cj:
-							case near[[2]int{ci, cj}] && cs.Reach(i, cj), near[[2]int{cj, ci}] && cs.Reach(j, ci):
-								between++
-							default:
-								t.Fatalf("%s: tuples %d and %d lie within %g (%v), but no listed pair of cells %d and %d covers them",
-									name, i, j, eps, nb.Dist, ci, cj)
-							}
-						}
+					if lay.m == 3 && cells < 2 || lay.m == 9 && cells != 1 {
+						t.Fatalf("%s: %d cells", name, cells)
 					}
 					if lay.m == 3 && between == 0 {
-						t.Fatalf("%s: none of %d pairs lies between two cells", name, pairs)
+						t.Fatalf("%s: no pair lies between two cells", name)
 					}
 				}
 			}
 		}
 	}
+}
+
+// checkCellsCover pins j's cell listing at radius eps to brute, over the
+// same relation: the cells partition the relation, are numbered by their
+// smallest tuple id and hold their ids ascending, At and Cell read them
+// cell by cell, a near list names each pair of cells at most once, and
+// every pair of tuples within eps lies in one cell, or in cells c and d
+// with d listed near c and the reach test of its tuple in c passing
+// against d. Given a keep, the listing is told it with Keep and only pairs
+// of kept tuples must be covered. It returns the number of cells, of pairs
+// within eps, and of those pairs that lie between two cells.
+func checkCellsCover(t *testing.T, name string, j Joiner, brute *Brute, eps float64, keep func(int) bool) (cells, pairs, between int) {
+	t.Helper()
+	r := brute.Rel()
+	cs := j.Cells(eps)
+	if keep != nil {
+		cs.Keep(keep)
+	}
+	cellOf := make([]int, r.N())
+	for i := range cellOf {
+		cellOf[i] = -1
+	}
+	k := 0
+	for c := 0; c < cs.Len(); c++ {
+		ids := cs.Ids(c)
+		if len(ids) == 0 || c > 0 && ids[0] <= cs.Ids(c - 1)[0] {
+			t.Fatalf("%s: cell %d is empty or starts before cell %d", name, c, c-1)
+		}
+		for x, i := range ids {
+			if x > 0 && i <= ids[x-1] || cellOf[i] >= 0 {
+				t.Fatalf("%s: cell %d lists tuple %d out of order or twice", name, c, i)
+			}
+			cellOf[i] = c
+			if at, later := cs.At(k); at != i || len(later) != len(ids)-x-1 || cs.Cell(k) != c {
+				t.Fatalf("%s: At(%d) = %d with %d later in cell %d, want %d with %d in cell %d", name, k, at, len(later), cs.Cell(k), i, len(ids)-x-1, c)
+			}
+			k++
+		}
+	}
+	if k != r.N() {
+		t.Fatalf("%s: the cells hold %d tuples, want %d", name, k, r.N())
+	}
+	near := map[[2]int]bool{}
+	for c := 0; c < cs.Len(); c++ {
+		for _, d := range j.Near(&cs, c, nil) {
+			p := [2]int{c, int(d)}
+			if int(d) == c || near[p] || near[[2]int{int(d), c}] {
+				t.Fatalf("%s: cell %d lists cell %d again", name, c, d)
+			}
+			near[p] = true
+		}
+	}
+	for i, q := range r.Tuples {
+		for _, nb := range brute.Within(q, eps, i) {
+			x, ci, cx := nb.Idx, cellOf[i], cellOf[nb.Idx]
+			if keep != nil && !(keep(i) && keep(x)) {
+				continue
+			}
+			pairs++
+			switch {
+			case ci == cx:
+			case near[[2]int{ci, cx}] && j.Reach(&cs, i, cx), near[[2]int{cx, ci}] && j.Reach(&cs, x, ci):
+				between++
+			default:
+				t.Fatalf("%s: tuples %d and %d lie within %g (%v), but no listed pair of cells %d and %d covers them",
+					name, i, x, eps, nb.Dist, ci, cx)
+			}
+		}
+	}
+	return cs.Len(), pairs, between
 }
 
 // walkQuery returns trial's query and skip: a relation tuple (skipped,

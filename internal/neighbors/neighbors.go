@@ -78,23 +78,41 @@ func withinAppend(idx Index, dst []Neighbor, q data.Tuple, eps float64, skip int
 
 // Joiner is the optional capability of an index whose tuples sit in cells
 // it can list, so a caller can join tuples cell by cell instead of running
-// a range query per tuple: Brute, which is one cell, and Grid, whose walk
-// visits tuple ids directly. A grid whose walk at the join's radius would
-// fall back to its brute scan is one cell too. A VP-tree must evaluate
-// each vantage point to navigate, and a Mutable also scans its delta
-// buffer, so neither offers it. Look it up with JoinerOf, which sees
-// through counting views; DBSCAN's two-pass path is its caller.
+// a range query per tuple. Brute (one cell), Grid and VPTree offer it: a
+// grid's cells are its boxes, a grid whose walk at the join's radius
+// would fall back to its brute scan is one cell, and a VP-tree's cells
+// are its subtrees whose cover fits the radius and the vantage points
+// above them, one tuple each. A Mutable also scans its
+// delta buffer, so it does not offer it. Look it up with JoinerOf, which
+// sees through counting views; DBSCAN's two-pass path is its caller.
 type Joiner interface {
 	// VisitWithin calls hit(j) for each tuple j other than skip that lies
-	// within eps of q, until hit returns false. Candidates come nearest
-	// grid cell first, the query's own cell before the rest, so a visit
-	// that stops after k hits costs what a count capped at k costs.
+	// within eps of q, until hit returns false. Candidates come in the
+	// order of the index's capped count (the grid's own cell, then the
+	// nearest; the VP-tree's nearer side of each vantage point first), so
+	// a visit that stops after k hits costs what a count capped at k costs.
 	VisitWithin(q data.Tuple, eps float64, skip int, hit func(j int) bool)
-	// Cells lists the index's occupied cells for a join at radius eps:
-	// every pair of tuples within eps of each other lies in one cell, or
-	// in cells c and d with d in Near(c) and Reach(i, d) true for the
-	// pair's tuple i in c.
+	// Cells lists the index's cells for a join at radius eps: every pair
+	// of tuples within eps of each other lies in one cell, or in cells c
+	// and d with d in Near(cs, c) and Reach(cs, i, d) true for the pair's
+	// tuple i in c. After cs.Keep, only pairs of kept tuples.
 	Cells(eps float64) Cells
+	// VisitCell visits from the tuple of c, a cell of cs that holds one
+	// tuple, as VisitWithin(that tuple, the listing's radius, it, hit)
+	// does. An index that can list c's near cells in the same walk (the
+	// VP-tree, whose near walk from c would retrace the visit's path)
+	// also appends to dst, whether or not hit stopped the visit, the
+	// cells Near(cs, c) lists before any Keep, each through the reach
+	// test of c's tuple, and reports true; one that cannot appends
+	// nothing and reports false.
+	VisitCell(cs *Cells, c int, hit func(j int) bool, dst []int32) ([]int32, bool)
+	// Near appends to dst the cells of cs, a listing of this index, after
+	// cell c that can hold a tuple within the listing's radius of one of
+	// c's tuples, and returns it.
+	Near(cs *Cells, c int, dst []int32) []int32
+	// Reach reports whether cell d of cs can hold a tuple within the
+	// listing's radius of tuple i.
+	Reach(cs *Cells, i, d int) bool
 	// Probe binds tuple i for pair tests at radius eps.
 	Probe(i int, eps float64) Probe
 }
@@ -104,14 +122,18 @@ type Joiner interface {
 type joiner interface {
 	Cells(eps float64) Cells
 	visitWithin(q data.Tuple, eps float64, skip int, hit func(j int) bool, c *Counters)
+	visitCell(cs *Cells, c int, hit func(j int) bool, dst []int32, ct *Counters) ([]int32, bool)
+	near(cs *Cells, c int, dst []int32, ct *Counters) []int32
+	reach(cs *Cells, i, d int, ct *Counters) bool
 	probe(i int, eps float64, c *Counters) Probe
 }
 
 // JoinerOf returns idx's Joiner capability, or nil when idx lacks it.
-// Through a counting view over Brute or Grid it returns a Joiner that
-// counts each visit and each probe as a range query, and their
-// evaluations, into the view's counters; a counting view over any other
-// index has none.
+// Through a counting view over Brute, Grid or VPTree it returns a Joiner
+// that counts each visit (VisitWithin or VisitCell) and each probe as a
+// range query, and their
+// evaluations and those of its near walks and reach tests, into the
+// view's counters; a counting view over any other index has none.
 func JoinerOf(idx Index) Joiner {
 	if cv, ok := idx.(*counting); ok {
 		if j, ok := cv.idx.(joiner); ok {
@@ -137,6 +159,20 @@ func (cj *countedJoin) VisitWithin(q data.Tuple, eps float64, skip int, hit func
 
 // Cells implements Joiner. Listing cells evaluates no distance.
 func (cj *countedJoin) Cells(eps float64) Cells { return cj.j.Cells(eps) }
+
+// VisitCell implements Joiner.
+func (cj *countedJoin) VisitCell(cs *Cells, c int, hit func(int) bool, dst []int32) ([]int32, bool) {
+	cj.c.RangeQueries++
+	return cj.j.visitCell(cs, c, hit, dst, cj.c)
+}
+
+// Near implements Joiner.
+func (cj *countedJoin) Near(cs *Cells, c int, dst []int32) []int32 {
+	return cj.j.near(cs, c, dst, cj.c)
+}
+
+// Reach implements Joiner.
+func (cj *countedJoin) Reach(cs *Cells, i, d int) bool { return cj.j.reach(cs, i, d, cj.c) }
 
 // Probe implements Joiner.
 func (cj *countedJoin) Probe(i int, eps float64) Probe {
@@ -340,6 +376,27 @@ func (b *Brute) visitWithin(q data.Tuple, eps float64, skip int, hit func(int) b
 // Cells implements Joiner: a brute scan is one cell, its tuples in index
 // order.
 func (b *Brute) Cells(float64) Cells { return oneCell(b.n) }
+
+// VisitCell implements Joiner: a scan lists no cells.
+func (b *Brute) VisitCell(cs *Cells, c int, hit func(int) bool, dst []int32) ([]int32, bool) {
+	return b.visitCell(cs, c, hit, dst, nil)
+}
+
+func (b *Brute) visitCell(cs *Cells, c int, hit func(int) bool, dst []int32, ct *Counters) ([]int32, bool) {
+	i := cs.Ids(c)[0]
+	b.visitWithin(b.r.Tuples[i], cs.eps, i, hit, ct)
+	return dst, false
+}
+
+// Near implements Joiner: one cell has no other near it.
+func (b *Brute) Near(cs *Cells, c int, dst []int32) []int32 { return dst }
+
+func (b *Brute) near(cs *Cells, c int, dst []int32, _ *Counters) []int32 { return dst }
+
+// Reach implements Joiner.
+func (b *Brute) Reach(*Cells, int, int) bool { return true }
+
+func (b *Brute) reach(*Cells, int, int, *Counters) bool { return true }
 
 // Probe implements Joiner.
 func (b *Brute) Probe(i int, eps float64) Probe { return b.probe(i, eps, nil) }
